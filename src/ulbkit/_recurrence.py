@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 
-_BISECT_STEPS = 90
-
 
 def jacobi_monic(alpha: float, beta: float, count: int):
     """Recurrence coefficients of monic Jacobi polynomials.
@@ -119,20 +117,6 @@ def eval_one(b, g, deg: int, t):
     return p_cur if p_cur.shape else float(p_cur)
 
 
-def eval_derivative(b, g, deg: int, t):
-    """First derivative of the monic polynomial of degree deg at t."""
-    t = np.asarray(t, dtype=float)
-    p_prev = np.zeros_like(t)
-    p_cur = np.ones_like(t)
-    d_prev = np.zeros_like(t)
-    d_cur = np.zeros_like(t)
-    for k in range(deg):
-        gk = g[k] if k > 0 else 0.0
-        d_prev, d_cur = d_cur, p_cur + (t - b[k]) * d_cur - gk * d_prev
-        p_prev, p_cur = p_cur, (t - b[k]) * p_cur - gk * p_prev
-    return d_cur if d_cur.shape else float(d_cur)
-
-
 def monomial_coefficients(b, g, deg: int):
     """Ascending monomial coefficients of the monic polynomial of degree deg."""
     c_prev = np.zeros(deg + 1)
@@ -148,50 +132,27 @@ def monomial_coefficients(b, g, deg: int):
     return c_cur
 
 
-def zeros(b, g, deg: int, lo: float, hi: float):
-    """All real zeros of the monic polynomial of degree deg.
+def jacobi_matrix(b, g, deg: int, shift: float = 0.0):
+    """The deg x deg symmetric tridiagonal Jacobi matrix of the recurrence.
 
-    Uses the interlacing of consecutive degrees for brackets, then
-    bisection with a Newton polish.  All zeros lie in (lo, hi).
+    Diagonal beta_0..beta_{deg-1}, off-diagonal sqrt(gamma_1..gamma_{deg-1}),
+    and the last diagonal entry raised by shift.  Its characteristic
+    polynomial is pi_deg - shift * pi_{deg-1}.
     """
-    roots = np.array([])
-    for m in range(1, deg + 1):
-        brackets = np.concatenate(([lo], roots, [hi]))
-        new = np.empty(m)
-        for j in range(m):
-            new[j] = _bisect(b, g, m, brackets[j], brackets[j + 1])
-        roots = new
-    return roots
+    J = np.diag(np.asarray(b[:deg], dtype=float))
+    J[-1, -1] += shift
+    off = np.sqrt(g[1:deg])
+    i = np.arange(deg - 1)
+    J[i + 1, i] = J[i, i + 1] = off
+    return J
 
 
-def _bisect(b, g, deg, a, c):
-    fa = eval_one(b, g, deg, a)
-    fc = eval_one(b, g, deg, c)
-    if fa == 0.0:
-        return a
-    if fc == 0.0:
-        return c
-    if fa * fc > 0:
-        raise ConvergenceError(f"no sign change for degree {deg} in [{a}, {c}]")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + c)
-        if mid == a or mid == c:
-            break
-        fm = eval_one(b, g, deg, mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            c, fc = mid, fm
-        else:
-            a, fa = mid, fm
-    root = 0.5 * (a + c)
-    # two Newton steps sharpen the last bits without leaving the bracket
-    for _ in range(2):
-        d = eval_derivative(b, g, deg, root)
-        if d == 0.0:
-            break
-        step = eval_one(b, g, deg, root) / d
-        cand = root - step
-        if a <= cand <= c:
-            root = cand
-    return root
+def jacobi_zeros(b, g, deg: int, shift: float = 0.0):
+    """All zeros of pi_deg - shift * pi_{deg-1}, ascending.
+
+    They are the eigenvalues of the shifted Jacobi matrix: with shift 0
+    the zeros of pi_deg (Golub & Welsch, Math. Comp. 1969), otherwise
+    those of the quasi-orthogonal polynomial (Golub, SIAM Rev. 1973).
+    All are real and simple.
+    """
+    return np.linalg.eigvalsh(jacobi_matrix(b, g, deg, shift))

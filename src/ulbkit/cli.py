@@ -9,9 +9,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -196,16 +194,12 @@ def _cmd_ulb(args):
     ms = _int_range(args.M)
     branch = ulb_odd_branch if args.odd_branch else ulb
 
-    def solve(m):
-        rep = branch(space, m, h, args.convention, abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-        return _report_payload(rep)
-
-    workers = max(1, int(os.environ.get("ULBKIT_THREADS", "1")))
-    if workers > 1 and len(ms) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(solve, ms))
-    else:
-        reports = [solve(m) for m in ms]
+    reports = [
+        _report_payload(
+            branch(space, m, h, args.convention, abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+        )
+        for m in ms
+    ]
     return {"reports": reports} if len(ms) > 1 else reports[0]
 
 

@@ -53,11 +53,7 @@ def _subset_grid(query: DesignEnergyQuery, upper: float | None = None) -> np.nda
     """Concrete t-grid on which pointwise conditions are checked."""
     space = query.space
     sub = query.subset
-    if space.is_finite:
-        t, _ = pmspace.t_grid(space)
-        grid = t[t < 1.0]
-    else:
-        grid = np.cos(np.pi * np.arange(1, 2001) / 2000)
+    grid = pmspace.verification_grid(space)
     if isinstance(sub, tuple):
         lo, hi = sub
         if not (-1.0 <= lo <= hi < 1.0):

@@ -20,6 +20,7 @@ from .pmspace import SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
 _MAX_BISECT = 200
+_SOLVE_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +135,22 @@ def solve_separation(space: SpaceDescriptor, M: int) -> float:
 def _solve_on(space: SpaceDescriptor, tau: int, M: int, lo: float, hi: float) -> float:
     f_lo = _lev_value(space, tau, lo) - M
     f_hi = _lev_value(space, tau, hi) - M
-    if abs(f_lo) <= 1e-9:
+    # L at an end rounds to either side of M by an amount that grows with M,
+    # so an end is held to the same residual check as a bisected s
+    if abs(f_lo) <= _SOLVE_RTOL * M:
         return lo
-    if abs(f_hi) <= 1e-9:
+    if abs(f_hi) <= _SOLVE_RTOL * M:
         return hi
     if f_lo > 0 or f_hi < 0:
         raise ConvergenceError(
             f"M={M} not bracketed by level {tau} on [{lo}, {hi}]"
         )
     a, b = lo, hi
+    # bisect to the last representable midpoint: where dL/ds is large a
+    # width tolerance in s would leave a residual the check below rejects
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (a + b)
-        if (b - a) <= 1e-12 * max(1.0, abs(mid)):
+        if mid == a or mid == b:
             break
         fm = _lev_value(space, tau, mid) - M
         if fm == 0.0:
@@ -155,7 +160,7 @@ def _solve_on(space: SpaceDescriptor, tau: int, M: int, lo: float, hi: float) ->
         else:
             b = mid
     s = 0.5 * (a + b)
-    if abs(_lev_value(space, tau, s) - M) > 1e-10 * M:
+    if abs(_lev_value(space, tau, s) - M) > _SOLVE_RTOL * M:
         raise ConvergenceError(f"separation solve did not converge for M={M}")
     return s
 

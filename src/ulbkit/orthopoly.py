@@ -39,7 +39,6 @@ class OrthoSystem:
     value_at_one: np.ndarray
     norms: np.ndarray
     c_norm: float
-    support: tuple[float, float]
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +74,6 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None 
                 f"degree {max_deg} exceeds the ({a},{b})-system cap {cap} of {space.label()}"
             )
         beta, gamma = rec.stieltjes(t, wts, max_deg + 1)
-        support = (float(t.min()), float(t.max()))
     else:
         if max_deg is None:
             max_deg = _DEFAULT_DEG
@@ -86,13 +84,12 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None 
         base_mass = rec.jacobi_monic(alpha0, beta0, 1)[1][0]
         gamma = gamma.copy()
         gamma[0] /= base_mass
-        support = (-1.0, 1.0)
     value_at_one = rec.eval_all(beta, gamma, max_deg, np.array(1.0))
     norms_sq = np.cumprod(gamma)
     c_norm = 1.0 / gamma[0]
     norms = value_at_one**2 / (c_norm * norms_sq)
     return OrthoSystem(
-        space, a, b, max_deg, beta, gamma, np.asarray(value_at_one), norms, c_norm, support
+        space, a, b, max_deg, beta, gamma, np.asarray(value_at_one), norms, c_norm
     )
 
 
@@ -115,9 +112,7 @@ def zeros_of(system: OrthoSystem, i: int):
     _check(system, i)
     if i < 1:
         raise ParameterError("zeros are defined for degree >= 1")
-    lo, hi = system.support
-    pad = 1e-9 * (hi - lo)
-    return rec.zeros(system.rec_beta, system.rec_gamma, i, lo - pad, hi + pad)
+    return rec.jacobi_zeros(system.rec_beta, system.rec_gamma, i)
 
 
 def largest_zero(system: OrthoSystem, i: int) -> float:
@@ -144,9 +139,9 @@ def kernel_zeros(system: OrthoSystem, j: int, v: float):
     By the Christoffel-Darboux formula the kernel is, up to a nonzero
     factor and the removed root at t=v, the quasi-orthogonal polynomial
     pi_{j+1} - c*pi_j with c = pi_{j+1}(v)/pi_j(v).  That polynomial is
-    the characteristic polynomial of a symmetric tridiagonal matrix, so
-    its j+1 roots are real and simple and strictly interlace the zeros
-    of pi_j, which gives guaranteed bisection brackets.
+    the characteristic polynomial of the (j+1) x (j+1) Jacobi matrix
+    whose last diagonal entry is raised by c (Golub, SIAM Rev. 1973), so
+    its j+1 roots are its eigenvalues: real, simple, and one of them v.
     """
     if j == 0:
         return np.array([])
@@ -155,46 +150,11 @@ def kernel_zeros(system: OrthoSystem, j: int, v: float):
     pj1 = rec.eval_one(beta, gamma, j + 1, v)
     if pj == 0.0:
         raise ParameterError(f"kernel degenerates at v={v} (zero of the degree-{j} polynomial)")
-    c = pj1 / pj
-
-    def quasi(t):
-        return rec.eval_one(beta, gamma, j + 1, t) - c * rec.eval_one(beta, gamma, j, t)
-
-    lo, hi = system.support
-    pad = 1e-9 * (hi - lo)
-    inner = rec.zeros(beta, gamma, j, lo - pad, hi + pad)
-    spread = np.max(np.abs(beta[: j + 1])) + 2.0 * np.sqrt(np.max(gamma[1 : j + 1]))
-    bound = max(spread + abs(c) + 1.0, abs(v) + 1.0, abs(hi) + 1.0, abs(lo) + 1.0)
-    brackets = np.concatenate(([-bound], inner, [bound]))
-    roots = np.array(
-        [_bisect_scalar(quasi, brackets[i], brackets[i + 1]) for i in range(j + 1)]
-    )
+    roots = rec.jacobi_zeros(beta, gamma, j + 1, pj1 / pj)
     drop = int(np.argmin(np.abs(roots - v)))
     if abs(roots[drop] - v) > 1e-7 * max(1.0, abs(v)):
         raise ParameterError(f"kernel zero structure broke down at v={v}")
     return np.delete(roots, drop)
-
-
-def _bisect_scalar(f, a, c, steps=90):
-    fa, fc = float(f(a)), float(f(c))
-    if fa == 0.0:
-        return a
-    if fc == 0.0:
-        return c
-    if fa * fc > 0:
-        raise ParameterError(f"no sign change in [{a}, {c}]")
-    for _ in range(steps):
-        mid = 0.5 * (a + c)
-        if mid == a or mid == c:
-            break
-        fm = float(f(mid))
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            c, fc = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + c)
 
 
 @dataclass(frozen=True, eq=False)

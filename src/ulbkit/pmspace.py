@@ -13,8 +13,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
+from . import _recurrence as rec
 from .errors import DegreeOverflowError, ParameterError
 
 
@@ -152,6 +152,18 @@ def t_values(space: SpaceDescriptor) -> TValueSet:
     return TValueSet("grid", grid)
 
 
+def verification_grid(space: SpaceDescriptor) -> np.ndarray:
+    """T(M) without t=1: the points where pointwise conditions are checked.
+
+    The grid itself for finite spaces; 2000 Chebyshev-spaced points of
+    [-1, 1) otherwise.
+    """
+    if space.is_finite:
+        t, _ = t_grid(space)
+        return t[t < 1.0]
+    return np.cos(np.pi * np.arange(1, 2001) / 2000)
+
+
 @lru_cache(maxsize=None)
 def _t_grid_cached(space: SpaceDescriptor):
     if space.family is Family.HAMMING:
@@ -183,10 +195,13 @@ def t_grid(space: SpaceDescriptor):
 def gauss_rule(space: SpaceDescriptor, npoints: int):
     """Gauss rule for the normalized continuous measure of an infinite space.
 
-    Exact for polynomial integrands of degree <= 2*npoints - 1.
+    Exact for polynomial integrands of degree <= 2*npoints - 1.  Nodes
+    are the eigenvalues of the Jacobi matrix, weights the squared first
+    components of its unit eigenvectors (Golub & Welsch, Math. Comp. 1969).
     """
-    alpha, beta = space.jacobi_exponents()
-    x, wts = roots_jacobi(npoints, alpha, beta)
+    b, g = rec.jacobi_monic(*space.jacobi_exponents(), npoints)
+    x, vecs = np.linalg.eigh(rec.jacobi_matrix(b, g, npoints))
+    wts = vecs[0] ** 2
     return x, wts / np.sum(wts)
 
 

@@ -211,15 +211,6 @@ def _hermite_newton(nodes, values) -> PolyCoeffs:
     return PolyCoeffs(coeffs, "monomial")
 
 
-def _below_grid(space: SpaceDescriptor, npts: int = 2000):
-    """Grid over T(M) excluding t=1, where certificates must sit below h."""
-    if space.is_finite:
-        t, _ = pmspace.t_grid(space)
-        return t[t < 1.0]
-    # Chebyshev-spaced points of [-1, 1], dropping the t=1 endpoint
-    return np.cos(np.pi * np.arange(1, npts + 1) / npts)
-
-
 def verify_certificate(
     space: SpaceDescriptor, f: PolyCoeffs, h: Potential, below_tol: float = _BELOW_TOL
 ) -> CertificateChecks:
@@ -230,7 +221,7 @@ def verify_certificate(
     the expansion in the Q-system are nonnegative (within -1e-8).
     Failures are reported as data.
     """
-    grid = _below_grid(space)
+    grid = pmspace.verification_grid(space)
     fv = poly_eval(space, f, grid)
     hv = np.asarray(h(grid), dtype=float)
     excess = fv - hv
@@ -263,7 +254,7 @@ def _test_functions_from_rule(space, rule, j_range) -> TestFunctionReport:
     if js and js[0] < 0:
         raise ParameterError("test function indices must be nonnegative")
     jmax = max(js) if js else 0
-    system = adjacent_system(space, 0, 0, None if jmax <= 36 else jmax)
+    system = adjacent_system(space, 0, 0, None if jmax <= orthopoly._DEFAULT_DEG else jmax)
     if jmax > system.max_deg:
         raise DegreeOverflowError(
             f"test function j={jmax} exceeds the degree cap {system.max_deg}"

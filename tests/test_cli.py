@@ -211,14 +211,21 @@ def test_reports_validate_against_schema(capsys):
                 jsonschema.validate(row, row_schema)
 
 
-def test_sweep_threading_keeps_order_and_bytes(capsys, monkeypatch):
+def test_sweep_keeps_order_and_bytes(capsys):
     argv = ["ulb", "--space", "sphere", "--n", "3", "--M", "4:8",
             "--potential", "riesz", "--p", "1"]
-    monkeypatch.delenv("ULBKIT_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("ULBKIT_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *argv)
-    assert serial == threaded
+    _, first, _ = run_cli(capsys, *argv)
+    _, second, _ = run_cli(capsys, *argv)
+    assert first == second
+    reports = json.loads(first)["result"]["reports"]
+    assert [r["M"] for r in reports] == [4, 5, 6, 7, 8]
+
+
+def test_separation_solve_with_steep_lev_bound(capsys):
+    # tau 1 on S^289, where dL/ds is about 8e4
+    code, out, _ = run_cli(capsys, "quadrature", "--space", "sphere", "--n", "290", "--M", "285")
+    assert code == 0
+    assert json.loads(out)["result"]["tau"] == 1
 
 
 def test_tolerance_flags_are_live(capsys):

@@ -126,6 +126,37 @@ def test_solve_separation_examples():
         assert lev.lev_bound(space, tau, sep) == pytest.approx(m, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "n,M", [(290, 285), (262, 262), (353, 705), (318, 51038), (388, 75853)]
+)
+def test_solve_separation_where_lev_bound_is_steep(n, M):
+    # large dL/ds: the solve must bisect to the last representable midpoint
+    # to meet the residual check relative to M
+    space = make_space("sphere", n=n)
+    sep = lev.solve_separation(space, M)
+    _, _, tau = lev.tau_for_cardinality(space, M)
+    assert abs(lev.lev_bound(space, tau, sep) - M) <= 1e-10 * M
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("sphere", {"n": 8}, 591261),
+        ("sphere", {"n": 10}, 184756),
+        ("sphere", {"n": 23}, 1937520),
+        ("hamming", {"n": 30, "q": 2}, 32979092),
+    ],
+)
+def test_solve_separation_at_large_design_bounds(family, params, M):
+    # M equal to a design bound: s is an end of the validity interval, where
+    # L rounds to either side of M by an amount that grows with M
+    space = make_space(family, **params)
+    _, _, tau = lev.tau_for_cardinality(space, M)
+    sep = lev.solve_separation(space, M)
+    assert sep in lev.validity_interval(space, tau)
+    assert abs(lev.lev_bound(space, tau, sep) - M) <= 1e-10 * M
+
+
 def test_quadrature_rule_closed_forms():
     for n in (3, 5, 8):
         s = make_space("sphere", n=n)
