@@ -117,19 +117,23 @@ def eval_one(b, g, deg: int, t):
     return p_cur if p_cur.shape else float(p_cur)
 
 
-def monomial_coefficients(b, g, deg: int):
-    """Ascending monomial coefficients of the monic polynomial of degree deg."""
-    c_prev = np.zeros(deg + 1)
-    c_cur = np.zeros(deg + 1)
-    c_cur[0] = 1.0
+def eval_derivatives(b, g, deg: int, order: int, t):
+    """Derivatives of orders 0..order of the monic polynomials of degrees 0..deg at t.
+
+    Differentiating the recurrence r times gives
+    pi_{k+1}^{(r)} = (t - beta_k) pi_k^{(r)} + r pi_k^{(r-1)} - gamma_k pi_{k-1}^{(r)}.
+    Returns an array of shape (deg+1, order+1) + shape(t).
+    """
+    t = np.asarray(t, dtype=float)
+    r = np.arange(1, order + 1).reshape((order,) + (1,) * t.ndim)
+    out = np.zeros((deg + 1, order + 1) + t.shape)
+    out[0, 0] = 1.0
     for k in range(deg):
-        c_new = np.zeros(deg + 1)
-        c_new[1 : k + 2] = c_cur[: k + 1]
-        c_new -= b[k] * c_cur
+        out[k + 1] = (t - b[k]) * out[k]
+        out[k + 1, 1:] += r * out[k, :-1]
         if k > 0:
-            c_new -= g[k] * c_prev
-        c_prev, c_cur = c_cur, c_new
-    return c_cur
+            out[k + 1] -= g[k] * out[k - 1]
+    return out
 
 
 def jacobi_matrix(b, g, deg: int, shift: float = 0.0):

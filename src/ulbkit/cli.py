@@ -2,7 +2,8 @@
 
 Every subcommand echoes its parameters and emits a machine-readable
 report (JSON by default, CSV for sweeps, or a human summary).  Exit
-codes: 0 success, 2 parameter/validation error, 1 computation failure.
+codes: 0 success, 2 parameter/validation error, 1 computation failure,
+including a bound whose certificate fails a check.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .errors import (
     UlbkitError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _VALIDATION_ERRORS = (
     ParameterError,
@@ -168,6 +169,15 @@ def _rule_payload(rule):
 
 
 def _report_payload(rep: UlbReport):
+    checks = rep.certificate_checks
+    failed = [name for name in ("below_h", "f_geq") if not getattr(checks, name)]
+    if failed:
+        # fail closed: a bound whose certificate fails a check is not emitted
+        raise ConditionError(
+            f"certificate of the bound for {rep.space.label()}, M={rep.M} fails"
+            f" {' and '.join(failed)} (max excess {checks.max_excess:.3e} at"
+            f" t={checks.worst_t:.6g}, min Q-coefficient {checks.min_q_coefficient:.3e})"
+        )
     out = {
         "space": rep.space.label(),
         "M": rep.M,
@@ -177,7 +187,7 @@ def _report_payload(rep: UlbReport):
         "value": rep.value,
         "odd_branch": rep.odd_branch,
         "rule": _rule_payload(rep.rule),
-        "certificate_monomial_coeffs": _jsonable(rep.certificate.coeffs),
+        "certificate_q_coeffs": _jsonable(rep.certificate.coeffs),
         "certificate_checks": _jsonable(rep.certificate_checks),
     }
     if rep.improvement:

@@ -7,13 +7,13 @@ value M*(f_0*M - f(1)).  A polynomial that fails a condition never
 yields a bound; the failure carries the offending index or point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import pmspace
 from .errors import ConditionError, ParameterError
-from .orthopoly import PolyCoeffs, expand_in_q, poly_eval, q_to_monomial
+from .orthopoly import PolyCoeffs, expand_in_q, poly_eval
 from .pmspace import SpaceDescriptor
 from .potentials import Potential
 
@@ -72,11 +72,9 @@ def _subset_grid(query: DesignEnergyQuery, upper: float | None = None) -> np.nda
 
 
 def _lp_value(query: DesignEnergyQuery) -> float:
-    space = query.space
-    f = q_to_monomial(space, query.f)
-    f0 = float(sum(c * pmspace.moment(space, i) for i, c in enumerate(f.coeffs)))
-    f1 = poly_eval(space, f, 1.0)
-    return query.M * (f0 * query.M - f1)
+    # f_0 is the constant Q-coefficient, f(1) the sum of all of them
+    c = query.f.coeffs
+    return query.M * (float(c[0]) * query.M - float(np.sum(c)))
 
 
 def _pointwise(query, grid, want_below: bool, label: str):
@@ -96,7 +94,7 @@ def _pointwise(query, grid, want_below: bool, label: str):
 
 
 def _coefficient_sign(query, start: int, want_nonneg: bool, label: str, stop: int | None = None):
-    qc = expand_in_q(query.space, q_to_monomial(query.space, query.f)).coeffs
+    qc = query.f.coeffs
     scale = max(1.0, float(np.max(np.abs(qc))))
     end = len(qc) if stop is None else min(len(qc), stop + 1)
     for i in range(start, end):
@@ -117,6 +115,7 @@ def design_lower_bound(query: DesignEnergyQuery) -> float:
     """
     if query.direction != "lower":
         raise ParameterError("query direction must be 'lower'")
+    query = replace(query, f=expand_in_q(query.space, query.f))
     _pointwise(query, _subset_grid(query), want_below=True, label="(D1) f<=h")
     _coefficient_sign(query, query.tau + 1, True, "(D2) f_i>=0 for i>tau")
     return _lp_value(query)
@@ -129,6 +128,7 @@ def design_upper_bound(query: DesignEnergyQuery) -> float:
     """
     if query.direction != "upper":
         raise ParameterError("query direction must be 'upper'")
+    query = replace(query, f=expand_in_q(query.space, query.f))
     _pointwise(query, _subset_grid(query), want_below=False, label="(E1) g>=h")
     _coefficient_sign(query, query.tau + 1, False, "(E2) g_i<=0 for i>tau")
     return _lp_value(query)
@@ -142,6 +142,7 @@ def separated_upper_bound(query: DesignEnergyQuery) -> float:
     """
     if query.direction != "separated_upper":
         raise ParameterError("query direction must be 'separated_upper'")
+    query = replace(query, f=expand_in_q(query.space, query.f))
     grid = _subset_grid(query, upper=query.separation)
     _pointwise(query, grid, want_below=False, label="(F1) f>=h below s")
     _coefficient_sign(query, 1, False, "(F2) f_i<=0 for i>=1")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import orthopoly, pmspace
 from .errors import ConvergenceError, DegreeOverflowError, ParameterError
-from .orthopoly import PolyCoeffs, adjacent_system, eval_q, kernel_zeros, largest_zero
+from .orthopoly import PolyCoeffs, adjacent_system, eval_q, eval_q_all, kernel_zeros, largest_zero
 from .pmspace import SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
@@ -54,12 +54,7 @@ def design_bound(space: SpaceDescriptor, tau: int) -> float:
     if tau < 1:
         raise ParameterError("tau must be >= 1")
     k, eps = _split(tau)
-    system = adjacent_system(space, 0, 1 - eps)
-    if k - 1 + eps > system.max_deg:
-        raise DegreeOverflowError(
-            f"design bound at tau={tau} needs degree {k - 1 + eps} in the"
-            f" (0,{1 - eps})-system of {space.label()} (cap {system.max_deg})"
-        )
+    system = adjacent_system(space, 0, 1 - eps, k - 1 + eps)
     total = float(np.sum(system.norms[: k + eps]))
     return pmspace.q1_value(space) ** (1 - eps) * total
 
@@ -67,11 +62,11 @@ def design_bound(space: SpaceDescriptor, tau: int) -> float:
 def validity_interval(space: SpaceDescriptor, tau: int):
     """Separation interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] of level tau."""
     k, eps = _split(tau)
-    upper = largest_zero(adjacent_system(space, 1, eps), k)
+    upper = largest_zero(adjacent_system(space, 1, eps, k), k)
     if k - 1 + eps == 0:
         lower = -1.0
     else:
-        lower = largest_zero(adjacent_system(space, 1, 1 - eps), k - 1 + eps)
+        lower = largest_zero(adjacent_system(space, 1, 1 - eps, k - 1 + eps), k - 1 + eps)
     return lower, upper
 
 
@@ -88,9 +83,10 @@ def lev_bound(space: SpaceDescriptor, tau: int, s: float) -> float:
 
 def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
     k, eps = _split(tau)
-    num = eval_q(adjacent_system(space, 1, eps), k - 1, s)
-    den = eval_q(adjacent_system(space, 0, eps), k, s)
-    head = float(np.sum(adjacent_system(space, 0, eps).norms[:k]))
+    num = eval_q(adjacent_system(space, 1, eps, k - 1), k - 1, s)
+    system = adjacent_system(space, 0, eps, k)
+    den = eval_q(system, k, s)
+    head = float(np.sum(system.norms[:k]))
     return pmspace.q1_value(space) ** eps * (1.0 - num / den) * head
 
 
@@ -188,8 +184,8 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
             rule.nodes, rule.weights, rule.power_sum_residual, odd_branch=True,
         )
     tau_odd = 2 * k - 1
-    lo = largest_zero(adjacent_system(space, 1, 0), k)
-    hi = largest_zero(adjacent_system(space, 0, 0), k)
+    lo = largest_zero(adjacent_system(space, 1, 0, k), k)
+    hi = largest_zero(adjacent_system(space, 0, 0, k), k)
     span = hi - lo
     s = _solve_on(space, tau_odd, M, lo, hi - 1e-13 * max(1.0, abs(hi)))
     if not (lo - 1e-12 * span <= s < hi):
@@ -198,7 +194,7 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
 
 
 def _rule_from_separation(space, M, k, eps, tau, s, odd_branch=False) -> QuadratureRule:
-    kernel_system = adjacent_system(space, 1, eps)
+    kernel_system = adjacent_system(space, 1, eps, k - 1)
     inner = kernel_zeros(kernel_system, k - 1, s)
     if len(inner) != k - 1:
         raise ConvergenceError(
@@ -208,9 +204,11 @@ def _rule_from_separation(space, M, k, eps, tau, s, odd_branch=False) -> Quadrat
     nodes = np.array(sorted(nodes))
     if np.any(np.diff(nodes) <= 0):
         raise ConvergenceError("quadrature nodes are not strictly increasing")
-    b = np.array([pmspace.moment(space, m) for m in range(len(nodes))])
-    vander = np.vander(nodes, increasing=True).T  # row m holds nodes**m
-    weights = np.linalg.solve(vander, b - 1.0 / M)
+    # f_0 = f(1)/M + sum_j rho_j f(alpha_j) for f = Q_i, i < len(nodes)
+    deg = len(nodes) - 1
+    rhs = np.full(deg + 1, -1.0 / M)
+    rhs[0] += 1.0
+    weights = np.linalg.solve(eval_q_all(adjacent_system(space, 0, 0, deg), deg, nodes), rhs)
     if np.any(weights <= 0):
         raise ConvergenceError(
             f"nonpositive quadrature weight for M={M}: {weights}"
@@ -238,27 +236,15 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> PolyCoeffs:
 
 
 def _lev_polynomial_from_rule(space: SpaceDescriptor, rule: QuadratureRule) -> PolyCoeffs:
-    from numpy.polynomial import polynomial as npoly
-
     k, eps, s = rule.k, rule.epsilon, rule.s
-    system = adjacent_system(space, 1, eps)
-    kern = np.zeros(k)
-    for i in range(k):
-        kern[: i + 1] += (
-            system.norms[i]
-            * eval_q(system, i, s)
-            * np.asarray(orthopoly.q_monomial_coeffs(space, i, 1, eps))
-        )
-    poly = npoly.polymul(kern, kern)
-    poly = npoly.polymul(poly, np.array([-s, 1.0]))
-    for _ in range(eps):
-        poly = npoly.polymul(poly, np.array([1.0, 1.0]))
-    cap = space.max_degree
-    if cap is not None and len(poly) - 1 > cap:
-        raise DegreeOverflowError(
-            f"level polynomial degree {len(poly) - 1} exceeds cap {cap}"
-        )
-    return PolyCoeffs(poly, "monomial")
+    system = adjacent_system(space, 1, eps, k - 1)
+    # kernel coefficients r_i Q_i(s) of T_{k-1}(t, s) = sum_i r_i Q_i(t) Q_i(s)
+    kern = system.norms[:k] * eval_q_all(system, k - 1, s)
+
+    def level(t):
+        return (t + 1.0) ** eps * (t - s) * (kern @ eval_q_all(system, k - 1, t)) ** 2
+
+    return orthopoly._project(space, level, rule.tau)
 
 
 def _split(tau: int):

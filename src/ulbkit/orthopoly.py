@@ -3,7 +3,8 @@
 For a space with orthogonality measure nu, the (a,b)-adjacent system
 consists of the polynomials orthogonal under the extra weight
 (1-t)^a (1+t)^b, normalized so that each polynomial equals 1 at t=1.
-The base system is (a,b) = (0,0).
+The base system is (a,b) = (0,0).  Every polynomial ulbkit computes is
+held by its coefficients in the base system (the Q-basis).
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,9 @@ from . import pmspace
 from .errors import DegreeOverflowError, ParameterError
 from .pmspace import SpaceDescriptor
 
-_DEFAULT_DEG = 36
+# An infinite space has no degree cap: its systems are built to the degree
+# a caller needs, rounded up to whole blocks so nearby needs share a system.
+_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,42 +44,35 @@ class OrthoSystem:
     c_norm: float
 
 
-@lru_cache(maxsize=None)
-def adjacent_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None = None) -> OrthoSystem:
-    """Build (and cache) the (a,b)-adjacent system of a space.
+def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> OrthoSystem:
+    """The (a,b)-adjacent system of a space, carrying at least degree deg.
 
-    Parameters
-    ----------
-    space : SpaceDescriptor
-    a, b : int
-        Extra weight exponents, each 0 or 1.
-    max_deg : int, optional
-        Highest degree carried by the system.  Defaults to the space's
-        cap for finite spaces and a generous working degree otherwise.
+    A finite space's system runs to the cap of its (weighted) measure;
+    an infinite space's to the first multiple of 16 above deg.  Systems
+    are cached.
 
     Raises
     ------
     DegreeOverflowError
-        If max_deg exceeds what the (weighted) measure supports.
+        If deg exceeds the cap of a finite space's (weighted) measure.
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ParameterError(f"adjacent exponents must be 0 or 1, got ({a}, {b})")
+    system = _build_system(space, a, b, None if space.is_finite else _BLOCK * (1 + deg // _BLOCK))
+    _check(system, deg)
+    return system
+
+
+@lru_cache(maxsize=None)
+def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None) -> OrthoSystem:
     if space.is_finite:
         t, mass = pmspace.t_grid(space)
         wts = mass * (1.0 - t) ** a * (1.0 + t) ** b
         keep = wts > 0
         t, wts = t[keep], wts[keep]
-        cap = len(t) - 1
-        if max_deg is None:
-            max_deg = cap
-        if max_deg > cap:
-            raise DegreeOverflowError(
-                f"degree {max_deg} exceeds the ({a},{b})-system cap {cap} of {space.label()}"
-            )
+        max_deg = len(t) - 1
         beta, gamma = rec.stieltjes(t, wts, max_deg + 1)
     else:
-        if max_deg is None:
-            max_deg = _DEFAULT_DEG
         alpha0, beta0 = space.jacobi_exponents()
         beta, gamma = rec.jacobi_monic(alpha0 + a, beta0 + b, max_deg + 1)
         # gamma[0] is the raw Jacobi mass; renormalize so the base measure
@@ -93,6 +89,10 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None 
     )
 
 
+# hit and miss counts of the system cache
+adjacent_system.cache_info = _build_system.cache_info
+
+
 def eval_q(system: OrthoSystem, i: int, t):
     """Q_i^{a,b}(t), normalized so Q_i^{a,b}(1) = 1."""
     _check(system, i)
@@ -103,6 +103,14 @@ def eval_q_all(system: OrthoSystem, deg: int, t):
     """Values of Q_0..Q_deg at t, shape (deg+1,) + shape(t)."""
     _check(system, deg)
     vals = rec.eval_all(system.rec_beta, system.rec_gamma, deg, np.asarray(t, dtype=float))
+    shape = (deg + 1,) + (1,) * (vals.ndim - 1)
+    return vals / system.value_at_one[: deg + 1].reshape(shape)
+
+
+def eval_q_derivatives(system: OrthoSystem, deg: int, order: int, t):
+    """Derivatives of orders 0..order of Q_0..Q_deg at t, shape (deg+1, order+1) + shape(t)."""
+    _check(system, deg)
+    vals = rec.eval_derivatives(system.rec_beta, system.rec_gamma, deg, order, t)
     shape = (deg + 1,) + (1,) * (vals.ndim - 1)
     return vals / system.value_at_one[: deg + 1].reshape(shape)
 
@@ -122,7 +130,7 @@ def largest_zero(system: OrthoSystem, i: int) -> float:
 
 def cd_kernel(space: SpaceDescriptor, a: int, b: int, j: int, u, v):
     """Christoffel-Darboux kernel sum_{i<=j} r_i^{a,b} Q_i^{a,b}(u) Q_i^{a,b}(v)."""
-    system = adjacent_system(space, a, b)
+    system = adjacent_system(space, a, b, j)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     shape = np.broadcast_shapes(u.shape, v.shape)
@@ -159,7 +167,11 @@ def kernel_zeros(system: OrthoSystem, j: int, v: float):
 
 @dataclass(frozen=True, eq=False)
 class PolyCoeffs:
-    """Polynomial coefficients, ascending, in the monomial or Q basis."""
+    """Polynomial coefficients, ascending, in the monomial or Q basis.
+
+    ulbkit returns Q-basis polynomials; monomial coefficients are an
+    input format, converted by :func:`expand_in_q`.
+    """
 
     coeffs: np.ndarray
     basis: str = "monomial"  # "monomial" | "q"
@@ -182,54 +194,38 @@ def poly_eval(space: SpaceDescriptor, poly: PolyCoeffs, t):
     if poly.basis == "monomial":
         out = npoly.polyval(np.asarray(t, dtype=float), poly.coeffs)
         return float(out) if np.ndim(t) == 0 else out
-    system = adjacent_system(space, 0, 0)
+    system = adjacent_system(space, 0, 0, poly.degree)
     vals = eval_q_all(system, poly.degree, t)
     out = np.tensordot(poly.coeffs, vals, axes=(0, 0))
     return float(out) if np.ndim(t) == 0 else out
 
 
-@lru_cache(maxsize=None)
-def q_monomial_coeffs(space: SpaceDescriptor, i: int, a: int = 0, b: int = 0):
-    """Ascending monomial coefficients of Q_i^{a,b}."""
-    system = adjacent_system(space, a, b)
-    _check(system, i)
-    c = rec.monomial_coefficients(system.rec_beta, system.rec_gamma, i)
-    return c / system.value_at_one[i]
-
-
-def q_to_monomial(space: SpaceDescriptor, poly: PolyCoeffs) -> PolyCoeffs:
-    """Convert a Q-basis polynomial to monomial coefficients."""
-    if poly.basis == "monomial":
-        return poly
-    out = np.zeros(poly.degree + 1)
-    for i, fi in enumerate(poly.coeffs):
-        out[: i + 1] += fi * q_monomial_coeffs(space, i)
-    return PolyCoeffs(out, "monomial")
-
-
 def expand_in_q(space: SpaceDescriptor, poly: PolyCoeffs) -> PolyCoeffs:
-    """Coefficients f_i of f = sum_i f_i Q_i in the base system.
-
-    Computed as f_i = r_i * integral(f * Q_i dnu); the discrete sum for
-    finite spaces, a Gauss rule of sufficient order otherwise.
-    """
+    """Coefficients f_i of f = sum_i f_i Q_i in the base system."""
     if poly.basis == "q":
         return poly
-    deg = poly.degree
+    return _project(space, lambda x: npoly.polyval(x, poly.coeffs), poly.degree)
+
+
+def _project(space: SpaceDescriptor, fn, deg: int) -> PolyCoeffs:
+    """Q-basis coefficients of the polynomial fn, of degree at most deg.
+
+    f_i = r_i * integral(f * Q_i dnu): the discrete sum over the grid of
+    a finite space, the (deg+1)-point Gauss rule (exact to degree
+    2*deg+1) otherwise.  ``fn`` maps an array of t-values to f(t).
+    """
     cap = space.max_degree
     if cap is not None and deg > cap:
         raise DegreeOverflowError(
             f"cannot expand degree {deg} in {space.label()} (cap {cap})"
         )
-    system = adjacent_system(space, 0, 0, None if deg <= _DEFAULT_DEG else deg)
     if space.is_finite:
         x, wts = pmspace.t_grid(space)
     else:
-        x, wts = pmspace.gauss_rule(space, deg + 4)
-    fx = npoly.polyval(x, poly.coeffs)
+        x, wts = pmspace.gauss_rule(space, deg + 1)
+    system = adjacent_system(space, 0, 0, deg)
     qx = eval_q_all(system, deg, x)
-    fi = system.norms[: deg + 1] * (qx * (wts * fx)).sum(axis=1)
-    return PolyCoeffs(fi, "q")
+    return PolyCoeffs(system.norms[: deg + 1] * (qx @ (wts * fn(x))), "q")
 
 
 def _check(system: OrthoSystem, i: int):

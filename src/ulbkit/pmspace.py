@@ -275,7 +275,7 @@ def q_eval(space: SpaceDescriptor, i: int, t):
     _check_degree(space, i)
     from . import orthopoly
 
-    return orthopoly.eval_q(orthopoly.adjacent_system(space, 0, 0), i, t)
+    return orthopoly.eval_q(orthopoly.adjacent_system(space, 0, 0, i), i, t)
 
 
 def _check_degree(space: SpaceDescriptor, i: int):

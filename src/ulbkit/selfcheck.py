@@ -28,8 +28,8 @@ def _spaces():
 def check_orthogonality():
     worst = 0.0
     for space in _spaces():
-        system = orthopoly.adjacent_system(space, 0, 0)
-        deg = min(10, system.max_deg)
+        deg = min(10, space.max_degree or 10)
+        system = orthopoly.adjacent_system(space, 0, 0, deg)
         if space.is_finite:
             x, wts = pmspace.t_grid(space)
         else:

@@ -12,16 +12,9 @@ whether higher-degree polynomials can improve it.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import orthopoly, pmspace
-from .errors import (
-    ConditionError,
-    ConvergenceError,
-    DegreeOverflowError,
-    MonotonicityError,
-    ParameterError,
-)
+from .errors import ConditionError, ConvergenceError, MonotonicityError, ParameterError
 from .levenshtein import QuadratureRule, odd_branch_rule, quadrature_rule
 from .orthopoly import PolyCoeffs, adjacent_system, eval_q_all, expand_in_q, poly_eval
 from .pmspace import SpaceDescriptor
@@ -131,7 +124,7 @@ def _report_from_rule(
         certificate = hermite_certificate(rule, h)
     checks = verify_certificate(space, certificate, h, below_tol=abs_tol)
     if check_value:
-        _check_value_identity(space, rule, certificate, value_sum, rel_tol)
+        _check_value_identity(rule, certificate, value_sum, rel_tol)
     return UlbReport(
         space, M, rule, value_sum, value_sum / M, certificate, checks, convention
     )
@@ -146,12 +139,11 @@ def _require_monotone(h: Potential, order: int):
         )
 
 
-def _check_value_identity(space, rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
-    # the certificate must reproduce the bound through M*(f_0*M - f(1))
-    f0 = float(
-        sum(c * pmspace.moment(space, i) for i, c in enumerate(certificate.coeffs))
-    )
-    f1 = poly_eval(space, certificate, 1.0)
+def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
+    # the certificate must reproduce the bound through M*(f_0*M - f(1)),
+    # where f_0 is the constant Q-coefficient and f(1) their sum
+    f0 = float(certificate.coeffs[0])
+    f1 = float(np.sum(certificate.coeffs))
     alt = rule.M * (f0 * rule.M - f1)
     if abs(alt - value_sum) > rel_tol * max(1.0, abs(value_sum)):
         raise ConditionError(
@@ -161,54 +153,20 @@ def _check_value_identity(space, rule, certificate, value_sum, rel_tol=_IDENTITY
 
 
 def hermite_certificate(rule: QuadratureRule, h: Potential) -> PolyCoeffs:
-    """Hermite interpolant of h at the rule's nodes.
+    """Hermite interpolant of h at the rule's nodes, in the Q-basis.
 
     Every node is matched to first order except a node at -1, which is
-    matched to order zero only.  Degree is at most tau.
+    matched to order zero only.  Degree is at most tau.  The coefficients
+    solve sum_i f_i Q_i(a) = h(a) and sum_i f_i Q_i'(a) = h'(a) over the
+    matched nodes a.
     """
-    zs, vals = [], []
-    for a in rule.nodes:
-        if abs(a + 1.0) <= 1e-12 and rule.epsilon == 1:
-            zs.append(a)
-            vals.append((float(h(a)),))
-        else:
-            zs.append(a)
-            vals.append((float(h(a)), float(h.deriv(a, 1))))
-    return _hermite_newton(zs, vals)
-
-
-def _hermite_newton(nodes, values) -> PolyCoeffs:
-    """Newton-form Hermite interpolation with confluent divided differences.
-
-    ``values[i]`` holds (f(z_i),) or (f(z_i), f'(z_i)) per node.
-    """
-    z, y = [], []
-    for zi, vi in zip(nodes, values):
-        for _ in vi:
-            z.append(zi)
-        y.append(list(vi))
-    m = len(z)
-    z = np.asarray(z, dtype=float)
-    table = np.zeros((m, m))
-    row = 0
-    for vi in y:
-        for r in range(len(vi)):
-            table[row + r, 0] = vi[0]
-        if len(vi) == 2:
-            # confluent pair: f[z, z] = f'(z) sits at the pair's first row
-            table[row, 1] = vi[1]
-        row += len(vi)
-    for col in range(1, m):
-        for i in range(m - col):
-            if z[i + col] == z[i]:
-                continue  # confluent entry already filled from the derivative
-            table[i, col] = (table[i + 1, col - 1] - table[i, col - 1]) / (z[i + col] - z[i])
-    coeffs = np.zeros(1)
-    basis = np.ones(1)
-    for col in range(m):
-        coeffs = npoly.polyadd(coeffs, table[0, col] * basis)
-        basis = npoly.polymul(basis, np.array([-z[col], 1.0]))
-    return PolyCoeffs(coeffs, "monomial")
+    nodes = rule.nodes
+    skip = int(rule.epsilon == 1 and abs(nodes[0] + 1.0) <= 1e-12)  # no slope at -1
+    deg = 2 * len(nodes) - 1 - skip
+    q = orthopoly.eval_q_derivatives(adjacent_system(rule.space, 0, 0, deg), deg, 1, nodes)
+    lhs = np.hstack([q[:, 0], q[:, 1, skip:]]).T
+    rhs = np.concatenate([h(nodes), h.deriv(nodes[skip:], 1)])
+    return PolyCoeffs(np.linalg.solve(lhs, rhs), "q")
 
 
 def verify_certificate(
@@ -221,6 +179,7 @@ def verify_certificate(
     the expansion in the Q-system are nonnegative (within -1e-8).
     Failures are reported as data.
     """
+    f = expand_in_q(space, f)
     grid = pmspace.verification_grid(space)
     fv = poly_eval(space, f, grid)
     hv = np.asarray(h(grid), dtype=float)
@@ -228,8 +187,7 @@ def verify_certificate(
     tol = below_tol * (1.0 + np.abs(hv))
     worst = int(np.argmax(excess - tol))
     below = bool(np.all(excess <= tol))
-    qc = expand_in_q(space, f).coeffs
-    minq = float(qc.min())
+    minq = float(f.coeffs.min())
     return CertificateChecks(
         below_h=below,
         f_geq=bool(minq >= _FGEQ_TOL),
@@ -254,12 +212,7 @@ def _test_functions_from_rule(space, rule, j_range) -> TestFunctionReport:
     if js and js[0] < 0:
         raise ParameterError("test function indices must be nonnegative")
     jmax = max(js) if js else 0
-    system = adjacent_system(space, 0, 0, None if jmax <= orthopoly._DEFAULT_DEG else jmax)
-    if jmax > system.max_deg:
-        raise DegreeOverflowError(
-            f"test function j={jmax} exceeds the degree cap {system.max_deg}"
-            f" of {space.label()}"
-        )
+    system = adjacent_system(space, 0, 0, jmax)
     qvals = eval_q_all(system, jmax, rule.nodes) if js else np.zeros((1, 0))
     values = []
     for j in js:
@@ -299,7 +252,12 @@ def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_val
             f"test function P_{j} = {pj:.3e} is not negative; no improvement available"
         )
     _require_monotone(h, j + 1)
-    qj = np.asarray(orthopoly.q_monomial_coeffs(space, j))
+    system = adjacent_system(space, 0, 0, j)
+
+    def qj(order, t):
+        # derivatives of Q_j of orders 0..order at t
+        return orthopoly.eval_q_derivatives(system, j, order, t)[j]
+
     if eta is None:
         eta = _admissible_eta(h, qj, j)
     else:
@@ -307,9 +265,11 @@ def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_val
             raise ParameterError("eta must be positive")
         if not _shift_is_monotone(h, qj, j, eta):
             raise ParameterError(f"supplied eta={eta} breaks absolute monotonicity")
-    h_shift = _ShiftedPotential(h, qj, eta)
-    g = hermite_certificate(rule, h_shift)
-    f = PolyCoeffs(npoly.polyadd(g.coeffs, eta * qj), "monomial")
+    g = hermite_certificate(rule, _ShiftedPotential(h, qj, eta))
+    coeffs = np.zeros(j + 1)  # the Hermite part has degree <= tau < j
+    coeffs[: g.degree + 1] = g.coeffs
+    coeffs[j] = eta
+    f = PolyCoeffs(coeffs, "q")
     M = rule.M
     base = M * M * float(np.dot(rule.weights, h(rule.nodes)))
     improved = base - M * M * eta * pj
@@ -319,7 +279,7 @@ def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_val
     return replace(out, improvement={"j": j, "eta": eta, "p_j": pj, "base_value_sum": base})
 
 
-def _admissible_eta(h, qj_coeffs, j, floor=1e-12):
+def _admissible_eta(h, qj, j, floor=1e-12):
     """Largest convenient eta > 0 keeping h - eta*Q_j absolutely monotone.
 
     Starts from the smallest derivative margin on a grid and halves
@@ -327,52 +287,41 @@ def _admissible_eta(h, qj_coeffs, j, floor=1e-12):
     """
     grid = np.linspace(-1.0, 1.0 - 1e-4, 201)
     eta0 = np.inf
-    dq = qj_coeffs
+    dq = np.abs(qj(j + 1, grid))
     for order in range(j + 2):
         hv = np.asarray(h.deriv(grid, order), dtype=float)
-        qv = np.abs(npoly.polyval(grid, dq)) if len(dq) else np.zeros_like(grid)
-        mask = qv > 1e-14
+        mask = dq[order] > 1e-14
         if np.any(mask):
-            eta0 = min(eta0, float(np.min(hv[mask] / qv[mask])))
-        dq = npoly.polyder(dq) if len(dq) > 1 else np.zeros(0)
+            eta0 = min(eta0, float(np.min(hv[mask] / dq[order][mask])))
     eta = eta0 if np.isfinite(eta0) and eta0 > 0 else 1.0
     while eta >= floor:
-        if _shift_is_monotone(h, qj_coeffs, j, eta):
+        if _shift_is_monotone(h, qj, j, eta):
             return eta
         eta *= 0.5
     raise ConvergenceError(f"no admissible eta found for improvement with j={j}")
 
 
-def _shift_is_monotone(h, qj_coeffs, j, eta, grid=None):
+def _shift_is_monotone(h, qj, j, eta, grid=None):
     if grid is None:
         grid = np.linspace(-1.0, 1.0 - 1e-4, 401)
-    dq = qj_coeffs
+    dq = qj(j + 1, grid)
     for order in range(j + 2):
         hv = np.asarray(h.deriv(grid, order), dtype=float)
-        qv = npoly.polyval(grid, dq) if len(dq) else np.zeros_like(grid)
-        if np.any(hv - eta * qv < -1e-12):
+        if np.any(hv - eta * dq[order] < -1e-12):
             return False
-        dq = npoly.polyder(dq) if len(dq) > 1 else np.zeros(0)
     return True
 
 
 class _ShiftedPotential:
     """h - eta*Q_j, exposing the same evaluation interface as Potential."""
 
-    def __init__(self, h, qj_coeffs, eta):
+    def __init__(self, h, qj, eta):
         self._h = h
+        self._qj = qj
         self._eta = eta
-        self._derivs = [qj_coeffs]
-        while len(self._derivs[-1]) > 1:
-            self._derivs.append(npoly.polyder(self._derivs[-1]))
 
     def __call__(self, t):
         return self.deriv(t, 0)
 
     def deriv(self, t, order=0):
-        qv = (
-            npoly.polyval(np.asarray(t, dtype=float), self._derivs[order])
-            if order < len(self._derivs)
-            else 0.0
-        )
-        return self._h.deriv(t, order) - self._eta * qv
+        return self._h.deriv(t, order) - self._eta * self._qj(order, t)[order]

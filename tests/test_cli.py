@@ -1,4 +1,6 @@
+import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -24,7 +26,7 @@ def test_ulb_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["tool"]["name"] == "ulbkit"
     assert report["params"]["n"] == 3
     assert report["result"]["value_sum"] == pytest.approx(7.348469, abs=1e-6)
@@ -192,6 +194,12 @@ def test_reports_validate_against_schema(capsys):
         ["asymptotics", "--family", "sphere", "--tau", "3",
          "--potential", "gaussian", "--c", "1", "--n-range", "8:16:4"],
         ["selfcheck"],
+        # tau 27..55 on S^2; exit 0 means both certificate checks passed
+        ["ulb", "--space", "sphere", "--n", "3", "--M", "225", "--potential", "riesz", "--p", "1"],
+        ["ulb", "--space", "sphere", "--n", "3", "--M", "400", "--potential", "riesz", "--p", "1"],
+        ["ulb", "--space", "sphere", "--n", "3", "--M", "825", "--potential", "riesz", "--p", "1"],
+        ["ulb", "--space", "sphere", "--n", "3", "--M", "825",
+         "--potential", "gaussian", "--c", "1"],
     ]
     rule_schema = {"$ref": "#/$defs/rule", "$defs": SCHEMA["$defs"]}
     bound_schema = {"$ref": "#/$defs/bound_report", "$defs": SCHEMA["$defs"]}
@@ -253,3 +261,28 @@ def test_selfcheck_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "selfcheck")
     assert code == 0
     assert json.loads(out)["result"]["healthy"]
+
+
+@pytest.mark.parametrize("failed", ["below_h", "f_geq"])
+@pytest.mark.parametrize(
+    "argv",
+    [["ulb", "--space", "sphere", "--n", "3", "--M", "4:6"],
+     ["improve", "--space", "sphere", "--n", "3", "--M", "7", "--degree", "6"]],
+    ids=["ulb", "improve"],
+)
+def test_failed_certificate_exits_1(capsys, monkeypatch, argv, failed):
+    # the package attribute ulbkit.ulb is the function; this is the module
+    ulb_module = importlib.import_module("ulbkit.ulb")
+    real = ulb_module.verify_certificate
+
+    def broken(*args, **kwargs):
+        return replace(real(*args, **kwargs), **{failed: False})
+
+    monkeypatch.setattr(ulb_module, "verify_certificate", broken)
+    code, out, err = run_cli(capsys, *argv, "--potential", "riesz", "--p", "1")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["schema_version"] == 2
+    assert error["error"]["type"] == "ConditionError"
+    assert "S^2" in error["error"]["message"] and failed in error["error"]["message"]
+    assert ("M=4" if argv[0] == "ulb" else "M=7") in error["error"]["message"]

@@ -48,7 +48,7 @@ def test_lower_bound_condition_violations():
     assert err.value.where == 4
     # exceeding h somewhere on the grid
     rep = ulb(S3, 12, RIESZ1)
-    shifted = PolyCoeffs(np.polynomial.polynomial.polyadd(rep.certificate.coeffs, [1.0]))
+    shifted = PolyCoeffs(rep.certificate.coeffs + np.eye(len(rep.certificate.coeffs))[0], "q")
     query = DesignEnergyQuery(S3, rep.rule.tau, 12, RIESZ1, shifted, "lower")
     with pytest.raises(ConditionError):
         design_lower_bound(query)

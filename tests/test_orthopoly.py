@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from ulbkit import orthopoly, pmspace
 from ulbkit.errors import DegreeOverflowError
@@ -179,7 +178,7 @@ def test_kernel_ratio_identity(space):
 
 def test_expand_in_q_examples():
     s4 = make_space("sphere", n=4)
-    q3 = PolyCoeffs(orthopoly.q_monomial_coeffs(s4, 3))
+    q3 = PolyCoeffs([0.0, -1.0, 0.0, 2.0])  # Q_3 = 2t^3 - t on S^3
     coeffs = orthopoly.expand_in_q(s4, q3).coeffs
     assert np.allclose(coeffs, [0, 0, 0, 1], atol=1e-12)
     coeffs = orthopoly.expand_in_q(s4, PolyCoeffs([0.0, 1.0])).coeffs
@@ -219,10 +218,12 @@ def test_product_expansions_nonnegative(space):
         for j in range(i, 7):
             if i + j > min(12, cap):
                 continue
-            prod = npoly.polymul(
-                orthopoly.q_monomial_coeffs(space, i), orthopoly.q_monomial_coeffs(space, j)
-            )
-            worst = min(worst, float(orthopoly.expand_in_q(space, PolyCoeffs(prod)).coeffs.min()))
+            system = adjacent_system(space, 0, 0, j)
+
+            def prod(x):
+                return orthopoly.eval_q(system, i, x) * orthopoly.eval_q(system, j, x)
+
+            worst = min(worst, float(orthopoly._project(space, prod, i + j).coeffs.min()))
     assert worst >= -1e-9
 
 
@@ -235,14 +236,11 @@ def test_shifted_product_expansions_nonnegative(space):
         for j in range(i, min(5, sys11.max_deg) + 1):
             if i + j + 1 > cap:
                 continue
-            prod = npoly.polymul(
-                npoly.polymul(
-                    orthopoly.q_monomial_coeffs(space, i, 1, 1),
-                    orthopoly.q_monomial_coeffs(space, j, 1, 1),
-                ),
-                np.array([1.0, 1.0]),
-            )
-            worst = min(worst, float(orthopoly.expand_in_q(space, PolyCoeffs(prod)).coeffs.min()))
+
+            def prod(x):
+                return orthopoly.eval_q(sys11, i, x) * orthopoly.eval_q(sys11, j, x) * (1 + x)
+
+            worst = min(worst, float(orthopoly._project(space, prod, i + j + 1).coeffs.min()))
     assert worst >= -1e-9
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -48,15 +49,21 @@ def test_hamming_pair_value():
 
 def test_value_identity_against_certificate():
     # M^2 sum(rho h) must equal M (f_0 M - f(1)) for the certificate
-    for space, M in [
-        (make_space("sphere", n=4), 11),
-        (make_space("hamming", n=8, q=2), 20),
-        (make_space("projective", n=4, field_dim=2), 30),
+    for space, M, h in [
+        (make_space("sphere", n=4), 11, GAUSS),
+        (make_space("hamming", n=8, q=2), 20, GAUSS),
+        (make_space("projective", n=4, field_dim=2), 30, GAUSS),
+        # tau 37..55, where certificates in monomial coefficients broke down
+        (make_space("sphere", n=3), 400, RIESZ1),
+        (make_space("sphere", n=3), 825, GAUSS),
+        (make_space("sphere", n=3), 825, RIESZ1),
+        (make_space("projective", n=3, field_dim=2), 27702, RIESZ1),
     ]:
-        rep = ulb(space, M, GAUSS)
-        f0 = sum(c * pmspace.moment(space, i) for i, c in enumerate(rep.certificate.coeffs))
+        rep = ulb(space, M, h)
+        f0 = rep.certificate.coeffs[0]
         f1 = orthopoly.poly_eval(space, rep.certificate, 1.0)
         assert M * (f0 * M - f1) == pytest.approx(rep.value_sum, rel=1e-8)
+        assert rep.certificate_checks.below_h and rep.certificate_checks.f_geq
 
 
 def test_hermite_reproduces_low_degree_polynomials():
@@ -76,7 +83,8 @@ def test_hermite_single_node_is_tangent_line():
     f = hermite_certificate(rule, h)
     assert f.degree == 1
     a = -1.0 / n
-    assert npoly.polyval(a, f.coeffs) == pytest.approx(h(a), rel=1e-13)
+    assert orthopoly.poly_eval(space, f, a) == pytest.approx(h(a), rel=1e-13)
+    # Q_1(t) = t on the sphere, so the Q_1-coefficient is the slope
     assert f.coeffs[1] == pytest.approx(h.deriv(a, 1), rel=1e-13)
 
 
@@ -84,21 +92,23 @@ def test_hermite_interpolation_residuals():
     for space, M in [(make_space("sphere", n=3), 11), (make_space("hamming", n=10, q=2), 40)]:
         rule = lev.quadrature_rule(space, M)
         f = hermite_certificate(rule, GAUSS)
+        system = orthopoly.adjacent_system(space, 0, 0, f.degree)
         scale = max(1.0, np.max(np.abs(GAUSS(rule.nodes))))
         for i, a in enumerate(rule.nodes):
-            assert abs(npoly.polyval(a, f.coeffs) - GAUSS(a)) < 1e-10 * scale
+            assert abs(orthopoly.poly_eval(space, f, a) - GAUSS(a)) < 1e-10 * scale
             if not (rule.epsilon == 1 and i == 0):
-                df = npoly.polyval(a, npoly.polyder(f.coeffs))
+                dq = orthopoly.eval_q_derivatives(system, f.degree, 1, a)[:, 1]
+                df = float(np.dot(f.coeffs, dq))
                 assert abs(df - GAUSS.deriv(a, 1)) < 1e-9 * scale
 
 
 def test_verify_certificate_negative_cases():
     space = make_space("sphere", n=3)
     rep = ulb(space, 4, RIESZ1)
-    shifted = PolyCoeffs(npoly.polyadd(rep.certificate.coeffs, [1.0]))
+    shifted = PolyCoeffs(rep.certificate.coeffs + np.eye(len(rep.certificate.coeffs))[0], "q")
     checks = verify_certificate(space, shifted, RIESZ1)
     assert not checks.below_h
-    neg_q1 = PolyCoeffs([0.0, -1.0])
+    neg_q1 = PolyCoeffs([0.0, -1.0], "q")
     checks = verify_certificate(space, neg_q1, RIESZ1)
     assert not checks.f_geq
     assert checks.min_q_coefficient == pytest.approx(-1.0, abs=1e-12)
@@ -239,8 +249,8 @@ def test_level_optimality_feasible_polynomials(space, M):
         theta = rng.uniform(0.0, 1.0)
         coeffs = theta * rep.certificate.coeffs.copy()
         coeffs[0] += (1 - theta) * cmin
-        F = PolyCoeffs(coeffs)
-        f0 = sum(c * pmspace.moment(space, i) for i, c in enumerate(F.coeffs))
+        F = PolyCoeffs(coeffs, "q")
+        f0 = F.coeffs[0]
         f1 = orthopoly.poly_eval(space, F, 1.0)
         assert M * (f0 * M - f1) <= rep.value_sum + 1e-8 * max(1.0, rep.value_sum)
 
@@ -271,3 +281,48 @@ def test_quadrature_identity_on_reports():
             resid = f0 - npoly.polyval(1.0, c) / M
             resid -= float(np.dot(rule.weights, npoly.polyval(rule.nodes, c)))
             assert abs(resid) <= 1e-9 * np.sum(np.abs(c))
+
+
+def _mp_hermite(nodes, epsilon, h, dh):
+    """The Hermite interpolant of the certificate, as a 50-digit Newton form."""
+    z = []
+    for a in nodes:
+        z += [mpmath.mpf(float(a))] * (1 if epsilon == 1 and a == -1.0 else 2)
+    m = len(z)
+    table = [[h(zi)] for zi in z]
+    for col in range(1, m):
+        for i in range(m - col):
+            if z[i + col] == z[i]:
+                table[i].append(dh(z[i]))
+            else:
+                table[i].append((table[i + 1][col - 1] - table[i][col - 1]) / (z[i + col] - z[i]))
+
+    def value(t):
+        t = mpmath.mpf(float(t))
+        out = table[0][m - 1]
+        for i in range(m - 2, -1, -1):
+            out = out * (t - z[i]) + table[0][i]
+        return out
+
+    return value
+
+
+@pytest.mark.parametrize(
+    "M,name", [(225, "riesz"), (400, "riesz"), (825, "riesz"), (825, "gaussian")]
+)
+def test_certificate_matches_mp_reference(M, name):
+    space = make_space("sphere", n=3)
+    if name == "riesz":
+        h = RIESZ1
+        mp_h, mp_dh = (lambda t: (2 - 2 * t) ** -0.5), (lambda t: (2 - 2 * t) ** -1.5)
+    else:
+        h, mp_h, mp_dh = GAUSS, mpmath.exp, mpmath.exp
+    rep = ulb(space, M, h)
+    with mpmath.workdps(50):
+        ref = _mp_hermite(rep.rule.nodes, rep.rule.epsilon, mp_h, mp_dh)
+        grid = np.linspace(-1.0, 1.0, 200, endpoint=False)
+        ref_vals = np.array([float(ref(t)) for t in grid])
+        ref_one = float(ref(1.0))
+    err = np.abs(orthopoly.poly_eval(space, rep.certificate, grid) - ref_vals)
+    assert np.all(err <= 1e-9 * (1 + np.abs(h(grid))))
+    assert float(np.sum(rep.certificate.coeffs)) == pytest.approx(ref_one, rel=1e-9)
