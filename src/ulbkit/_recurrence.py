@@ -136,27 +136,23 @@ def eval_derivatives(b, g, deg: int, order: int, t):
     return out
 
 
-def jacobi_matrix(b, g, deg: int, shift: float = 0.0):
+def jacobi_matrix(b, g, deg: int):
     """The deg x deg symmetric tridiagonal Jacobi matrix of the recurrence.
 
-    Diagonal beta_0..beta_{deg-1}, off-diagonal sqrt(gamma_1..gamma_{deg-1}),
-    and the last diagonal entry raised by shift.  Its characteristic
-    polynomial is pi_deg - shift * pi_{deg-1}.
+    Diagonal beta_0..beta_{deg-1} and off-diagonal sqrt(gamma_1..gamma_{deg-1});
+    its characteristic polynomial is pi_deg.
     """
     J = np.diag(np.asarray(b[:deg], dtype=float))
-    J[-1, -1] += shift
     off = np.sqrt(g[1:deg])
     i = np.arange(deg - 1)
     J[i + 1, i] = J[i, i + 1] = off
     return J
 
 
-def jacobi_zeros(b, g, deg: int, shift: float = 0.0):
-    """All zeros of pi_deg - shift * pi_{deg-1}, ascending.
+def jacobi_zeros(b, g, deg: int):
+    """All zeros of pi_deg, ascending.
 
-    They are the eigenvalues of the shifted Jacobi matrix: with shift 0
-    the zeros of pi_deg (Golub & Welsch, Math. Comp. 1969), otherwise
-    those of the quasi-orthogonal polynomial (Golub, SIAM Rev. 1973).
-    All are real and simple.
+    They are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math.
+    Comp. 1969): real and simple.
     """
-    return np.linalg.eigvalsh(jacobi_matrix(b, g, deg, shift))
+    return np.linalg.eigvalsh(jacobi_matrix(b, g, deg))

@@ -2,25 +2,27 @@
 
 Levels are indexed tau = 2k - 1 + eps with eps in {0, 1}.  A cardinality
 M determines its level through the design-bound intervals
-(D(tau), D(tau+1)], and solving L_tau(s) = M on the validity interval
-yields the separation s, the nodes alpha_i, and positive weights rho_i
-of the exact integration identity
+(D(tau), D(tau+1)].  The separation s, the root of L_tau(s) = M on the
+level's validity interval, and the nodes alpha_i are the eigenvalues of
+one bordered Jacobi matrix, and positive weights rho_i complete the
+exact integration identity
 
     f_0 = f(1)/M + sum_i rho_i f(alpha_i),   deg f <= tau.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _recurrence as rec
 from . import orthopoly, pmspace
 from .errors import ConvergenceError, DegreeOverflowError, ParameterError
-from .orthopoly import PolyCoeffs, adjacent_system, eval_q, eval_q_all, kernel_zeros, largest_zero
+from .orthopoly import PolyCoeffs, adjacent_system, eval_q, eval_q_all, largest_zero
 from .pmspace import SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
-_MAX_BISECT = 200
 _SOLVE_RTOL = 1e-10
+_LEVEL_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +75,16 @@ def validity_interval(space: SpaceDescriptor, tau: int):
 def lev_bound(space: SpaceDescriptor, tau: int, s: float) -> float:
     """Levenshtein bound L_tau(s) on the size of codes with separation s."""
     lo, hi = validity_interval(space, tau)
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if not (lo - pad <= s <= hi + pad):
+    if not _in_interval(s, lo, hi):
         raise ParameterError(
             f"s={s} outside the level-{tau} validity interval [{lo}, {hi}]"
         )
     return _lev_value(space, tau, s)
+
+
+def _in_interval(s: float, lo: float, hi: float) -> bool:
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    return lo - pad <= s <= hi + pad
 
 
 def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
@@ -93,19 +99,20 @@ def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
 def tau_for_cardinality(space: SpaceDescriptor, M: int):
     """Level (k, eps, tau) serving cardinality M: D(tau) < M <= D(tau+1).
 
+    M is compared with each design bound within a relative 1e-12, so a
+    cardinality equal to D(tau+1) is served at the top of level tau,
+    where every weight is positive, whatever the rounding of D(tau+1).
     The bottom boundary M equal to D(1) is served by the level tau=1
     rule with s = -1 whenever D(1) is an achievable integer cardinality.
     """
     if M < 2 or int(M) != M:
         raise ParameterError("M must be an integer >= 2")
     d1 = design_bound(space, 1)
-    if M < d1 - 1e-9:
+    if M < d1 * (1.0 - _LEVEL_RTOL):
         raise ParameterError(
             f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
             " no quadrature rule exists"
         )
-    if abs(M - d1) <= 1e-9:
-        return 1, 0, 1
     tau = 1
     while True:
         try:
@@ -115,57 +122,31 @@ def tau_for_cardinality(space: SpaceDescriptor, M: int):
                 f"M={M} exceeds the level capacity of {space.label()}"
                 f" (needs tau > {tau})"
             ) from None
-        if M <= d_next + 1e-9:
+        if M <= d_next * (1.0 + _LEVEL_RTOL):
             k, eps = _split(tau)
             return k, eps, tau
         tau += 1
 
 
 def solve_separation(space: SpaceDescriptor, M: int) -> float:
-    """The unique s with L_tau(s) = M on the level's validity interval."""
-    _, _, tau = tau_for_cardinality(space, M)
-    lo, hi = validity_interval(space, tau)
-    return _solve_on(space, tau, M, lo, hi)
+    """The unique s with L_tau(s) = M on the level's validity interval.
 
-
-def _solve_on(space: SpaceDescriptor, tau: int, M: int, lo: float, hi: float) -> float:
-    f_lo = _lev_value(space, tau, lo) - M
-    f_hi = _lev_value(space, tau, hi) - M
-    # L at an end rounds to either side of M by an amount that grows with M,
-    # so an end is held to the same residual check as a bisected s
-    if abs(f_lo) <= _SOLVE_RTOL * M:
-        return lo
-    if abs(f_hi) <= _SOLVE_RTOL * M:
-        return hi
-    if f_lo > 0 or f_hi < 0:
-        raise ConvergenceError(
-            f"M={M} not bracketed by level {tau} on [{lo}, {hi}]"
-        )
-    a, b = lo, hi
-    # bisect to the last representable midpoint: where dL/ds is large a
-    # width tolerance in s would leave a residual the check below rejects
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = _lev_value(space, tau, mid) - M
-        if fm == 0.0:
-            return mid
-        if fm < 0:
-            a = mid
-        else:
-            b = mid
-    s = 0.5 * (a + b)
-    if abs(_lev_value(space, tau, s) - M) > _SOLVE_RTOL * M:
-        raise ConvergenceError(f"separation solve did not converge for M={M}")
-    return s
+    It is the largest node of the 1/M-quadrature rule.
+    """
+    return quadrature_rule(space, M).s
 
 
 def quadrature_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     """Build and validate the 1/M-quadrature rule for cardinality M."""
     k, eps, tau = tau_for_cardinality(space, M)
-    s = solve_separation(space, M)
-    return _rule_from_separation(space, M, k, eps, tau, s)
+    lo, hi = validity_interval(space, tau)
+    nodes = _rule_nodes(space, M, k, eps)
+    if not _in_interval(nodes[-1], lo, hi):
+        raise ConvergenceError(
+            f"separation {nodes[-1]} for M={M} outside the level-{tau}"
+            f" validity interval [{lo}, {hi}]"
+        )
+    return _rule_from_nodes(space, M, k, eps, tau, nodes)
 
 
 def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
@@ -178,30 +159,41 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     """
     k, eps, tau = tau_for_cardinality(space, M)
     if eps == 0:
-        rule = quadrature_rule(space, M)
-        return QuadratureRule(
-            space, M, rule.k, rule.epsilon, rule.tau, rule.s,
-            rule.nodes, rule.weights, rule.power_sum_residual, odd_branch=True,
-        )
-    tau_odd = 2 * k - 1
+        return replace(quadrature_rule(space, M), odd_branch=True)
     lo = largest_zero(adjacent_system(space, 1, 0, k), k)
     hi = largest_zero(adjacent_system(space, 0, 0, k), k)
-    span = hi - lo
-    s = _solve_on(space, tau_odd, M, lo, hi - 1e-13 * max(1.0, abs(hi)))
-    if not (lo - 1e-12 * span <= s < hi):
+    nodes = _rule_nodes(space, M, k, 0)
+    s = nodes[-1]
+    if not (lo - 1e-12 * (hi - lo) <= s < hi):
         raise ConvergenceError(f"odd-branch separation {s} escaped [{lo}, {hi})")
-    return _rule_from_separation(space, M, k, 0, tau_odd, s, odd_branch=True)
+    return _rule_from_nodes(space, M, k, 0, 2 * k - 1, nodes, odd_branch=True)
 
 
-def _rule_from_separation(space, M, k, eps, tau, s, odd_branch=False) -> QuadratureRule:
-    kernel_system = adjacent_system(space, 1, eps, k - 1)
-    inner = kernel_zeros(kernel_system, k - 1, s)
-    if len(inner) != k - 1:
-        raise ConvergenceError(
-            f"expected {k - 1} interior nodes, found {len(inner)}"
-        )
-    nodes = [s] if abs(s + 1.0) <= 1e-12 else ([-1.0] * eps + list(inner) + [s])
-    nodes = np.array(sorted(nodes))
+def _rule_nodes(space: SpaceDescriptor, M: int, k: int, eps: int) -> np.ndarray:
+    """Nodes of the 1/M-rule at level 2k-1+eps, ascending; the last is s.
+
+    Against (1+t)^eps dnu the rule is a Gauss rule with the extra node
+    t = 1 of prescribed weight (1+eps)/M.  Its nodes are the eigenvalues
+    of the (0,eps) Jacobi matrix bordered by one row and column (Golub,
+    SIAM Rev. 1973): the last diagonal entry c = 1 - g'*v_{k-1}/v_k makes
+    1 an eigenvalue, and the last off-diagonal sqrt(g') gives it that
+    Golub-Welsch weight.  1 is the top eigenvalue; the k others are the
+    nodes besides -1.
+    """
+    system = adjacent_system(space, 0, eps, k)
+    b, g, r, v = system.rec_beta, system.rec_gamma, system.norms, system.value_at_one
+    # the denominator is (M - D(tau-1)) / q1^eps, with D(0) = 1: positive
+    # for every M the level serves
+    g_border = g[k] * r[k] / (M * g[0] / (1 + eps) - np.sum(r[:k]))
+    c = 1.0 - g_border * v[k - 1] / v[k]
+    eig = rec.jacobi_zeros(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
+    return np.concatenate([[-1.0] * eps, eig[:-1]])
+
+
+def _rule_from_nodes(space, M, k, eps, tau, nodes, odd_branch=False) -> QuadratureRule:
+    s = float(nodes[-1])
+    if abs(_lev_value(space, tau, s) - M) > _SOLVE_RTOL * M:
+        raise ConvergenceError(f"L_{tau}(s) misses M={M} at the separation s={s}")
     if np.any(np.diff(nodes) <= 0):
         raise ConvergenceError("quadrature nodes are not strictly increasing")
     # f_0 = f(1)/M + sum_j rho_j f(alpha_j) for f = Q_i, i < len(nodes)
@@ -209,6 +201,16 @@ def _rule_from_separation(space, M, k, eps, tau, s, odd_branch=False) -> Quadrat
     rhs = np.full(deg + 1, -1.0 / M)
     rhs[0] += 1.0
     weights = np.linalg.solve(eval_q_all(adjacent_system(space, 0, 0, deg), deg, nodes), rhs)
+    if eps:
+        # The weight at -1 vanishes at the bottom of the level, where the
+        # solve leaves it to rounding.  The rule applied to
+        # (1-t) Q_k^{1,0}(t) prod_{i<k} (t - alpha_i), of degree tau and
+        # mean 0, gives it as a product, accurate relative to its size.
+        inner = nodes[1:-1]
+        q = eval_q(adjacent_system(space, 1, 0, k), k, np.array([-1.0, s]))
+        weights[0] = (
+            -weights[-1] * (1 - s) * q[1] * np.prod(s - inner) / (2 * q[0] * np.prod(-1 - inner))
+        )
     if np.any(weights <= 0):
         raise ConvergenceError(
             f"nonpositive quadrature weight for M={M}: {weights}"
@@ -222,7 +224,7 @@ def _rule_from_separation(space, M, k, eps, tau, s, odd_branch=False) -> Quadrat
             f"power-sum residual {residual:.2e} too large for M={M}"
         )
     return QuadratureRule(
-        space, int(M), k, eps, tau, float(s), nodes, weights, residual, odd_branch
+        space, int(M), k, eps, tau, s, nodes, weights, residual, odd_branch
     )
 
 

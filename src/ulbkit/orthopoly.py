@@ -141,30 +141,6 @@ def cd_kernel(space: SpaceDescriptor, a: int, b: int, j: int, u, v):
     return float(out) if out.shape == () else out
 
 
-def kernel_zeros(system: OrthoSystem, j: int, v: float):
-    """Zeros of t -> sum_{i<=j} r_i Q_i(t) Q_i(v), ascending (v excluded).
-
-    By the Christoffel-Darboux formula the kernel is, up to a nonzero
-    factor and the removed root at t=v, the quasi-orthogonal polynomial
-    pi_{j+1} - c*pi_j with c = pi_{j+1}(v)/pi_j(v).  That polynomial is
-    the characteristic polynomial of the (j+1) x (j+1) Jacobi matrix
-    whose last diagonal entry is raised by c (Golub, SIAM Rev. 1973), so
-    its j+1 roots are its eigenvalues: real, simple, and one of them v.
-    """
-    if j == 0:
-        return np.array([])
-    beta, gamma = system.rec_beta, system.rec_gamma
-    pj = rec.eval_one(beta, gamma, j, v)
-    pj1 = rec.eval_one(beta, gamma, j + 1, v)
-    if pj == 0.0:
-        raise ParameterError(f"kernel degenerates at v={v} (zero of the degree-{j} polynomial)")
-    roots = rec.jacobi_zeros(beta, gamma, j + 1, pj1 / pj)
-    drop = int(np.argmin(np.abs(roots - v)))
-    if abs(roots[drop] - v) > 1e-7 * max(1.0, abs(v)):
-        raise ParameterError(f"kernel zero structure broke down at v={v}")
-    return np.delete(roots, drop)
-
-
 @dataclass(frozen=True, eq=False)
 class PolyCoeffs:
     """Polynomial coefficients, ascending, in the monomial or Q basis.

@@ -23,6 +23,8 @@ from .potentials import Potential, check_absolutely_monotone
 _FGEQ_TOL = -1e-8
 _BELOW_TOL = 1e-9
 _IDENTITY_TOL = 1e-8
+# where the shifted potential of an improvement is checked for monotonicity
+_ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,15 @@ class UlbReport:
     certificate: PolyCoeffs
     certificate_checks: CertificateChecks
     energy_convention: str = "sum"
-    odd_branch: bool = False
     improvement: dict | None = None
 
     @property
     def value(self) -> float:
         return self.value_sum if self.energy_convention == "sum" else self.value_mean
+
+    @property
+    def odd_branch(self) -> bool:
+        return self.rule.odd_branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +111,7 @@ def ulb_odd_branch(
 ) -> UlbReport:
     """The odd-level bound, valid on even intervals as well (weaker there)."""
     rule = odd_branch_rule(space, M)
-    report = _report_from_rule(space, rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
-    return replace(report, odd_branch=True)
+    return _report_from_rule(space, rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def _report_from_rule(
@@ -263,9 +267,9 @@ def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_val
     else:
         if eta <= 0:
             raise ParameterError("eta must be positive")
-        if not _shift_is_monotone(h, qj, j, eta):
+        if not check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
             raise ParameterError(f"supplied eta={eta} breaks absolute monotonicity")
-    g = hermite_certificate(rule, _ShiftedPotential(h, qj, eta))
+    g = hermite_certificate(rule, _shifted(h, qj, eta))
     coeffs = np.zeros(j + 1)  # the Hermite part has degree <= tau < j
     coeffs[: g.degree + 1] = g.coeffs
     coeffs[j] = eta
@@ -295,33 +299,15 @@ def _admissible_eta(h, qj, j, floor=1e-12):
             eta0 = min(eta0, float(np.min(hv[mask] / dq[order][mask])))
     eta = eta0 if np.isfinite(eta0) and eta0 > 0 else 1.0
     while eta >= floor:
-        if _shift_is_monotone(h, qj, j, eta):
+        if check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
             return eta
         eta *= 0.5
     raise ConvergenceError(f"no admissible eta found for improvement with j={j}")
 
 
-def _shift_is_monotone(h, qj, j, eta, grid=None):
-    if grid is None:
-        grid = np.linspace(-1.0, 1.0 - 1e-4, 401)
-    dq = qj(j + 1, grid)
-    for order in range(j + 2):
-        hv = np.asarray(h.deriv(grid, order), dtype=float)
-        if np.any(hv - eta * dq[order] < -1e-12):
-            return False
-    return True
-
-
-class _ShiftedPotential:
-    """h - eta*Q_j, exposing the same evaluation interface as Potential."""
-
-    def __init__(self, h, qj, eta):
-        self._h = h
-        self._qj = qj
-        self._eta = eta
-
-    def __call__(self, t):
-        return self.deriv(t, 0)
-
-    def deriv(self, t, order=0):
-        return self._h.deriv(t, order) - self._eta * self._qj(order, t)[order]
+def _shifted(h, qj, eta):
+    """The potential h - eta*Q_j."""
+    return Potential(
+        f"{h.name}-eta*Q_j",
+        _deriv=lambda t, order: h.deriv(t, order) - eta * qj(order, t)[order],
+    )

@@ -263,6 +263,21 @@ def test_selfcheck_exit_zero(capsys):
     assert json.loads(out)["result"]["healthy"]
 
 
+def test_selfcheck_reports_a_raising_check(monkeypatch):
+    # a space whose rule construction starts raising must not be skipped
+    from ulbkit import levenshtein, selfcheck
+    from ulbkit.errors import ConvergenceError
+
+    def broken(space, M):
+        raise ConvergenceError("broken on purpose")
+
+    monkeypatch.setattr(levenshtein, "quadrature_rule", broken)
+    healthy, results = selfcheck.run_all()
+    assert not healthy
+    failed = {name: detail for name, ok, detail in results if not ok}
+    assert "ConvergenceError" in failed["quadrature-exactness"]
+
+
 @pytest.mark.parametrize("failed", ["below_h", "f_geq"])
 @pytest.mark.parametrize(
     "argv",

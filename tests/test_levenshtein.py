@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -130,8 +131,8 @@ def test_solve_separation_examples():
     "n,M", [(290, 285), (262, 262), (353, 705), (318, 51038), (388, 75853)]
 )
 def test_solve_separation_where_lev_bound_is_steep(n, M):
-    # large dL/ds: the solve must bisect to the last representable midpoint
-    # to meet the residual check relative to M
+    # large dL/ds: an error of a few ulps in s must still meet the residual
+    # check relative to M
     space = make_space("sphere", n=n)
     sep = lev.solve_separation(space, M)
     _, _, tau = lev.tau_for_cardinality(space, M)
@@ -148,12 +149,15 @@ def test_solve_separation_where_lev_bound_is_steep(n, M):
     ],
 )
 def test_solve_separation_at_large_design_bounds(family, params, M):
-    # M equal to a design bound: s is an end of the validity interval, where
-    # L rounds to either side of M by an amount that grows with M
+    # M equal to a design bound: s is an end of the validity interval, up to
+    # the rounding lev_bound allows, where L rounds to either side of M by an
+    # amount that grows with M
     space = make_space(family, **params)
     _, _, tau = lev.tau_for_cardinality(space, M)
     sep = lev.solve_separation(space, M)
-    assert sep in lev.validity_interval(space, tau)
+    lo, hi = lev.validity_interval(space, tau)
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    assert min(abs(sep - lo), abs(sep - hi)) <= pad
     assert abs(lev.lev_bound(space, tau, sep) - M) <= 1e-10 * M
 
 
@@ -299,3 +303,147 @@ def test_larger_alphabet_rule():
     rule = lev.quadrature_rule(make_space("hamming", n=9, q=5), 100)
     assert rule.power_sum_residual < 1e-12
     assert np.all(rule.weights > 0)
+
+
+def _mp_jacobi(alpha, beta, count):
+    """Monic Jacobi recurrence (b, g) in mpmath; g[0] is left out (unused)."""
+    alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+    ab = alpha + beta
+    b, g = [(beta - alpha) / (ab + 2)], [None]
+    for k in range(1, count):
+        d = 2 * k + ab
+        b.append((beta**2 - alpha**2) / (d * (d + 2)))
+        if k == 1:
+            g.append(4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3)))
+        else:
+            g.append(4 * k * (k + alpha) * (k + beta) * (k + ab) / (d * d * (d + 1) * (d - 1)))
+    return b, g
+
+
+def _mp_monic(rec, deg, t):
+    b, g = rec
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(deg):
+        prev, cur = cur, (t - b[k]) * cur - (g[k] if k else 0) * prev
+    return cur
+
+
+def _mp_eigs(rec, deg, shift=0):
+    b, g = rec
+    J = mpmath.matrix(deg, deg)
+    for i in range(deg):
+        J[i, i] = b[i]
+        if i:
+            J[i, i - 1] = J[i - 1, i] = mpmath.sqrt(g[i])
+    J[deg - 1, deg - 1] += shift
+    return sorted(mpmath.eigsy(J, eigvals_only=True))
+
+
+def _mp_rule_nodes(space, M):
+    """Nodes of the 1/M-rule at 50 digits: L_tau(s) = M by bisection, and the
+    interior nodes as zeros of the kernel T_{k-1}^{1,eps}(t, s)."""
+    k, eps, _ = lev.tau_for_cardinality(space, M)
+    a0, b0 = space.jacobi_exponents()
+    rec0 = _mp_jacobi(a0, b0 + eps, k + 1)
+    rec1 = _mp_jacobi(a0 + 1, b0 + eps, k + 1)
+    one = mpmath.mpf(1)
+
+    def q(rec, deg, t):
+        return _mp_monic(rec, deg, t) / _mp_monic(rec, deg, one)
+
+    # r_j = pi_j(1)^2 / (g_1 ... g_j); the mass of the measure cancels
+    head, prod = mpmath.mpf(0), mpmath.mpf(1)
+    for j in range(k):
+        prod *= rec0[1][j] if j else 1
+        head += _mp_monic(rec0, j, one) ** 2 / prod
+
+    def lev_value(s):
+        return pmspace.q1_value(space) ** eps * (1 - q(rec1, k - 1, s) / q(rec0, k, s)) * head
+
+    lo = -one if k - 1 + eps == 0 else _mp_eigs(_mp_jacobi(a0 + 1, b0 + 1 - eps, k), k - 1 + eps)[-1]
+    hi = _mp_eigs(rec1, k)[-1]
+    assert lev_value(lo) <= M <= lev_value(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if lev_value(mid) < M:
+            lo = mid
+        else:
+            hi = mid
+    s = (lo + hi) / 2
+    # T_{k-1}(t, s) is pi_k - c*pi_{k-1} of the (1,eps) system up to the root t = s
+    c = _mp_monic(rec1, k, s) / _mp_monic(rec1, k - 1, s)
+    roots = _mp_eigs(rec1, k, c)
+    inner = [z for z in roots if abs(z - s) > mpmath.mpf(10) ** -30]
+    assert len(inner) == k - 1
+    return [-one] * eps + inner + [s]
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("sphere", {"n": 3}, 825),
+        ("sphere", {"n": 10}, 44264512),
+        ("projective", {"n": 4, "field_dim": 4}, 5125840720),
+        ("projective", {"n": 3, "field_dim": 2}, 118638),
+    ],
+)
+def test_rule_nodes_match_mp_reference(family, params, M):
+    space = make_space(family, **params)
+    rule = lev.quadrature_rule(space, M)
+    with mpmath.workdps(50):
+        ref = np.array([float(z) for z in _mp_rule_nodes(space, M)])
+    assert np.max(np.abs(rule.nodes - ref)) <= 1e-13
+
+
+def _mp_rule_weights(space, nodes, M):
+    """Weights of the rule at the 50-digit nodes: the Q-basis solve of
+    f_0 = f(1)/M + sum_j rho_j f(alpha_j) for f = Q_0..Q_{len(nodes)-1}."""
+    n = len(nodes)
+    rec = _mp_jacobi(*space.jacobi_exponents(), n)
+    one = mpmath.mpf(1)
+    A = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            A[i, j] = _mp_monic(rec, i, nodes[j]) / _mp_monic(rec, i, one)
+    rhs = mpmath.matrix([(1 if i == 0 else 0) - one / M for i in range(n)])
+    return mpmath.lu_solve(A, rhs)
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("sphere", {"n": 20}, 488494126),
+        ("sphere", {"n": 40}, 1991564140),
+        ("projective", {"n": 8, "field_dim": 2}, 231072490232),
+    ],
+)
+def test_weight_at_minus_one_near_the_bottom_of_an_even_level(family, params, M):
+    # a few units above D(tau) the weight at -1 is tiny but positive: its
+    # sign and its digits must not be left to rounding
+    space = make_space(family, **params)
+    rule = lev.quadrature_rule(space, M)
+    assert rule.epsilon == 1 and M - lev.design_bound(space, rule.tau) < 1e-6 * M
+    with mpmath.workdps(50):
+        ref = float(_mp_rule_weights(space, _mp_rule_nodes(space, M), M)[0])
+    assert rule.weights[0] == pytest.approx(ref, rel=2e-4, abs=0)
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("hamming", {"n": 40, "q": 2}, 23242039),
+        ("hamming", {"n": 30, "q": 2}, 22964087),
+        ("projective", {"n": 4, "field_dim": 4}, 150233760),
+        ("projective", {"n": 3, "field_dim": 4}, 1456560),
+        ("sphere", {"n": 10}, 1314610),
+        ("hamming", {"n": 30, "q": 2}, 53009102),
+    ],
+)
+def test_cardinality_equal_to_an_even_design_bound(family, params, M):
+    # M = D(tau) up to rounding is served at the top of level tau-1, not at
+    # the bottom of level tau, where the weight at -1 is zero in theory
+    space = make_space(family, **params)
+    rule = lev.quadrature_rule(space, M)
+    assert lev.design_bound(space, rule.tau + 1) == pytest.approx(M, rel=1e-12)
+    assert rule.tau % 2 == 1
+    assert rule.weights.min() > 1e-8

@@ -117,38 +117,6 @@ def test_zero_interlacing(space):
         assert np.all(hi[:-1] < lo) and np.all(lo < hi[1:])
 
 
-@pytest.mark.parametrize(
-    "space",
-    [
-        make_space("sphere", n=3),  # Jacobi recurrence
-        make_space("projective", n=3, field_dim=2),
-        make_space("hamming", n=8, q=2),  # Stieltjes recurrence
-        make_space("johnson", n=10, w=5),
-    ],
-    ids=lambda s: s.label(),
-)
-@pytest.mark.parametrize("a,b", [(1, 0), (1, 1)])
-def test_kernel_zeros(space, a, b):
-    system = adjacent_system(space, a, b)
-    for j in range(1, min(6, system.max_deg)):
-        z = orthopoly.zeros_of(system, j)
-        # v beyond the largest zero, as for the quadrature nodes, and
-        # between and below the zeros
-        for v in (0.5 * (z[-1] + 1.0), 0.9, 0.5 * (z[0] + z[-1]) + 0.01, -0.95):
-            if np.min(np.abs(z - v)) < 1e-3:
-                continue
-            roots = orthopoly.kernel_zeros(system, j, v)
-            assert len(roots) == j
-            kern = orthopoly.cd_kernel(space, a, b, j, roots, v)
-            qt = np.abs(orthopoly.eval_q_all(system, j, roots))
-            qv = np.abs(orthopoly.eval_q_all(system, j, v))
-            scale = np.sum(system.norms[: j + 1, None] * qt * qv[:, None], axis=0)
-            assert np.all(np.abs(kern) <= 1e-10 * scale)
-            # with v, the roots strictly interlace the zeros of Q_j
-            full = np.sort(np.append(roots, v))
-            assert np.all(full[:-1] < z) and np.all(z < full[1:])
-
-
 def test_cd_kernel_basics():
     s3 = make_space("sphere", n=3)
     assert orthopoly.cd_kernel(s3, 1, 1, 0, 0.2, -0.5) == pytest.approx(1.0)
