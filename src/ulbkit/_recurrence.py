@@ -156,3 +156,15 @@ def jacobi_zeros(b, g, deg: int):
     Comp. 1969): real and simple.
     """
     return np.linalg.eigvalsh(jacobi_matrix(b, g, deg))
+
+
+def gauss(b, g, deg: int):
+    """The deg-point Gauss rule of the recurrence's measure: nodes ascending, weights.
+
+    Nodes are the eigenvalues of the Jacobi matrix, weights gamma_0 times
+    the squared first components of its unit eigenvectors (Golub & Welsch,
+    Math. Comp. 1969): positive by construction and accurate relative to
+    their size.
+    """
+    x, vecs = np.linalg.eigh(jacobi_matrix(b, g, deg))
+    return x, g[0] * vecs[0] ** 2

@@ -20,12 +20,10 @@ from . import pmspace, potentials, selfcheck
 from .ulb import UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch
 from .errors import (
     ConditionError,
-    ConvergenceError,
     DegreeOverflowError,
     DomainError,
     MonotonicityError,
     ParameterError,
-    UlbkitError,
 )
 
 SCHEMA_VERSION = 2
@@ -35,7 +33,6 @@ _VALIDATION_ERRORS = (
     DegreeOverflowError,
     DomainError,
     MonotonicityError,
-    argparse.ArgumentTypeError,
 )
 
 
@@ -66,20 +63,7 @@ def _add_space_args(p):
 
 
 def _space_from(args) -> pmspace.SpaceDescriptor:
-    kw = {"n": args.n}
-    if args.space == "hamming":
-        if args.q is None:
-            raise ParameterError("hamming needs --q")
-        kw["q"] = args.q
-    elif args.space == "johnson":
-        if args.w is None:
-            raise ParameterError("johnson needs --w")
-        kw["w"] = args.w
-    elif args.space == "projective":
-        if args.field_dim is None:
-            raise ParameterError("projective needs --field-dim")
-        kw["field_dim"] = args.field_dim
-    return pmspace.make_space(args.space, **kw)
+    return pmspace.make_space(args.space, **_given(args, "n", "q", "w", "field_dim"))
 
 
 def _add_potential_args(p):
@@ -93,33 +77,24 @@ def _add_potential_args(p):
 def _potential_from(args) -> potentials.Potential:
     if args.potential is None:
         raise ParameterError("a --potential is required")
-    name = args.potential
-    if name == "riesz":
-        if args.p is None:
-            raise ParameterError("riesz needs --p")
-        return potentials.builtin("riesz", p=args.p)
-    if name == "gaussian":
-        if args.c is None:
-            raise ParameterError("gaussian needs --c")
-        return potentials.builtin("gaussian", c=args.c)
-    if name == "log":
-        return potentials.builtin("log")
-    if name == "monomial":
-        if args.j is None:
-            raise ParameterError("monomial needs --j")
-        return potentials.builtin("monomial", j=args.j)
-    if args.coeffs is None:
-        raise ParameterError("series needs --coeffs")
-    return potentials.builtin("series", coeffs=_floats(args.coeffs))
+    params = _given(args, "p", "c", "j", "coeffs")
+    if "coeffs" in params:
+        params["coeffs"] = _floats(params["coeffs"])
+    return potentials.builtin(args.potential, **params)
+
+
+def _given(args, *names):
+    """The flags among names that were given, for the library to validate."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def _add_common(p):
     p.add_argument("--format", choices=["json", "csv", "human"], default="json")
     p.add_argument("--out", type=str, help="write the report to this path")
-    p.add_argument("--abs-tol", type=float, default=1e-9)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+
+
+def _add_convention(p):
     p.add_argument("--convention", choices=["sum", "mean"], default="sum")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _floats(text):
@@ -131,13 +106,16 @@ def _floats(text):
 
 def _int_range(text):
     """lo:hi[:step] or a comma list; must be nonempty."""
-    if ":" in text:
-        parts = [int(x) for x in text.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        out = list(range(lo, hi + 1, step))
-    else:
-        out = [int(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        if ":" in text:
+            parts = [int(x) for x in text.split(":")]
+            lo, hi = parts[0], parts[1]
+            step = parts[2] if len(parts) > 2 else 1
+            out = list(range(lo, hi + 1, step))
+        else:
+            out = [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise ParameterError(f"bad integer range {text!r}") from exc
     if not out:
         raise ParameterError(f"empty range {text!r}")
     return out
@@ -371,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", required=True, help="cardinality, range lo:hi[:step], or comma list")
     p.add_argument("--odd-branch", action="store_true")
+    p.add_argument("--abs-tol", type=float, default=1e-9, help="pointwise certificate checks")
+    p.add_argument("--rel-tol", type=float, default=1e-9, help="value cross-checks")
+    _add_convention(p)
     p.set_defaults(func=_cmd_ulb)
 
     p = sub.add_parser("quadrature", help="1/M-quadrature rule")
@@ -400,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--degree", type=int, required=True, help="degree j of the improving polynomial")
     p.add_argument("--eta", type=float)
+    _add_convention(p)
     p.set_defaults(func=_cmd_improve)
 
     p = sub.add_parser("design-energy", help="energy bounds for designs")
@@ -426,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
         op = osub.add_parser(name)
         _add_space_args(op), _add_common(op)
         op.add_argument("--config", type=str)
-        op.add_argument("--points-json", type=str)
+        if name != "named":
+            op.add_argument("--points-json", type=str)
         if name == "energy":
-            _add_potential_args(op)
+            _add_potential_args(op), _add_convention(op)
         if name == "strength":
             op.add_argument("--tau-max", type=int, default=8)
         op.set_defaults(func=_cmd_oracle)
@@ -439,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         op.add_argument("--M", type=int, required=True)
         if name == "minimize":
             op.add_argument("--restarts", type=int, default=20)
+            op.add_argument("--seed", type=int, default=0)
+        else:
+            _add_convention(op)
         op.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("asymptotics", help="fixed-level large-dimension sweep")
@@ -497,9 +483,6 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         _fail(args, exc)
         return 2
-    except (ConvergenceError, ConditionError, UlbkitError) as exc:
-        _fail(args, exc)
-        return 1
     except Exception as exc:  # keep failures machine-readable
         _fail(args, exc)
         return 1

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the parameter-name check."""
 
 
 class UlbkitError(Exception):
@@ -7,6 +7,15 @@ class UlbkitError(Exception):
 
 class ParameterError(UlbkitError, ValueError):
     """Invalid space, potential, or query parameters."""
+
+
+def check_parameter_names(what: str, params, names):
+    """Raise ParameterError unless the names of params are exactly names."""
+    missing, extras = sorted(set(names) - set(params)), sorted(set(params) - set(names))
+    if missing:
+        raise ParameterError(f"{what} needs parameters {missing}")
+    if extras:
+        raise ParameterError(f"{what} takes no parameters {extras}")
 
 
 class DegreeOverflowError(UlbkitError):

@@ -4,8 +4,8 @@ Levels are indexed tau = 2k - 1 + eps with eps in {0, 1}.  A cardinality
 M determines its level through the design-bound intervals
 (D(tau), D(tau+1)].  The separation s, the root of L_tau(s) = M on the
 level's validity interval, and the nodes alpha_i are the eigenvalues of
-one bordered Jacobi matrix, and positive weights rho_i complete the
-exact integration identity
+one bordered Jacobi matrix, and its eigenvectors give the positive
+weights rho_i of the exact integration identity
 
     f_0 = f(1)/M + sum_i rho_i f(alpha_i),   deg f <= tau.
 """
@@ -140,13 +140,13 @@ def quadrature_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     """Build and validate the 1/M-quadrature rule for cardinality M."""
     k, eps, tau = tau_for_cardinality(space, M)
     lo, hi = validity_interval(space, tau)
-    nodes = _rule_nodes(space, M, k, eps)
+    nodes, weights = _bordered_rule(space, M, k, eps)
     if not _in_interval(nodes[-1], lo, hi):
         raise ConvergenceError(
             f"separation {nodes[-1]} for M={M} outside the level-{tau}"
             f" validity interval [{lo}, {hi}]"
         )
-    return _rule_from_nodes(space, M, k, eps, tau, nodes)
+    return _rule_from_nodes(space, M, k, eps, tau, nodes, weights)
 
 
 def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
@@ -162,23 +162,24 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
         return replace(quadrature_rule(space, M), odd_branch=True)
     lo = largest_zero(adjacent_system(space, 1, 0, k), k)
     hi = largest_zero(adjacent_system(space, 0, 0, k), k)
-    nodes = _rule_nodes(space, M, k, 0)
+    nodes, weights = _bordered_rule(space, M, k, 0)
     s = nodes[-1]
     if not (lo - 1e-12 * (hi - lo) <= s < hi):
         raise ConvergenceError(f"odd-branch separation {s} escaped [{lo}, {hi})")
-    return _rule_from_nodes(space, M, k, 0, 2 * k - 1, nodes, odd_branch=True)
+    return _rule_from_nodes(space, M, k, 0, 2 * k - 1, nodes, weights, odd_branch=True)
 
 
-def _rule_nodes(space: SpaceDescriptor, M: int, k: int, eps: int) -> np.ndarray:
-    """Nodes of the 1/M-rule at level 2k-1+eps, ascending; the last is s.
+def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
+    """Nodes and weights of the 1/M-rule at level 2k-1+eps; the last node is s.
 
     Against (1+t)^eps dnu the rule is a Gauss rule with the extra node
-    t = 1 of prescribed weight (1+eps)/M.  Its nodes are the eigenvalues
-    of the (0,eps) Jacobi matrix bordered by one row and column (Golub,
-    SIAM Rev. 1973): the last diagonal entry c = 1 - g'*v_{k-1}/v_k makes
-    1 an eigenvalue, and the last off-diagonal sqrt(g') gives it that
-    Golub-Welsch weight.  1 is the top eigenvalue; the k others are the
-    nodes besides -1.
+    t = 1 of prescribed weight (1+eps)/M.  It is the Gauss rule of the
+    (0,eps) Jacobi matrix bordered by one row and column (Golub, SIAM
+    Rev. 1973): the last diagonal entry c = 1 - g'*v_{k-1}/v_k makes 1
+    an eigenvalue, and the last off-diagonal sqrt(g') gives it that
+    weight.  1 is the top eigenvalue; the k others are the nodes besides
+    -1, with weights gamma_0 v_0i^2 / (1 + alpha_i)^eps.  The weight at
+    -1 (eps = 1) is left 0 for :func:`_rule_from_nodes`.
     """
     system = adjacent_system(space, 0, eps, k)
     b, g, r, v = system.rec_beta, system.rec_gamma, system.norms, system.value_at_one
@@ -186,26 +187,22 @@ def _rule_nodes(space: SpaceDescriptor, M: int, k: int, eps: int) -> np.ndarray:
     # for every M the level serves
     g_border = g[k] * r[k] / (M * g[0] / (1 + eps) - np.sum(r[:k]))
     c = 1.0 - g_border * v[k - 1] / v[k]
-    eig = rec.jacobi_zeros(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
-    return np.concatenate([[-1.0] * eps, eig[:-1]])
+    x, w = rec.gauss(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
+    x, w = x[:-1], w[:-1] / (1.0 + x[:-1]) ** eps
+    return np.concatenate([[-1.0] * eps, x]), np.concatenate([[0.0] * eps, w])
 
 
-def _rule_from_nodes(space, M, k, eps, tau, nodes, odd_branch=False) -> QuadratureRule:
+def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) -> QuadratureRule:
     s = float(nodes[-1])
     if abs(_lev_value(space, tau, s) - M) > _SOLVE_RTOL * M:
         raise ConvergenceError(f"L_{tau}(s) misses M={M} at the separation s={s}")
     if np.any(np.diff(nodes) <= 0):
         raise ConvergenceError("quadrature nodes are not strictly increasing")
-    # f_0 = f(1)/M + sum_j rho_j f(alpha_j) for f = Q_i, i < len(nodes)
-    deg = len(nodes) - 1
-    rhs = np.full(deg + 1, -1.0 / M)
-    rhs[0] += 1.0
-    weights = np.linalg.solve(eval_q_all(adjacent_system(space, 0, 0, deg), deg, nodes), rhs)
     if eps:
-        # The weight at -1 vanishes at the bottom of the level, where the
-        # solve leaves it to rounding.  The rule applied to
-        # (1-t) Q_k^{1,0}(t) prod_{i<k} (t - alpha_i), of degree tau and
-        # mean 0, gives it as a product, accurate relative to its size.
+        # The weight at -1 vanishes at the bottom of the level.  The rule
+        # applied to (1-t) Q_k^{1,0}(t) prod_{i<k} (t - alpha_i), of degree
+        # tau and mean 0, gives it as a product, accurate relative to its
+        # size.
         inner = nodes[1:-1]
         q = eval_q(adjacent_system(space, 1, 0, k), k, np.array([-1.0, s]))
         weights[0] = (

@@ -75,11 +75,12 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None) -
     else:
         alpha0, beta0 = space.jacobi_exponents()
         beta, gamma = rec.jacobi_monic(alpha0 + a, beta0 + b, max_deg + 1)
-        # gamma[0] is the raw Jacobi mass; renormalize so the base measure
-        # nu has unit mass.
-        base_mass = rec.jacobi_monic(alpha0, beta0, 1)[1][0]
-        gamma = gamma.copy()
-        gamma[0] /= base_mass
+        # gamma[0] is the raw Jacobi mass; relative to the unit mass of the
+        # base measure nu it is a ratio of Beta functions, rational in the
+        # exponents, which exp(lgamma) sums would give only to ~1e-13 at
+        # large alpha0.  The rule weights are proportional to it.
+        ab = alpha0 + beta0
+        gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
     value_at_one = rec.eval_all(beta, gamma, max_deg, np.array(1.0))
     norms_sq = np.cumprod(gamma)
     c_norm = 1.0 / gamma[0]

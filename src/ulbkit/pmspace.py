@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _recurrence as rec
-from .errors import DegreeOverflowError, ParameterError
+from .errors import DegreeOverflowError, ParameterError, check_parameter_names
 
 
 class Family(str, Enum):
@@ -44,15 +44,6 @@ class SpaceDescriptor:
         if self.family is Family.JOHNSON:
             return self.n == 2 * self.w
         return False
-
-    @property
-    def diameter(self) -> float:
-        return {
-            Family.SPHERE: 2.0,
-            Family.HAMMING: float(self.n),
-            Family.JOHNSON: float(self.w) if self.w else 0.0,
-            Family.PROJECTIVE: 1.0,
-        }[self.family]
 
     @property
     def max_degree(self) -> int | None:
@@ -108,40 +99,39 @@ def make_space(family, **params) -> SpaceDescriptor:
         field_dim in {1, 2, 4}.
     """
     family = Family(family)
-    n = params.get("n")
+    check_parameter_names(family.value, params, _PARAMETERS[family])
+    n = params["n"]
     if n is None or int(n) != n:
         raise ParameterError("every space needs an integer parameter n")
     n = int(n)
     if family is Family.SPHERE:
         if n < 2:
             raise ParameterError(f"sphere needs n >= 2, got {n}")
-        _reject_extras(params, {"n"})
         return SpaceDescriptor(family, n)
     if family is Family.HAMMING:
-        q = int(params.get("q", 0))
+        q = int(params["q"])
         if n < 2 or q < 2:
             raise ParameterError(f"Hamming needs n >= 2 and q >= 2, got n={n}, q={q}")
-        _reject_extras(params, {"n", "q"})
         return SpaceDescriptor(family, n, q=q)
     if family is Family.JOHNSON:
-        w = int(params.get("w", 0))
+        w = int(params["w"])
         if n < 2 or w < 1 or w > n // 2:
             raise ParameterError(f"Johnson needs 1 <= w <= n/2, got n={n}, w={w}")
-        _reject_extras(params, {"n", "w"})
         return SpaceDescriptor(family, n, w=w)
-    m = int(params.get("field_dim", 0))
+    m = int(params["field_dim"])
     if n < 2:
         raise ParameterError(f"projective space needs n >= 2, got {n}")
     if m not in (1, 2, 4):
         raise ParameterError(f"projective field_dim must be 1, 2 or 4, got {m}")
-    _reject_extras(params, {"n", "field_dim"})
     return SpaceDescriptor(family, n, field_dim=m)
 
 
-def _reject_extras(params, allowed):
-    extras = set(params) - allowed
-    if extras:
-        raise ParameterError(f"unexpected parameters: {sorted(extras)}")
+_PARAMETERS = {
+    Family.SPHERE: {"n"},
+    Family.HAMMING: {"n", "q"},
+    Family.JOHNSON: {"n", "w"},
+    Family.PROJECTIVE: {"n", "field_dim"},
+}
 
 
 def t_values(space: SpaceDescriptor) -> TValueSet:
@@ -195,13 +185,10 @@ def t_grid(space: SpaceDescriptor):
 def gauss_rule(space: SpaceDescriptor, npoints: int):
     """Gauss rule for the normalized continuous measure of an infinite space.
 
-    Exact for polynomial integrands of degree <= 2*npoints - 1.  Nodes
-    are the eigenvalues of the Jacobi matrix, weights the squared first
-    components of its unit eigenvectors (Golub & Welsch, Math. Comp. 1969).
+    Exact for polynomial integrands of degree <= 2*npoints - 1
+    (:func:`ulbkit._recurrence.gauss`).
     """
-    b, g = rec.jacobi_monic(*space.jacobi_exponents(), npoints)
-    x, vecs = np.linalg.eigh(rec.jacobi_matrix(b, g, npoints))
-    wts = vecs[0] ** 2
+    x, wts = rec.gauss(*rec.jacobi_monic(*space.jacobi_exponents(), npoints), npoints)
     return x, wts / np.sum(wts)
 
 

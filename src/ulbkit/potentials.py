@@ -11,21 +11,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_parameter_names
 
 
 @dataclass(frozen=True)
 class Potential:
     """An evaluable potential with closed-form derivatives.
 
-    ``deriv(t, j)`` returns the j-th derivative (j=0 is the value);
-    ``max_order`` is None when derivatives of every order exist.
+    ``deriv(t, j)`` returns the j-th derivative (j=0 is the value).
     """
 
     name: str
     params: dict = field(default_factory=dict)
     singular_at_one: bool = False
-    max_order: int | None = None
     _deriv: Callable = None
 
     def __call__(self, t):
@@ -34,10 +32,6 @@ class Potential:
     def deriv(self, t, order: int = 0):
         if order < 0:
             raise ParameterError("derivative order must be nonnegative")
-        if self.max_order is not None and order > self.max_order:
-            raise ParameterError(
-                f"{self.name} potential declares derivatives up to order {self.max_order}"
-            )
         t = np.asarray(t, dtype=float)
         if self.singular_at_one and np.any(t >= 1.0):
             raise DomainError(f"{self.name} potential is singular at t=1; got t >= 1")
@@ -48,6 +42,12 @@ class Potential:
         inner = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
                          for k, v in self.params.items())
         return f"{self.name}({inner})" if inner else self.name
+
+
+# the parameters each built-in potential takes
+_PARAMETERS = {
+    "riesz": {"p"}, "gaussian": {"c"}, "log": set(), "monomial": {"j"}, "series": {"coeffs"},
+}
 
 
 def builtin(name: str, **params) -> Potential:
@@ -64,9 +64,18 @@ def builtin(name: str, **params) -> Potential:
         - ``log``: h(t) = -log(2 - 2t)/2;
         - ``monomial`` (integer j >= 0): h(t) = (1 + t)^j;
         - ``series`` (coeffs, all >= 0): h(t) = sum_j c_j (1 + t)^j.
+
+    Raises
+    ------
+    ParameterError
+        For an unknown name, or a parameter that is missing, invalid or
+        not taken by the potential.
     """
+    if name not in _PARAMETERS:
+        raise ParameterError(f"unknown potential {name!r}")
+    check_parameter_names(f"{name} potential", params, _PARAMETERS[name])
     if name == "riesz":
-        p = float(params.get("p", 0.0))
+        p = float(params["p"])
         if p <= 0:
             raise ParameterError(f"riesz potential needs p > 0, got {p}")
 
@@ -80,7 +89,7 @@ def builtin(name: str, **params) -> Potential:
         return Potential("riesz", {"p": p}, singular_at_one=True, _deriv=deriv)
 
     if name == "gaussian":
-        c = float(params.get("c", 0.0))
+        c = float(params["c"])
         if c <= 0:
             raise ParameterError(f"gaussian potential needs c > 0, got {c}")
 
@@ -99,7 +108,7 @@ def builtin(name: str, **params) -> Potential:
         return Potential("log", {}, singular_at_one=True, _deriv=deriv)
 
     if name == "monomial":
-        jpow = int(params.get("j", -1))
+        jpow = int(params["j"])
         if jpow < 0:
             raise ParameterError("monomial potential needs an integer j >= 0")
 
@@ -111,23 +120,21 @@ def builtin(name: str, **params) -> Potential:
 
         return Potential("monomial", {"j": jpow}, _deriv=deriv)
 
-    if name == "series":
-        coeffs = np.asarray(params.get("coeffs", ()), dtype=float)
-        if coeffs.size == 0 or np.any(coeffs < 0):
-            raise ParameterError("series potential needs nonnegative coefficients")
+    # series, the last name left
+    coeffs = np.asarray(params["coeffs"], dtype=float)
+    if coeffs.size == 0 or np.any(coeffs < 0):
+        raise ParameterError("series potential needs nonnegative coefficients")
 
-        def deriv(t, j):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for jpow, c in enumerate(coeffs):
-                if c == 0.0 or j > jpow:
-                    continue
-                out = out + c * math.factorial(jpow) / math.factorial(jpow - j) * (1.0 + t) ** (jpow - j)
-            return out
+    def deriv(t, j):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for jpow, c in enumerate(coeffs):
+            if c == 0.0 or j > jpow:
+                continue
+            out = out + c * math.factorial(jpow) / math.factorial(jpow - j) * (1.0 + t) ** (jpow - j)
+        return out
 
-        return Potential("series", {"coeffs": tuple(coeffs)}, _deriv=deriv)
-
-    raise ParameterError(f"unknown potential {name!r}")
+    return Potential("series", {"coeffs": tuple(coeffs)}, _deriv=deriv)
 
 
 def check_absolutely_monotone(h: Potential, max_order: int, grid=None):

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 from dataclasses import replace
@@ -6,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ulbkit.cli import main
+from ulbkit.cli import build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "schemas" / "report.schema.json").read_text()
@@ -60,9 +61,10 @@ def test_testfns_report(capsys):
 
 def test_determinism(capsys):
     argv = ["ulb", "--space", "sphere", "--n", "4", "--M", "10",
-            "--potential", "gaussian", "--c", "1", "--seed", "3"]
-    _, out1, _ = run_cli(capsys, *argv)
-    _, out2, _ = run_cli(capsys, *argv)
+            "--potential", "gaussian", "--c", "1"]
+    code1, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
     assert out1 == out2
 
 
@@ -85,6 +87,82 @@ def test_missing_potential_param_exit_2(capsys):
         capsys, "ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ulb", "--space", "sphere", "--n", "3", "--M", "abc", "--potential", "riesz", "--p", "1"],
+     ["asymptotics", "--family", "sphere", "--tau", "1", "--potential", "gaussian", "--c", "1",
+      "--n-range", "8:x"]],
+    ids=["ulb-M", "asymptotics-n-range"],
+)
+def test_bad_integer_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ParameterError"
+
+
+_SPACE = ["field_dim", "n", "q", "space", "w"]
+_POTENTIAL = ["c", "coeffs", "j", "p", "potential"]
+_IO = ["format", "out"]
+# every option each subcommand declares: each one is read by its handler
+_FLAGS = {
+    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "abs_tol", "convention", "odd_branch", "rel_tol"],
+    "quadrature": _SPACE + _IO + ["M"],
+    "lev-bound": _SPACE + _IO + ["s", "tau"],
+    "design-bound": _SPACE + _IO + ["tau"],
+    "testfns": _SPACE + _IO + ["M", "jmax"],
+    "improve": _SPACE + _POTENTIAL + _IO + ["M", "convention", "degree", "eta"],
+    "design-energy": _SPACE + _POTENTIAL + _IO + ["I", "M", "direction", "poly", "poly_basis", "tau"],
+    "separated-energy": _SPACE + _POTENTIAL + _IO + ["M", "poly", "poly_basis", "s"],
+    "oracle energy": _SPACE + _POTENTIAL + _IO + ["config", "convention", "points_json"],
+    "oracle strength": _SPACE + _IO + ["config", "points_json", "tau_max"],
+    "oracle named": _SPACE + _IO + ["config"],
+    "oracle minimize": _POTENTIAL + _IO + ["M", "n", "restarts", "seed"],
+    "oracle exhaustive": _POTENTIAL + _IO + ["M", "convention", "n"],
+    "asymptotics": _POTENTIAL + _IO + ["delta", "family", "n_range", "rho", "tau"],
+    "selfcheck": _IO,
+}
+
+
+def _declared_flags(parser, prefix=""):
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out |= _declared_flags(child, f"{prefix} {name}".strip())
+            return out
+    out[prefix] = sorted(
+        a.dest for a in parser._actions if a.option_strings and a.dest != "help"
+    )
+    return out
+
+
+def test_cli_flag_surface():
+    declared = _declared_flags(build_parser())
+    assert declared == {cmd: sorted(flags) for cmd, flags in _FLAGS.items()}
+    assert sum(len(flags) for flags in declared.values()) == 169
+
+
+@pytest.mark.parametrize(
+    "argv,library",
+    [(["quadrature", "--space", "sphere", "--n", "3", "--M", "12", "--seed", "1"], False),
+     (["improve", "--space", "sphere", "--n", "3", "--M", "7", "--degree", "6",
+       "--potential", "riesz", "--p", "1", "--abs-tol", "1e-3"], False),
+     (["oracle", "named", "--space", "sphere", "--n", "3", "--config", "icosahedron",
+       "--points-json", "f"], False),
+     # declared flags the space or the potential does not take: the library refuses them
+     (["ulb", "--space", "sphere", "--n", "3", "--q", "7", "--M", "4",
+       "--potential", "riesz", "--p", "1"], True),
+     (["ulb", "--space", "sphere", "--n", "3", "--M", "4",
+       "--potential", "gaussian", "--c", "1", "--p", "9"], True)],
+    ids=["quadrature-seed", "improve-abs-tol", "named-points-json", "sphere-q", "gaussian-p"],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv, library):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    if library:
+        assert json.loads(err)["error"]["type"] == "ParameterError"
 
 
 def test_m_range_sweep(capsys):

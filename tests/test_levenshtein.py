@@ -447,3 +447,42 @@ def test_cardinality_equal_to_an_even_design_bound(family, params, M):
     assert lev.design_bound(space, rule.tau + 1) == pytest.approx(M, rel=1e-12)
     assert rule.tau % 2 == 1
     assert rule.weights.min() > 1e-8
+
+
+def _mp_weights_at(space, nodes, M):
+    """Weights of the rule at its own float nodes, solved at 40 digits:
+    sum_j rho_j Q_i(alpha_j) = delta_i0 - 1/M for i < len(nodes), with the
+    (0,0) recurrence coefficients converted to mp."""
+    n = len(nodes)
+    system = orthopoly.adjacent_system(space, 0, 0, n - 1)
+    rec = ([mpmath.mpf(x) for x in system.rec_beta[:n]],
+           [mpmath.mpf(x) for x in system.rec_gamma[:n]])
+    one = mpmath.mpf(1)
+    A = mpmath.matrix(n, n)
+    for i in range(n):
+        at_one = _mp_monic(rec, i, one)
+        for j in range(n):
+            A[i, j] = _mp_monic(rec, i, mpmath.mpf(nodes[j])) / at_one
+    rhs = mpmath.matrix([(1 if i == 0 else 0) - one / M for i in range(n)])
+    return mpmath.lu_solve(A, rhs)
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("johnson", {"n": 80, "w": 40}, 5831250618),
+        ("johnson", {"n": 80, "w": 40}, 2226245434203),
+        ("hamming", {"n": 30, "q": 2}, 53199091),
+        ("projective", {"n": 4, "field_dim": 4}, 193450991360),
+        ("sphere", {"n": 10}, 44264512),
+    ],
+)
+def test_rule_weights_match_mp_reference(family, params, M):
+    # the interior weights are Golub-Welsch weights, sums of positive terms:
+    # they keep their digits where a linear solve at high degree loses them
+    space = make_space(family, **params)
+    rule = lev.quadrature_rule(space, M)
+    with mpmath.workdps(40):
+        ref = np.array([float(w) for w in _mp_weights_at(space, rule.nodes, M)])
+    inner = slice(rule.epsilon, None)
+    assert np.max(np.abs(rule.weights[inner] / ref[inner] - 1)) <= 1e-10

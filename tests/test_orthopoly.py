@@ -240,3 +240,16 @@ def test_jacobi_and_grid_paths_agree_on_sphere():
         system = adjacent_system(space, a, b)
         assert np.max(np.abs(beta_g - system.rec_beta[:12])) < 1e-12
         assert np.max(np.abs(gamma_g[1:] - system.rec_gamma[1:12])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "space", [make_space("sphere", n=142), make_space("projective", n=38, field_dim=4)],
+    ids=["S^141", "HP^37"],
+)
+def test_adjacent_masses_to_rounding(space):
+    # gamma_0 of the (a,b) system is the nu-mass of (1-t)^a (1+t)^b, and the
+    # 1/M-rule weights are proportional to it
+    m1, m2 = pmspace.moment(space, 1), pmspace.moment(space, 2)
+    masses = {(0, 0): 1.0, (0, 1): 1 + m1, (1, 0): 1 - m1, (1, 1): 1 - m2}
+    for (a, b), mass in masses.items():
+        assert orthopoly.adjacent_system(space, a, b).rec_gamma[0] == pytest.approx(mass, rel=1e-14, abs=0)

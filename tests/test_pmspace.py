@@ -29,6 +29,8 @@ def test_make_space_examples():
         ("sphere", {"n": 1}),
         ("projective", {"n": 3, "field_dim": 3}),
         ("johnson", {"n": 4, "w": 0}),
+        ("hamming", {"n": 8}),
+        ("sphere", {"n": 3, "q": 2}),
     ],
 )
 def test_make_space_rejects_bad_params(family, params):

@@ -90,6 +90,15 @@ def test_invalid_parameters():
         builtin("nope")
 
 
+def test_parameters_a_potential_does_not_take():
+    with pytest.raises(ParameterError, match=r"\['c'\]"):
+        builtin("riesz", p=1, c=2)
+    with pytest.raises(ParameterError):
+        builtin("log", p=1)
+    with pytest.raises(ParameterError, match=r"needs parameters \['p'\]"):
+        builtin("riesz")
+
+
 def test_absolutely_monotone_riesz():
     ok, violation = check_absolutely_monotone(builtin("riesz", p=2), 10)
     assert ok and violation is None
