@@ -17,7 +17,7 @@ import numpy as np
 from . import _recurrence as rec
 from . import orthopoly, pmspace
 from .errors import ConvergenceError, DegreeOverflowError, ParameterError
-from .orthopoly import PolyCoeffs, adjacent_system, eval_q, eval_q_all, largest_zero
+from .orthopoly import PolyCoeffs, adjacent_system, eval_q, largest_zero
 from .pmspace import SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
@@ -213,9 +213,9 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
             f"nonpositive quadrature weight for M={M}: {weights}"
         )
     residual = 0.0
-    for m in range(tau + 1):
+    for m, b_m in enumerate(pmspace.moments(space, tau).tolist()):
         lhs = 1.0 / M + float(np.dot(weights, nodes**m))
-        residual = max(residual, abs(lhs - pmspace.moment(space, m)))
+        residual = max(residual, abs(lhs - b_m))
     if residual > _POWER_SUM_TOL:
         raise ConvergenceError(
             f"power-sum residual {residual:.2e} too large for M={M}"
@@ -236,12 +236,9 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> PolyCoeffs:
 
 def _lev_polynomial_from_rule(space: SpaceDescriptor, rule: QuadratureRule) -> PolyCoeffs:
     k, eps, s = rule.k, rule.epsilon, rule.s
-    system = adjacent_system(space, 1, eps, k - 1)
-    # kernel coefficients r_i Q_i(s) of T_{k-1}(t, s) = sum_i r_i Q_i(t) Q_i(s)
-    kern = system.norms[:k] * eval_q_all(system, k - 1, s)
 
     def level(t):
-        return (t + 1.0) ** eps * (t - s) * (kern @ eval_q_all(system, k - 1, t)) ** 2
+        return (t + 1.0) ** eps * (t - s) * orthopoly.cd_kernel(space, 1, eps, k - 1, t, s) ** 2
 
     return orthopoly._project(space, level, rule.tau)
 

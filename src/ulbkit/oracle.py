@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pmspace
+from . import orthopoly, pmspace
 from .errors import DomainError, ParameterError
 from .pmspace import Family, SpaceDescriptor
 from .potentials import Potential
@@ -154,11 +154,12 @@ def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
     vals = t[iu]
     M = code.size
     tol = 1e-8 * M * M
+    q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau_max), tau_max, vals)
+    # full double sums: M diagonal terms Q_i(1)=1 plus both pair orders
+    totals = M + 2.0 * np.sum(q, axis=1)
     strength = 0
     for i in range(1, tau_max + 1):
-        # full double sum: M diagonal terms Q_i(1)=1 plus both pair orders
-        total = M + 2.0 * float(np.sum(pmspace.q_eval(space, i, vals)))
-        if abs(total) > tol:
+        if abs(totals[i]) > tol:
             break
         strength = i
     return strength

@@ -187,19 +187,15 @@ def expand_in_q(space: SpaceDescriptor, poly: PolyCoeffs) -> PolyCoeffs:
 def _project(space: SpaceDescriptor, fn, deg: int) -> PolyCoeffs:
     """Q-basis coefficients of the polynomial fn, of degree at most deg.
 
-    f_i = r_i * integral(f * Q_i dnu): the discrete sum over the grid of
-    a finite space, the (deg+1)-point Gauss rule (exact to degree
-    2*deg+1) otherwise.  ``fn`` maps an array of t-values to f(t).
+    f_i = r_i * integral(f * Q_i dnu), by the measure rule exact to
+    degree 2*deg.  ``fn`` maps an array of t-values to f(t).
     """
     cap = space.max_degree
     if cap is not None and deg > cap:
         raise DegreeOverflowError(
             f"cannot expand degree {deg} in {space.label()} (cap {cap})"
         )
-    if space.is_finite:
-        x, wts = pmspace.t_grid(space)
-    else:
-        x, wts = pmspace.gauss_rule(space, deg + 1)
+    x, wts = pmspace.measure_rule(space, 2 * deg)
     system = adjacent_system(space, 0, 0, deg)
     qx = eval_q_all(system, deg, x)
     return PolyCoeffs(system.norms[: deg + 1] * (qx @ (wts * fn(x))), "q")

@@ -1,10 +1,12 @@
 """Descriptors for the four families of polynomial metric spaces.
 
 A space descriptor bundles the substitution image T(M), the orthogonality
-measure of its polynomial system, multiplicities, moments, and the
-antipodality flag.  The four families are the Euclidean sphere S^{n-1},
-the Hamming space H(n,q), the Johnson space J(n,w), and the projective
-spaces FP^{n-1} over R, C, H (field dimension m = 1, 2, 4).
+measure of its polynomial system, multiplicities and the antipodality
+flag.  This module alone turns the measure into nodes and weights
+(:func:`measure_rule`), and from them into moments.  The four families
+are the Euclidean sphere S^{n-1}, the Hamming space H(n,q), the Johnson
+space J(n,w), and the projective spaces FP^{n-1} over R, C, H (field
+dimension m = 1, 2, 4).
 """
 
 import math
@@ -79,14 +81,6 @@ class SpaceDescriptor:
         return f"{names[self.field_dim]}P^{self.n - 1}"
 
 
-@dataclass(frozen=True)
-class TValueSet:
-    """Image of the substitution: an interval or a finite grid of t-values."""
-
-    kind: str  # "interval" or "grid"
-    values: np.ndarray  # endpoints, or the grid t_0=1 > t_1 > ... >= -1
-
-
 def make_space(family, **params) -> SpaceDescriptor:
     """Construct and validate a space descriptor.
 
@@ -134,14 +128,6 @@ _PARAMETERS = {
 }
 
 
-def t_values(space: SpaceDescriptor) -> TValueSet:
-    """The admissible inner products T(M)."""
-    if not space.is_finite:
-        return TValueSet("interval", np.array([-1.0, 1.0]))
-    grid, _ = t_grid(space)
-    return TValueSet("grid", grid)
-
-
 def verification_grid(space: SpaceDescriptor) -> np.ndarray:
     """T(M) without t=1: the points where pointwise conditions are checked.
 
@@ -182,12 +168,15 @@ def t_grid(space: SpaceDescriptor):
     return _t_grid_cached(space)
 
 
-def gauss_rule(space: SpaceDescriptor, npoints: int):
-    """Gauss rule for the normalized continuous measure of an infinite space.
+def measure_rule(space: SpaceDescriptor, deg: int):
+    """Nodes and weights integrating every polynomial of degree <= deg against nu.
 
-    Exact for polynomial integrands of degree <= 2*npoints - 1
-    (:func:`ulbkit._recurrence.gauss`).
+    The grid and its masses for a finite space; otherwise the
+    (deg//2 + 1)-point Gauss rule (:func:`ulbkit._recurrence.gauss`).
     """
+    if space.is_finite:
+        return t_grid(space)
+    npoints = deg // 2 + 1
     x, wts = rec.gauss(*rec.jacobi_monic(*space.jacobi_exponents(), npoints), npoints)
     return x, wts / np.sum(wts)
 
@@ -225,25 +214,24 @@ def _gbinom(x: float, k: int) -> float:
     return out
 
 
-def moment(space: SpaceDescriptor, m: int) -> float:
-    """Moment b_m of the orthogonality measure; b_0 = 1."""
-    if m < 0:
+def moments(space: SpaceDescriptor, deg: int) -> np.ndarray:
+    """Moments b_0..b_deg of the orthogonality measure; b_0 = 1."""
+    if deg < 0:
         raise ParameterError("moment order must be nonnegative")
-    if m == 0:
-        return 1.0
-    if space.antipodal and m % 2 == 1:
-        return 0.0
     if space.family is Family.SPHERE:
-        # b_{2j} = (2j-1)!! / (n (n+2) ... (n+2j-2)); odd moments vanish
-        n, out = space.n, 1.0
-        for j in range(m // 2):
-            out *= (2 * j + 1) / (n + 2 * j)
+        # b_{2j} = (2j-1)!! / (n (n+2) ... (n+2j-2)): a closed form keeps the
+        # power-sum check of a sphere's rule independent of the Jacobi
+        # recurrence that builds the rule
+        j = np.arange(deg // 2)
+        out = np.zeros(deg + 1)
+        out[::2] = np.cumprod(np.append(1.0, (2 * j + 1) / (space.n + 2 * j)))
         return out
-    if space.is_finite:
-        t, mass = t_grid(space)
-        return float(np.dot(mass, t**m))
-    x, wts = gauss_rule(space, m // 2 + 2)
-    return float(np.dot(wts, x**m))
+    x, wts = measure_rule(space, deg)
+    out = np.array([np.dot(wts, x**m) for m in range(deg + 1)])
+    out[0] = 1.0
+    if space.antipodal:
+        out[1::2] = 0.0
+    return out
 
 
 def q1_value(space: SpaceDescriptor) -> float:
@@ -255,14 +243,6 @@ def q1_value(space: SpaceDescriptor) -> float:
     if space.family is Family.JOHNSON:
         return space.n / space.w
     return float(space.n)
-
-
-def q_eval(space: SpaceDescriptor, i: int, t):
-    """Value of the normalized system polynomial Q_i (Q_i(1) = 1)."""
-    _check_degree(space, i)
-    from . import orthopoly
-
-    return orthopoly.eval_q(orthopoly.adjacent_system(space, 0, 0, i), i, t)
 
 
 def _check_degree(space: SpaceDescriptor, i: int):

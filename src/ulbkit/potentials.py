@@ -144,15 +144,20 @@ def check_absolutely_monotone(h: Potential, max_order: int, grid=None):
     -------
     ok : bool
     violation : tuple or None
-        First (order, t, value) with value < -1e-12, scanned in order.
+        First (order, t, value) with value < -1e-12 or nan, scanned in
+        order.  +inf passes: a derivative that outgrows double precision
+        is still positive.
     """
     if grid is None:
         grid = np.linspace(-1.0, 1.0 - 1e-4, 201)
     grid = np.asarray(grid, dtype=float)
-    for order in range(max_order + 1):
-        vals = np.asarray(h.deriv(grid, order))
-        bad = np.nonzero(vals < -1e-12)[0]
-        if bad.size:
-            i = int(bad[0])
-            return False, (order, float(grid[i]), float(vals[i]))
+    # high orders overflow to inf, and inf*0 gives nan: the check decides
+    # both below, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(max_order + 1):
+            vals = np.asarray(h.deriv(grid, order))
+            bad = np.nonzero(~(vals >= -1e-12))[0]
+            if bad.size:
+                i = int(bad[0])
+                return False, (order, float(grid[i]), float(vals[i]))
     return True, None

@@ -149,7 +149,7 @@ def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
     f0 = float(certificate.coeffs[0])
     f1 = float(np.sum(certificate.coeffs))
     alt = rule.M * (f0 * rule.M - f1)
-    if abs(alt - value_sum) > rel_tol * max(1.0, abs(value_sum)):
+    if not (abs(alt - value_sum) <= rel_tol * max(1.0, abs(value_sum))):
         raise ConditionError(
             f"certificate value {alt} disagrees with quadrature value {value_sum}",
             where=None,

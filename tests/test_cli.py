@@ -1,6 +1,9 @@
 import argparse
 import importlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -379,3 +382,17 @@ def test_failed_certificate_exits_1(capsys, monkeypatch, argv, failed):
     assert error["error"]["type"] == "ConditionError"
     assert "S^2" in error["error"]["message"] and failed in error["error"]["message"]
     assert ("M=4" if argv[0] == "ulb" else "M=7") in error["error"]["message"]
+
+
+def test_overflowing_derivatives_leave_stderr_empty():
+    # Riesz p=1 derivatives overflow to inf well below order 445; a fresh
+    # process shows that no numpy warning reaches stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ulbkit.cli", "ulb", "--space", "sphere", "--n", "3",
+         "--M", "5000", "--potential", "riesz", "--p", "1"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

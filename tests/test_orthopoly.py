@@ -19,10 +19,7 @@ SPACES = [
 
 
 def _inner_product_rule(space, deg, a, b):
-    if space.is_finite:
-        x, wts = pmspace.t_grid(space)
-    else:
-        x, wts = pmspace.gauss_rule(space, deg + a + b + 4)
+    x, wts = pmspace.measure_rule(space, 2 * (deg + a + b + 4) - 1)
     return x, wts * (1 - x) ** a * (1 + x) ** b
 
 
@@ -233,7 +230,7 @@ def test_jacobi_and_grid_paths_agree_on_sphere():
     from ulbkit import _recurrence as rec
 
     space = make_space("sphere", n=4)
-    x, w = pmspace.gauss_rule(space, 50)
+    x, w = pmspace.measure_rule(space, 99)
     for a, b in [(0, 1), (1, 0), (1, 1)]:
         wab = w * (1 - x) ** a * (1 + x) ** b
         beta_g, gamma_g = rec.stieltjes(x, wab, 12)
@@ -249,7 +246,7 @@ def test_jacobi_and_grid_paths_agree_on_sphere():
 def test_adjacent_masses_to_rounding(space):
     # gamma_0 of the (a,b) system is the nu-mass of (1-t)^a (1+t)^b, and the
     # 1/M-rule weights are proportional to it
-    m1, m2 = pmspace.moment(space, 1), pmspace.moment(space, 2)
+    _, m1, m2 = pmspace.moments(space, 2)
     masses = {(0, 0): 1.0, (0, 1): 1 + m1, (1, 0): 1 - m1, (1, 1): 1 - m2}
     for (a, b), mass in masses.items():
         assert orthopoly.adjacent_system(space, a, b).rec_gamma[0] == pytest.approx(mass, rel=1e-14, abs=0)

@@ -125,3 +125,20 @@ def test_linear_potential_fails_at_order_zero():
 def test_log_fails_at_order_zero():
     ok, violation = check_absolutely_monotone(builtin("log"), 3)
     assert not ok and violation[0] == 0
+
+
+def test_nan_derivatives_are_a_violation():
+    h = Potential("nan", {}, _deriv=lambda t, j: np.full_like(t, np.nan))
+    ok, violation = check_absolutely_monotone(h, 3)
+    assert not ok
+    assert violation[0] == 0 and np.isnan(violation[2])
+
+
+def test_riesz_nan_order_is_reported():
+    # the coefficient overflows to inf and (2-2t)^(-p/2-j) underflows to 0
+    # at t = -1, so inf*0 = nan from order 537 on; +inf values still pass
+    ok, violation = check_absolutely_monotone(builtin("riesz", p=1), 540)
+    assert not ok
+    order, t, value = violation
+    assert order == 537 and t == -1.0 and np.isnan(value)
+    assert check_absolutely_monotone(builtin("riesz", p=1), 536) == (True, None)

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
-from ulbkit.errors import MonotonicityError, ParameterError
+from ulbkit.errors import ConditionError, MonotonicityError, ParameterError
 from ulbkit.orthopoly import PolyCoeffs
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
@@ -17,7 +18,7 @@ from ulbkit.ulb import (
     verify_certificate,
 )
 from ulbkit.ulb import test_functions as compute_test_functions
-from ulbkit.ulb import _improve_given_rule, _test_functions_from_rule
+from ulbkit.ulb import _check_value_identity, _improve_given_rule, _test_functions_from_rule
 
 RIESZ1 = builtin("riesz", p=1)
 GAUSS = builtin("gaussian", c=1)
@@ -275,9 +276,10 @@ def test_quadrature_identity_on_reports():
     for space, M in [(make_space("sphere", n=4), 12), (make_space("hamming", n=6, q=2), 10)]:
         rep = ulb(space, M, GAUSS)
         rule = rep.rule
+        b = pmspace.moments(space, rule.tau)
         for _ in range(200):
             c = rng.uniform(-1, 1, rule.tau + 1)
-            f0 = sum(ci * pmspace.moment(space, i) for i, ci in enumerate(c))
+            f0 = sum(ci * bi for ci, bi in zip(c, b))
             resid = f0 - npoly.polyval(1.0, c) / M
             resid -= float(np.dot(rule.weights, npoly.polyval(rule.nodes, c)))
             assert abs(resid) <= 1e-9 * np.sum(np.abs(c))
@@ -326,3 +328,29 @@ def test_certificate_matches_mp_reference(M, name):
     err = np.abs(orthopoly.poly_eval(space, rep.certificate, grid) - ref_vals)
     assert np.all(err <= 1e-9 * (1 + np.abs(h(grid))))
     assert float(np.sum(rep.certificate.coeffs)) == pytest.approx(ref_one, rel=1e-9)
+
+
+def test_value_identity_refuses_nan():
+    rep = ulb(make_space("sphere", n=3), 4, RIESZ1)
+    _check_value_identity(rep.rule, rep.certificate, rep.value_sum)
+    with pytest.raises(ConditionError):
+        _check_value_identity(rep.rule, rep.certificate, float("nan"))
+
+
+def test_one_measure_rule_per_ulb(monkeypatch):
+    # a warm CP^2 op at tau 33 solves one eigenproblem for its rule and
+    # one for the moments of its power-sum check
+    space = make_space("projective", n=3, field_dim=2)
+    lo = lev.design_bound(space, 33)
+    M = int(round(0.5 * (lo + lev.design_bound(space, 34))))
+    ulb(space, M, RIESZ1)
+    calls = []
+    gauss = rec.gauss
+
+    def counting_gauss(*args):
+        calls.append(args)
+        return gauss(*args)
+
+    monkeypatch.setattr(rec, "gauss", counting_gauss)
+    assert ulb(space, M, RIESZ1).rule.tau == 33
+    assert len(calls) == 2
