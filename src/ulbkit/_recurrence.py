@@ -107,16 +107,6 @@ def eval_all(b, g, deg: int, t):
     return out
 
 
-def eval_one(b, g, deg: int, t):
-    """Value of the monic polynomial of degree deg at t."""
-    t = np.asarray(t, dtype=float)
-    p_prev = np.zeros_like(t)
-    p_cur = np.ones_like(t)
-    for k in range(deg):
-        p_prev, p_cur = p_cur, (t - b[k]) * p_cur - (g[k] if k > 0 else 0.0) * p_prev
-    return p_cur if p_cur.shape else float(p_cur)
-
-
 def eval_derivatives(b, g, deg: int, order: int, t):
     """Derivatives of orders 0..order of the monic polynomials of degrees 0..deg at t.
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import __version__, asymptotics, designbounds, levenshtein, oracle, orthopoly
 from . import pmspace, potentials, selfcheck
-from .ulb import UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch
+from .ulb import (
+    _BELOW_TOL, _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch,
+)
 from .errors import (
     ConditionError,
     DegreeOverflowError,
@@ -121,10 +123,12 @@ def _int_range(text):
     return out
 
 
-def _poly_from(args) -> orthopoly.PolyCoeffs:
+def _poly_from(args, space):
+    """Q-coefficients of --poly, converted from monomial coefficients unless --poly-basis q."""
     if args.poly is None:
         raise ParameterError("a --poly coefficient list is required")
-    return orthopoly.PolyCoeffs(_floats(args.poly), args.poly_basis)
+    coeffs = np.array(_floats(args.poly))
+    return coeffs if args.poly_basis == "q" else orthopoly.expand_in_q(space, coeffs)
 
 
 def _echo(args):
@@ -165,7 +169,7 @@ def _report_payload(rep: UlbReport):
         "value": rep.value,
         "odd_branch": rep.odd_branch,
         "rule": _rule_payload(rep.rule),
-        "certificate_q_coeffs": _jsonable(rep.certificate.coeffs),
+        "certificate_q_coeffs": _jsonable(rep.certificate),
         "certificate_checks": _jsonable(rep.certificate_checks),
     }
     if rep.improvement:
@@ -246,7 +250,7 @@ def _cmd_design_energy(args):
             raise ParameterError("--I takes an interval as two numbers lo,hi")
         subset = (vals[0], vals[1])
     query = designbounds.DesignEnergyQuery(
-        space, args.tau, args.M, h, _poly_from(args), args.direction, subset=subset
+        space, args.tau, args.M, h, _poly_from(args, space), args.direction, subset=subset
     )
     fn = designbounds.design_lower_bound if args.direction == "lower" else designbounds.design_upper_bound
     return {"space": space.label(), "direction": args.direction, "bound": fn(query)}
@@ -256,7 +260,7 @@ def _cmd_separated_energy(args):
     space = _space_from(args)
     h = _potential_from(args)
     query = designbounds.DesignEnergyQuery(
-        space, 0, args.M, h, _poly_from(args), "separated_upper", separation=args.s
+        space, 0, args.M, h, _poly_from(args, space), "separated_upper", separation=args.s
     )
     return {"space": space.label(), "s": args.s, "bound": designbounds.separated_upper_bound(query)}
 
@@ -349,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", required=True, help="cardinality, range lo:hi[:step], or comma list")
     p.add_argument("--odd-branch", action="store_true")
-    p.add_argument("--abs-tol", type=float, default=1e-9, help="pointwise certificate checks")
-    p.add_argument("--rel-tol", type=float, default=1e-9, help="value cross-checks")
+    p.add_argument("--abs-tol", type=float, default=_BELOW_TOL, help="pointwise certificate checks")
+    p.add_argument("--rel-tol", type=float, default=_IDENTITY_TOL, help="value cross-checks")
     _add_convention(p)
     p.set_defaults(func=_cmd_ulb)
 

@@ -7,13 +7,13 @@ value M*(f_0*M - f(1)).  A polynomial that fails a condition never
 yields a bound; the failure carries the offending index or point.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pmspace
 from .errors import ConditionError, ParameterError
-from .orthopoly import PolyCoeffs, expand_in_q, poly_eval
+from .orthopoly import poly_eval
 from .pmspace import SpaceDescriptor
 from .potentials import Potential
 
@@ -35,7 +35,7 @@ class DesignEnergyQuery:
     tau: int
     M: int
     h: Potential
-    f: PolyCoeffs
+    f: np.ndarray  # Q-coefficients f_0..f_deg
     direction: str  # "lower" | "upper" | "separated_upper"
     subset: object = None
     separation: float | None = None
@@ -73,13 +73,12 @@ def _subset_grid(query: DesignEnergyQuery, upper: float | None = None) -> np.nda
 
 def _lp_value(query: DesignEnergyQuery) -> float:
     # f_0 is the constant Q-coefficient, f(1) the sum of all of them
-    c = query.f.coeffs
+    c = query.f
     return query.M * (float(c[0]) * query.M - float(np.sum(c)))
 
 
 def _pointwise(query, grid, want_below: bool, label: str):
-    f = query.f
-    fv = np.asarray(poly_eval(query.space, f, grid), dtype=float)
+    fv = np.asarray(poly_eval(query.space, query.f, grid), dtype=float)
     hv = np.asarray(query.h(grid), dtype=float)
     gap = (hv - fv) if want_below else (fv - hv)
     tol = _GRID_TOL * (1.0 + np.abs(hv))
@@ -93,11 +92,10 @@ def _pointwise(query, grid, want_below: bool, label: str):
         )
 
 
-def _coefficient_sign(query, start: int, want_nonneg: bool, label: str, stop: int | None = None):
-    qc = query.f.coeffs
+def _coefficient_sign(query, start: int, want_nonneg: bool, label: str):
+    qc = query.f
     scale = max(1.0, float(np.max(np.abs(qc))))
-    end = len(qc) if stop is None else min(len(qc), stop + 1)
-    for i in range(start, end):
+    for i in range(start, len(qc)):
         c = qc[i]
         bad = c < -_COEFF_TOL * scale if want_nonneg else c > _COEFF_TOL * scale
         if bad:
@@ -115,7 +113,6 @@ def design_lower_bound(query: DesignEnergyQuery) -> float:
     """
     if query.direction != "lower":
         raise ParameterError("query direction must be 'lower'")
-    query = replace(query, f=expand_in_q(query.space, query.f))
     _pointwise(query, _subset_grid(query), want_below=True, label="(D1) f<=h")
     _coefficient_sign(query, query.tau + 1, True, "(D2) f_i>=0 for i>tau")
     return _lp_value(query)
@@ -128,7 +125,6 @@ def design_upper_bound(query: DesignEnergyQuery) -> float:
     """
     if query.direction != "upper":
         raise ParameterError("query direction must be 'upper'")
-    query = replace(query, f=expand_in_q(query.space, query.f))
     _pointwise(query, _subset_grid(query), want_below=False, label="(E1) g>=h")
     _coefficient_sign(query, query.tau + 1, False, "(E2) g_i<=0 for i>tau")
     return _lp_value(query)
@@ -142,7 +138,6 @@ def separated_upper_bound(query: DesignEnergyQuery) -> float:
     """
     if query.direction != "separated_upper":
         raise ParameterError("query direction must be 'separated_upper'")
-    query = replace(query, f=expand_in_q(query.space, query.f))
     grid = _subset_grid(query, upper=query.separation)
     _pointwise(query, grid, want_below=False, label="(F1) f>=h below s")
     _coefficient_sign(query, 1, False, "(F2) f_i<=0 for i>=1")

@@ -17,7 +17,7 @@ import numpy as np
 from . import _recurrence as rec
 from . import orthopoly, pmspace
 from .errors import ConvergenceError, DegreeOverflowError, ParameterError
-from .orthopoly import PolyCoeffs, adjacent_system, eval_q, largest_zero
+from .orthopoly import adjacent_system, eval_q_all, largest_zero
 from .pmspace import SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
@@ -89,9 +89,9 @@ def _in_interval(s: float, lo: float, hi: float) -> bool:
 
 def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
     k, eps = _split(tau)
-    num = eval_q(adjacent_system(space, 1, eps, k - 1), k - 1, s)
+    num = eval_q_all(adjacent_system(space, 1, eps, k - 1), k - 1, s)[k - 1]
     system = adjacent_system(space, 0, eps, k)
-    den = eval_q(system, k, s)
+    den = eval_q_all(system, k, s)[k]
     head = float(np.sum(system.norms[:k]))
     return pmspace.q1_value(space) ** eps * (1.0 - num / den) * head
 
@@ -204,7 +204,7 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         # tau and mean 0, gives it as a product, accurate relative to its
         # size.
         inner = nodes[1:-1]
-        q = eval_q(adjacent_system(space, 1, 0, k), k, np.array([-1.0, s]))
+        q = eval_q_all(adjacent_system(space, 1, 0, k), k, np.array([-1.0, s]))[k]
         weights[0] = (
             -weights[-1] * (1 - s) * q[1] * np.prod(s - inner) / (2 * q[0] * np.prod(-1 - inner))
         )
@@ -225,8 +225,8 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
     )
 
 
-def lev_polynomial(space: SpaceDescriptor, M: int) -> PolyCoeffs:
-    """The level polynomial (t+1)^eps (t-s) T_{k-1}^{1,eps}(t,s)^2.
+def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:
+    """Q-coefficients of the level polynomial (t+1)^eps (t-s) T_{k-1}^{1,eps}(t,s)^2.
 
     Degree tau; vanishes at every node; attains f(1)/f_0 = M.
     """
@@ -234,7 +234,7 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> PolyCoeffs:
     return _lev_polynomial_from_rule(space, rule)
 
 
-def _lev_polynomial_from_rule(space: SpaceDescriptor, rule: QuadratureRule) -> PolyCoeffs:
+def _lev_polynomial_from_rule(space: SpaceDescriptor, rule: QuadratureRule) -> np.ndarray:
     k, eps, s = rule.k, rule.epsilon, rule.s
 
     def level(t):

@@ -4,7 +4,8 @@ For a space with orthogonality measure nu, the (a,b)-adjacent system
 consists of the polynomials orthogonal under the extra weight
 (1-t)^a (1+t)^b, normalized so that each polynomial equals 1 at t=1.
 The base system is (a,b) = (0,0).  Every polynomial ulbkit computes is
-held by its coefficients in the base system (the Q-basis).
+held as a float array of its coefficients f_0..f_deg in the base system
+(the Q-basis).
 """
 
 from dataclasses import dataclass
@@ -94,12 +95,6 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None) -
 adjacent_system.cache_info = _build_system.cache_info
 
 
-def eval_q(system: OrthoSystem, i: int, t):
-    """Q_i^{a,b}(t), normalized so Q_i^{a,b}(1) = 1."""
-    _check(system, i)
-    return rec.eval_one(system.rec_beta, system.rec_gamma, i, t) / system.value_at_one[i]
-
-
 def eval_q_all(system: OrthoSystem, deg: int, t):
     """Values of Q_0..Q_deg at t, shape (deg+1,) + shape(t)."""
     _check(system, deg)
@@ -142,50 +137,23 @@ def cd_kernel(space: SpaceDescriptor, a: int, b: int, j: int, u, v):
     return float(out) if out.shape == () else out
 
 
-@dataclass(frozen=True, eq=False)
-class PolyCoeffs:
-    """Polynomial coefficients, ascending, in the monomial or Q basis.
-
-    ulbkit returns Q-basis polynomials; monomial coefficients are an
-    input format, converted by :func:`expand_in_q`.
-    """
-
-    coeffs: np.ndarray
-    basis: str = "monomial"  # "monomial" | "q"
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        scale = np.max(np.abs(c)) if c.size else 0.0
-        if scale > 0:
-            nz = np.nonzero(np.abs(c) > 1e-14 * scale)[0]
-            c = c[: nz[-1] + 1] if nz.size else c[:1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def poly_eval(space: SpaceDescriptor, poly: PolyCoeffs, t):
-    """Evaluate a polynomial in either basis."""
-    if poly.basis == "monomial":
-        out = npoly.polyval(np.asarray(t, dtype=float), poly.coeffs)
-        return float(out) if np.ndim(t) == 0 else out
-    system = adjacent_system(space, 0, 0, poly.degree)
-    vals = eval_q_all(system, poly.degree, t)
-    out = np.tensordot(poly.coeffs, vals, axes=(0, 0))
+def poly_eval(space: SpaceDescriptor, coeffs, t):
+    """Value at t of f = sum_i f_i Q_i, given its Q-coefficients f_0..f_deg."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    deg = len(coeffs) - 1
+    vals = eval_q_all(adjacent_system(space, 0, 0, deg), deg, t)
+    out = np.tensordot(coeffs, vals, axes=(0, 0))
     return float(out) if np.ndim(t) == 0 else out
 
 
-def expand_in_q(space: SpaceDescriptor, poly: PolyCoeffs) -> PolyCoeffs:
-    """Coefficients f_i of f = sum_i f_i Q_i in the base system."""
-    if poly.basis == "q":
-        return poly
-    return _project(space, lambda x: npoly.polyval(x, poly.coeffs), poly.degree)
+def expand_in_q(space: SpaceDescriptor, monomial) -> np.ndarray:
+    """Q-coefficients f_i of f = sum_i f_i Q_i, given f's monomial coefficients, ascending."""
+    monomial = np.asarray(monomial, dtype=float)
+    return _project(space, lambda x: npoly.polyval(x, monomial), len(monomial) - 1)
 
 
-def _project(space: SpaceDescriptor, fn, deg: int) -> PolyCoeffs:
-    """Q-basis coefficients of the polynomial fn, of degree at most deg.
+def _project(space: SpaceDescriptor, fn, deg: int) -> np.ndarray:
+    """Q-coefficients of the polynomial fn, of degree at most deg.
 
     f_i = r_i * integral(f * Q_i dnu), by the measure rule exact to
     degree 2*deg.  ``fn`` maps an array of t-values to f(t).
@@ -198,7 +166,7 @@ def _project(space: SpaceDescriptor, fn, deg: int) -> PolyCoeffs:
     x, wts = pmspace.measure_rule(space, 2 * deg)
     system = adjacent_system(space, 0, 0, deg)
     qx = eval_q_all(system, deg, x)
-    return PolyCoeffs(system.norms[: deg + 1] * (qx @ (wts * fn(x))), "q")
+    return system.norms[: deg + 1] * (qx @ (wts * fn(x)))
 
 
 def _check(system: OrthoSystem, i: int):

@@ -94,7 +94,8 @@ def builtin(name: str, **params) -> Potential:
             raise ParameterError(f"gaussian potential needs c > 0, got {c}")
 
         def deriv(t, j):
-            return c**j * np.exp(c * t)
+            # a numpy power overflows to inf where a float power raises
+            return np.float64(c) ** j * np.exp(c * t)
 
         return Potential("gaussian", {"c": c}, _deriv=deriv)
 
@@ -103,7 +104,7 @@ def builtin(name: str, **params) -> Potential:
         def deriv(t, j):
             if j == 0:
                 return -0.5 * np.log(2.0 - 2.0 * t)
-            return math.factorial(j - 1) * 2.0 ** (j - 1) * (2.0 - 2.0 * t) ** (-j)
+            return _float(math.factorial(j - 1) << (j - 1)) * (2.0 - 2.0 * t) ** (-j)
 
         return Potential("log", {}, singular_at_one=True, _deriv=deriv)
 
@@ -115,7 +116,7 @@ def builtin(name: str, **params) -> Potential:
         def deriv(t, j):
             if j > jpow:
                 return np.zeros_like(np.asarray(t, dtype=float))
-            coef = math.factorial(jpow) / math.factorial(jpow - j)
+            coef = _float(math.perm(jpow, j))
             return coef * (1.0 + t) ** (jpow - j)
 
         return Potential("monomial", {"j": jpow}, _deriv=deriv)
@@ -131,10 +132,19 @@ def builtin(name: str, **params) -> Potential:
         for jpow, c in enumerate(coeffs):
             if c == 0.0 or j > jpow:
                 continue
-            out = out + c * math.factorial(jpow) / math.factorial(jpow - j) * (1.0 + t) ** (jpow - j)
+            coef = _float(math.perm(jpow, j))
+            out = out + c * coef * (1.0 + t) ** (jpow - j)
         return out
 
     return Potential("series", {"coeffs": tuple(coeffs)}, _deriv=deriv)
+
+
+def _float(n: int) -> float:
+    """n as a float, or inf past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 def check_absolutely_monotone(h: Potential, max_order: int, grid=None):

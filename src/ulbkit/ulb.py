@@ -16,13 +16,13 @@ import numpy as np
 from . import orthopoly, pmspace
 from .errors import ConditionError, ConvergenceError, MonotonicityError, ParameterError
 from .levenshtein import QuadratureRule, odd_branch_rule, quadrature_rule
-from .orthopoly import PolyCoeffs, adjacent_system, eval_q_all, expand_in_q, poly_eval
+from .orthopoly import adjacent_system, eval_q_all, poly_eval
 from .pmspace import SpaceDescriptor
 from .potentials import Potential, check_absolutely_monotone
 
 _FGEQ_TOL = -1e-8
 _BELOW_TOL = 1e-9
-_IDENTITY_TOL = 1e-8
+_IDENTITY_TOL = 1e-9
 # where the shifted potential of an improvement is checked for monotonicity
 _ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
 
@@ -43,7 +43,7 @@ class UlbReport:
     rule: QuadratureRule
     value_sum: float
     value_mean: float
-    certificate: PolyCoeffs
+    certificate: np.ndarray  # Q-coefficients f_0..f_tau
     certificate_checks: CertificateChecks
     energy_convention: str = "sum"
     improvement: dict | None = None
@@ -146,8 +146,8 @@ def _require_monotone(h: Potential, order: int):
 def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
     # the certificate must reproduce the bound through M*(f_0*M - f(1)),
     # where f_0 is the constant Q-coefficient and f(1) their sum
-    f0 = float(certificate.coeffs[0])
-    f1 = float(np.sum(certificate.coeffs))
+    f0 = float(certificate[0])
+    f1 = float(np.sum(certificate))
     alt = rule.M * (f0 * rule.M - f1)
     if not (abs(alt - value_sum) <= rel_tol * max(1.0, abs(value_sum))):
         raise ConditionError(
@@ -156,12 +156,12 @@ def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
         )
 
 
-def hermite_certificate(rule: QuadratureRule, h: Potential) -> PolyCoeffs:
+def hermite_certificate(rule: QuadratureRule, h: Potential) -> np.ndarray:
     """Hermite interpolant of h at the rule's nodes, in the Q-basis.
 
     Every node is matched to first order except a node at -1, which is
-    matched to order zero only.  Degree is at most tau.  The coefficients
-    solve sum_i f_i Q_i(a) = h(a) and sum_i f_i Q_i'(a) = h'(a) over the
+    matched to order zero only.  The tau+1 coefficients f_0..f_tau solve
+    sum_i f_i Q_i(a) = h(a) and sum_i f_i Q_i'(a) = h'(a) over the
     matched nodes a.
     """
     nodes = rule.nodes
@@ -170,20 +170,19 @@ def hermite_certificate(rule: QuadratureRule, h: Potential) -> PolyCoeffs:
     q = orthopoly.eval_q_derivatives(adjacent_system(rule.space, 0, 0, deg), deg, 1, nodes)
     lhs = np.hstack([q[:, 0], q[:, 1, skip:]]).T
     rhs = np.concatenate([h(nodes), h.deriv(nodes[skip:], 1)])
-    return PolyCoeffs(np.linalg.solve(lhs, rhs), "q")
+    return np.linalg.solve(lhs, rhs)
 
 
 def verify_certificate(
-    space: SpaceDescriptor, f: PolyCoeffs, h: Potential, below_tol: float = _BELOW_TOL
+    space: SpaceDescriptor, f: np.ndarray, h: Potential, below_tol: float = _BELOW_TOL
 ) -> CertificateChecks:
-    """Check the two bound conditions for a candidate polynomial.
+    """Check the two bound conditions for a candidate polynomial, given its Q-coefficients.
 
     ``below_h``: f <= h on a dense grid of T(M) minus the point 1,
     with tolerance below_tol * (1 + |h|); ``f_geq``: all coefficients of
     the expansion in the Q-system are nonnegative (within -1e-8).
     Failures are reported as data.
     """
-    f = expand_in_q(space, f)
     grid = pmspace.verification_grid(space)
     fv = poly_eval(space, f, grid)
     hv = np.asarray(h(grid), dtype=float)
@@ -191,7 +190,7 @@ def verify_certificate(
     tol = below_tol * (1.0 + np.abs(hv))
     worst = int(np.argmax(excess - tol))
     below = bool(np.all(excess <= tol))
-    minq = float(f.coeffs.min())
+    minq = float(np.min(f))
     return CertificateChecks(
         below_h=below,
         f_geq=bool(minq >= _FGEQ_TOL),
@@ -270,10 +269,9 @@ def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_val
         if not check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
             raise ParameterError(f"supplied eta={eta} breaks absolute monotonicity")
     g = hermite_certificate(rule, _shifted(h, qj, eta))
-    coeffs = np.zeros(j + 1)  # the Hermite part has degree <= tau < j
-    coeffs[: g.degree + 1] = g.coeffs
-    coeffs[j] = eta
-    f = PolyCoeffs(coeffs, "q")
+    f = np.zeros(j + 1)  # the Hermite part has degree <= tau < j
+    f[: len(g)] = g
+    f[j] = eta
     M = rule.M
     base = M * M * float(np.dot(rule.weights, h(rule.nodes)))
     improved = base - M * M * eta * pj

@@ -13,7 +13,6 @@ from ulbkit import levenshtein as lev
 from ulbkit import oracle, orthopoly, pmspace
 from ulbkit.designbounds import DesignEnergyQuery, design_lower_bound, design_upper_bound
 from ulbkit.errors import ConditionError, DegreeOverflowError
-from ulbkit.orthopoly import PolyCoeffs
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import improve_with_qj, ulb
@@ -132,7 +131,7 @@ def test_criterion_4_level_optimality():
         cmin = 0.999 * float(np.min(h(grid)))  # positive constant below h
         for _ in range(50):
             theta = rng.uniform(0.0, 1.0)
-            coeffs = theta * rep.certificate.coeffs.copy()
+            coeffs = theta * rep.certificate
             coeffs[0] += (1.0 - theta) * cmin
             f0 = coeffs[0]
             f1 = float(np.sum(coeffs))
@@ -291,11 +290,11 @@ def test_criterion_10_validators():
     sound = 0
     for bad_query, fn in [
         (
-            DesignEnergyQuery(s3, 3, 10, RIESZ1, PolyCoeffs(np.append(np.zeros(4), -1.0), "q"), "lower"),
+            DesignEnergyQuery(s3, 3, 10, RIESZ1, np.append(np.zeros(4), -1.0), "lower"),
             design_lower_bound,
         ),
         (
-            DesignEnergyQuery(s3, 3, 10, GAUSS, PolyCoeffs(np.append(np.zeros(4), 1.0), "q"), "upper"),
+            DesignEnergyQuery(s3, 3, 10, GAUSS, np.append(np.zeros(4), 1.0), "upper"),
             design_upper_bound,
         ),
     ]:

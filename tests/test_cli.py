@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import jsonschema
 import pytest
 
 from ulbkit.cli import build_parser, main
+from ulbkit.ulb import ulb
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "schemas" / "report.schema.json").read_text()
@@ -293,6 +295,12 @@ def test_reports_validate_against_schema(capsys):
         if argv[0] in ("ulb", "improve"):
             jsonschema.validate(report["result"], bound_schema)
             jsonschema.validate(report["result"]["rule"], rule_schema)
+        if argv[0] == "ulb":
+            # every certificate coefficient is reported, and the checks read all of them
+            result = report["result"]
+            coeffs = result["certificate_q_coeffs"]
+            assert len(coeffs) == result["rule"]["tau"] + 1, argv
+            assert result["certificate_checks"]["min_q_coefficient"] == min(coeffs), argv
         elif argv[0] == "quadrature":
             jsonschema.validate(report["result"], rule_schema)
         elif argv[0] == "asymptotics":
@@ -396,3 +404,12 @@ def test_overflowing_derivatives_leave_stderr_empty():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_tolerance_defaults_are_the_library_defaults():
+    ulb_defaults = inspect.signature(ulb).parameters
+    args = build_parser().parse_args(
+        ["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz", "--p", "1"]
+    )
+    assert args.abs_tol == ulb_defaults["abs_tol"].default
+    assert args.rel_tol == ulb_defaults["rel_tol"].default

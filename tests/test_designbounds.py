@@ -9,7 +9,6 @@ from ulbkit.designbounds import (
     separated_upper_bound,
 )
 from ulbkit.errors import ConditionError, ParameterError
-from ulbkit.orthopoly import PolyCoeffs
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import ulb
@@ -31,44 +30,44 @@ def test_lower_bound_reproduces_main_bound():
 def test_constant_polynomials():
     M = 10
     c = 0.25  # below min h = h(-1) = 0.5 for riesz(1)
-    query = DesignEnergyQuery(S3, 3, M, RIESZ1, PolyCoeffs([c]), "lower")
+    query = DesignEnergyQuery(S3, 3, M, RIESZ1, np.array([c]), "lower")
     assert design_lower_bound(query) == pytest.approx(c * M * (M - 1), rel=1e-12)
     grid = np.cos(np.pi * np.arange(1, 2001) / 2000)
     top = float(np.max(GAUSS(grid))) + 1e-6
-    query = DesignEnergyQuery(S3, 3, M, GAUSS, PolyCoeffs([top]), "upper")
+    query = DesignEnergyQuery(S3, 3, M, GAUSS, np.array([top]), "upper")
     assert design_upper_bound(query) == pytest.approx(top * M * (M - 1), rel=1e-12)
 
 
 def test_lower_bound_condition_violations():
     # a coefficient above the design strength with the wrong sign
-    bad = PolyCoeffs(np.concatenate([np.zeros(4), [-1.0]]), "q")
+    bad = np.concatenate([np.zeros(4), [-1.0]])
     query = DesignEnergyQuery(S3, 3, 10, RIESZ1, bad, "lower")
     with pytest.raises(ConditionError) as err:
         design_lower_bound(query)
     assert err.value.where == 4
     # exceeding h somewhere on the grid
     rep = ulb(S3, 12, RIESZ1)
-    shifted = PolyCoeffs(rep.certificate.coeffs + np.eye(len(rep.certificate.coeffs))[0], "q")
+    shifted = rep.certificate + np.eye(len(rep.certificate))[0]
     query = DesignEnergyQuery(S3, rep.rule.tau, 12, RIESZ1, shifted, "lower")
     with pytest.raises(ConditionError):
         design_lower_bound(query)
 
 
 def test_upper_bound_condition_violation():
-    bad = PolyCoeffs(np.concatenate([np.zeros(4), [1.0]]), "q")
+    bad = np.concatenate([np.zeros(4), [1.0]])
     query = DesignEnergyQuery(S3, 3, 12, GAUSS, bad, "upper")
     with pytest.raises(ConditionError):
         design_upper_bound(query)
 
 
 def test_direction_mismatch_rejected():
-    query = DesignEnergyQuery(S3, 3, 10, RIESZ1, PolyCoeffs([0.1]), "lower")
+    query = DesignEnergyQuery(S3, 3, 10, RIESZ1, np.array([0.1]), "lower")
     with pytest.raises(ParameterError):
         design_upper_bound(query)
     with pytest.raises(ParameterError):
-        DesignEnergyQuery(S3, 3, 10, RIESZ1, PolyCoeffs([0.1]), "sideways")
+        DesignEnergyQuery(S3, 3, 10, RIESZ1, np.array([0.1]), "sideways")
     with pytest.raises(ParameterError):
-        DesignEnergyQuery(S3, 3, 10, RIESZ1, PolyCoeffs([0.1]), "separated_upper")
+        DesignEnergyQuery(S3, 3, 10, RIESZ1, np.array([0.1]), "separated_upper")
 
 
 def _upper_tangent_certificate(space, M, h):
@@ -76,7 +75,8 @@ def _upper_tangent_certificate(space, M, h):
     # h convex increasing: the chord over [-1, u] lies above h on [-1, u]
     u = 0.999999
     slope = (h(u) - h(-1.0)) / (u + 1.0)
-    return PolyCoeffs([h(-1.0) + slope, slope])  # line through (-1, h(-1)), (u, h(u))
+    # line through (-1, h(-1)), (u, h(u))
+    return orthopoly.expand_in_q(space, [h(-1.0) + slope, slope])
 
 
 def test_icosahedron_sandwich():
@@ -119,7 +119,7 @@ def test_separated_upper_bound():
     grid = np.cos(np.pi * np.arange(1, 2001) / 2000)
     sup_h = float(np.max(h(grid[grid <= s]))) + 1e-9
     query = DesignEnergyQuery(
-        S3, 0, M, h, PolyCoeffs([sup_h]), "separated_upper", separation=s
+        S3, 0, M, h, np.array([sup_h]), "separated_upper", separation=s
     )
     bound = separated_upper_bound(query)
     assert bound == pytest.approx(sup_h * M * (M - 1), rel=1e-9)
@@ -131,7 +131,7 @@ def test_separated_upper_bound():
 def test_separated_upper_rejects_positive_coefficient():
     # shifted first-degree polynomial: pointwise fine, sign condition fails
     query = DesignEnergyQuery(
-        S3, 0, 6, GAUSS, PolyCoeffs([3.0, 1.0]), "separated_upper", separation=0.0
+        S3, 0, 6, GAUSS, orthopoly.expand_in_q(S3, [3.0, 1.0]), "separated_upper", separation=0.0
     )
     with pytest.raises(ConditionError) as err:
         separated_upper_bound(query)
@@ -142,10 +142,11 @@ def test_separated_upper_nonconstant_certificate():
     # decreasing line pinned at h(s): above h on [-1, s) since h increases
     h = GAUSS
     s = 0.0
-    down = PolyCoeffs([float(h(s)) + 0.1 * s + 1e-12, -0.1])
+    down = [float(h(s)) + 0.1 * s + 1e-12, -0.1]
     tt = np.linspace(-1, s, 500)
-    assert np.all(np.polynomial.polynomial.polyval(tt, down.coeffs) >= h(tt) - 1e-12)
-    query = DesignEnergyQuery(S3, 0, 6, h, down, "separated_upper", separation=s)
+    assert np.all(np.polynomial.polynomial.polyval(tt, down) >= h(tt) - 1e-12)
+    down_q = orthopoly.expand_in_q(S3, down)
+    query = DesignEnergyQuery(S3, 0, 6, h, down_q, "separated_upper", separation=s)
     bound = separated_upper_bound(query)
     code = oracle.named_config(S3, "cross_polytope")
     assert oracle.energy(S3, code, h) <= bound + 1e-9
@@ -154,7 +155,7 @@ def test_separated_upper_nonconstant_certificate():
 def test_subset_interval_restriction():
     # restricting the inner-product set admits certificates that fail globally
     h = RIESZ1
-    const = PolyCoeffs([float(h(-0.2))])  # exceeds h on t < -0.2 (h increasing)
+    const = np.array([float(h(-0.2))])  # exceeds h on t < -0.2 (h increasing)
     full = DesignEnergyQuery(S3, 2, 8, h, const, "lower")
     with pytest.raises(ConditionError):
         design_lower_bound(full)

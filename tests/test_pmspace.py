@@ -11,7 +11,7 @@ from ulbkit.pmspace import make_space
 
 def _q(space, i, t):
     """Q_i of the base system at t."""
-    return orthopoly.eval_q(orthopoly.adjacent_system(space, 0, 0, i), i, t)
+    return orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, i), i, t)[i]
 
 
 def test_make_space_examples():

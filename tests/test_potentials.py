@@ -142,3 +142,20 @@ def test_riesz_nan_order_is_reported():
     order, t, value = violation
     assert order == 537 and t == -1.0 and np.isnan(value)
     assert check_absolutely_monotone(builtin("riesz", p=1), 536) == (True, None)
+
+
+@pytest.mark.parametrize("c, order", [(2.0, 1100), (1.5, 1800)])
+def test_gaussian_coefficient_overflows_to_inf(c, order):
+    # c**j passes 1e308 below the order checked; +inf still passes
+    assert check_absolutely_monotone(builtin("gaussian", c=c), order) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "h, order",
+    [(builtin("monomial", j=200), 149), (builtin("series", coeffs=[0.0] * 200 + [1.0]), 149),
+     (builtin("log"), 200)],
+    ids=["monomial", "series", "log"],
+)
+def test_factorial_coefficients_overflow_to_inf(h, order):
+    # 200!/51! and 199! 2^199 pass the float range
+    assert h.deriv(0.0, order) == np.inf

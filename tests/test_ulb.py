@@ -7,7 +7,6 @@ from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
 from ulbkit.errors import ConditionError, MonotonicityError, ParameterError
-from ulbkit.orthopoly import PolyCoeffs
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import (
@@ -61,10 +60,13 @@ def test_value_identity_against_certificate():
         (make_space("projective", n=3, field_dim=2), 27702, RIESZ1),
     ]:
         rep = ulb(space, M, h)
-        f0 = rep.certificate.coeffs[0]
+        f0 = rep.certificate[0]
         f1 = orthopoly.poly_eval(space, rep.certificate, 1.0)
         assert M * (f0 * M - f1) == pytest.approx(rep.value_sum, rel=1e-8)
         assert rep.certificate_checks.below_h and rep.certificate_checks.f_geq
+        # every coefficient is kept, and the checks read all of them
+        assert len(rep.certificate) == rep.rule.tau + 1
+        assert rep.certificate_checks.min_q_coefficient == rep.certificate.min()
 
 
 def test_hermite_reproduces_low_degree_polynomials():
@@ -82,34 +84,35 @@ def test_hermite_single_node_is_tangent_line():
     h = builtin("riesz", p=2)
     rule = lev.quadrature_rule(space, n + 1)
     f = hermite_certificate(rule, h)
-    assert f.degree == 1
+    assert len(f) == 2
     a = -1.0 / n
     assert orthopoly.poly_eval(space, f, a) == pytest.approx(h(a), rel=1e-13)
     # Q_1(t) = t on the sphere, so the Q_1-coefficient is the slope
-    assert f.coeffs[1] == pytest.approx(h.deriv(a, 1), rel=1e-13)
+    assert f[1] == pytest.approx(h.deriv(a, 1), rel=1e-13)
 
 
 def test_hermite_interpolation_residuals():
     for space, M in [(make_space("sphere", n=3), 11), (make_space("hamming", n=10, q=2), 40)]:
         rule = lev.quadrature_rule(space, M)
         f = hermite_certificate(rule, GAUSS)
-        system = orthopoly.adjacent_system(space, 0, 0, f.degree)
+        deg = len(f) - 1
+        system = orthopoly.adjacent_system(space, 0, 0, deg)
         scale = max(1.0, np.max(np.abs(GAUSS(rule.nodes))))
         for i, a in enumerate(rule.nodes):
             assert abs(orthopoly.poly_eval(space, f, a) - GAUSS(a)) < 1e-10 * scale
             if not (rule.epsilon == 1 and i == 0):
-                dq = orthopoly.eval_q_derivatives(system, f.degree, 1, a)[:, 1]
-                df = float(np.dot(f.coeffs, dq))
+                dq = orthopoly.eval_q_derivatives(system, deg, 1, a)[:, 1]
+                df = float(np.dot(f, dq))
                 assert abs(df - GAUSS.deriv(a, 1)) < 1e-9 * scale
 
 
 def test_verify_certificate_negative_cases():
     space = make_space("sphere", n=3)
     rep = ulb(space, 4, RIESZ1)
-    shifted = PolyCoeffs(rep.certificate.coeffs + np.eye(len(rep.certificate.coeffs))[0], "q")
+    shifted = rep.certificate + np.eye(len(rep.certificate))[0]
     checks = verify_certificate(space, shifted, RIESZ1)
     assert not checks.below_h
-    neg_q1 = PolyCoeffs([0.0, -1.0], "q")
+    neg_q1 = np.array([0.0, -1.0])
     checks = verify_certificate(space, neg_q1, RIESZ1)
     assert not checks.f_geq
     assert checks.min_q_coefficient == pytest.approx(-1.0, abs=1e-12)
@@ -248,10 +251,9 @@ def test_level_optimality_feasible_polynomials(space, M):
     cmin = float(np.min(GAUSS(grid)))
     for _ in range(50):
         theta = rng.uniform(0.0, 1.0)
-        coeffs = theta * rep.certificate.coeffs.copy()
-        coeffs[0] += (1 - theta) * cmin
-        F = PolyCoeffs(coeffs, "q")
-        f0 = F.coeffs[0]
+        F = theta * rep.certificate
+        F[0] += (1 - theta) * cmin
+        f0 = F[0]
         f1 = orthopoly.poly_eval(space, F, 1.0)
         assert M * (f0 * M - f1) <= rep.value_sum + 1e-8 * max(1.0, rep.value_sum)
 
@@ -327,7 +329,7 @@ def test_certificate_matches_mp_reference(M, name):
         ref_one = float(ref(1.0))
     err = np.abs(orthopoly.poly_eval(space, rep.certificate, grid) - ref_vals)
     assert np.all(err <= 1e-9 * (1 + np.abs(h(grid))))
-    assert float(np.sum(rep.certificate.coeffs)) == pytest.approx(ref_one, rel=1e-9)
+    assert float(np.sum(rep.certificate)) == pytest.approx(ref_one, rel=1e-9)
 
 
 def test_value_identity_refuses_nan():
@@ -354,3 +356,10 @@ def test_one_measure_rule_per_ulb(monkeypatch):
     monkeypatch.setattr(rec, "gauss", counting_gauss)
     assert ulb(space, M, RIESZ1).rule.tau == 33
     assert len(calls) == 2
+
+
+def test_monomial_overflow_is_a_monotonicity_refusal():
+    # the order-149 coefficient 200!/51! overflows to inf, and inf * 0 at
+    # t = -1 is nan, which the monotonicity check counts as a violation
+    with pytest.raises(MonotonicityError, match="first violation \\(149, -1.0, nan\\)"):
+        ulb(make_space("sphere", n=3), 12000, builtin("monomial", j=200))
