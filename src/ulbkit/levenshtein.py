@@ -11,6 +11,7 @@ weights rho_i of the exact integration identity
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,12 @@ from .pmspace import SpaceDescriptor
 _POWER_SUM_TOL = 1e-7
 _SOLVE_RTOL = 1e-10
 _LEVEL_RTOL = 1e-12
+# levels added to a space's level map at a time
+_LEVEL_BLOCK = 16
+# space -> (D(1), tops, capped): tops[j] is the largest of
+# design_bound(space, tau) * (1 + _LEVEL_RTOL) over tau = 2..j+2, and capped
+# says a finite space's last level is in
+_LEVEL_MAPS = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +68,9 @@ def design_bound(space: SpaceDescriptor, tau: int) -> float:
     return pmspace.q1_value(space) ** (1 - eps) * total
 
 
+@lru_cache(maxsize=None)
 def validity_interval(space: SpaceDescriptor, tau: int):
-    """Separation interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] of level tau."""
+    """Separation interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] of level tau; cached."""
     k, eps = _split(tau)
     upper = largest_zero(adjacent_system(space, 1, eps, k), k)
     if k - 1 + eps == 0:
@@ -107,25 +115,45 @@ def tau_for_cardinality(space: SpaceDescriptor, M: int):
     """
     if M < 2 or int(M) != M:
         raise ParameterError("M must be an integer >= 2")
-    d1 = design_bound(space, 1)
+    return _level_of(space, M)
+
+
+def _level_of(space: SpaceDescriptor, M):
+    """(k, eps, tau) for M by the space's level map, growing it as needed."""
+    d1, tops, capped = _LEVEL_MAPS.get(space) or _grow_level_map(space)
     if M < d1 * (1.0 - _LEVEL_RTOL):
         raise ParameterError(
             f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
             " no quadrature rule exists"
         )
-    tau = 1
-    while True:
+    while not capped and not M <= tops[-1]:
+        d1, tops, capped = _grow_level_map(space)
+    # the first tau >= 1 with M <= D(tau+1) * (1 + _LEVEL_RTOL); the running
+    # maximum makes tops sorted without moving that first index
+    j = int(np.searchsorted(tops, M, side="left"))
+    if j == len(tops):
+        raise DegreeOverflowError(
+            f"M={M} exceeds the level capacity of {space.label()}"
+            f" (needs tau > {j + 1})"
+        )
+    k, eps = _split(j + 1)
+    return k, eps, j + 1
+
+
+def _grow_level_map(space: SpaceDescriptor):
+    """Add a block of levels to the space's level map, up to a finite space's cap."""
+    d1, tops, capped = _LEVEL_MAPS.get(space) or (design_bound(space, 1), np.empty(0), False)
+    block = []
+    for tau in range(len(tops) + 2, len(tops) + 2 + _LEVEL_BLOCK):
         try:
-            d_next = design_bound(space, tau + 1)
+            block.append(design_bound(space, tau) * (1.0 + _LEVEL_RTOL))
         except DegreeOverflowError:
-            raise DegreeOverflowError(
-                f"M={M} exceeds the level capacity of {space.label()}"
-                f" (needs tau > {tau})"
-            ) from None
-        if M <= d_next * (1.0 + _LEVEL_RTOL):
-            k, eps = _split(tau)
-            return k, eps, tau
-        tau += 1
+            capped = True
+            break
+    tops = np.maximum.accumulate(np.concatenate([tops, block]))
+    tops.flags.writeable = False
+    _LEVEL_MAPS[space] = (d1, tops, capped)
+    return _LEVEL_MAPS[space]
 
 
 def solve_separation(space: SpaceDescriptor, M: int) -> float:
@@ -160,13 +188,19 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     k, eps, tau = tau_for_cardinality(space, M)
     if eps == 0:
         return replace(quadrature_rule(space, M), odd_branch=True)
-    lo = largest_zero(adjacent_system(space, 1, 0, k), k)
-    hi = largest_zero(adjacent_system(space, 0, 0, k), k)
+    lo, hi = _odd_branch_interval(space, k)
     nodes, weights = _bordered_rule(space, M, k, 0)
     s = nodes[-1]
     if not (lo - 1e-12 * (hi - lo) <= s < hi):
         raise ConvergenceError(f"odd-branch separation {s} escaped [{lo}, {hi})")
     return _rule_from_nodes(space, M, k, 0, 2 * k - 1, nodes, weights, odd_branch=True)
+
+
+@lru_cache(maxsize=None)
+def _odd_branch_interval(space: SpaceDescriptor, k: int):
+    """[t_k^{1,0}, t_k): where the level 2k-1 rule's separation may lie on the odd branch."""
+    lo = largest_zero(adjacent_system(space, 1, 0, k), k)
+    return lo, largest_zero(adjacent_system(space, 0, 0, k), k)
 
 
 def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
@@ -213,7 +247,7 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
             f"nonpositive quadrature weight for M={M}: {weights}"
         )
     residual = 0.0
-    for m, b_m in enumerate(pmspace.moments(space, tau).tolist()):
+    for m, b_m in enumerate(_moments(space, tau)):
         lhs = 1.0 / M + float(np.dot(weights, nodes**m))
         residual = max(residual, abs(lhs - b_m))
     if residual > _POWER_SUM_TOL:
@@ -223,6 +257,12 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
     return QuadratureRule(
         space, int(M), k, eps, tau, s, nodes, weights, residual, odd_branch
     )
+
+
+@lru_cache(maxsize=None)
+def _moments(space: SpaceDescriptor, tau: int) -> tuple:
+    """pmspace.moments(space, tau) as a tuple of floats, for the power-sum check."""
+    return tuple(pmspace.moments(space, tau).tolist())
 
 
 def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:

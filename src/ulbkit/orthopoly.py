@@ -8,6 +8,7 @@ held as a float array of its coefficients f_0..f_deg in the base system
 (the Q-basis).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,12 +84,24 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None) -
         ab = alpha0 + beta0
         gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
     value_at_one = rec.eval_all(beta, gamma, max_deg, np.array(1.0))
-    norms_sq = np.cumprod(gamma)
     c_norm = 1.0 / gamma[0]
-    norms = value_at_one**2 / (c_norm * norms_sq)
-    return OrthoSystem(
-        space, a, b, max_deg, beta, gamma, np.asarray(value_at_one), norms, c_norm
-    )
+    # r_i = value_at_one_i^2 / (c_norm * gamma_0 ... gamma_i).  On long
+    # systems the square and the product both leave the normal float range
+    # (S^2 from degree ~520), so mantissas and binary exponents are carried
+    # apart; scaling by a power of two is exact, so nothing changes where
+    # they stay normal.
+    mant, expo = np.frexp(value_at_one)
+    prod_mant = np.empty(max_deg + 1)
+    prod_expo = np.empty(max_deg + 1, dtype=int)
+    m, e = 1.0, 0
+    for i, g in enumerate(gamma.tolist()):
+        m, de = math.frexp(m * g)
+        e += de
+        prod_mant[i], prod_expo[i] = m, e
+    norms = np.ldexp(mant**2 / (c_norm * prod_mant), 2 * expo - prod_expo)
+    for arr in (beta, gamma, value_at_one, norms):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return OrthoSystem(space, a, b, max_deg, beta, gamma, value_at_one, norms, c_norm)
 
 
 # hit and miss counts of the system cache

@@ -128,16 +128,20 @@ _PARAMETERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def verification_grid(space: SpaceDescriptor) -> np.ndarray:
     """T(M) without t=1: the points where pointwise conditions are checked.
 
     The grid itself for finite spaces; 2000 Chebyshev-spaced points of
-    [-1, 1) otherwise.
+    [-1, 1) otherwise.  Cached and read-only.
     """
     if space.is_finite:
         t, _ = t_grid(space)
-        return t[t < 1.0]
-    return np.cos(np.pi * np.arange(1, 2001) / 2000)
+        grid = t[t < 1.0]
+    else:
+        grid = np.cos(np.pi * np.arange(1, 2001) / 2000)
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +162,12 @@ def _t_grid_cached(space: SpaceDescriptor):
             [math.comb(w, l) * math.comb(n - w, l) / math.comb(n, w) for l in ell],
             dtype=float,
         )
+    t.flags.writeable = mass.flags.writeable = False  # shared by every caller
     return t, mass
 
 
 def t_grid(space: SpaceDescriptor):
-    """Grid t_ell (descending) and measure masses for a finite space."""
+    """Grid t_ell (descending) and measure masses for a finite space; read-only."""
     if not space.is_finite:
         raise ParameterError("t_grid is defined for finite spaces only")
     return _t_grid_cached(space)

@@ -9,6 +9,7 @@ feasible polynomial of degree at most tau.  Test functions P_j decide
 whether higher-degree polynomials can improve it.
 """
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,11 @@ _BELOW_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
 # where the shifted potential of an improvement is checked for monotonicity
 _ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
+# derivative function -> highest order its potential passed the check at.
+# Keyed on the instance's function, not on its name and parameters: a
+# Potential is unhashable (params is a dict), and potentials that share a
+# name can differ, as the shifted ones of an improvement do.
+_MONOTONE_TO = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -135,12 +141,21 @@ def _report_from_rule(
 
 
 def _require_monotone(h: Potential, order: int):
+    """Refuse h unless absolutely monotone to order; a pass is remembered, a failure not."""
+    deriv = getattr(h, "_deriv", None)
+    try:
+        if _MONOTONE_TO.get(deriv, -1) >= order:
+            return
+    except TypeError:  # no weak reference to it: checked on every call
+        deriv = None
     ok, violation = check_absolutely_monotone(h, order)
     if not ok:
         raise MonotonicityError(
             f"{h.label()} is not absolutely monotone to order {order}; "
             f"first violation {violation}"
         )
+    if deriv is not None:
+        _MONOTONE_TO[deriv] = order
 
 
 def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):

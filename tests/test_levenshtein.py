@@ -115,6 +115,78 @@ def test_tau_for_cardinality_errors():
         lev.quadrature_rule(make_space("johnson", n=12, w=4), 230)
 
 
+def _linear_level(space, M):
+    """The level map as a scan over the levels: the reference for lev._level_of."""
+    d1 = lev.design_bound(space, 1)
+    if M < d1 * (1.0 - lev._LEVEL_RTOL):
+        raise ParameterError(
+            f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
+            " no quadrature rule exists"
+        )
+    tau = 1
+    while True:
+        try:
+            d_next = lev.design_bound(space, tau + 1)
+        except DegreeOverflowError:
+            raise DegreeOverflowError(
+                f"M={M} exceeds the level capacity of {space.label()}"
+                f" (needs tau > {tau})"
+            ) from None
+        if M <= d_next * (1.0 + lev._LEVEL_RTOL):
+            k, eps = lev._split(tau)
+            return k, eps, tau
+        tau += 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ParameterError, DegreeOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("sphere", {"n": 3}),
+        ("sphere", {"n": 10}),
+        ("hamming", {"n": 30, "q": 2}),
+        ("johnson", {"n": 80, "w": 40}),
+        ("projective", {"n": 4, "field_dim": 4}),
+        ("projective", {"n": 3, "field_dim": 2}),
+        ("hamming", {"n": 8, "q": 2}),
+        ("johnson", {"n": 7, "w": 3}),
+    ],
+)
+def test_level_map_matches_the_level_scan(family, params):
+    space = make_space(family, **params)
+    bounds = []
+    for tau in range(1, 61):
+        try:
+            bounds.append(lev.design_bound(space, tau))
+        except DegreeOverflowError:
+            break
+    # past a finite space's last level the scan and the map both overflow
+    candidates = [2 * bounds[-1]]
+    for d in bounds:
+        candidates += [d - 1, d, d + 1, d * (1 - 1e-13), d * (1 + 1e-13)]
+    for M in candidates:
+        assert _outcome(lev._level_of, space, M) == _outcome(_linear_level, space, M), M
+        if M >= 2 and int(M) == M:
+            got = _outcome(lev.tau_for_cardinality, space, M)
+            assert got == _outcome(_linear_level, space, M), M
+
+
+def test_level_map_past_the_s2_norm_overflow():
+    # D(2k-1) = k(k+1) and D(2k) = (k+1)^2 on S^2; the norms behind these
+    # levels once overflowed, and both M mapped to tau 1076
+    space = make_space("sphere", n=3)
+    assert lev.tau_for_cardinality(space, 300000) == (547, 0, 1093)
+    assert lev.tau_for_cardinality(space, 400000) == (631, 1, 1262)
+    for tau, d in ((1093, 547 * 548), (1094, 548**2), (1262, 632**2), (1263, 632 * 633)):
+        assert lev.design_bound(space, tau) == pytest.approx(d, rel=1e-11)
+
+
 def test_solve_separation_examples():
     for n in (3, 4, 6):
         s = make_space("sphere", n=n)

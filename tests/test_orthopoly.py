@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ulbkit import orthopoly, pmspace
+from ulbkit import levenshtein, orthopoly, pmspace
 from ulbkit.errors import DegreeOverflowError
 from ulbkit.orthopoly import adjacent_system
 from ulbkit.pmspace import make_space
@@ -246,3 +246,29 @@ def test_adjacent_masses_to_rounding(space):
     masses = {(0, 0): 1.0, (0, 1): 1 + m1, (1, 0): 1 - m1, (1, 1): 1 - m2}
     for (a, b), mass in masses.items():
         assert orthopoly.adjacent_system(space, a, b).rec_gamma[0] == pytest.approx(mass, rel=1e-14, abs=0)
+
+
+def test_sphere_norms_past_the_float_range_of_their_factors():
+    # r_i = 2i+1 on S^2; value_at_one^2 and the product of the gammas both
+    # leave the normal float range from degree ~520, and r_i went inf at 539
+    system = adjacent_system(make_space("sphere", n=3), 0, 0, 1000)
+    i = np.arange(1001)
+    np.testing.assert_allclose(system.norms[:1001], 2 * i + 1, rtol=1e-11, atol=0)
+
+
+def test_cached_arrays_are_read_only():
+    # every caller shares these through the caches: one caller's write
+    # would change every later bound in the process
+    t, mass = pmspace.t_grid(make_space("hamming", n=30, q=2))
+    with pytest.raises(ValueError):
+        mass *= 2
+    s9 = make_space("sphere", n=10)
+    system = adjacent_system(s9, 0, 0, 5)
+    with pytest.raises(ValueError):
+        system.norms[3] *= 1.001
+    levenshtein.tau_for_cardinality(s9, 200)
+    for arr in (t, system.rec_beta, system.rec_gamma, system.value_at_one,
+                levenshtein._LEVEL_MAPS[s9][1],
+                pmspace.verification_grid(make_space("sphere", n=3)),
+                pmspace.verification_grid(make_space("johnson", n=7, w=3))):
+        assert not arr.flags.writeable

@@ -8,7 +8,7 @@ from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
 from ulbkit.errors import ConditionError, MonotonicityError, ParameterError
 from ulbkit.pmspace import make_space
-from ulbkit.potentials import builtin
+from ulbkit.potentials import Potential, builtin
 from ulbkit.ulb import (
     hermite_certificate,
     improve_with_qj,
@@ -340,8 +340,8 @@ def test_value_identity_refuses_nan():
 
 
 def test_one_measure_rule_per_ulb(monkeypatch):
-    # a warm CP^2 op at tau 33 solves one eigenproblem for its rule and
-    # one for the moments of its power-sum check
+    # a warm CP^2 op at tau 33 solves one eigenproblem, for its rule: the
+    # moments of its power-sum check are cached per level
     space = make_space("projective", n=3, field_dim=2)
     lo = lev.design_bound(space, 33)
     M = int(round(0.5 * (lo + lev.design_bound(space, 34))))
@@ -355,7 +355,7 @@ def test_one_measure_rule_per_ulb(monkeypatch):
 
     monkeypatch.setattr(rec, "gauss", counting_gauss)
     assert ulb(space, M, RIESZ1).rule.tau == 33
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_monomial_overflow_is_a_monotonicity_refusal():
@@ -363,3 +363,45 @@ def test_monomial_overflow_is_a_monotonicity_refusal():
     # t = -1 is nan, which the monotonicity check counts as a violation
     with pytest.raises(MonotonicityError, match="first violation \\(149, -1.0, nan\\)"):
         ulb(make_space("sphere", n=3), 12000, builtin("monomial", j=200))
+
+
+def test_log_is_refused_on_every_call():
+    # a failed check is never remembered as a pass
+    h = builtin("log")
+    for _ in range(2):
+        with pytest.raises(MonotonicityError):
+            ulb(make_space("sphere", n=3), 12, h)
+
+
+def test_potentials_sharing_a_name_are_checked_apart():
+    # equal names and parameters, different derivatives: the third
+    # derivative of the second is negative
+    good = Potential("p", _deriv=lambda t, j: np.exp(t))
+    bad = Potential("p", _deriv=lambda t, j: -np.exp(t) if j == 3 else np.exp(t))
+    space = make_space("sphere", n=3)
+    for h in (good, bad, good, bad):
+        if h is good:
+            ulb(space, 12, h)
+        else:
+            with pytest.raises(MonotonicityError):
+                ulb(space, 12, h)
+
+
+def test_monotonicity_is_checked_once_per_potential_and_order():
+    grid_calls = []
+
+    def deriv(t, j):
+        if t.shape == (201,):  # the check's default grid
+            grid_calls.append(j)
+        return np.exp(t)
+
+    h = Potential("counted", _deriv=deriv)
+    space = make_space("sphere", n=3)
+    tau = ulb(space, 12, h).rule.tau
+    assert sorted(grid_calls) == list(range(tau + 2))
+    grid_calls.clear()
+    ulb(space, 12, h)
+    assert ulb(space, 6, h).rule.tau < tau  # a lower order passes too
+    assert grid_calls == []
+    tau = ulb(space, 30, h).rule.tau  # a higher order is checked again
+    assert sorted(grid_calls) == list(range(tau + 2))
