@@ -188,19 +188,13 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     k, eps, tau = tau_for_cardinality(space, M)
     if eps == 0:
         return replace(quadrature_rule(space, M), odd_branch=True)
-    lo, hi = _odd_branch_interval(space, k)
+    lo = largest_zero(adjacent_system(space, 1, 0, k), k)
+    hi = largest_zero(adjacent_system(space, 0, 0, k), k)
     nodes, weights = _bordered_rule(space, M, k, 0)
     s = nodes[-1]
     if not (lo - 1e-12 * (hi - lo) <= s < hi):
         raise ConvergenceError(f"odd-branch separation {s} escaped [{lo}, {hi})")
     return _rule_from_nodes(space, M, k, 0, 2 * k - 1, nodes, weights, odd_branch=True)
-
-
-@lru_cache(maxsize=None)
-def _odd_branch_interval(space: SpaceDescriptor, k: int):
-    """[t_k^{1,0}, t_k): where the level 2k-1 rule's separation may lie on the odd branch."""
-    lo = largest_zero(adjacent_system(space, 1, 0, k), k)
-    return lo, largest_zero(adjacent_system(space, 0, 0, k), k)
 
 
 def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
@@ -247,7 +241,7 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
             f"nonpositive quadrature weight for M={M}: {weights}"
         )
     residual = 0.0
-    for m, b_m in enumerate(_moments(space, tau)):
+    for m, b_m in enumerate(pmspace.moments(space, tau).tolist()):
         lhs = 1.0 / M + float(np.dot(weights, nodes**m))
         residual = max(residual, abs(lhs - b_m))
     if residual > _POWER_SUM_TOL:
@@ -257,12 +251,6 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
     return QuadratureRule(
         space, int(M), k, eps, tau, s, nodes, weights, residual, odd_branch
     )
-
-
-@lru_cache(maxsize=None)
-def _moments(space: SpaceDescriptor, tau: int) -> tuple:
-    """pmspace.moments(space, tau) as a tuple of floats, for the power-sum check."""
-    return tuple(pmspace.moments(space, tau).tolist())
 
 
 def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:

@@ -50,13 +50,15 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
     """The (a,b)-adjacent system of a space, carrying at least degree deg.
 
     A finite space's system runs to the cap of its (weighted) measure;
-    an infinite space's to the first multiple of 16 above deg.  Systems
-    are cached.
+    an infinite space's to the first multiple of 16 above deg.  Either
+    stops earlier at the last degree whose monic value at t=1 is a
+    normal float.  Systems are cached.
 
     Raises
     ------
     DegreeOverflowError
-        If deg exceeds the cap of a finite space's (weighted) measure.
+        If deg exceeds the cap of a finite space's (weighted) measure, or
+        the last degree whose monic value at t=1 is a normal float.
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ParameterError(f"adjacent exponents must be 0 or 1, got ({a}, {b})")
@@ -84,6 +86,14 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None) -
         ab = alpha0 + beta0
         gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
     value_at_one = rec.eval_all(beta, gamma, max_deg, np.array(1.0))
+    # Q_i = pi_i / pi_i(1) and r_i need pi_i(1) to full precision: a system
+    # stops at the last degree where it is a normal float (S^2 (0,0): 1027;
+    # the monic values at 1 fall like 2^-i and are 0 from 1080 on).
+    normal = np.isfinite(value_at_one) & (np.abs(value_at_one) >= np.finfo(float).tiny)
+    if not normal.all():
+        max_deg = int(np.argmin(normal)) - 1
+        head = slice(0, max_deg + 1)
+        beta, gamma, value_at_one = beta[head], gamma[head], value_at_one[head]
     c_norm = 1.0 / gamma[0]
     # r_i = value_at_one_i^2 / (c_norm * gamma_0 ... gamma_i).  On long
     # systems the square and the product both leave the normal float range

@@ -128,20 +128,16 @@ _PARAMETERS = {
 }
 
 
-@lru_cache(maxsize=None)
 def verification_grid(space: SpaceDescriptor) -> np.ndarray:
     """T(M) without t=1: the points where pointwise conditions are checked.
 
     The grid itself for finite spaces; 2000 Chebyshev-spaced points of
-    [-1, 1) otherwise.  Cached and read-only.
+    [-1, 1) otherwise.
     """
     if space.is_finite:
         t, _ = t_grid(space)
-        grid = t[t < 1.0]
-    else:
-        grid = np.cos(np.pi * np.arange(1, 2001) / 2000)
-    grid.flags.writeable = False
-    return grid
+        return t[t < 1.0]
+    return np.cos(np.pi * np.arange(1, 2001) / 2000)
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +215,9 @@ def _gbinom(x: float, k: int) -> float:
     return out
 
 
+@lru_cache(maxsize=None)
 def moments(space: SpaceDescriptor, deg: int) -> np.ndarray:
-    """Moments b_0..b_deg of the orthogonality measure; b_0 = 1."""
+    """Moments b_0..b_deg of the orthogonality measure; b_0 = 1.  Cached and read-only."""
     if deg < 0:
         raise ParameterError("moment order must be nonnegative")
     if space.family is Family.SPHERE:
@@ -230,12 +227,13 @@ def moments(space: SpaceDescriptor, deg: int) -> np.ndarray:
         j = np.arange(deg // 2)
         out = np.zeros(deg + 1)
         out[::2] = np.cumprod(np.append(1.0, (2 * j + 1) / (space.n + 2 * j)))
-        return out
-    x, wts = measure_rule(space, deg)
-    out = np.array([np.dot(wts, x**m) for m in range(deg + 1)])
-    out[0] = 1.0
-    if space.antipodal:
-        out[1::2] = 0.0
+    else:
+        x, wts = measure_rule(space, deg)
+        out = np.array([np.dot(wts, x**m) for m in range(deg + 1)])
+        out[0] = 1.0
+        if space.antipodal:
+            out[1::2] = 0.0
+    out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 

@@ -187,6 +187,18 @@ def test_level_map_past_the_s2_norm_overflow():
         assert lev.design_bound(space, tau) == pytest.approx(d, rel=1e-11)
 
 
+def test_level_map_stops_where_the_systems_stop():
+    # S^2's systems end near degree 1027, where the monic values at 1 leave
+    # the normal float range, so its levels end at tau 2054; the design
+    # bounds once stopped growing there and this call never returned
+    space = make_space("sphere", n=3)
+    assert lev.design_bound(space, 2054) == pytest.approx(1028**2, rel=1e-11)
+    for M in (2_000_000, 10**12):
+        got = _outcome(lev.tau_for_cardinality, space, M)
+        assert got == (DegreeOverflowError, f"M={M} exceeds the level capacity of S^2 (needs tau > 2054)")
+        assert got == _outcome(_linear_level, space, M)
+
+
 def test_solve_separation_examples():
     for n in (3, 4, 6):
         s = make_space("sphere", n=n)

@@ -268,7 +268,17 @@ def test_cached_arrays_are_read_only():
         system.norms[3] *= 1.001
     levenshtein.tau_for_cardinality(s9, 200)
     for arr in (t, system.rec_beta, system.rec_gamma, system.value_at_one,
-                levenshtein._LEVEL_MAPS[s9][1],
-                pmspace.verification_grid(make_space("sphere", n=3)),
-                pmspace.verification_grid(make_space("johnson", n=7, w=3))):
+                levenshtein._LEVEL_MAPS[s9][1], pmspace.moments(s9, 7),
+                pmspace.moments(make_space("johnson", n=7, w=3), 5)):
         assert not arr.flags.writeable
+
+
+def test_systems_stop_where_the_values_at_one_stop_being_normal():
+    # the monic Legendre values at 1 fall like 2^-i: subnormal from degree
+    # 1028 on, with too few digits for Q_i or r_i, and 0 from 1080 on
+    s2 = make_space("sphere", n=3)
+    system = adjacent_system(s2, 0, 0, 1027)
+    assert system.max_deg == 1027
+    assert np.all(np.abs(system.value_at_one) >= np.finfo(float).tiny)
+    with pytest.raises(DegreeOverflowError, match="degree 1028 exceeds the \\(0,0\\)-system cap 1027"):
+        adjacent_system(s2, 0, 0, 1028)

@@ -6,7 +6,7 @@ from numpy.polynomial import polynomial as npoly
 from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
-from ulbkit.errors import ConditionError, MonotonicityError, ParameterError
+from ulbkit.errors import ConditionError, DegreeOverflowError, MonotonicityError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import Potential, builtin
 from ulbkit.ulb import (
@@ -363,6 +363,13 @@ def test_monomial_overflow_is_a_monotonicity_refusal():
     # t = -1 is nan, which the monotonicity check counts as a violation
     with pytest.raises(MonotonicityError, match="first violation \\(149, -1.0, nan\\)"):
         ulb(make_space("sphere", n=3), 12000, builtin("monomial", j=200))
+
+
+def test_certificate_past_the_system_cap_is_a_degree_refusal():
+    # tau 1093 needs Q_1093, past S^2's last degree 1027; dividing by a
+    # value at 1 of 0 once gave a nan certificate and RuntimeWarnings
+    with pytest.raises(DegreeOverflowError, match="degree 1093 exceeds"):
+        ulb(make_space("sphere", n=3), 300000, builtin("gaussian", c=1))
 
 
 def test_log_is_refused_on_every_call():
