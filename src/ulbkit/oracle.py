@@ -250,6 +250,10 @@ def named_config(space: SpaceDescriptor, name: str) -> Code:
 # --- searches ---------------------------------------------------------------
 
 
+# Gram-matrix entries of one batch of restarts: 2 MB per array
+_BATCH_ENTRIES = 1 << 18
+
+
 def minimize_sphere(
     n: int,
     M: int,
@@ -260,75 +264,121 @@ def minimize_sphere(
 ):
     """Best local minimum of sphere energy from seeded random starts.
 
-    Projected gradient descent with an adaptive step; deterministic for
-    a fixed seed.  This is an upper estimate of the minimal energy only,
-    never a certificate of optimality.
+    The restarts descend together as one array of shape (restarts, M, n),
+    split into smaller batches for large M to bound memory, each restart
+    with its own step and stopping rule.  A step moves every point
+    against the tangential part of its energy gradient and projects back
+    to the sphere.  Its length is the Barzilai-Borwein ratio
+    <s,s>/|<s,y>| of the last move s and gradient change y, capped at 1
+    (0.05 before the first move), and it is halved until the energy
+    falls, so the energy of each restart only decreases.  A restart
+    stops when its largest tangential gradient is below 1e-12, when its
+    step falls below 1e-16, or after ``iterations`` steps, the cap of
+    each restart.  The result is deterministic for a fixed seed, and an
+    upper estimate of the minimal energy only, never a certificate of
+    optimality.
 
     Returns
     -------
     code : Code
+        The best configuration found.
     value : float
-        Energy of the best configuration found (sum convention).
+        Its energy (sum convention).
     info : dict
-        Per-restart energies and convergence data.
+        ``restart_energies``: the final energy of each restart, in the
+        order of the starts; ``iterations_best``: the iterations the
+        best restart took.
     """
     if n < 2 or M < 2:
         raise ParameterError("need n >= 2 and M >= 2")
     space = pmspace.make_space("sphere", n=n)
     rng = np.random.default_rng(seed)
-    best = None
-    history = []
-    for _ in range(max(1, restarts)):
-        x = rng.normal(size=(M, n))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        x, val, iters = _descend(x, h, iterations)
-        history.append(val)
-        if best is None or val < best[1]:
-            best = (x, val, iters)
-    code = make_code(space, best[0])
-    info = {"restart_energies": history, "iterations_best": best[2]}
-    return code, best[1], info
+    x = rng.normal(size=(max(1, restarts), M, n))
+    x /= np.linalg.norm(x, axis=2)[..., None]
+    # restarts descend independently, so batching them changes no result;
+    # it bounds the memory of the batch's Gram matrices for large M
+    per = max(1, _BATCH_ENTRIES // (M * M))
+    parts = [_descend(x[i : i + per], h, iterations) for i in range(0, len(x), per)]
+    x, vals, iters = (np.concatenate(arrays) for arrays in zip(*parts))
+    best = int(np.argmin(vals))
+    code = make_code(space, x[best])
+    info = {"restart_energies": vals.tolist(), "iterations_best": int(iters[best])}
+    return code, float(vals[best]), info
 
 
 def _descend(x, h, iterations):
-    step = 0.05
-    val = _sphere_energy(x, h)
-    it = -1
+    """Descend each configuration of x, shape (R, M, n), on its own.
+
+    Returns the final configurations, their energies and the number of
+    iterations each took.
+    """
+    M = x.shape[1]
+    pairs = np.ravel_multi_index(np.triu_indices(M, k=1), (M, M))
+    out_x, out_val = np.empty_like(x), np.empty(len(x))
+    iters = np.full(len(x), iterations)
+    # the rows still descending: their indices, iterates, energies,
+    # tangential gradients and steps
+    live = np.arange(len(x))
+    xl = x.copy()
+    vl, tl = _energy_and_gradient(xl, h, pairs)
+    step = np.full(len(x), 0.05)
     for it in range(iterations):
-        g = x @ x.T
-        np.fill_diagonal(g, -1.0)  # self-terms must not blow up riesz
-        dh = h.deriv(np.clip(g, -1.0, 1.0 - 1e-12), 1)
-        np.fill_diagonal(dh, 0.0)
-        grad = 2.0 * dh @ x
-        # tangential part; descent stops when it vanishes
-        tang = grad - np.sum(grad * x, axis=1)[:, None] * x
-        gnorm = np.max(np.linalg.norm(tang, axis=1))
-        if gnorm < 1e-12:
-            break
-        cand = x - step * tang
-        cand /= np.linalg.norm(cand, axis=1)[:, None]
-        cand_val = _sphere_energy(cand, h)
-        if cand_val < val:
-            x, val = cand, cand_val
-            step = min(step * 1.2, 1.0)
-        else:
-            step *= 0.5
-            if step < 1e-16:
+        cand = xl - step[:, None, None] * tl
+        cand /= np.linalg.norm(cand, axis=2)[..., None]
+        cand_val, cand_tang = _energy_and_gradient(cand, h, pairs)
+        # a row whose gradient vanished stops where it is
+        done = np.max(np.linalg.norm(tl, axis=2), axis=1) < 1e-12
+        accept = (cand_val < vl) & ~done
+        s = cand[accept] - xl[accept]
+        y = cand_tang[accept] - tl[accept]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.sum(s * s, axis=(1, 2)) / np.abs(np.sum(s * y, axis=(1, 2)))
+        step[accept] = np.fmin(bb, 1.0)
+        step[~accept] *= 0.5
+        done |= step < 1e-16
+        xl[accept], vl[accept], tl[accept] = cand[accept], cand_val[accept], cand_tang[accept]
+        if done.any():
+            rows = live[done]
+            out_x[rows], out_val[rows], iters[rows] = xl[done], vl[done], it + 1
+            keep = ~done
+            live, xl, vl, tl, step = live[keep], xl[keep], vl[keep], tl[keep], step[keep]
+            if not live.size:
                 break
-    return x, val, it + 1
+    out_x[live], out_val[live] = xl, vl
+    return out_x, out_val, iters
 
 
-def _sphere_energy(x, h):
-    g = np.clip(x @ x.T, -1.0, 1.0 - 1e-12)
-    iu = np.triu_indices(len(x), k=1)
-    return 2.0 * float(np.sum(h(g[iu])))
+def _energy_and_gradient(x, h, pairs):
+    """Energies of configurations x, shape (R, M, n), and their tangential gradients.
+
+    ``pairs`` holds the flat indices of the entries (i, j), i < j, of an
+    M x M matrix.
+    """
+    g = np.clip(x @ x.transpose(0, 2, 1), -1.0, 1.0 - 1e-12)
+    # take gives C-ordered rows, so each row sums in the same order
+    # whatever the number of rows
+    val = 2.0 * np.sum(h(np.take(g.reshape(len(g), -1), pairs, axis=1)), axis=1)
+    diag = np.arange(x.shape[1])
+    g[:, diag, diag] = -1.0  # self-terms must not blow up riesz
+    dh = h.deriv(g, 1)
+    dh[:, diag, diag] = 0.0
+    grad = 2.0 * dh @ x
+    tang = grad - np.sum(grad * x, axis=2)[..., None] * x
+    return val, tang
+
+
+# combinations of the exhaustive search summed per array pass: a chunk
+# of 1024 holds 0.25 MB at most, so the search adds little to peak memory
+_CHUNK = 1 << 10
 
 
 def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     """Exact minimal energy over all M-subsets of the binary cube.
 
-    Translation symmetry pins the first word at zero.  Refuses
-    instances with C(2^n, M) above ten million.
+    Translation symmetry pins the first word at zero.  The subsets are
+    enumerated in lexicographic order, in chunks, and the first one of
+    least energy is returned.  Refuses instances with C(2^n, M) above
+    ten million.
     """
     total = 1 << n
     if math.comb(total, M) > 10_000_000:
@@ -337,21 +387,29 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
         raise ParameterError(f"need 2 <= M <= {total}")
     space = pmspace.make_space("hamming", n=n, q=2)
     hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]
+    # h of the distance between two words, indexed by their xor; distinct
+    # words never have xor 0
+    bits = np.array([w.bit_count() for w in range(total)])
+    hxor = np.array([math.inf] + hval)[bits]
+    pairs = list(itertools.combinations(range(M), 2))
+    combos = itertools.combinations(range(1, total), M - 1)
     best_val, best_set = math.inf, None
-    for rest in itertools.combinations(range(1, total), M - 1):
-        words = (0,) + rest
-        val = 0.0
-        for i in range(M):
-            for j in range(i + 1, M):
-                val += hval[(words[i] ^ words[j]).bit_count() - 1]
-                if val >= best_val:
-                    break
-            else:
-                continue
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)), dtype=np.intp
+        )
+        if not flat.size:
             break
-        else:
-            if val < best_val:
-                best_val, best_set = val, words
+        words = np.zeros((flat.size // (M - 1), M), dtype=np.intp)
+        words[:, 1:] = flat.reshape(-1, M - 1)
+        # the pair terms in the (i, j) order of a pair sum, so each energy
+        # is the float sum a loop over the pairs would give
+        vals = np.zeros(len(words))
+        for i, j in pairs:
+            vals += hxor[words[:, i] ^ words[:, j]]
+        at = int(np.argmin(vals))
+        if vals[at] < best_val:
+            best_val, best_set = float(vals[at]), words[at].tolist()
     pts = [[(wd >> i) & 1 for i in range(n - 1, -1, -1)] for wd in best_set]
     code = make_code(space, pts)
     total_energy = 2.0 * best_val

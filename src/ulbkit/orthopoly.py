@@ -21,7 +21,8 @@ from .errors import DegreeOverflowError, ParameterError
 from .pmspace import SpaceDescriptor
 
 # An infinite space has no degree cap: its systems are built to the degree
-# a caller needs, rounded up to whole blocks so nearby needs share a system.
+# a caller needs, rounded up to 16 * 2^j, so growing one to degree d
+# builds about log2(d/16) systems, not d/16; each is a prefix of the next.
 _BLOCK = 16
 
 
@@ -50,7 +51,7 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
     """The (a,b)-adjacent system of a space, carrying at least degree deg.
 
     A finite space's system runs to the cap of its (weighted) measure;
-    an infinite space's to the first multiple of 16 above deg.  Either
+    an infinite space's to the first 16 * 2^j above deg.  Either
     stops earlier at the last degree whose monic value at t=1 is a
     normal float.  Systems are cached.
 
@@ -62,7 +63,8 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ParameterError(f"adjacent exponents must be 0 or 1, got ({a}, {b})")
-    system = _build_system(space, a, b, None if space.is_finite else _BLOCK * (1 + deg // _BLOCK))
+    max_deg = None if space.is_finite else _BLOCK << (deg // _BLOCK).bit_length()
+    system = _build_system(space, a, b, max_deg)
     _check(system, deg)
     return system
 

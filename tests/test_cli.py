@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ulbkit import __version__
 from ulbkit.cli import build_parser, main
 from ulbkit.ulb import ulb
 
@@ -218,6 +219,66 @@ def test_oracle_subcommands(capsys):
         "--potential", "riesz", "--p", "1",
     )
     assert json.loads(out)["result"]["energy"] == pytest.approx(1.0, rel=1e-12)
+
+
+# stdout of `oracle exhaustive --n 4 --M 3 --potential riesz --p 1`, as
+# the pair-by-pair search printed it
+EXHAUSTIVE_4_3 = """{
+  "command": "oracle",
+  "params": {
+    "M": 3,
+    "command": "oracle",
+    "convention": "sum",
+    "n": 4,
+    "oracle_cmd": "exhaustive",
+    "p": 1.0,
+    "potential": "riesz"
+  },
+  "result": {
+    "M": 3,
+    "convention": "sum",
+    "energy": 3.723614639131598,
+    "space": "H(4,2)",
+    "words": [
+      [
+        0,
+        0,
+        0,
+        0
+      ],
+      [
+        0,
+        0,
+        1,
+        1
+      ],
+      [
+        1,
+        1,
+        0,
+        1
+      ]
+    ]
+  },
+  "schema_version": 2,
+  "tool": {
+    "name": "ulbkit",
+    "version": "VERSION"
+  }
+}
+"""
+
+
+def test_oracle_searches_print_the_same_bytes(capsys):
+    argv = ("oracle", "minimize", "--n", "3", "--M", "7", "--potential", "riesz", "--p", "1",
+            "--restarts", "20", "--seed", "1")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, *argv) == first
+    code, out, _ = run_cli(capsys, "oracle", "exhaustive", "--n", "4", "--M", "3",
+                           "--potential", "riesz", "--p", "1")
+    assert code == 0
+    assert out == EXHAUSTIVE_4_3.replace("VERSION", __version__)
 
 
 def test_oracle_points_json(tmp_path, capsys):

@@ -138,6 +138,96 @@ def test_minimize_sphere_deterministic():
     assert a == b
 
 
+def _unit_starts(seed, R, M, n=3):
+    x = np.random.default_rng(seed).normal(size=(R, M, n))
+    return x / np.linalg.norm(x, axis=2)[..., None]
+
+
+def test_restarts_descend_independently():
+    # a batch holds restarts that stop at different iterations; each must
+    # end as it would alone
+    starts = _unit_starts(3, 4, 9)
+    _, vals, iters = oracle._descend(starts, RIESZ1, 4000)
+    assert len(set(iters.tolist())) > 1
+    for r in range(len(starts)):
+        _, val, it = oracle._descend(starts[r : r + 1], RIESZ1, 4000)
+        assert val[0] == pytest.approx(vals[r], rel=1e-12, abs=0)
+        assert it[0] == iters[r]
+
+
+def test_iterations_cap_each_restart():
+    starts = _unit_starts(5, 6, 7)
+    x, vals, iters = oracle._descend(starts, RIESZ1, 30)
+    assert iters.tolist() == [30] * 6  # M=7 needs about 2000 steps
+    # the energy only decreases, and the iterates stay on the sphere
+    for r in range(6):
+        start = oracle.energy(S3, oracle.make_code(S3, starts[r]), RIESZ1)
+        assert vals[r] < start
+        assert np.allclose(np.linalg.norm(x[r], axis=1), 1.0, atol=1e-14)
+    _, val, info = oracle.minimize_sphere(3, 7, RIESZ1, restarts=5, seed=2, iterations=30)
+    assert len(info["restart_energies"]) == 5
+    assert info["iterations_best"] == 30
+    assert val == min(info["restart_energies"])
+    _, _, info = oracle.minimize_sphere(3, 5, RIESZ1, restarts=3, seed=2)
+    assert len(info["restart_energies"]) == 3
+    assert 0 < info["iterations_best"] < 4000
+
+
+def test_restarts_in_batches_give_the_same_result(monkeypatch):
+    whole = oracle.minimize_sphere(3, 6, RIESZ1, restarts=7, seed=3)
+    monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 2 * 6 * 6)  # batches of 2, 2, 2, 1
+    code, val, info = oracle.minimize_sphere(3, 6, RIESZ1, restarts=7, seed=3)
+    assert np.array_equal(code.points, whole[0].points)
+    assert (val, info) == whole[1:]
+
+
+def _exhaustive_loop(n, M, h):
+    # the pair-by-pair search with an early break that the chunked array
+    # search replaced: the reference for its energies and codes
+    total = 1 << n
+    hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]
+    best_val, best_set = math.inf, None
+    for rest in itertools.combinations(range(1, total), M - 1):
+        words = (0,) + rest
+        val = 0.0
+        for i in range(M):
+            for j in range(i + 1, M):
+                val += hval[(words[i] ^ words[j]).bit_count() - 1]
+                if val >= best_val:
+                    break
+            else:
+                continue
+            break
+        else:
+            if val < best_val:
+                best_val, best_set = val, words
+    pts = [[(wd >> i) & 1 for i in range(n - 1, -1, -1)] for wd in best_set]
+    return np.asarray(pts), 2.0 * best_val
+
+
+def _assert_matches_loop(n, M, h):
+    code, val = oracle.exhaustive_hamming(n, M, h)
+    ref_points, ref_val = _exhaustive_loop(n, M, h)
+    assert val == ref_val
+    assert np.array_equal(code.points, ref_points)
+
+
+@pytest.mark.parametrize("h", [RIESZ1, builtin("gaussian", c=1)], ids=["riesz", "gaussian"])
+def test_exhaustive_matches_the_pair_loop(h):
+    cases = [(n, M) for n in range(2, 6) for M in range(2, 6) if M <= 2**n] + [(6, 4)]
+    for n, M in cases:
+        _assert_matches_loop(n, M, h)
+
+
+def test_exhaustive_across_chunks(monkeypatch):
+    # C(15, 3) = 455 and C(15, 4) = 1365 combinations: 4 leaves a short last
+    # chunk, 5 divides both
+    for chunk in (4, 5):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for n, M in ((4, 4), (4, 5)):
+            _assert_matches_loop(n, M, RIESZ1)
+
+
 def test_exhaustive_hamming_examples():
     for n in (3, 4):
         code, val = oracle.exhaustive_hamming(n, 2, RIESZ1)

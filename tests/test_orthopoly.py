@@ -282,3 +282,28 @@ def test_systems_stop_where_the_values_at_one_stop_being_normal():
     assert np.all(np.abs(system.value_at_one) >= np.finfo(float).tiny)
     with pytest.raises(DegreeOverflowError, match="degree 1028 exceeds the \\(0,0\\)-system cap 1027"):
         adjacent_system(s2, 0, 0, 1028)
+
+
+def test_shorter_systems_are_prefixes_of_longer_ones():
+    # an infinite space's system is cached per length, so a bound must not
+    # depend on which length served it
+    spaces = [make_space("sphere", n=3), make_space("sphere", n=10),
+              make_space("projective", n=4, field_dim=4), make_space("projective", n=3, field_dim=2)]
+    for space in spaces:
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            short = orthopoly._build_system(space, a, b, 32)
+            long = orthopoly._build_system(space, a, b, 2048)
+            for name in ("rec_beta", "rec_gamma", "value_at_one", "norms"):
+                head = getattr(short, name)
+                assert np.array_equal(head, getattr(long, name)[: len(head)])
+            assert short.c_norm == long.c_norm
+
+
+def test_growing_a_space_builds_few_systems(monkeypatch):
+    # systems are built to 16 * 2^j: S^2 grown to its cap (degree ~1030)
+    # builds at most 8 per (a, b), where 16-degree blocks built ~20 each
+    monkeypatch.setattr(levenshtein, "_LEVEL_MAPS", {})
+    levenshtein.validity_interval.cache_clear()
+    orthopoly._build_system.cache_clear()
+    assert levenshtein.tau_for_cardinality(make_space("sphere", n=3), 400000) == (631, 1, 1262)
+    assert orthopoly.adjacent_system.cache_info().currsize <= 8 * 4
