@@ -24,6 +24,9 @@ from .pmspace import SpaceDescriptor
 # a caller needs, rounded up to 16 * 2^j, so growing one to degree d
 # builds about log2(d/16) systems, not d/16; each is a prefix of the next.
 _BLOCK = 16
+# space -> read-only values of Q_0..Q_d on the space's verification grid,
+# one table per space at the largest degree d asked for so far
+_GRID_TABLES = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +129,28 @@ def eval_q_all(system: OrthoSystem, deg: int, t):
     vals = rec.eval_all(system.rec_beta, system.rec_gamma, deg, np.asarray(t, dtype=float))
     shape = (deg + 1,) + (1,) * (vals.ndim - 1)
     return vals / system.value_at_one[: deg + 1].reshape(shape)
+
+
+def grid_table(space: SpaceDescriptor, deg: int) -> np.ndarray:
+    """Values of Q_0..Q_deg on ``pmspace.verification_grid(space)``; read-only.
+
+    Each space keeps one table.  A larger degree replaces it by one built
+    at that degree; a smaller one is a prefix of it, equal bit for bit to
+    :func:`eval_q_all` on the grid, since row i of the recurrence depends
+    only on the rows before it.
+    """
+    system = adjacent_system(space, 0, 0, deg)  # refuses a degree past the cap
+    table = _GRID_TABLES.get(space)
+    if table is None or len(table) <= deg:
+        # both references to the old table go before its successor is built
+        del table
+        _GRID_TABLES.pop(space, None)
+        grid = pmspace.verification_grid(space)
+        table = rec.eval_all(system.rec_beta, system.rec_gamma, deg, grid)
+        table /= system.value_at_one[: deg + 1, None]
+        table.flags.writeable = False
+        _GRID_TABLES[space] = table
+    return table[: deg + 1]
 
 
 def eval_q_derivatives(system: OrthoSystem, deg: int, order: int, t):

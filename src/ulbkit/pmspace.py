@@ -128,16 +128,21 @@ _PARAMETERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def verification_grid(space: SpaceDescriptor) -> np.ndarray:
     """T(M) without t=1: the points where pointwise conditions are checked.
 
     The grid itself for finite spaces; 2000 Chebyshev-spaced points of
-    [-1, 1) otherwise.
+    [-1, 1) otherwise.  Built once per space and read-only; the values
+    of Q_0..Q_deg on it are cached too (:func:`ulbkit.orthopoly.grid_table`).
     """
     if space.is_finite:
         t, _ = t_grid(space)
-        return t[t < 1.0]
-    return np.cos(np.pi * np.arange(1, 2001) / 2000)
+        grid = t[t < 1.0]
+    else:
+        grid = np.cos(np.pi * np.arange(1, 2001) / 2000)
+    grid.flags.writeable = False  # shared by every caller through the cache
+    return grid
 
 
 @lru_cache(maxsize=None)

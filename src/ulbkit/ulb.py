@@ -17,7 +17,7 @@ import numpy as np
 from . import orthopoly, pmspace
 from .errors import ConditionError, ConvergenceError, MonotonicityError, ParameterError
 from .levenshtein import QuadratureRule, odd_branch_rule, quadrature_rule
-from .orthopoly import adjacent_system, eval_q_all, poly_eval
+from .orthopoly import adjacent_system, eval_q_all
 from .pmspace import SpaceDescriptor
 from .potentials import Potential, check_absolutely_monotone
 
@@ -193,13 +193,16 @@ def verify_certificate(
 ) -> CertificateChecks:
     """Check the two bound conditions for a candidate polynomial, given its Q-coefficients.
 
-    ``below_h``: f <= h on a dense grid of T(M) minus the point 1,
-    with tolerance below_tol * (1 + |h|); ``f_geq``: all coefficients of
-    the expansion in the Q-system are nonnegative (within -1e-8).
-    Failures are reported as data.
+    ``below_h``: f <= h on :func:`ulbkit.pmspace.verification_grid`, a
+    dense grid of T(M) minus the point 1, with tolerance
+    below_tol * (1 + |h|); ``f_geq``: all coefficients of the expansion
+    in the Q-system are nonnegative (within -1e-8).  f is evaluated from
+    the space's cached table of Q_0..Q_deg on the grid
+    (:func:`ulbkit.orthopoly.grid_table`).  Failures are reported as data.
     """
     grid = pmspace.verification_grid(space)
-    fv = poly_eval(space, f, grid)
+    f = np.asarray(f, dtype=float)
+    fv = np.tensordot(f, orthopoly.grid_table(space, len(f) - 1), axes=(0, 0))
     hv = np.asarray(h(grid), dtype=float)
     excess = fv - hv
     tol = below_tol * (1.0 + np.abs(hv))

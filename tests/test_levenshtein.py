@@ -1,3 +1,5 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
 from ulbkit.errors import DegreeOverflowError, ParameterError
 from ulbkit.pmspace import make_space
+from ulbkit.potentials import builtin
+from ulbkit.ulb import ulb
 
 ALL_SPACES = [
     make_space("sphere", n=3),
@@ -424,9 +428,11 @@ def _mp_eigs(rec, deg, shift=0):
     return sorted(mpmath.eigsy(J, eigvals_only=True))
 
 
+@functools.lru_cache(maxsize=None)
 def _mp_rule_nodes(space, M):
     """Nodes of the 1/M-rule at 50 digits: L_tau(s) = M by bisection, and the
-    interior nodes as zeros of the kernel T_{k-1}^{1,eps}(t, s)."""
+    interior nodes as zeros of the kernel T_{k-1}^{1,eps}(t, s).  Cached:
+    every caller works at 50 digits."""
     k, eps, _ = lev.tau_for_cardinality(space, M)
     a0, b0 = space.jacobi_exponents()
     rec0 = _mp_jacobi(a0, b0 + eps, k + 1)
@@ -492,6 +498,28 @@ def _mp_rule_weights(space, nodes, M):
             A[i, j] = _mp_monic(rec, i, nodes[j]) / _mp_monic(rec, i, one)
     rhs = mpmath.matrix([(1 if i == 0 else 0) - one / M for i in range(n)])
     return mpmath.lu_solve(A, rhs)
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("sphere", {"n": 3}, 825),
+        ("sphere", {"n": 10}, 44264512),
+        ("projective", {"n": 4, "field_dim": 4}, 5125840720),
+        ("projective", {"n": 3, "field_dim": 2}, 118638),
+    ],
+)
+def test_bound_value_matches_mp_reference(family, params, M):
+    # M^2 sum_j rho_j h(alpha_j) from the 50-digit nodes and weights
+    space = make_space(family, **params)
+    potentials = ((builtin("riesz", p=1), lambda t: (2 - 2 * t) ** mpmath.mpf(-0.5)),
+                  (builtin("gaussian", c=1), mpmath.exp))
+    with mpmath.workdps(50):
+        nodes = _mp_rule_nodes(space, M)
+        weights = _mp_rule_weights(space, nodes, M)
+        for h, mp_h in potentials:
+            ref = M * M * mpmath.fsum(w * mp_h(a) for w, a in zip(weights, nodes))
+            assert ulb(space, M, h).value_sum == pytest.approx(float(ref), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize(

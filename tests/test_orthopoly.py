@@ -5,6 +5,10 @@ from ulbkit import levenshtein, orthopoly, pmspace
 from ulbkit.errors import DegreeOverflowError
 from ulbkit.orthopoly import adjacent_system
 from ulbkit.pmspace import make_space
+from ulbkit.potentials import builtin
+from ulbkit.ulb import (
+    _BELOW_TOL, _FGEQ_TOL, CertificateChecks, hermite_certificate, verify_certificate,
+)
 
 def _q(system, i, t):
     return orthopoly.eval_q_all(system, i, t)[i]
@@ -307,3 +311,75 @@ def test_growing_a_space_builds_few_systems(monkeypatch):
     orthopoly._build_system.cache_clear()
     assert levenshtein.tau_for_cardinality(make_space("sphere", n=3), 400000) == (631, 1, 1262)
     assert orthopoly.adjacent_system.cache_info().currsize <= 8 * 4
+
+
+TABLE_SPACES = [
+    make_space("sphere", n=3),
+    make_space("sphere", n=10),
+    make_space("projective", n=3, field_dim=2),
+    make_space("projective", n=4, field_dim=4),
+    make_space("hamming", n=30, q=2),
+    make_space("johnson", n=80, w=40),
+]
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=lambda s: s.label())
+def test_grid_table_prefixes_are_fresh_evaluations(space, monkeypatch):
+    # one table per space, grown to the largest degree asked for; every
+    # prefix must be what a fresh evaluation on the grid gives, bit for bit
+    monkeypatch.setattr(orthopoly, "_GRID_TABLES", {})
+    grid = pmspace.verification_grid(space)
+    cap = space.max_degree
+    asked = [20, 55 if cap is None else min(55, cap), 20]
+    for i, deg in enumerate(asked):
+        table = orthopoly.grid_table(space, deg)
+        fresh = orthopoly.eval_q_all(adjacent_system(space, 0, 0, deg), deg, grid)
+        assert table.shape == fresh.shape
+        assert np.array_equal(table, fresh)
+        assert list(orthopoly._GRID_TABLES) == [space]
+        assert len(orthopoly._GRID_TABLES[space]) == max(asked[: i + 1]) + 1
+    with pytest.raises(ValueError):
+        table[1, 0] = 0.0
+    with pytest.raises(ValueError):
+        orthopoly._GRID_TABLES[space][-1] *= 2
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    assert pmspace.verification_grid(space) is grid
+
+
+def _checks_by_poly_eval(space, f, h, below_tol=_BELOW_TOL):
+    # the verification as it was before the table: poly_eval on a fresh,
+    # writable copy of the grid
+    grid = np.array(pmspace.verification_grid(space))
+    fv = orthopoly.poly_eval(space, f, grid)
+    hv = np.asarray(h(grid), dtype=float)
+    excess = fv - hv
+    tol = below_tol * (1.0 + np.abs(hv))
+    worst = int(np.argmax(excess - tol))
+    minq = float(np.min(f))
+    return CertificateChecks(
+        below_h=bool(np.all(excess <= tol)),
+        f_geq=bool(minq >= _FGEQ_TOL),
+        min_q_coefficient=minq,
+        max_excess=float(excess[worst]),
+        worst_t=float(grid[worst]),
+    )
+
+
+@pytest.mark.parametrize(
+    "family,params,M,potential,below_h",
+    [
+        ("sphere", {"n": 3}, 825, ("gaussian", {"c": 1}), True),
+        ("projective", {"n": 4, "field_dim": 4}, 193450991360, ("gaussian", {"c": 1}), True),
+        ("projective", {"n": 4, "field_dim": 4}, 193450991360, ("riesz", {"p": 1}), True),
+        ("projective", {"n": 4, "field_dim": 4}, 5125840719, ("gaussian", {"c": 1}), False),
+    ],
+)
+def test_verification_from_the_table_matches_poly_eval(family, params, M, potential, below_h):
+    # HP^3 at tau 53 and, failing below_h, at tau 37
+    space = make_space(family, **params)
+    h = builtin(potential[0], **potential[1])
+    f = hermite_certificate(levenshtein.quadrature_rule(space, M), h)
+    checks = verify_certificate(space, f, h)
+    assert checks == _checks_by_poly_eval(space, f, h)
+    assert checks.below_h is below_h

@@ -412,3 +412,23 @@ def test_monotonicity_is_checked_once_per_potential_and_order():
     assert grid_calls == []
     tau = ulb(space, 30, h).rule.tau  # a higher order is checked again
     assert sorted(grid_calls) == list(range(tau + 2))
+
+
+def test_verification_runs_no_recurrence_on_the_grid(monkeypatch):
+    # a warm HP^3 op at tau 53 checks its certificate against the space's
+    # cached table of Q_0..Q_53 on the 2000-point verification grid
+    space = make_space("projective", n=4, field_dim=4)
+    lo = lev.design_bound(space, 53)
+    M = int(round(0.5 * (lo + lev.design_bound(space, 54))))
+    ulb(space, M, RIESZ1)
+    sizes = []
+    eval_all = rec.eval_all
+
+    def counting_eval_all(b, g, deg, t):
+        sizes.append(np.size(t))
+        return eval_all(b, g, deg, t)
+
+    monkeypatch.setattr(rec, "eval_all", counting_eval_all)
+    assert ulb(space, M, RIESZ1).rule.tau == 53
+    assert len(pmspace.verification_grid(space)) == 2000
+    assert 2000 not in sizes

@@ -1,0 +1,72 @@
+"""One SHA-1 per library ``ulb`` op of the bound-table and high-degree benchmark lists.
+
+Each digest covers the bound (``value_sum``), the rule's nodes, weights
+and power-sum residual, the certificate and every field of its checks;
+an op that raises prints its error instead.  Running this on two
+checkouts and diffing the output tells whether a change leaves every
+bound bit-identical:
+
+    python tools/fingerprints.py --seeds 11 12 > after.txt
+
+The op lists come from ``perfbench/workloads.py``, imported as is.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import ulbkit  # noqa: E402
+import workloads  # noqa: E402
+from ulbkit.errors import UlbkitError  # noqa: E402
+
+WORKLOADS = ("bound-table", "high-degree")
+
+
+def _bits(x):
+    """Exact bytes of a float, a bool or an array of floats."""
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, bool):
+        return bytes([x])
+    return float(x).hex().encode()
+
+
+def fingerprint(report):
+    rule, checks = report.rule, report.certificate_checks
+    digest = hashlib.sha1()
+    for part in (report.value_sum, rule.nodes, rule.weights, rule.power_sum_residual,
+                 np.asarray(report.certificate, dtype=float),
+                 *vars(checks).values()):
+        digest.update(_bits(part))
+    return digest.hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    potentials = {name: ulbkit.builtin(name, **params)
+                  for name, params in workloads.POTENTIALS.items()}
+    for seed in args.seeds:
+        for workload in WORKLOADS:
+            for i, op in enumerate(workloads.generate(workload, seed)):
+                if op["kind"] != "ulb":
+                    continue
+                kwargs = {"rel_tol": op["rel_tol"]} if op.get("rel_tol") else {}
+                try:
+                    rep = ulbkit.ulb(workloads.make(op["space"]), op["M"],
+                                     potentials[op["potential"]], **kwargs)
+                    line = fingerprint(rep)
+                except UlbkitError as exc:
+                    line = f"{type(exc).__name__}: {exc}"
+                print(f"{workload} s{seed} #{i}: {line}")
+
+
+if __name__ == "__main__":
+    main()
