@@ -95,9 +95,23 @@ def stieltjes(x, w, count: int):
 def eval_all(b, g, deg: int, t):
     """Values of the monic polynomials of degrees 0..deg at t.
 
-    Returns an array of shape (deg+1,) + shape(t).
+    Returns an array of shape (deg+1,) + shape(t).  A 0-d t runs the
+    recurrence on Python floats, with the operations of the array path
+    in the same order, so its values equal the array path's bit for bit.
     """
     t = np.asarray(t, dtype=float)
+    if t.ndim:
+        return _eval_all_array(b, g, deg, t)
+    x = float(t)
+    out = [1.0]
+    if deg >= 1:
+        out.append(x - float(b[0]))
+        for b_k, g_k in zip(b[1:deg].tolist(), g[1:deg].tolist()):
+            out.append((x - b_k) * out[-1] - g_k * out[-2])
+    return np.array(out)
+
+
+def _eval_all_array(b, g, deg: int, t):
     out = np.zeros((deg + 1,) + t.shape)
     out[0] = 1.0
     if deg >= 1:
@@ -111,19 +125,39 @@ def eval_derivatives(b, g, deg: int, order: int, t):
     """Derivatives of orders 0..order of the monic polynomials of degrees 0..deg at t.
 
     Differentiating the recurrence r times gives
-    pi_{k+1}^{(r)} = (t - beta_k) pi_k^{(r)} + r pi_k^{(r-1)} - gamma_k pi_{k-1}^{(r)}.
-    Returns an array of shape (deg+1, order+1) + shape(t).
+    pi_{k+1}^{(r)} = (t - beta_k) pi_k^{(r)} + r pi_k^{(r-1)} - gamma_k pi_{k-1}^{(r)},
+    evaluated in that order.  One loop serves every order: each step
+    writes into its row of the output through views made once, and the
+    product r * pi_k^{(r-1)} is skipped for r = 1, where it is exact.  The
+    values equal, bit for bit, those of a loop that forms every term as a
+    new array.  Returns an array of shape (deg+1, order+1) + shape(t).
     """
     t = np.asarray(t, dtype=float)
-    r = np.arange(1, order + 1).reshape((order,) + (1,) * t.ndim)
-    out = np.zeros((deg + 1, order + 1) + t.shape)
+    x = t.reshape(-1)  # 1-d, so that every row below is a view, even for a 0-d t
+    out = np.zeros((deg + 1, order + 1, x.size))
     out[0, 0] = 1.0
-    for k in range(deg):
-        out[k + 1] = (t - b[k]) * out[k]
-        out[k + 1, 1:] += r * out[k, :-1]
-        if k > 0:
-            out[k + 1] -= g[k] * out[k - 1]
-    return out
+    # t - beta_k for every k, already of the shape of a row of the output
+    shift = np.empty((deg, order + 1, x.size))
+    shift[...] = (x - np.reshape(b[:deg], (deg, 1)))[:, None]
+    r = np.empty((max(order - 1, 0), x.size))
+    r[...] = np.arange(2.0, order + 1)[:, None]
+    tmp = np.empty((order + 1, x.size))
+    tmp_high = tmp[2:]
+    rows, values, slopes = list(out), list(out[:, 0]), list(out[:, min(order, 1)])
+    highs, lows = list(out[:, 2:]), list(out[:, 1:-1])
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for k, g_k in enumerate(g[:deg].tolist()):
+        row = rows[k + 1]
+        mul(shift[k], rows[k], row)
+        if order:
+            add(slopes[k + 1], values[k], slopes[k + 1])
+        if order > 1:
+            mul(r, lows[k], tmp_high)
+            add(highs[k + 1], tmp_high, highs[k + 1])
+        if k:
+            mul(rows[k - 1], g_k, tmp)
+            sub(row, tmp, row)
+    return out.reshape((deg + 1, order + 1) + t.shape)
 
 
 def jacobi_matrix(b, g, deg: int):

@@ -221,10 +221,11 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
 
 
 def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) -> QuadratureRule:
+    # every check is written so that a NaN fails it
     s = float(nodes[-1])
-    if abs(_lev_value(space, tau, s) - M) > _SOLVE_RTOL * M:
+    if not abs(_lev_value(space, tau, s) - M) <= _SOLVE_RTOL * M:
         raise ConvergenceError(f"L_{tau}(s) misses M={M} at the separation s={s}")
-    if np.any(np.diff(nodes) <= 0):
+    if not np.all(np.diff(nodes) > 0):
         raise ConvergenceError("quadrature nodes are not strictly increasing")
     if eps:
         # The weight at -1 vanishes at the bottom of the level.  The rule
@@ -232,19 +233,20 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         # tau and mean 0, gives it as a product, accurate relative to its
         # size.
         inner = nodes[1:-1]
-        q = eval_q_all(adjacent_system(space, 1, 0, k), k, np.array([-1.0, s]))[k]
+        system = adjacent_system(space, 1, 0, k)
+        q_s, q_m1 = (eval_q_all(system, k, x)[k] for x in (s, -1.0))
         weights[0] = (
-            -weights[-1] * (1 - s) * q[1] * np.prod(s - inner) / (2 * q[0] * np.prod(-1 - inner))
+            -weights[-1] * (1 - s) * q_s * np.prod(s - inner) / (2 * q_m1 * np.prod(-1 - inner))
         )
-    if np.any(weights <= 0):
+    if not np.all(weights > 0):
         raise ConvergenceError(
             f"nonpositive quadrature weight for M={M}: {weights}"
         )
-    residual = 0.0
-    for m, b_m in enumerate(pmspace.moments(space, tau).tolist()):
-        lhs = 1.0 / M + float(np.dot(weights, nodes**m))
-        residual = max(residual, abs(lhs - b_m))
-    if residual > _POWER_SUM_TOL:
+    # 1/M + sum_i rho_i alpha_i^m against the moments b_m of the measure,
+    # m <= tau; the powers are cumulative products
+    powers = np.vander(nodes, tau + 1, increasing=True)
+    residual = float(np.max(np.abs(1.0 / M + weights @ powers - pmspace.moments(space, tau))))
+    if not residual <= _POWER_SUM_TOL:
         raise ConvergenceError(
             f"power-sum residual {residual:.2e} too large for M={M}"
         )

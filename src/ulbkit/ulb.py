@@ -128,10 +128,11 @@ def _report_from_rule(
         raise ParameterError(f"unknown energy convention {convention!r}")
     _require_monotone(h, rule.tau + 1)
     M = rule.M
+    h_nodes = h(rule.nodes) if value_sum is None or certificate is None else None
     if value_sum is None:
-        value_sum = M * M * float(np.dot(rule.weights, h(rule.nodes)))
+        value_sum = M * M * float(np.dot(rule.weights, h_nodes))
     if certificate is None:
-        certificate = hermite_certificate(rule, h)
+        certificate = hermite_certificate(rule, h, h_nodes)
     checks = verify_certificate(space, certificate, h, below_tol=abs_tol)
     if check_value:
         _check_value_identity(rule, certificate, value_sum, rel_tol)
@@ -171,20 +172,22 @@ def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
         )
 
 
-def hermite_certificate(rule: QuadratureRule, h: Potential) -> np.ndarray:
+def hermite_certificate(rule: QuadratureRule, h: Potential, h_nodes=None) -> np.ndarray:
     """Hermite interpolant of h at the rule's nodes, in the Q-basis.
 
     Every node is matched to first order except a node at -1, which is
     matched to order zero only.  The tau+1 coefficients f_0..f_tau solve
     sum_i f_i Q_i(a) = h(a) and sum_i f_i Q_i'(a) = h'(a) over the
-    matched nodes a.
+    matched nodes a.  ``h_nodes``, when given, is h(rule.nodes).
     """
     nodes = rule.nodes
     skip = int(rule.epsilon == 1 and abs(nodes[0] + 1.0) <= 1e-12)  # no slope at -1
     deg = 2 * len(nodes) - 1 - skip
     q = orthopoly.eval_q_derivatives(adjacent_system(rule.space, 0, 0, deg), deg, 1, nodes)
     lhs = np.hstack([q[:, 0], q[:, 1, skip:]]).T
-    rhs = np.concatenate([h(nodes), h.deriv(nodes[skip:], 1)])
+    if h_nodes is None:
+        h_nodes = h(nodes)
+    rhs = np.concatenate([h_nodes, h.deriv(nodes[skip:], 1)])
     return np.linalg.solve(lhs, rhs)
 
 
@@ -202,7 +205,7 @@ def verify_certificate(
     """
     grid = pmspace.verification_grid(space)
     f = np.asarray(f, dtype=float)
-    fv = np.tensordot(f, orthopoly.grid_table(space, len(f) - 1), axes=(0, 0))
+    fv = f @ orthopoly.grid_table(space, len(f) - 1)
     hv = np.asarray(h(grid), dtype=float)
     excess = fv - hv
     tol = below_tol * (1.0 + np.abs(hv))

@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
-from ulbkit.errors import DegreeOverflowError, ParameterError
+from ulbkit.errors import ConvergenceError, DegreeOverflowError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import ulb
@@ -382,6 +382,18 @@ def test_rule_rejects_bad_cardinality():
         lev.quadrature_rule(make_space("sphere", n=3), 1)
 
 
+@pytest.mark.parametrize("field", ["nodes", "weights"])
+def test_a_nan_in_the_rule_fails_its_checks(field):
+    # a NaN compares false with everything: each check must fail on it
+    space = make_space("sphere", n=3)
+    k, eps, tau = lev.tau_for_cardinality(space, 100)
+    nodes, weights = lev._bordered_rule(space, 100, k, eps)
+    lev._rule_from_nodes(space, 100, k, eps, tau, nodes.copy(), weights.copy())
+    {"nodes": nodes, "weights": weights}[field][3] = np.nan
+    with pytest.raises(ConvergenceError):
+        lev._rule_from_nodes(space, 100, k, eps, tau, nodes, weights)
+
+
 def test_circle_design_bounds_are_polygon_sizes():
     s2 = make_space("sphere", n=2)
     for tau in range(1, 8):
@@ -599,3 +611,31 @@ def test_rule_weights_match_mp_reference(family, params, M):
         ref = np.array([float(w) for w in _mp_weights_at(space, rule.nodes, M)])
     inner = slice(rule.epsilon, None)
     assert np.max(np.abs(rule.weights[inner] / ref[inner] - 1)) <= 1e-10
+
+
+def _residual_by_loop(rule):
+    # the power-sum check as it was before it became one matrix product
+    residual = 0.0
+    for m, b_m in enumerate(pmspace.moments(rule.space, rule.tau).tolist()):
+        lhs = 1.0 / rule.M + float(np.dot(rule.weights, rule.nodes**m))
+        residual = max(residual, abs(lhs - b_m))
+    return residual
+
+
+@pytest.mark.parametrize(
+    "family,params,M",
+    [
+        ("sphere", {"n": 3}, 825),
+        ("sphere", {"n": 10}, 44264512),
+        ("projective", {"n": 4, "field_dim": 4}, 5125840720),
+        ("projective", {"n": 3, "field_dim": 2}, 118638),
+        ("johnson", {"n": 80, "w": 40}, 5831250618),
+        ("johnson", {"n": 80, "w": 40}, 2226245434203),
+        ("hamming", {"n": 30, "q": 2}, 53199091),
+        ("projective", {"n": 4, "field_dim": 4}, 193450991360),
+    ],
+)
+def test_power_sum_residual_matches_the_loop(family, params, M):
+    # the cells pinned by the 50-digit references above
+    rule = lev.quadrature_rule(make_space(family, **params), M)
+    assert abs(rule.power_sum_residual - _residual_by_loop(rule)) <= 4.5e-16

@@ -432,3 +432,32 @@ def test_verification_runs_no_recurrence_on_the_grid(monkeypatch):
     assert ulb(space, M, RIESZ1).rule.tau == 53
     assert len(pmspace.verification_grid(space)) == 2000
     assert 2000 not in sizes
+
+
+@pytest.mark.parametrize("tau", [53, 54])
+def test_point_values_run_the_float_recurrence(monkeypatch, tau):
+    # a warm HP^3 op evaluates its systems at s, and on an even level at
+    # -1, one point at a time, and only the recurrence on Python floats
+    # sees those points
+    space = make_space("projective", n=4, field_dim=4)
+    lo = lev.design_bound(space, tau)
+    M = int(round(0.5 * (lo + lev.design_bound(space, tau + 1))))
+    ulb(space, M, GAUSS)
+    shapes, array_args = [], []
+    eval_all, array_branch = rec.eval_all, rec._eval_all_array
+
+    def recording_eval_all(b, g, deg, t):
+        shapes.append(np.shape(t))
+        return eval_all(b, g, deg, t)
+
+    def recording_array_branch(b, g, deg, t):
+        array_args.append(t)
+        return array_branch(b, g, deg, t)
+
+    monkeypatch.setattr(rec, "eval_all", recording_eval_all)
+    monkeypatch.setattr(rec, "_eval_all_array", recording_array_branch)
+    rule = ulb(space, M, GAUSS).rule
+    assert rule.tau == tau
+    # L_tau(s) takes two values at s; the weight at -1 one at s and one at -1
+    assert shapes.count(()) == 2 + 2 * rule.epsilon
+    assert not [t for t in array_args if np.ndim(t) == 0 or np.size(t) == 2]

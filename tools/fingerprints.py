@@ -1,10 +1,12 @@
 """One SHA-1 per library ``ulb`` op of the bound-table and high-degree benchmark lists.
 
-Each digest covers the bound (``value_sum``), the rule's nodes, weights
-and power-sum residual, the certificate and every field of its checks;
-an op that raises prints its error instead.  Running this on two
-checkouts and diffing the output tells whether a change leaves every
-bound bit-identical:
+Each digest covers the bound (``value_sum``), the rule's nodes and
+weights, the certificate and every field of its checks.  The rule's
+power-sum residual, a check on the rule rather than a result, is
+printed beside it as a float hex, so a change that moves only the
+residual reads as such.  An op that raises prints its error instead.
+Running this on two checkouts and diffing the output tells whether a
+change leaves every bound bit-identical:
 
     python tools/fingerprints.py --seeds 11 12 > after.txt
 
@@ -40,11 +42,11 @@ def _bits(x):
 def fingerprint(report):
     rule, checks = report.rule, report.certificate_checks
     digest = hashlib.sha1()
-    for part in (report.value_sum, rule.nodes, rule.weights, rule.power_sum_residual,
+    for part in (report.value_sum, rule.nodes, rule.weights,
                  np.asarray(report.certificate, dtype=float),
                  *vars(checks).values()):
         digest.update(_bits(part))
-    return digest.hexdigest()
+    return f"{digest.hexdigest()} residual {float(rule.power_sum_residual).hex()}"
 
 
 def main(argv=None):
