@@ -57,6 +57,11 @@ def jacobi_monic(alpha: float, beta: float, count: int):
 def stieltjes(x, w, count: int):
     """Recurrence coefficients of a discrete measure by the Stieltjes procedure.
 
+    It runs degree by degree, so a shorter run is a bit-identical prefix of
+    a longer one, and returns the pairs before the first degree whose monic
+    norm is below the normal float range; a non-finite norm raises
+    ConvergenceError.
+
     Parameters
     ----------
     x, w : ndarray
@@ -67,7 +72,7 @@ def stieltjes(x, w, count: int):
     Returns
     -------
     b, g : ndarray
-        Monic recurrence coefficients; g[0] = sum(w).
+        Monic recurrence coefficients, at most count of each; g[0] = sum(w).
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -77,16 +82,17 @@ def stieltjes(x, w, count: int):
     g = np.zeros(count)
     p_prev = np.zeros_like(x)
     p_cur = np.ones_like(x)
-    norm_prev = 0.0
     norm_cur = float(np.sum(w))
     g[0] = norm_cur
     for k in range(count):
         if k > 0:
             norm_new = float(np.sum(w * p_cur * p_cur))
-            if norm_new <= 0 or not np.isfinite(norm_new):
-                raise ConvergenceError(f"lost positivity of norms at degree {k}")
+            if not np.isfinite(norm_new):
+                raise ConvergenceError(f"norm of degree {k} is not finite")
+            if norm_new < np.finfo(float).tiny:
+                return b[:k], g[:k]
             g[k] = norm_new / norm_cur
-            norm_prev, norm_cur = norm_cur, norm_new
+            norm_cur = norm_new
         b[k] = float(np.sum(w * x * p_cur * p_cur)) / norm_cur
         p_prev, p_cur = p_cur, (x - b[k]) * p_cur - (g[k] if k > 0 else 0.0) * p_prev
     return b, g

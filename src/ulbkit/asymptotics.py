@@ -52,11 +52,11 @@ class AsymptoticQuery:
 
     @property
     def k(self) -> int:
-        return (self.tau + 1 - self.epsilon) // 2
+        return levenshtein._split(self.tau)[0]
 
     @property
     def epsilon(self) -> int:
-        return (self.tau + 1) % 2
+        return levenshtein._split(self.tau)[1]
 
     @property
     def delta_k(self) -> float:

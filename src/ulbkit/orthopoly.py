@@ -20,9 +20,9 @@ from . import pmspace
 from .errors import DegreeOverflowError, ParameterError
 from .pmspace import SpaceDescriptor
 
-# An infinite space has no degree cap: its systems are built to the degree
-# a caller needs, rounded up to 16 * 2^j, so growing one to degree d
-# builds about log2(d/16) systems, not d/16; each is a prefix of the next.
+# Every system is built to the degree a caller needs, rounded up to
+# 16 * 2^j, so growing one to degree d builds about log2(d/16) systems,
+# not d/16; each is a bit-identical prefix of the next.
 _BLOCK = 16
 # space -> read-only values of Q_0..Q_d on the space's verification grid,
 # one table per space at the largest degree d asked for so far
@@ -53,34 +53,33 @@ class OrthoSystem:
 def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> OrthoSystem:
     """The (a,b)-adjacent system of a space, carrying at least degree deg.
 
-    A finite space's system runs to the cap of its (weighted) measure;
-    an infinite space's to the first 16 * 2^j above deg.  Either
-    stops earlier at the last degree whose monic value at t=1 is a
-    normal float.  Systems are cached.
+    Every system is built to the first 16 * 2^j above deg, cut at one
+    below the number of atoms of a finite space's (weighted) measure.  It
+    ends earlier at the last degree whose monic norm and value at t=1 are
+    normal floats.  Systems are cached.
 
     Raises
     ------
     DegreeOverflowError
-        If deg exceeds the cap of a finite space's (weighted) measure, or
-        the last degree whose monic value at t=1 is a normal float.
+        If deg lies past the end of the system.
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ParameterError(f"adjacent exponents must be 0 or 1, got ({a}, {b})")
-    max_deg = None if space.is_finite else _BLOCK << (deg // _BLOCK).bit_length()
-    system = _build_system(space, a, b, max_deg)
+    system = _build_system(space, a, b, _BLOCK << (deg // _BLOCK).bit_length())
     _check(system, deg)
     return system
 
 
 @lru_cache(maxsize=None)
-def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int | None) -> OrthoSystem:
+def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> OrthoSystem:
+    """The (a,b)-adjacent system to degree max_deg, or to where its floats end."""
     if space.is_finite:
         t, mass = pmspace.t_grid(space)
         wts = mass * (1.0 - t) ** a * (1.0 + t) ** b
         keep = wts > 0
         t, wts = t[keep], wts[keep]
-        max_deg = len(t) - 1
-        beta, gamma = rec.stieltjes(t, wts, max_deg + 1)
+        beta, gamma = rec.stieltjes(t, wts, min(max_deg, len(t) - 1) + 1)
+        max_deg = len(beta) - 1
     else:
         alpha0, beta0 = space.jacobi_exponents()
         beta, gamma = rec.jacobi_monic(alpha0 + a, beta0 + b, max_deg + 1)
@@ -208,11 +207,6 @@ def _project(space: SpaceDescriptor, fn, deg: int) -> np.ndarray:
     f_i = r_i * integral(f * Q_i dnu), by the measure rule exact to
     degree 2*deg.  ``fn`` maps an array of t-values to f(t).
     """
-    cap = space.max_degree
-    if cap is not None and deg > cap:
-        raise DegreeOverflowError(
-            f"cannot expand degree {deg} in {space.label()} (cap {cap})"
-        )
     x, wts = pmspace.measure_rule(space, 2 * deg)
     system = adjacent_system(space, 0, 0, deg)
     qx = eval_q_all(system, deg, x)

@@ -146,7 +146,10 @@ def verification_grid(space: SpaceDescriptor) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _t_grid_cached(space: SpaceDescriptor):
+def t_grid(space: SpaceDescriptor):
+    """Grid t_ell (descending) and measure masses for a finite space; read-only."""
+    if not space.is_finite:
+        raise ParameterError("t_grid is defined for finite spaces only")
     if space.family is Family.HAMMING:
         n, q = space.n, space.q
         ell = np.arange(n + 1)
@@ -165,13 +168,6 @@ def _t_grid_cached(space: SpaceDescriptor):
         )
     t.flags.writeable = mass.flags.writeable = False  # shared by every caller
     return t, mass
-
-
-def t_grid(space: SpaceDescriptor):
-    """Grid t_ell (descending) and measure masses for a finite space; read-only."""
-    if not space.is_finite:
-        raise ParameterError("t_grid is defined for finite spaces only")
-    return _t_grid_cached(space)
 
 
 def measure_rule(space: SpaceDescriptor, deg: int):

@@ -134,6 +134,12 @@ def test_hamming_family_sweep():
     limit = asy.limit_expression(q)
     errs = [abs(r["remainder"] - limit) for r in rows if "remainder" in r]
     assert errs and errs[-1] < 0.02
+    # past n = 500, where the norms of the full systems underflow
+    q = asy.AsymptoticQuery("hamming", 3, GAUSS, n_range=tuple(range(100, 1301, 200)))
+    rows = asy.sweep(q)
+    assert not [r for r in rows if "skipped" in r]
+    errs = [abs(r["remainder"] - limit) for r in rows]
+    assert all(a > b for a, b in zip(errs, errs[1:])) and errs[-1] < 3e-5
 
 
 def test_corollary_ratios():

@@ -86,6 +86,15 @@ def test_validation_errors_exit_2(capsys):
     )
     assert code == 2
     assert json.loads(err)["error"]["type"] == "MonotonicityError"
+    # H(1000,2)'s levels end at tau 601 with its systems; past them the
+    # refusal is a degree overflow, not a failed Stieltjes run
+    code, out, err = run_cli(
+        capsys, "ulb", "--space", "hamming", "--n", "1000", "--q", "2", "--M", str(2 * 10**264),
+        "--potential", "gaussian", "--c", "1",
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau > 601)")
 
 
 def test_missing_potential_param_exit_2(capsys):

@@ -203,6 +203,19 @@ def test_level_map_stops_where_the_systems_stop():
         assert got == _outcome(_linear_level, space, M)
 
 
+@pytest.mark.parametrize(
+    "space", [make_space("hamming", n=1000, q=2), make_space("johnson", n=1000, w=500)],
+    ids=lambda s: s.label())
+def test_level_map_stops_where_a_finite_space_systems_stop(space):
+    # the systems of these spaces end at degree 300, where the monic norms
+    # leave the normal float range, so their levels end at tau 601
+    M = 2 * lev.design_bound(space, 601)
+    got = _outcome(lev._level_of, space, M)
+    assert got == (DegreeOverflowError,
+                   f"M={M} exceeds the level capacity of {space.label()} (needs tau > 601)")
+    assert got == _outcome(_linear_level, space, M)
+
+
 def test_solve_separation_examples():
     for n in (3, 4, 6):
         s = make_space("sphere", n=n)

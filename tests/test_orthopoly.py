@@ -289,18 +289,21 @@ def test_systems_stop_where_the_values_at_one_stop_being_normal():
 
 
 def test_shorter_systems_are_prefixes_of_longer_ones():
-    # an infinite space's system is cached per length, so a bound must not
-    # depend on which length served it
+    # a system is cached per length, so a bound must not depend on which
+    # length served it
     spaces = [make_space("sphere", n=3), make_space("sphere", n=10),
-              make_space("projective", n=4, field_dim=4), make_space("projective", n=3, field_dim=2)]
+              make_space("projective", n=4, field_dim=4), make_space("projective", n=3, field_dim=2),
+              make_space("hamming", n=30, q=2), make_space("johnson", n=80, w=40)]
     for space in spaces:
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            short = orthopoly._build_system(space, a, b, 32)
             long = orthopoly._build_system(space, a, b, 2048)
-            for name in ("rec_beta", "rec_gamma", "value_at_one", "norms"):
-                head = getattr(short, name)
-                assert np.array_equal(head, getattr(long, name)[: len(head)])
-            assert short.c_norm == long.c_norm
+            for length in (16, 32):
+                short = orthopoly._build_system(space, a, b, length)
+                assert short.max_deg == min(length, long.max_deg)
+                for name in ("rec_beta", "rec_gamma", "value_at_one", "norms"):
+                    head = getattr(short, name)
+                    assert np.array_equal(head, getattr(long, name)[: len(head)])
+                assert short.c_norm == long.c_norm
 
 
 def test_growing_a_space_builds_few_systems(monkeypatch):

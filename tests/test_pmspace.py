@@ -203,16 +203,17 @@ def test_kravchuk_closed_form_agreement():
             for j in range(i + 1)
         )
 
-    for q in (2, 3):
-        n = 6
+    # all degrees at small n; at large n, where the monic norms underflow
+    # long before the cap, degrees <= 8 on every (n//50)-th grid point
+    for n, q, top in ((6, 2, 6), (6, 3, 6), (1000, 2, 8), (3000, 2, 8), (1000, 3, 8)):
         space = make_space("hamming", n=n, q=q)
-        for i in range(n + 1):
+        for i in range(top + 1):
             r_i = pmspace.multiplicity(space, i)
-            for ell in range(n + 1):
+            for ell in range(0, n + 1, max(n // 50, 1)):
                 t = 1 - 2 * ell / n
                 assert _q(space, i, t) == pytest.approx(
                     kraw(n, q, i, ell) / r_i, abs=1e-9
-                )
+                ), (space.label(), i, ell)
 
 
 def test_hahn_closed_form_agreement():
@@ -225,14 +226,28 @@ def test_hahn_closed_form_agreement():
             for j in range(i + 1)
         )
 
-    n, w = 10, 4
-    space = make_space("johnson", n=n, w=w)
-    for i in range(w + 1):
-        for ell in range(w + 1):
-            t = 1 - 2 * ell / w
-            assert _q(space, i, t) == pytest.approx(
-                hahn(n, w, i, ell), abs=1e-9
-            )
+    for n, w, top in ((10, 4, 4), (1000, 500, 6)):
+        space = make_space("johnson", n=n, w=w)
+        for i in range(top + 1):
+            for ell in range(w + 1):
+                t = 1 - 2 * ell / w
+                assert _q(space, i, t) == pytest.approx(
+                    hahn(n, w, i, ell), abs=1e-9
+                ), (space.label(), i, ell)
+
+
+@pytest.mark.parametrize("n, zeros", [(1100, 6), (3000, 984)])
+def test_moments_where_masses_underflow(n, zeros):
+    # the edge masses C(n, l) / 2^n of a large binary Hamming space are
+    # 0.0 in floats; the moments up to order 10, which levels up to 5
+    # use, must still match the exact rational ones
+    space = make_space("hamming", n=n, q=2)
+    _, mass = pmspace.t_grid(space)
+    assert np.count_nonzero(mass == 0.0) == zeros
+    got = pmspace.moments(space, 10)
+    for m in range(11):
+        exact = Fraction(sum(math.comb(n, l) * (n - 2 * l) ** m for l in range(n + 1)), 2**n * n**m)
+        assert got[m] == pytest.approx(float(exact), rel=5e-12, abs=0), m
 
 
 def test_sphere_recurrence_agreement():

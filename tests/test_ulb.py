@@ -372,6 +372,19 @@ def test_certificate_past_the_system_cap_is_a_degree_refusal():
         ulb(make_space("sphere", n=3), 300000, builtin("gaussian", c=1))
 
 
+@pytest.mark.parametrize(
+    "space", [make_space("hamming", n=1000, q=2), make_space("johnson", n=1000, w=500),
+              make_space("hamming", n=3000, q=2)], ids=lambda s: s.label())
+@pytest.mark.parametrize("h", [builtin("gaussian", c=1), builtin("riesz", p=1)], ids=lambda h: h.name)
+def test_verified_bounds_on_large_finite_spaces(space, h):
+    # the full systems of these spaces lose their norms to underflow near
+    # degree 300 or below; a tau 5 bound needs only their first degrees
+    M = round((lev.design_bound(space, 5) + lev.design_bound(space, 6)) / 2)
+    report = ulb(space, M, h)
+    assert report.rule.tau == 5
+    assert report.certificate_checks.below_h and report.certificate_checks.f_geq
+
+
 def test_log_is_refused_on_every_call():
     # a failed check is never remembered as a pass
     h = builtin("log")
