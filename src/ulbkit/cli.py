@@ -7,7 +7,6 @@ including a bound whose certificate fails a check.
 """
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -15,8 +14,10 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from . import __version__, asymptotics, designbounds, levenshtein, oracle, orthopoly
-from . import pmspace, potentials, selfcheck
+# the oracle, asymptotics, designbounds and selfcheck modules and csv are
+# imported by the handlers that use them, so a ulb or quadrature call
+# does not load them
+from . import __version__, levenshtein, orthopoly, pmspace, potentials
 from .ulb import (
     _BELOW_TOL, _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch,
 )
@@ -241,6 +242,8 @@ def _cmd_improve(args):
 
 
 def _cmd_design_energy(args):
+    from . import designbounds
+
     space = _space_from(args)
     h = _potential_from(args)
     subset = None
@@ -257,6 +260,8 @@ def _cmd_design_energy(args):
 
 
 def _cmd_separated_energy(args):
+    from . import designbounds
+
     space = _space_from(args)
     h = _potential_from(args)
     query = designbounds.DesignEnergyQuery(
@@ -266,6 +271,8 @@ def _cmd_separated_energy(args):
 
 
 def _load_code(space, args):
+    from . import oracle
+
     if args.config:
         return oracle.named_config(space, args.config)
     if args.points_json:
@@ -277,6 +284,8 @@ def _load_code(space, args):
 
 
 def _cmd_oracle(args):
+    from . import oracle
+
     sub = args.oracle_cmd
     if sub in ("energy", "strength", "named"):
         space = _space_from(args)
@@ -310,6 +319,8 @@ _ASY_COLS = ("n", "M", "s", "alpha_0", "rho_0_M", "remainder", "limit", "ratio1"
 
 
 def _cmd_asymptotics(args):
+    from . import asymptotics
+
     h = _potential_from(args)
     query = asymptotics.AsymptoticQuery(
         args.family, args.tau, h, delta=args.delta, rho=args.rho,
@@ -331,6 +342,8 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_selfcheck(args):
+    from . import selfcheck
+
     ok, results = selfcheck.run_all()
     return {
         "healthy": ok,
@@ -459,6 +472,8 @@ def _emit(args, payload) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
+
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if rows is None:
             rows = payload.get("reports", [payload]) if isinstance(payload, dict) else [payload]

@@ -250,8 +250,12 @@ def named_config(space: SpaceDescriptor, name: str) -> Code:
 # --- searches ---------------------------------------------------------------
 
 
-# Gram-matrix entries of one batch of restarts: 2 MB per array
+# entries of the Gram matrices and L-BFGS histories of one batch of
+# restarts: 2 MB in all
 _BATCH_ENTRIES = 1 << 18
+
+# the (move, gradient change) pairs of each restart's L-BFGS history
+_MEMORY = 5
 
 
 def minimize_sphere(
@@ -266,17 +270,19 @@ def minimize_sphere(
 
     The restarts descend together as one array of shape (restarts, M, n),
     split into smaller batches for large M to bound memory, each restart
-    with its own step and stopping rule.  A step moves every point
-    against the tangential part of its energy gradient and projects back
-    to the sphere.  Its length is the Barzilai-Borwein ratio
-    <s,s>/|<s,y>| of the last move s and gradient change y, capped at 1
-    (0.05 before the first move), and it is halved until the energy
-    falls, so the energy of each restart only decreases.  A restart
-    stops when its largest tangential gradient is below 1e-12, when its
-    step falls below 1e-16, or after ``iterations`` steps, the cap of
-    each restart.  The result is deterministic for a fixed seed, and an
-    upper estimate of the minimal energy only, never a certificate of
-    optimality.
+    with its own history and stopping rule.  A step moves every point
+    along a limited-memory BFGS direction (the two-loop recursion over
+    the restart's last five moves and tangential-gradient changes,
+    projected onto the tangent space; the gradient scaled by 0.05
+    before the first move) and projects back to the sphere.  Step 1 is
+    tried first and halved until the energy falls, so the energy of
+    each restart only decreases.  A restart stops when a rejected
+    step's predicted decrease, its length times |<direction, gradient>|,
+    is at most 8 eps |E|, below the rounding of its energy E; when its
+    step falls below 1e-16 (an energy of 0); or after ``iterations``
+    steps, the cap of each restart.  The result is deterministic for a
+    fixed seed, and an upper estimate of the minimal energy only, never
+    a certificate of optimality.
 
     Returns
     -------
@@ -296,8 +302,8 @@ def minimize_sphere(
     x = rng.normal(size=(max(1, restarts), M, n))
     x /= np.linalg.norm(x, axis=2)[..., None]
     # restarts descend independently, so batching them changes no result;
-    # it bounds the memory of the batch's Gram matrices for large M
-    per = max(1, _BATCH_ENTRIES // (M * M))
+    # it bounds the memory of the batch's Gram matrices and histories for large M
+    per = max(1, _BATCH_ENTRIES // (M * M + 2 * _MEMORY * M * n))
     parts = [_descend(x[i : i + per], h, iterations) for i in range(0, len(x), per)]
     x, vals, iters = (np.concatenate(arrays) for arrays in zip(*parts))
     best = int(np.argmin(vals))
@@ -312,40 +318,86 @@ def _descend(x, h, iterations):
     Returns the final configurations, their energies and the number of
     iterations each took.
     """
-    M = x.shape[1]
+    R, M, n = x.shape
     pairs = np.ravel_multi_index(np.triu_indices(M, k=1), (M, M))
-    out_x, out_val = np.empty_like(x), np.empty(len(x))
-    iters = np.full(len(x), iterations)
+    out_x, out_val = np.empty_like(x), np.empty(R)
+    iters = np.full(R, iterations)
     # the rows still descending: their indices, iterates, energies,
-    # tangential gradients and steps
-    live = np.arange(len(x))
+    # tangential gradients, directions and step lengths
+    live = np.arange(R)
     xl = x.copy()
     vl, tl = _energy_and_gradient(xl, h, pairs)
-    step = np.full(len(x), 0.05)
+    # the history ring of moves s, gradient changes y and 1/<s,y>, shared
+    # by the rows: iteration it writes slot it % _MEMORY of every row, a
+    # zero pair where the row stored no pair, so a row's history depends
+    # on its own moves only
+    hs = np.zeros((_MEMORY, R, M * n))
+    hy = np.zeros_like(hs)
+    rho = np.zeros((_MEMORY, R))
+    scale = np.full(R, 0.05)
+    d = _direction(xl, tl, hs, hy, rho, scale, 0)
+    alpha = np.ones(R)
+    floor = 8.0 * np.finfo(float).eps
     for it in range(iterations):
-        cand = xl - step[:, None, None] * tl
+        cand = xl + alpha[:, None, None] * d
         cand /= np.linalg.norm(cand, axis=2)[..., None]
         cand_val, cand_tang = _energy_and_gradient(cand, h, pairs)
-        # a row whose gradient vanished stops where it is
-        done = np.max(np.linalg.norm(tl, axis=2), axis=1) < 1e-12
-        accept = (cand_val < vl) & ~done
-        s = cand[accept] - xl[accept]
-        y = cand_tang[accept] - tl[accept]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bb = np.sum(s * s, axis=(1, 2)) / np.abs(np.sum(s * y, axis=(1, 2)))
-        step[accept] = np.fmin(bb, 1.0)
-        step[~accept] *= 0.5
-        done |= step < 1e-16
+        accept = cand_val < vl
+        # a rejected step that could not lower the energy by more than
+        # its rounding ends the row, as does a step below 1e-16 (an
+        # energy of 0 has no rounding)
+        slope = np.abs((d * tl).sum(axis=(1, 2)))
+        done = ~accept & ((alpha * slope <= floor * np.abs(vl)) | (alpha < 1e-16))
+        s = (cand - xl).reshape(len(xl), -1)
+        y = (cand_tang - tl).reshape(len(xl), -1)
+        sy = (s * y).sum(axis=1)
+        store = accept & (sy > 0)
+        slot = it % _MEMORY
+        hs[slot], hy[slot], rho[slot] = 0.0, 0.0, 0.0
+        hs[slot, store], hy[slot, store] = s[store], y[store]
+        rho[slot, store] = 1.0 / sy[store]
+        scale[store] = sy[store] / (y[store] * y[store]).sum(axis=1)
         xl[accept], vl[accept], tl[accept] = cand[accept], cand_val[accept], cand_tang[accept]
+        alpha[accept] = 1.0
+        alpha[~accept] *= 0.5
+        d[accept] = _direction(xl, tl, hs, hy, rho, scale, slot)[accept]
         if done.any():
             rows = live[done]
             out_x[rows], out_val[rows], iters[rows] = xl[done], vl[done], it + 1
             keep = ~done
-            live, xl, vl, tl, step = live[keep], xl[keep], vl[keep], tl[keep], step[keep]
+            live, xl, vl, tl, d, alpha, scale = (
+                a[keep] for a in (live, xl, vl, tl, d, alpha, scale)
+            )
+            hs, hy, rho = hs[:, keep], hy[:, keep], rho[:, keep]
             if not live.size:
                 break
     out_x[live], out_val[live] = xl, vl
     return out_x, out_val, iters
+
+
+def _direction(x, g, hs, hy, rho, scale, newest):
+    """L-BFGS descent directions at x, shape (R, M, n), of tangential gradients g.
+
+    The two-loop recursion runs over each row's history ``hs``, ``hy``,
+    ``rho`` (slot ``newest`` the latest) from the initial Hessian
+    ``scale``; the direction is projected onto the tangent space, and
+    where it does not descend, ``-scale * g`` replaces it.
+    """
+    q = g.reshape(len(g), -1).copy()
+    order = [(newest - k) % _MEMORY for k in range(_MEMORY)]
+    a = np.empty_like(rho)
+    for k in order:
+        a[k] = rho[k] * (hs[k] * q).sum(axis=1)
+        q -= a[k][:, None] * hy[k]
+    q *= scale[:, None]
+    for k in reversed(order):
+        b = rho[k] * (hy[k] * q).sum(axis=1)
+        q += (a[k] - b)[:, None] * hs[k]
+    d = -q.reshape(g.shape)
+    d -= (d * x).sum(axis=2)[..., None] * x
+    ascent = ~((d * g).sum(axis=(1, 2)) < 0)
+    d[ascent] = -scale[ascent, None, None] * g[ascent]
+    return d
 
 
 def _energy_and_gradient(x, h, pairs):

@@ -476,6 +476,28 @@ def test_overflowing_derivatives_leave_stderr_empty():
     assert proc.stderr == ""
 
 
+def test_bound_commands_leave_the_cli_only_modules_unloaded():
+    # a fresh process, so no earlier test has imported them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from ulbkit.cli import main\n"
+        "main(['ulb', '--space', 'sphere', '--n', '3', '--M', '4', '--potential', 'riesz',"
+        " '--p', '1'])\n"
+        "main(['quadrature', '--space', 'hamming', '--n', '8', '--q', '2', '--M', '16'])\n"
+        "lazy = ('ulbkit.oracle', 'ulbkit.asymptotics', 'ulbkit.designbounds',"
+        " 'ulbkit.selfcheck', 'csv')\n"
+        "print([m for m in lazy if m in sys.modules], file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "[]\n"
+
+
 def test_tolerance_defaults_are_the_library_defaults():
     ulb_defaults = inspect.signature(ulb).parameters
     args = build_parser().parse_args(

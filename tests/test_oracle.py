@@ -130,6 +130,13 @@ def test_minimize_sphere_finds_known_optima():
         assert len(info["restart_energies"]) == 10
     code, val, _ = oracle.minimize_sphere(3, 2, RIESZ1, restarts=4, seed=0)
     assert val == pytest.approx(2 * RIESZ1(-1.0), rel=1e-8)
+    # the pentagonal bipyramid: the poles at distance 2, ten pole-to-ring
+    # pairs at sqrt(2), and the ring's five edges and five diagonals
+    s36, s72 = math.sin(math.radians(36)), math.sin(math.radians(72))
+    bipyramid = 2 * (1 / 2 + 10 / math.sqrt(2) + 5 / (2 * s36) + 5 / (2 * s72))
+    _, val, info = oracle.minimize_sphere(3, 7, RIESZ1, restarts=20, seed=2024)
+    assert val == pytest.approx(bipyramid, rel=2e-15)
+    assert info["iterations_best"] <= 200
 
 
 def test_minimize_sphere_deterministic():
@@ -158,7 +165,7 @@ def test_restarts_descend_independently():
 def test_iterations_cap_each_restart():
     starts = _unit_starts(5, 6, 7)
     x, vals, iters = oracle._descend(starts, RIESZ1, 30)
-    assert iters.tolist() == [30] * 6  # M=7 needs about 2000 steps
+    assert iters.tolist() == [30] * 6  # these M=7 starts need 46-83 steps
     # the energy only decreases, and the iterates stay on the sphere
     for r in range(6):
         start = oracle.energy(S3, oracle.make_code(S3, starts[r]), RIESZ1)
@@ -175,7 +182,8 @@ def test_iterations_cap_each_restart():
 
 def test_restarts_in_batches_give_the_same_result(monkeypatch):
     whole = oracle.minimize_sphere(3, 6, RIESZ1, restarts=7, seed=3)
-    monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 2 * 6 * 6)  # batches of 2, 2, 2, 1
+    # room for the Gram matrices and histories of two restarts: batches of 2, 2, 2, 1
+    monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 2 * (6 * 6 + 2 * oracle._MEMORY * 6 * 3))
     code, val, info = oracle.minimize_sphere(3, 6, RIESZ1, restarts=7, seed=3)
     assert np.array_equal(code.points, whole[0].points)
     assert (val, info) == whole[1:]
