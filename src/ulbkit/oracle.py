@@ -419,50 +419,124 @@ def _energy_and_gradient(x, h, pairs):
     return val, tang
 
 
-# combinations of the exhaustive search summed per array pass: a chunk
-# of 1024 holds 0.25 MB at most, so the search adds little to peak memory
-_CHUNK = 1 << 10
+# rows of the combination table summed per array pass: at M = 5 a pass of
+# 4096 rows holds 0.2 MB of index columns, sums and temporaries, and the
+# whole H(6,2) search peaks at 0.4 MB, its table included (0.11 MB)
+_CHUNK = 1 << 12
+
+# the largest combination table built: 64 MiB.  Only codes of nearly all
+# 2^n words have larger ones (H(6,2) M=59 would take 352 MiB, H(9,2)
+# M=510 126 MiB; H(5,2) M=25 takes 45 MiB), and their searches would
+# need millions of numpy passes anyway
+_TABLE_BYTES = 1 << 26
 
 
 def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     """Exact minimal energy over all M-subsets of the binary cube.
 
-    Translation symmetry pins the first word at zero.  The subsets are
-    enumerated in lexicographic order, in chunks, and the first one of
-    least energy is returned.  Refuses instances with C(2^n, M) above
-    ten million.
+    Translation symmetry pins the first word at zero, and the subsets
+    are visited in lexicographic order.  Those whose second word is w
+    are w followed by a suffix of one table, the (M-2)-subsets of the
+    words 2..2^n-1 in lexicographic order, built once per call; each
+    suffix is summed in passes of at most ``_CHUNK`` rows, pair by pair
+    in the order of a pair loop, so each energy is the float sum that
+    loop gives.  The first subset of least energy is returned.  Raises
+    ParameterError for n < 2, M outside 2..2^n, an unknown convention,
+    an instance with C(2^n, M) above ten million, or one whose table
+    would take more than 64 MiB.
     """
+    if n < 2:
+        raise ParameterError(f"need n >= 2, got n={n}")
     total = 1 << n
+    if M < 2 or M > total:
+        raise ParameterError(f"need 2 <= M <= {total}, got M={M}")
+    if convention not in ("sum", "mean"):
+        raise ParameterError(f"unknown energy convention {convention!r}")
     if math.comb(total, M) > 10_000_000:
         raise ParameterError(f"instance too large: C(2^{n}, {M}) > 1e7")
-    if M < 2 or M > total:
-        raise ParameterError(f"need 2 <= M <= {total}")
+    table_bytes = math.comb(total - 2, M - 2) * (M - 2) * np.min_scalar_type(total - 1).itemsize
+    if table_bytes > _TABLE_BYTES:
+        raise ParameterError(
+            f"instance too large: its table of {M - 2}-subsets would take "
+            f"{table_bytes / 2**20:.0f} MiB > {_TABLE_BYTES >> 20} MiB"
+        )
     space = pmspace.make_space("hamming", n=n, q=2)
     hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]
     # h of the distance between two words, indexed by their xor; distinct
     # words never have xor 0
     bits = np.array([w.bit_count() for w in range(total)])
     hxor = np.array([math.inf] + hval)[bits]
-    pairs = list(itertools.combinations(range(M), 2))
-    combos = itertools.combinations(range(1, total), M - 1)
-    best_val, best_set = math.inf, None
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)), dtype=np.intp
-        )
-        if not flat.size:
-            break
-        words = np.zeros((flat.size // (M - 1), M), dtype=np.intp)
-        words[:, 1:] = flat.reshape(-1, M - 1)
-        # the pair terms in the (i, j) order of a pair sum, so each energy
-        # is the float sum a loop over the pairs would give
-        vals = np.zeros(len(words))
-        for i, j in pairs:
-            vals += hxor[words[:, i] ^ words[:, j]]
+    if M == 2:
+        vals = np.zeros(total - 1)
+        vals += hxor[1:]
         at = int(np.argmin(vals))
-        if vals[at] < best_val:
-            best_val, best_set = float(vals[at]), words[at].tolist()
+        best_val, best_set = float(vals[at]), [0, at + 1]
+    else:
+        best_val, best_set = _search_table(hxor, M)
     pts = [[(wd >> i) & 1 for i in range(n - 1, -1, -1)] for wd in best_set]
     code = make_code(space, pts)
     total_energy = 2.0 * best_val
     return code, (total_energy if convention == "sum" else total_energy / M)
+
+
+def _search_table(hxor, M):
+    """Least pair sum of hxor over the M-sets (0, w1, *row), M >= 3, and the first such set.
+
+    The rows are the (M-2)-subsets of the words above w1, in
+    lexicographic order.
+    """
+    total = len(hxor)
+    # words above w1 >= 1, so the table starts at word 2
+    tab = _combination_table(2, total, M - 2)
+    rows = tab.shape[1]
+    words = np.arange(total)
+    w1s = range(1, total - M + 2)
+    # the first row of the suffix whose entries all exceed w1; keys of the
+    # table's dtype spare searchsorted a widened copy of the table
+    starts = np.searchsorted(tab[0], np.array(w1s, dtype=tab.dtype), side="right")
+    best_val, best_set = math.inf, None
+    for w1, first in zip(w1s, starts.tolist()):
+        h1 = hxor[w1 ^ words]
+        for a in range(first, rows, _CHUNK):
+            cols = tab[:, a : a + _CHUNK].astype(np.intp)
+            # the pair terms in the (i, j) order of a pair loop over
+            # (0, w1, *row): (0, w1), (0, row), (w1, row), then within row
+            vals = np.zeros(cols.shape[1])
+            vals += hxor[w1]
+            for c in cols:
+                vals += hxor[c]
+            for c in cols:
+                vals += h1[c]
+            for i, j in itertools.combinations(range(M - 2), 2):
+                vals += hxor[cols[i] ^ cols[j]]
+            at = int(np.argmin(vals))
+            if vals[at] < best_val:
+                best_val, best_set = float(vals[at]), [0, w1, *cols[:, at].tolist()]
+    return best_val, best_set
+
+
+def _combination_table(lo, hi, k):
+    """All k-subsets of lo..hi-1 in lexicographic order, as the columns of a (k, rows) array.
+
+    The entries take the narrowest unsigned dtype that holds hi - 1.
+    """
+    dtype = np.min_scalar_type(hi - 1)
+    # built from the last position back: the tails from position j on are
+    # the (k-j)-subsets of lo+j..hi-1, each a first word f followed by the
+    # suffix of the next tails whose first word exceeds f, so no
+    # intermediate table outgrows the last
+    tab = np.arange(lo + k - 1, hi, dtype=dtype)[None, :]
+    for j in range(k - 2, -1, -1):
+        firsts = range(lo + j, hi - k + j + 1)
+        keys = np.array(firsts, dtype=dtype)
+        starts = np.searchsorted(tab[0], keys, side="right").tolist()
+        size = sum(tab.shape[1] - s for s in starts)
+        out = np.empty((k - j, size), dtype=dtype)
+        pos = 0
+        for f, s in zip(firsts, starts):
+            end = pos + tab.shape[1] - s
+            out[0, pos:end] = f
+            out[1:, pos:end] = tab[:, s:]
+            pos = end
+        tab = out
+    return tab

@@ -95,6 +95,15 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau > 601)")
+    # oracle exhaustive checks n and M before the size of the search
+    for n, M in (("4", "-1"), ("-2", "3"), ("30", "1"), ("4", "17")):
+        code, out, err = run_cli(
+            capsys, "oracle", "exhaustive", "--n", n, "--M", M, "--potential", "riesz", "--p", "1"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParameterError"
+        assert ("n >= 2" if n == "-2" else "2 <= M") in error["message"]
 
 
 def test_missing_potential_param_exit_2(capsys):

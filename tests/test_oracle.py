@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,17 +224,64 @@ def _assert_matches_loop(n, M, h):
 @pytest.mark.parametrize("h", [RIESZ1, builtin("gaussian", c=1)], ids=["riesz", "gaussian"])
 def test_exhaustive_matches_the_pair_loop(h):
     cases = [(n, M) for n in range(2, 6) for M in range(2, 6) if M <= 2**n] + [(6, 4)]
+    if h is RIESZ1:
+        # the deepest table, of 4-subsets; its loop takes ~0.6 s, so once
+        cases.append((5, 6))
     for n, M in cases:
         _assert_matches_loop(n, M, h)
 
 
+# energies (float hex) and codes of H(6,2) M=5 as the pair-by-pair and
+# chunked-combination searches found them; the pair loop takes ~1.6 s here
+@pytest.mark.parametrize(
+    "h, energy, words",
+    [(RIESZ1, "0x1.a02b9c24676cap+3",
+      [[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 1],
+       [1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0]]),
+     (builtin("gaussian", c=1), "0x1.0992f26d1b17ep+4",
+      [[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 1, 1],
+       [1, 0, 1, 1, 0, 1], [1, 1, 0, 1, 1, 0]])],
+    ids=["riesz", "gaussian"],
+)
+def test_exhaustive_6_5_keeps_its_pinned_result(h, energy, words):
+    code, val = oracle.exhaustive_hamming(6, 5, h)
+    assert val.hex() == energy
+    assert code.points.tolist() == words
+
+
 def test_exhaustive_across_chunks(monkeypatch):
-    # C(15, 3) = 455 and C(15, 4) = 1365 combinations: 4 leaves a short last
-    # chunk, 5 divides both
-    for chunk in (4, 5):
+    # each second word w1 sums its own suffix of the table; at (4, 4) the
+    # suffixes of w1 = 1, 2, 3, ... hold 91, 78, 66, ... rows, at (4, 5)
+    # 364, 286, 220, ...: chunks of 4 and 5 split most of them, some with
+    # a short last chunk and some exactly (55, 220), and 300 splits only
+    # the first suffix of (4, 5)
+    for chunk in (4, 5, 300):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         for n, M in ((4, 4), (4, 5)):
             _assert_matches_loop(n, M, RIESZ1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, k", [(2, 4, 1), (2, 4, 2), (1, 16, 1), (2, 16, 3), (2, 32, 4), (2, 32, 30),
+                  (2, 256, 2), (2, 512, 2)]
+)
+def test_combination_table_is_lexicographic(lo, hi, k):
+    tab = oracle._combination_table(lo, hi, k)
+    assert tab.dtype == (np.uint8 if hi <= 256 else np.uint16)
+    assert tab.T.tolist() == [list(c) for c in itertools.combinations(range(lo, hi), k)]
+
+
+def test_exhaustive_memory_stays_small():
+    # the table and one pass of H(6,2) M=5 peak at ~0.4 MB; a warm-up call
+    # keeps first-call allocations out of the peak
+    oracle.exhaustive_hamming(4, 4, RIESZ1)
+    tracemalloc.start()
+    try:
+        oracle.exhaustive_hamming(6, 5, RIESZ1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_exhaustive_hamming_examples():
@@ -242,8 +290,17 @@ def test_exhaustive_hamming_examples():
         assert val == pytest.approx(2 * RIESZ1(-1.0), rel=1e-13)
         d = (code.points[0] != code.points[1]).sum()
         assert d == n
-    with pytest.raises(ParameterError):
-        oracle.exhaustive_hamming(10, 12, RIESZ1)
+    # n and M are checked before the size of the search, which bad values
+    # make meaningless
+    for n, M, message in ((10, 12, "too large"), (1, 2, "n >= 2"), (-2, 3, "n >= 2"),
+                          (4, -1, "M <= 16"), (4, 17, "M <= 16"), (30, 1, "M <= 1073741824")):
+        with pytest.raises(ParameterError, match=message):
+            oracle.exhaustive_hamming(n, M, RIESZ1)
+    with pytest.raises(ParameterError, match="unknown energy convention"):
+        oracle.exhaustive_hamming(4, 3, RIESZ1, convention="bogus")
+    # codes of nearly every word pass the count but not the table's size
+    with pytest.raises(ParameterError, match="table of 57-subsets would take 352 MiB"):
+        oracle.exhaustive_hamming(6, 59, RIESZ1)
 
 
 def test_exhaustive_matches_unreduced_enumeration():

@@ -1,12 +1,16 @@
-"""One SHA-1 per library ``ulb`` op of the bound-table and high-degree benchmark lists.
+"""One SHA-1 per library ``ulb`` op and per oracle op of the benchmark lists.
 
-Each digest covers the bound (``value_sum``), the rule's nodes and
-weights, the certificate and every field of its checks.  The rule's
-power-sum residual, a check on the rule rather than a result, is
+The ``ulb`` ops are those of the bound-table and high-degree lists, the
+oracle ops those of oracle-sandwich.  Each ``ulb`` digest covers the bound (``value_sum``), the rule's nodes
+and weights, the certificate and every field of its checks.  The
+rule's power-sum residual, a check on the rule rather than a result, is
 printed beside it as a float hex, so a change that moves only the
-residual reads as such.  An op that raises prints its error instead.
-Running this on two checkouts and diffing the output tells whether a
-change leaves every bound bit-identical:
+residual reads as such.  An oracle op (``minimize_sphere`` or
+``exhaustive_hamming``, Riesz p=1 as in the benchmark) prints a digest
+of its code's points and its energy as a float hex.  An op that raises
+prints its error instead.  Running this on two checkouts and diffing
+the output tells whether a change leaves every bound and every oracle
+result bit-identical:
 
     python tools/fingerprints.py --seeds 11 12 > after.txt
 
@@ -25,9 +29,11 @@ import numpy as np  # noqa: E402
 
 import ulbkit  # noqa: E402
 import workloads  # noqa: E402
+from ulbkit import oracle  # noqa: E402
 from ulbkit.errors import UlbkitError  # noqa: E402
 
 WORKLOADS = ("bound-table", "high-degree")
+ORACLE_WORKLOAD = "oracle-sandwich"
 
 
 def _bits(x):
@@ -49,6 +55,16 @@ def fingerprint(report):
     return f"{digest.hexdigest()} residual {float(rule.power_sum_residual).hex()}"
 
 
+def oracle_fingerprint(op, h):
+    if op["kind"] == "minimize":
+        code, energy, _ = oracle.minimize_sphere(
+            op["n"], op["M"], h, restarts=op["restarts"], seed=op["seed"])
+    else:
+        code, energy = oracle.exhaustive_hamming(op["n"], op["M"], h)
+    digest = hashlib.sha1(np.asarray(code.points).tobytes()).hexdigest()
+    return f"{digest} energy {float(energy).hex()}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -68,6 +84,12 @@ def main(argv=None):
                 except UlbkitError as exc:
                     line = f"{type(exc).__name__}: {exc}"
                 print(f"{workload} s{seed} #{i}: {line}")
+        for i, op in enumerate(workloads.generate(ORACLE_WORKLOAD, seed)):
+            try:
+                line = oracle_fingerprint(op, potentials["riesz"])
+            except UlbkitError as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            print(f"{ORACLE_WORKLOAD} s{seed} #{i}: {line}")
 
 
 if __name__ == "__main__":
