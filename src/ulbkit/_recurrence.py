@@ -2,7 +2,10 @@
 
 Monic convention: pi_{k+1}(t) = (t - beta_k) pi_k(t) - gamma_k pi_{k-1}(t),
 with pi_0 = 1 and gamma_0 holding the total mass of the weight, so that
-||pi_k||^2 = gamma_0 * gamma_1 * ... * gamma_k.
+||pi_k||^2 = gamma_0 * gamma_1 * ... * gamma_k.  Values and derivatives are
+those of P_k = 2^k pi_k, by P_{k+1} = 2 (t - beta_k) P_k - 4 gamma_k P_{k-1}:
+every factor 2 and 4 is exact, so P_k carries the bits of pi_k wherever that
+is a normal float, while P_k(1) grows polynomially where pi_k(1) falls like 2^-k.
 """
 
 import math
@@ -99,7 +102,7 @@ def stieltjes(x, w, count: int):
 
 
 def eval_all(b, g, deg: int, t):
-    """Values of the monic polynomials of degrees 0..deg at t.
+    """Values of P_0..P_deg at t.
 
     Returns an array of shape (deg+1,) + shape(t).  A 0-d t runs the
     recurrence on Python floats, with the operations of the array path
@@ -108,33 +111,33 @@ def eval_all(b, g, deg: int, t):
     t = np.asarray(t, dtype=float)
     if t.ndim:
         return _eval_all_array(b, g, deg, t)
-    x = float(t)
+    x2 = 2.0 * float(t)
     out = [1.0]
     if deg >= 1:
-        out.append(x - float(b[0]))
+        out.append(x2 - 2.0 * float(b[0]))
         for b_k, g_k in zip(b[1:deg].tolist(), g[1:deg].tolist()):
-            out.append((x - b_k) * out[-1] - g_k * out[-2])
+            out.append((x2 - 2.0 * b_k) * out[-1] - 4.0 * g_k * out[-2])
     return np.array(out)
 
 
 def _eval_all_array(b, g, deg: int, t):
+    t2 = 2.0 * t
     out = np.zeros((deg + 1,) + t.shape)
     out[0] = 1.0
     if deg >= 1:
-        out[1] = t - b[0]
-    for k in range(1, deg):
-        out[k + 1] = (t - b[k]) * out[k] - g[k] * out[k - 1]
+        out[1] = t2 - 2.0 * b[0]
+    for k, (b_k, g_k) in enumerate(zip(b[1:deg].tolist(), g[1:deg].tolist()), 1):
+        out[k + 1] = (t2 - 2.0 * b_k) * out[k] - 4.0 * g_k * out[k - 1]
     return out
 
 
 def eval_derivatives(b, g, deg: int, order: int, t):
-    """Derivatives of orders 0..order of the monic polynomials of degrees 0..deg at t.
+    """Derivatives of orders 0..order of P_0..P_deg at t.
 
     Differentiating the recurrence r times gives
-    pi_{k+1}^{(r)} = (t - beta_k) pi_k^{(r)} + r pi_k^{(r-1)} - gamma_k pi_{k-1}^{(r)},
+    P_{k+1}^{(r)} = 2 (t - beta_k) P_k^{(r)} + 2r P_k^{(r-1)} - 4 gamma_k P_{k-1}^{(r)},
     evaluated in that order.  One loop serves every order: each step
-    writes into its row of the output through views made once, and the
-    product r * pi_k^{(r-1)} is skipped for r = 1, where it is exact.  The
+    writes into its row of the output through views made once.  The
     values equal, bit for bit, those of a loop that forms every term as a
     new array.  Returns an array of shape (deg+1, order+1) + shape(t).
     """
@@ -142,22 +145,19 @@ def eval_derivatives(b, g, deg: int, order: int, t):
     x = t.reshape(-1)  # 1-d, so that every row below is a view, even for a 0-d t
     out = np.zeros((deg + 1, order + 1, x.size))
     out[0, 0] = 1.0
-    # t - beta_k for every k, already of the shape of a row of the output
+    # 2 (t - beta_k) for every k, already of the shape of a row of the output
     shift = np.empty((deg, order + 1, x.size))
-    shift[...] = (x - np.reshape(b[:deg], (deg, 1)))[:, None]
-    r = np.empty((max(order - 1, 0), x.size))
-    r[...] = np.arange(2.0, order + 1)[:, None]
+    shift[...] = (2.0 * (x - np.reshape(b[:deg], (deg, 1))))[:, None]
+    r = np.empty((order, x.size))
+    r[...] = np.arange(2.0, 2.0 * order + 1.0, 2.0)[:, None]
     tmp = np.empty((order + 1, x.size))
-    tmp_high = tmp[2:]
-    rows, values, slopes = list(out), list(out[:, 0]), list(out[:, min(order, 1)])
-    highs, lows = list(out[:, 2:]), list(out[:, 1:-1])
+    tmp_high = tmp[1:]
+    rows, highs, lows = list(out), list(out[:, 1:]), list(out[:, :-1])
     mul, add, sub = np.multiply, np.add, np.subtract
-    for k, g_k in enumerate(g[:deg].tolist()):
+    for k, g_k in enumerate((4.0 * g[:deg]).tolist()):
         row = rows[k + 1]
         mul(shift[k], rows[k], row)
         if order:
-            add(slopes[k + 1], values[k], slopes[k + 1])
-        if order > 1:
             mul(r, lows[k], tmp_high)
             add(highs[k + 1], tmp_high, highs[k + 1])
         if k:

@@ -203,7 +203,7 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     Against (1+t)^eps dnu the rule is a Gauss rule with the extra node
     t = 1 of prescribed weight (1+eps)/M.  It is the Gauss rule of the
     (0,eps) Jacobi matrix bordered by one row and column (Golub, SIAM
-    Rev. 1973): the last diagonal entry c = 1 - g'*v_{k-1}/v_k makes 1
+    Rev. 1973): the last diagonal entry c = 1 - g' pi_{k-1}(1)/pi_k(1) makes 1
     an eigenvalue, and the last off-diagonal sqrt(g') gives it that
     weight.  1 is the top eigenvalue; the k others are the nodes besides
     -1, with weights gamma_0 v_0i^2 / (1 + alpha_i)^eps.  The weight at
@@ -214,7 +214,8 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     # the denominator is (M - D(tau-1)) / q1^eps, with D(0) = 1: positive
     # for every M the level serves
     g_border = g[k] * r[k] / (M * g[0] / (1 + eps) - np.sum(r[:k]))
-    c = 1.0 - g_border * v[k - 1] / v[k]
+    # pi_{k-1}(1) / pi_k(1) = 2 P_{k-1}(1) / P_k(1)
+    c = 1.0 - 2.0 * g_border * v[k - 1] / v[k]
     x, w = rec.gauss(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
     x, w = x[:-1], w[:-1] / (1.0 + x[:-1]) ** eps
     return np.concatenate([[-1.0] * eps, x]), np.concatenate([[0.0] * eps, w])
@@ -231,13 +232,14 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         # The weight at -1 vanishes at the bottom of the level.  The rule
         # applied to (1-t) Q_k^{1,0}(t) prod_{i<k} (t - alpha_i), of degree
         # tau and mean 0, gives it as a product, accurate relative to its
-        # size.
+        # size.  Where the products leave the float range (S^2 from tau
+        # ~1720) the checks below refuse the inf, 0 or nan that gives.
         inner = nodes[1:-1]
         system = adjacent_system(space, 1, 0, k)
         q_s, q_m1 = (eval_q_all(system, k, x)[k] for x in (s, -1.0))
-        weights[0] = (
-            -weights[-1] * (1 - s) * q_s * np.prod(s - inner) / (2 * q_m1 * np.prod(-1 - inner))
-        )
+        with np.errstate(all="ignore"):
+            num, den = np.prod(s - inner), 2 * q_m1 * np.prod(-1 - inner)
+            weights[0] = -weights[-1] * (1 - s) * q_s * num / den
     if not np.all(weights > 0):
         raise ConvergenceError(
             f"nonpositive quadrature weight for M={M}: {weights}"

@@ -8,7 +8,6 @@ held as a float array of its coefficients f_0..f_deg in the base system
 (the Q-basis).
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +23,9 @@ from .pmspace import SpaceDescriptor
 # 16 * 2^j, so growing one to degree d builds about log2(d/16) systems,
 # not d/16; each is a bit-identical prefix of the next.
 _BLOCK = 16
+# No system goes past this whole block 16 * 2^7, so that every level map
+# ends (S^2's at tau 4097); a grid table takes 16 kB per degree, 32 MB here.
+_MAX_DEGREE = 2048
 # space -> read-only values of Q_0..Q_d on the space's verification grid,
 # one table per space at the largest degree d asked for so far
 _GRID_TABLES = {}
@@ -33,10 +35,10 @@ _GRID_TABLES = {}
 class OrthoSystem:
     """An (a,b)-adjacent system given by its monic recurrence.
 
-    ``rec_beta``/``rec_gamma`` follow the convention of
-    :mod:`ulbkit._recurrence`; ``norms`` holds the constants r_i^{a,b}
-    from the orthogonality relation, and ``c_norm`` the normalization
-    constant of the weighted measure.
+    ``rec_beta``/``rec_gamma`` and ``value_at_one`` (P_i(1)) follow the
+    convention of :mod:`ulbkit._recurrence`; ``norms`` holds the constants
+    r_i^{a,b} from the orthogonality relation, and ``c_norm`` the
+    normalization constant of the weighted measure.
     """
 
     space: SpaceDescriptor
@@ -53,10 +55,10 @@ class OrthoSystem:
 def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> OrthoSystem:
     """The (a,b)-adjacent system of a space, carrying at least degree deg.
 
-    Every system is built to the first 16 * 2^j above deg, cut at one
-    below the number of atoms of a finite space's (weighted) measure.  It
-    ends earlier at the last degree whose monic norm and value at t=1 are
-    normal floats.  Systems are cached.
+    Every system is built to the first 16 * 2^j above deg, up to
+    ``_MAX_DEGREE``.  It ends earlier at the last degree whose r_i is a
+    normal float, and a finite space's where the Stieltjes procedure
+    ends.  Systems are cached.
 
     Raises
     ------
@@ -65,7 +67,7 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ParameterError(f"adjacent exponents must be 0 or 1, got ({a}, {b})")
-    system = _build_system(space, a, b, _BLOCK << (deg // _BLOCK).bit_length())
+    system = _build_system(space, a, b, min(_BLOCK << (deg // _BLOCK).bit_length(), _MAX_DEGREE))
     _check(system, deg)
     return system
 
@@ -90,29 +92,18 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> Ortho
         ab = alpha0 + beta0
         gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
     value_at_one = rec.eval_all(beta, gamma, max_deg, np.array(1.0))
-    # Q_i = pi_i / pi_i(1) and r_i need pi_i(1) to full precision: a system
-    # stops at the last degree where it is a normal float (S^2 (0,0): 1027;
-    # the monic values at 1 fall like 2^-i and are 0 from 1080 on).
-    normal = np.isfinite(value_at_one) & (np.abs(value_at_one) >= np.finfo(float).tiny)
+    c_norm = 1.0 / gamma[0]
+    # r_i = P_i(1)^2 / (c_norm ||P_i||^2), where ||P_i||^2 is gamma_0 times
+    # the product of 4 gamma_j, j = 1..i.  The system ends at the last
+    # degree whose r_i is a normal float (S^399: 686, S^999: 307); the
+    # overflow past it is expected.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norms = value_at_one**2 / (c_norm * np.cumprod(np.append(gamma[0], 4.0 * gamma[1:])))
+    normal = np.isfinite(norms) & (norms >= np.finfo(float).tiny)
     if not normal.all():
         max_deg = int(np.argmin(normal)) - 1
         head = slice(0, max_deg + 1)
-        beta, gamma, value_at_one = beta[head], gamma[head], value_at_one[head]
-    c_norm = 1.0 / gamma[0]
-    # r_i = value_at_one_i^2 / (c_norm * gamma_0 ... gamma_i).  On long
-    # systems the square and the product both leave the normal float range
-    # (S^2 from degree ~520), so mantissas and binary exponents are carried
-    # apart; scaling by a power of two is exact, so nothing changes where
-    # they stay normal.
-    mant, expo = np.frexp(value_at_one)
-    prod_mant = np.empty(max_deg + 1)
-    prod_expo = np.empty(max_deg + 1, dtype=int)
-    m, e = 1.0, 0
-    for i, g in enumerate(gamma.tolist()):
-        m, de = math.frexp(m * g)
-        e += de
-        prod_mant[i], prod_expo[i] = m, e
-    norms = np.ldexp(mant**2 / (c_norm * prod_mant), 2 * expo - prod_expo)
+        beta, gamma, value_at_one, norms = beta[head], gamma[head], value_at_one[head], norms[head]
     for arr in (beta, gamma, value_at_one, norms):
         arr.flags.writeable = False  # shared by every caller through the cache
     return OrthoSystem(space, a, b, max_deg, beta, gamma, value_at_one, norms, c_norm)

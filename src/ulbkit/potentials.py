@@ -81,10 +81,14 @@ def builtin(name: str, **params) -> Potential:
 
         def deriv(t, j):
             # h^(j) = 2^j (p/2)_j (2-2t)^(-p/2-j)
-            coef = 1.0
-            for i in range(j):
-                coef *= 2.0 * (p / 2.0 + i)
-            return coef * (2.0 - 2.0 * t) ** (-p / 2.0 - j)
+            if j < 2:
+                return (p if j else 1.0) * (2.0 - 2.0 * t) ** (-p / 2.0 - j)
+            # in logs: from order ~537 the coefficient alone overflows and
+            # the power alone underflows at t = -1, and inf * 0 is nan; past
+            # the float range the value is +inf, silently as a float product
+            log_coef = j * math.log(2.0) + math.lgamma(p / 2.0 + j) - math.lgamma(p / 2.0)
+            with np.errstate(over="ignore"):
+                return np.exp(log_coef - (p / 2.0 + j) * np.log(2.0 - 2.0 * t))
 
         return Potential("riesz", {"p": p}, singular_at_one=True, _deriv=deriv)
 

@@ -192,14 +192,14 @@ def test_level_map_past_the_s2_norm_overflow():
 
 
 def test_level_map_stops_where_the_systems_stop():
-    # S^2's systems end near degree 1027, where the monic values at 1 leave
-    # the normal float range, so its levels end at tau 2054; the design
-    # bounds once stopped growing there and this call never returned
+    # S^2's systems end at the degree ceiling 2048, so its levels end at
+    # tau 4097, where D(2k-1) = k(k+1); the design bounds once stopped
+    # growing at a system's end and this call never returned
     space = make_space("sphere", n=3)
-    assert lev.design_bound(space, 2054) == pytest.approx(1028**2, rel=1e-11)
-    for M in (2_000_000, 10**12):
+    assert lev.design_bound(space, 4097) == pytest.approx(2049 * 2050, rel=1e-11)
+    for M in (5_000_000, 10**12):
         got = _outcome(lev.tau_for_cardinality, space, M)
-        assert got == (DegreeOverflowError, f"M={M} exceeds the level capacity of S^2 (needs tau > 2054)")
+        assert got == (DegreeOverflowError, f"M={M} exceeds the level capacity of S^2 (needs tau > 4097)")
         assert got == _outcome(_linear_level, space, M)
 
 
@@ -564,6 +564,13 @@ def test_weight_at_minus_one_near_the_bottom_of_an_even_level(family, params, M)
     with mpmath.workdps(50):
         ref = float(_mp_rule_weights(space, _mp_rule_nodes(space, M), M)[0])
     assert rule.weights[0] == pytest.approx(ref, rel=2e-4, abs=0)
+
+
+def test_weight_at_minus_one_out_of_the_float_range_is_a_convergence_refusal():
+    # at S^2 tau 2000 the two products over the nodes leave the float
+    # range; dividing them once leaked a divide-by-zero RuntimeWarning
+    with pytest.raises(ConvergenceError, match="power-sum residual inf"):
+        lev.quadrature_rule(make_space("sphere", n=3), 1002502)
 
 
 @pytest.mark.parametrize(

@@ -253,11 +253,17 @@ def test_adjacent_masses_to_rounding(space):
 
 
 def test_sphere_norms_past_the_float_range_of_their_factors():
-    # r_i = 2i+1 on S^2; value_at_one^2 and the product of the gammas both
-    # leave the normal float range from degree ~520, and r_i went inf at 539
-    system = adjacent_system(make_space("sphere", n=3), 0, 0, 1000)
-    i = np.arange(1001)
-    np.testing.assert_allclose(system.norms[:1001], 2 * i + 1, rtol=1e-11, atol=0)
+    # r_i = 2i+1 on S^2.  The squared monic value at 1 and the product of
+    # the gammas both leave the normal float range from degree ~520, where
+    # r_i went inf at 539; scaled by 2^i, both grow polynomially
+    system = adjacent_system(make_space("sphere", n=3), 0, 0, 2048)
+    assert system.max_deg == 2048
+    np.testing.assert_allclose(system.norms, 2 * np.arange(2049) + 1, rtol=1e-11, atol=0)
+    # S^399's r_i pass 1e308 near degree 686: its system ends there,
+    # without an inf norm or a RuntimeWarning
+    s399 = orthopoly._build_system(make_space("sphere", n=400), 0, 0, 2048)
+    assert s399.max_deg == 686
+    assert np.all(np.isfinite(s399.norms)) and np.all(np.isfinite(s399.value_at_one))
 
 
 def test_cached_arrays_are_read_only():
@@ -277,15 +283,16 @@ def test_cached_arrays_are_read_only():
         assert not arr.flags.writeable
 
 
-def test_systems_stop_where_the_values_at_one_stop_being_normal():
-    # the monic Legendre values at 1 fall like 2^-i: subnormal from degree
-    # 1028 on, with too few digits for Q_i or r_i, and 0 from 1080 on
+def test_systems_stop_at_the_degree_ceiling():
+    # the monic Legendre values at 1 fall like 2^-i and were subnormal
+    # from degree 1028 on, where S^2's systems ended; scaled by 2^i they
+    # reach the ceiling 2048, past which every degree is refused
     s2 = make_space("sphere", n=3)
-    system = adjacent_system(s2, 0, 0, 1027)
-    assert system.max_deg == 1027
+    system = adjacent_system(s2, 0, 0, 2048)
+    assert system.max_deg == orthopoly._MAX_DEGREE == 2048
     assert np.all(np.abs(system.value_at_one) >= np.finfo(float).tiny)
-    with pytest.raises(DegreeOverflowError, match="degree 1028 exceeds the \\(0,0\\)-system cap 1027"):
-        adjacent_system(s2, 0, 0, 1028)
+    with pytest.raises(DegreeOverflowError, match="degree 2049 exceeds the \\(0,0\\)-system cap 2048"):
+        adjacent_system(s2, 0, 0, 2049)
 
 
 def test_shorter_systems_are_prefixes_of_longer_ones():
@@ -307,8 +314,8 @@ def test_shorter_systems_are_prefixes_of_longer_ones():
 
 
 def test_growing_a_space_builds_few_systems(monkeypatch):
-    # systems are built to 16 * 2^j: S^2 grown to its cap (degree ~1030)
-    # builds at most 8 per (a, b), where 16-degree blocks built ~20 each
+    # systems are built to 16 * 2^j: S^2 grown to degree ~630 builds at
+    # most 8 per (a, b), where 16-degree blocks built ~20 each
     monkeypatch.setattr(levenshtein, "_LEVEL_MAPS", {})
     levenshtein.validity_interval.cache_clear()
     orthopoly._build_system.cache_clear()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,14 +136,16 @@ def test_nan_derivatives_are_a_violation():
     assert violation[0] == 0 and np.isnan(violation[2])
 
 
-def test_riesz_nan_order_is_reported():
-    # the coefficient overflows to inf and (2-2t)^(-p/2-j) underflows to 0
-    # at t = -1, so inf*0 = nan from order 537 on; +inf values still pass
-    ok, violation = check_absolutely_monotone(builtin("riesz", p=1), 540)
-    assert not ok
-    order, t, value = violation
-    assert order == 537 and t == -1.0 and np.isnan(value)
-    assert check_absolutely_monotone(builtin("riesz", p=1), 536) == (True, None)
+def test_riesz_derivatives_have_no_nan_order():
+    # from order 537 the coefficient alone overflows and (2-2t)^(-p/2-j)
+    # alone underflows at t = -1, and their product was inf*0 = nan; in
+    # logs the derivative is finite or +inf up to the degree ceiling 2048
+    h = builtin("riesz", p=1)
+    assert check_absolutely_monotone(h, 2049) == (True, None)
+    # h^(j)(-1) = (1/2)_j / 2^(j+1) passes the float range at order 198
+    assert h.deriv(-1.0, 150) == pytest.approx(
+        math.prod(i + 0.5 for i in range(150)) / 2.0**151, rel=1e-12)
+    assert h.deriv(-1.0, 537) == h.deriv(0.0, 200) == math.inf
 
 
 @pytest.mark.parametrize("c, order", [(2.0, 1100), (1.5, 1800)])

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
+from ulbkit import orthopoly
 from ulbkit.orthopoly import adjacent_system
 from ulbkit.pmspace import make_space
 
@@ -45,7 +47,8 @@ def test_point_recurrence_equals_the_array_path(space, top):
 
 
 def _derivatives_by_new_arrays(b, g, deg, order, t):
-    # the recurrence loop as it was before it wrote into its output in place
+    # the monic recurrence loop as it was before it wrote into its output
+    # in place and before it was scaled to P_k = 2^k pi_k
     t = np.asarray(t, dtype=float)
     r = np.arange(1, order + 1).reshape((order,) + (1,) * t.ndim)
     out = np.zeros((deg + 1, order + 1) + t.shape)
@@ -68,5 +71,60 @@ def test_derivatives_equal_the_reference_loop(space, top, order):
     nodes = np.sort(rng.uniform(-1.0, 1.0, 27))
     for t in (nodes, nodes.reshape(3, 9), 0.3, np.array([-1.0]), np.linspace(-1, 1, 401)):
         got = rec.eval_derivatives(b, g, deg, order, t)
-        assert np.array_equal(got, _derivatives_by_new_arrays(b, g, deg, order, t))
+        scale = 2.0 ** np.arange(deg + 1).reshape((deg + 1,) + (1,) * (got.ndim - 1))
+        assert np.array_equal(got, scale * _derivatives_by_new_arrays(b, g, deg, order, t))
     assert rec.eval_derivatives(b, g, 0, order, nodes).shape == (1, order + 1, 27)
+
+
+def _frexp_norms(value_at_one, gamma, c_norm):
+    # r_i as formed from the monic values at 1 before the recurrence was
+    # scaled by 2^k, with mantissas and binary exponents carried apart
+    mant, expo = np.frexp(value_at_one)
+    prod_mant = np.empty(len(gamma))
+    prod_expo = np.empty(len(gamma), dtype=int)
+    m, e = 1.0, 0
+    for i, g in enumerate(gamma.tolist()):
+        m, de = math.frexp(m * g)
+        e += de
+        prod_mant[i], prod_expo[i] = m, e
+    return np.ldexp(mant**2 / (c_norm * prod_mant), 2 * expo - prod_expo)
+
+
+def _where_the_monic_loop_stays_normal(b, g, t, mono):
+    # per degree and point, whether the monic loop formed every value and
+    # product up to that degree as a normal float or 0: past a subnormal
+    # one the monic digits are lost, and the scaled values keep more
+    tiny = np.finfo(float).tiny
+
+    def normal(x):
+        return ((np.abs(x) >= tiny) | (x == 0)).all(axis=1)
+
+    deg = len(mono) - 1
+    ok = normal(mono)
+    ok[1:] &= normal((t - b[:deg, None, None]) * mono[:-1])
+    ok[2:] &= normal(g[1:deg, None, None] * mono[:-2])
+    return np.logical_and.accumulate(ok, axis=0)
+
+
+@pytest.mark.parametrize("space,top", SPACES, ids=IDS)
+def test_scaled_recurrence_equals_the_monic_path(space, top):
+    # Q_i, Q_i' and r_i formed from the monic values, divided by the monic
+    # values at 1, are the reference: every factor 2 and 4 of the scaled
+    # recurrence is exact, so they agree bit for bit wherever the monic
+    # loop stays normal (at t = 1 on S^2 up to degree 1027)
+    deg_top = space.max_degree or 1000
+    t = np.concatenate([[-1.0, 1.0], np.linspace(-0.999, 0.999, 37), _separations(space, top)])
+    for a, b in itertools.product((0, 1), repeat=2):
+        system = adjacent_system(space, a, b, 0 if space.is_finite else deg_top)
+        deg = min(system.max_deg, deg_top)
+        beta, gamma = system.rec_beta, system.rec_gamma
+        mono = _derivatives_by_new_arrays(beta, gamma, deg, 1, t)
+        normal = _where_the_monic_loop_stays_normal(beta, gamma, t, mono)
+        assert normal[:, 1].all() and normal.mean() > 0.95
+        mono_one = mono[:, 0, 1]
+        q_ref = mono / mono_one[:, None, None]
+        q = orthopoly.eval_q_derivatives(system, deg, 1, t)
+        assert np.array_equal(q.transpose(1, 0, 2)[:, normal], q_ref.transpose(1, 0, 2)[:, normal]), (a, b)
+        q = orthopoly.eval_q_all(system, deg, t)
+        assert np.array_equal(q[normal], q_ref[:, 0][normal]), (a, b)
+        assert np.array_equal(system.norms[: deg + 1], _frexp_norms(mono_one, gamma[: deg + 1], system.c_norm))

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from numpy.polynomial import polynomial as npoly
 from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
-from ulbkit.errors import ConditionError, DegreeOverflowError, MonotonicityError, ParameterError
+from ulbkit.errors import (
+    ConditionError, ConvergenceError, DegreeOverflowError, MonotonicityError, ParameterError,
+)
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import Potential, builtin
 from ulbkit.ulb import (
@@ -273,6 +277,44 @@ def test_circle_bound_attained_by_regular_polygons():
         assert rep.certificate_checks.below_h and rep.certificate_checks.f_geq
 
 
+def _polygon_energy(M, h_of_angle):
+    # the regular M-gon's energy, each pair term from its angle 2 pi j / M
+    return M * math.fsum(h_of_angle(2 * math.pi * j / M) for j in range(1, M))
+
+
+@pytest.mark.parametrize("h, h_of_angle, Ms", [
+    (GAUSS, lambda a: math.exp(math.cos(a)), (2, 3, 256, 257, 1000, 1001, 1500, 2049)),
+    (RIESZ1, lambda a: 0.5 / math.sin(a / 2), (2, 3, 256, 257, 1000, 1001, 1024, 1025)),
+], ids=["gaussian", "riesz"])
+def test_circle_bound_equals_the_polygon_energy_up_to_the_degree_ceiling(h, h_of_angle, Ms):
+    # the ULB on S^1 is the regular M-gon's energy at every M.  M is
+    # served at level tau = M - 2, so M = 2049 needs Q_2047, one below the
+    # degree ceiling.  Measured relative error: 2.5e-12 (Gaussian, M=1500)
+    # and 1.8e-12 (Riesz, M=1000) on these lists, at most 8.3e-12 over a
+    # scan of the verified M <= 1580
+    s1 = make_space("sphere", n=2)
+    for M in Ms:
+        rep = ulb(s1, M, h)
+        assert rep.certificate_checks.below_h and rep.certificate_checks.f_geq, M
+        assert rep.value_sum == pytest.approx(_polygon_energy(M, h_of_angle), rel=1e-11, abs=0), M
+
+
+def test_circle_refusals_near_the_degree_ceiling():
+    # where double precision runs out on S^1: the weight at -1 of an even
+    # level loses digits as M grows (relative error 1.9e-10 at M=1590),
+    # its rule is refused from ~1600 and the weight leaves the float range
+    # from ~1718; Riesz certificates sit at the noise floor of below_h from
+    # M ~850
+    s1 = make_space("sphere", n=2)
+    with pytest.raises(ConvergenceError, match="power-sum residual inf"):
+        ulb(s1, 2048, GAUSS)
+    with pytest.raises(ConditionError, match="certificate value"):
+        ulb(s1, 1500, RIESZ1)
+    for M in (1026, 2049):
+        checks = ulb(s1, M, RIESZ1).certificate_checks
+        assert not checks.below_h and checks.f_geq, M
+
+
 def test_quadrature_identity_on_reports():
     rng = np.random.default_rng(9)
     for space, M in [(make_space("sphere", n=4), 12), (make_space("hamming", n=6, q=2), 10)]:
@@ -366,10 +408,11 @@ def test_monomial_overflow_is_a_monotonicity_refusal():
 
 
 def test_certificate_past_the_system_cap_is_a_degree_refusal():
-    # tau 1093 needs Q_1093, past S^2's last degree 1027; dividing by a
-    # value at 1 of 0 once gave a nan certificate and RuntimeWarnings
-    with pytest.raises(DegreeOverflowError, match="degree 1093 exceeds"):
-        ulb(make_space("sphere", n=3), 300000, builtin("gaussian", c=1))
+    # tau 2049 needs Q_2049, one past the degree ceiling 2048 of S^2's
+    # systems; dividing by a monic value at 1 of 0 once gave a nan
+    # certificate and RuntimeWarnings at tau 1093
+    with pytest.raises(DegreeOverflowError, match="degree 2049 exceeds the \\(0,0\\)-system cap 2048"):
+        ulb(make_space("sphere", n=3), 1052000, builtin("gaussian", c=1))
 
 
 @pytest.mark.parametrize(
