@@ -104,9 +104,12 @@ def stieltjes(x, w, count: int):
 def eval_all(b, g, deg: int, t):
     """Values of P_0..P_deg at t.
 
-    Returns an array of shape (deg+1,) + shape(t).  A 0-d t runs the
-    recurrence on Python floats, with the operations of the array path
-    in the same order, so its values equal the array path's bit for bit.
+    ``b`` and ``g`` are arrays or sequences of Python floats; the
+    sequences a system makes once (``OrthoSystem.beta_floats``,
+    ``gamma_floats``) spare each call a conversion.  Returns an array of
+    shape (deg+1,) + shape(t).  A 0-d t runs the recurrence on Python
+    floats, with the operations of the array path in the same order, so
+    its values equal the array path's bit for bit.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim:
@@ -115,7 +118,7 @@ def eval_all(b, g, deg: int, t):
     out = [1.0]
     if deg >= 1:
         out.append(x2 - 2.0 * float(b[0]))
-        for b_k, g_k in zip(b[1:deg].tolist(), g[1:deg].tolist()):
+        for b_k, g_k in zip(b[1:deg], g[1:deg]):
             out.append((x2 - 2.0 * b_k) * out[-1] - 4.0 * g_k * out[-2])
     return np.array(out)
 
@@ -126,7 +129,7 @@ def _eval_all_array(b, g, deg: int, t):
     out[0] = 1.0
     if deg >= 1:
         out[1] = t2 - 2.0 * b[0]
-    for k, (b_k, g_k) in enumerate(zip(b[1:deg].tolist(), g[1:deg].tolist()), 1):
+    for k, (b_k, g_k) in enumerate(zip(b[1:deg], g[1:deg]), 1):
         out[k + 1] = (t2 - 2.0 * b_k) * out[k] - 4.0 * g_k * out[k - 1]
     return out
 
@@ -166,16 +169,21 @@ def eval_derivatives(b, g, deg: int, order: int, t):
     return out.reshape((deg + 1, order + 1) + t.shape)
 
 
-def jacobi_matrix(b, g, deg: int):
+def jacobi_matrix(b, g, deg: int, border=None):
     """The deg x deg symmetric tridiagonal Jacobi matrix of the recurrence.
 
     Diagonal beta_0..beta_{deg-1} and off-diagonal sqrt(gamma_1..gamma_{deg-1});
-    its characteristic polynomial is pi_deg.
+    its characteristic polynomial is pi_deg.  ``border``, a pair (c, g'),
+    replaces beta_{deg-1} by c and gamma_{deg-1} by g': the bordered
+    matrix of a modified eigenproblem (Golub, SIAM Rev. 1973).
     """
-    J = np.diag(np.asarray(b[:deg], dtype=float))
-    off = np.sqrt(g[1:deg])
-    i = np.arange(deg - 1)
-    J[i + 1, i] = J[i, i + 1] = off
+    J = np.zeros((deg, deg))
+    flat = J.reshape(-1)
+    flat[:: deg + 1] = b[:deg]
+    flat[1 :: deg + 1] = flat[deg :: deg + 1] = np.sqrt(g[1:deg])
+    if border is not None:
+        J[-1, -1] = border[0]
+        J[-1, -2] = J[-2, -1] = np.sqrt(border[1])
     return J
 
 
@@ -188,13 +196,13 @@ def jacobi_zeros(b, g, deg: int):
     return np.linalg.eigvalsh(jacobi_matrix(b, g, deg))
 
 
-def gauss(b, g, deg: int):
+def gauss(b, g, deg: int, border=None):
     """The deg-point Gauss rule of the recurrence's measure: nodes ascending, weights.
 
     Nodes are the eigenvalues of the Jacobi matrix, weights gamma_0 times
     the squared first components of its unit eigenvectors (Golub & Welsch,
     Math. Comp. 1969): positive by construction and accurate relative to
-    their size.
+    their size.  ``border`` is that of :func:`jacobi_matrix`.
     """
-    x, vecs = np.linalg.eigh(jacobi_matrix(b, g, deg))
+    x, vecs = np.linalg.eigh(jacobi_matrix(b, g, deg, border))
     return x, g[0] * vecs[0] ** 2

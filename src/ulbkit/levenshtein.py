@@ -12,13 +12,14 @@ weights rho_i of the exact integration identity
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _recurrence as rec
 from . import orthopoly, pmspace
 from .errors import ConvergenceError, DegreeOverflowError, ParameterError
-from .orthopoly import adjacent_system, eval_q_all, largest_zero
+from .orthopoly import OrthoSystem, adjacent_system, eval_q_all, largest_zero
 from .pmspace import SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
@@ -68,16 +69,62 @@ def design_bound(space: SpaceDescriptor, tau: int) -> float:
     return pmspace.q1_value(space) ** (1 - eps) * total
 
 
+class _Level(NamedTuple):
+    """What every 1/M-rule at level 2k-1+eps shares, whatever M.
+
+    Scalars and references to the shared systems only, O(1) per level:
+    M enters a rule through the border of the Jacobi matrix and through s.
+    """
+
+    interval: tuple  # the validity interval (lo, hi)
+    # the (0,eps) system: the Jacobi matrix, and P_k at s
+    system: OrthoSystem
+    # the border: g_k r_k, g_0 and sum_{i<k} r_i, which is also L_tau's
+    # norm head, then P_{k-1}(1) and P_k(1)
+    g_r: float
+    g_0: float
+    r_head: float
+    p_km1_at_one: float
+    p_k_at_one: float
+    # L_tau: q1^eps and the (1,eps) system with its P_{k-1}(1)
+    q1_eps: float
+    lev_system: OrthoSystem
+    lev_p_at_one: float
+    # the weight at -1 on an even level: the (1,0) system with its P_k(1),
+    # and Q_k^{1,0}(-1); None on an odd level
+    weight_system: OrthoSystem | None
+    weight_p_at_one: float | None
+    q_at_minus_one: float | None
+
+
 @lru_cache(maxsize=None)
-def validity_interval(space: SpaceDescriptor, tau: int):
-    """Separation interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] of level tau; cached."""
-    k, eps = _split(tau)
+def _level(space: SpaceDescriptor, k: int, eps: int) -> _Level:
+    """The record of level 2k-1+eps; built once per (space, k, eps)."""
+    # the systems in the order a rule first asks for them, so a degree past
+    # a cap is refused as it was
     upper = largest_zero(adjacent_system(space, 1, eps, k), k)
     if k - 1 + eps == 0:
         lower = -1.0
     else:
         lower = largest_zero(adjacent_system(space, 1, 1 - eps, k - 1 + eps), k - 1 + eps)
-    return lower, upper
+    system = adjacent_system(space, 0, eps, k)
+    g, r, v = system.rec_gamma, system.norms, system.value_at_one
+    lev_system = adjacent_system(space, 1, eps, k - 1)
+    weight_system = weight_p = q_m1 = None
+    if eps:
+        weight_system = adjacent_system(space, 1, 0, k)
+        weight_p = weight_system.value_at_one[k]
+        q_m1 = eval_q_all(weight_system, k, -1.0)[k]
+    return _Level(
+        (lower, upper), system, g[k] * r[k], g[0], float(np.sum(r[:k])), v[k - 1], v[k],
+        pmspace.q1_value(space) ** eps, lev_system, lev_system.value_at_one[k - 1],
+        weight_system, weight_p, q_m1,
+    )
+
+
+def validity_interval(space: SpaceDescriptor, tau: int):
+    """Separation interval [t_{k-1+eps}^{1,1-eps}, t_k^{1,eps}] of level tau; cached."""
+    return _level(space, *_split(tau)).interval
 
 
 def lev_bound(space: SpaceDescriptor, tau: int, s: float) -> float:
@@ -97,11 +144,15 @@ def _in_interval(s: float, lo: float, hi: float) -> bool:
 
 def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
     k, eps = _split(tau)
-    num = eval_q_all(adjacent_system(space, 1, eps, k - 1), k - 1, s)[k - 1]
-    system = adjacent_system(space, 0, eps, k)
-    den = eval_q_all(system, k, s)[k]
-    head = float(np.sum(system.norms[:k]))
-    return pmspace.q1_value(space) ** eps * (1.0 - num / den) * head
+    level = _level(space, k, eps)
+    num = _p_at(level.lev_system, k - 1, s) / level.lev_p_at_one
+    den = _p_at(level.system, k, s) / level.p_k_at_one
+    return level.q1_eps * (1.0 - num / den) * level.r_head
+
+
+def _p_at(system: OrthoSystem, deg: int, t: float):
+    """P_deg(t) at one point, by the recurrence on Python floats."""
+    return rec.eval_all(system.beta_floats, system.gamma_floats, deg, t)[deg]
 
 
 def tau_for_cardinality(space: SpaceDescriptor, M: int):
@@ -188,7 +239,7 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     k, eps, tau = tau_for_cardinality(space, M)
     if eps == 0:
         return replace(quadrature_rule(space, M), odd_branch=True)
-    lo = largest_zero(adjacent_system(space, 1, 0, k), k)
+    lo = validity_interval(space, 2 * k - 1)[1]  # t_k^{1,0}
     hi = largest_zero(adjacent_system(space, 0, 0, k), k)
     nodes, weights = _bordered_rule(space, M, k, 0)
     s = nodes[-1]
@@ -209,16 +260,18 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     -1, with weights gamma_0 v_0i^2 / (1 + alpha_i)^eps.  The weight at
     -1 (eps = 1) is left 0 for :func:`_rule_from_nodes`.
     """
-    system = adjacent_system(space, 0, eps, k)
-    b, g, r, v = system.rec_beta, system.rec_gamma, system.norms, system.value_at_one
+    level = _level(space, k, eps)
     # the denominator is (M - D(tau-1)) / q1^eps, with D(0) = 1: positive
     # for every M the level serves
-    g_border = g[k] * r[k] / (M * g[0] / (1 + eps) - np.sum(r[:k]))
+    g_border = level.g_r / (M * level.g_0 / (1 + eps) - level.r_head)
     # pi_{k-1}(1) / pi_k(1) = 2 P_{k-1}(1) / P_k(1)
-    c = 1.0 - 2.0 * g_border * v[k - 1] / v[k]
-    x, w = rec.gauss(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
-    x, w = x[:-1], w[:-1] / (1.0 + x[:-1]) ** eps
-    return np.concatenate([[-1.0] * eps, x]), np.concatenate([[0.0] * eps, w])
+    c = 1.0 - 2.0 * g_border * level.p_km1_at_one / level.p_k_at_one
+    system = level.system
+    x, w = rec.gauss(system.rec_beta, system.rec_gamma, k + 1, (c, g_border))
+    x, w = x[:-1], w[:-1]
+    if not eps:
+        return x, w
+    return np.concatenate([[-1.0], x]), np.concatenate([[0.0], w / (1.0 + x)])
 
 
 def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) -> QuadratureRule:
@@ -226,7 +279,7 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
     s = float(nodes[-1])
     if not abs(_lev_value(space, tau, s) - M) <= _SOLVE_RTOL * M:
         raise ConvergenceError(f"L_{tau}(s) misses M={M} at the separation s={s}")
-    if not np.all(np.diff(nodes) > 0):
+    if not np.all(nodes[1:] > nodes[:-1]):
         raise ConvergenceError("quadrature nodes are not strictly increasing")
     if eps:
         # The weight at -1 vanishes at the bottom of the level.  The rule
@@ -235,10 +288,10 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         # size.  Where the products leave the float range (S^2 from tau
         # ~1720) the checks below refuse the inf, 0 or nan that gives.
         inner = nodes[1:-1]
-        system = adjacent_system(space, 1, 0, k)
-        q_s, q_m1 = (eval_q_all(system, k, x)[k] for x in (s, -1.0))
+        level = _level(space, k, eps)
+        q_s = _p_at(level.weight_system, k, s) / level.weight_p_at_one
         with np.errstate(all="ignore"):
-            num, den = np.prod(s - inner), 2 * q_m1 * np.prod(-1 - inner)
+            num, den = np.prod(s - inner), 2 * level.q_at_minus_one * np.prod(-1 - inner)
             weights[0] = -weights[-1] * (1 - s) * q_s * num / den
     if not np.all(weights > 0):
         raise ConvergenceError(

@@ -430,6 +430,13 @@ _CHUNK = 1 << 12
 # need millions of numpy passes anyway
 _TABLE_BYTES = 1 << 26
 
+# the most pair terms a search sums: C(2^n - 1, M - 1) subsets with the
+# first word pinned, C(M, 2) pairs each.  H(6,2) M=5 has 6.0e6 (20 ms),
+# H(8,2) M=255 8.3e6 (0.2 s) and H(9,2) M=511 6.7e7 (1 s); H(10,2)
+# M=1023 has 5.3e8 and H(12,2) M=4095 3.4e10 (~2 min), though both pass
+# the count and the table size
+_PAIR_TERMS = 10**8
+
 
 def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     """Exact minimal energy over all M-subsets of the binary cube.
@@ -442,8 +449,9 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     in the order of a pair loop, so each energy is the float sum that
     loop gives.  The first subset of least energy is returned.  Raises
     ParameterError for n < 2, M outside 2..2^n, an unknown convention,
-    an instance with C(2^n, M) above ten million, or one whose table
-    would take more than 64 MiB.
+    an instance with C(2^n, M) above ten million, one whose table
+    would take more than 64 MiB, or one that would sum more than 1e8 pair
+    terms.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
@@ -459,6 +467,11 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
         raise ParameterError(
             f"instance too large: its table of {M - 2}-subsets would take "
             f"{table_bytes / 2**20:.0f} MiB > {_TABLE_BYTES >> 20} MiB"
+        )
+    terms = math.comb(total - 1, M - 1) * math.comb(M, 2)
+    if terms > _PAIR_TERMS:
+        raise ParameterError(
+            f"instance too large: its search would sum {terms:.2e} pair terms > {_PAIR_TERMS:.0e}"
         )
     space = pmspace.make_space("hamming", n=n, q=2)
     hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]

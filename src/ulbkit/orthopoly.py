@@ -38,7 +38,9 @@ class OrthoSystem:
     ``rec_beta``/``rec_gamma`` and ``value_at_one`` (P_i(1)) follow the
     convention of :mod:`ulbkit._recurrence`; ``norms`` holds the constants
     r_i^{a,b} from the orthogonality relation, and ``c_norm`` the
-    normalization constant of the weighted measure.
+    normalization constant of the weighted measure.  ``beta_floats`` and
+    ``gamma_floats`` hold the recurrence coefficients as tuples of Python
+    floats, made once, for the recurrence at one point.
     """
 
     space: SpaceDescriptor
@@ -50,6 +52,8 @@ class OrthoSystem:
     value_at_one: np.ndarray
     norms: np.ndarray
     c_norm: float
+    beta_floats: tuple
+    gamma_floats: tuple
 
 
 def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> OrthoSystem:
@@ -91,7 +95,8 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> Ortho
         # large alpha0.  The rule weights are proportional to it.
         ab = alpha0 + beta0
         gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
-    value_at_one = rec.eval_all(beta, gamma, max_deg, np.array(1.0))
+    beta_floats, gamma_floats = tuple(beta.tolist()), tuple(gamma.tolist())
+    value_at_one = rec.eval_all(beta_floats, gamma_floats, max_deg, np.array(1.0))
     c_norm = 1.0 / gamma[0]
     # r_i = P_i(1)^2 / (c_norm ||P_i||^2), where ||P_i||^2 is gamma_0 times
     # the product of 4 gamma_j, j = 1..i.  The system ends at the last
@@ -104,9 +109,12 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> Ortho
         max_deg = int(np.argmin(normal)) - 1
         head = slice(0, max_deg + 1)
         beta, gamma, value_at_one, norms = beta[head], gamma[head], value_at_one[head], norms[head]
+        beta_floats, gamma_floats = beta_floats[head], gamma_floats[head]
     for arr in (beta, gamma, value_at_one, norms):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return OrthoSystem(space, a, b, max_deg, beta, gamma, value_at_one, norms, c_norm)
+    return OrthoSystem(
+        space, a, b, max_deg, beta, gamma, value_at_one, norms, c_norm, beta_floats, gamma_floats
+    )
 
 
 # hit and miss counts of the system cache
@@ -116,7 +124,7 @@ adjacent_system.cache_info = _build_system.cache_info
 def eval_q_all(system: OrthoSystem, deg: int, t):
     """Values of Q_0..Q_deg at t, shape (deg+1,) + shape(t)."""
     _check(system, deg)
-    vals = rec.eval_all(system.rec_beta, system.rec_gamma, deg, np.asarray(t, dtype=float))
+    vals = rec.eval_all(system.beta_floats, system.gamma_floats, deg, np.asarray(t, dtype=float))
     shape = (deg + 1,) + (1,) * (vals.ndim - 1)
     return vals / system.value_at_one[: deg + 1].reshape(shape)
 
@@ -136,7 +144,7 @@ def grid_table(space: SpaceDescriptor, deg: int) -> np.ndarray:
         del table
         _GRID_TABLES.pop(space, None)
         grid = pmspace.verification_grid(space)
-        table = rec.eval_all(system.rec_beta, system.rec_gamma, deg, grid)
+        table = rec.eval_all(system.beta_floats, system.gamma_floats, deg, grid)
         table /= system.value_at_one[: deg + 1, None]
         table.flags.writeable = False
         _GRID_TABLES[space] = table

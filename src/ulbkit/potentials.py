@@ -99,7 +99,12 @@ def builtin(name: str, **params) -> Potential:
 
         def deriv(t, j):
             # a numpy power overflows to inf where a float power raises
-            return np.float64(c) ** j * np.exp(c * t)
+            if j < 2:
+                return np.float64(c) ** j * np.exp(c * t)
+            # past the float range c^j, or its product with exp(c t), is
+            # +inf, silently as a Riesz derivative is
+            with np.errstate(over="ignore"):
+                return np.float64(c) ** j * np.exp(c * t)
 
         return Potential("gaussian", {"c": c}, _deriv=deriv)
 

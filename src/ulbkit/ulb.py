@@ -26,11 +26,24 @@ _BELOW_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
 # where the shifted potential of an improvement is checked for monotonicity
 _ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
-# derivative function -> highest order its potential passed the check at.
-# Keyed on the instance's function, not on its name and parameters: a
-# Potential is unhashable (params is a dict), and potentials that share a
-# name can differ, as the shifted ones of an improvement do.
-_MONOTONE_TO = weakref.WeakKeyDictionary()
+# derivative function -> its potential's _PotentialRecord.  Keyed on the
+# instance's function, not on its name and parameters: a Potential is
+# unhashable (params is a dict), and potentials that share a name can
+# differ, as the shifted ones of an improvement do.
+_POTENTIALS = weakref.WeakKeyDictionary()
+
+
+class _PotentialRecord:
+    """What bounds with one potential share, whatever the space and M."""
+
+    __slots__ = ("monotone_to", "grid")
+
+    def __init__(self):
+        # the highest order at which the potential passed the monotonicity check
+        self.monotone_to = -1
+        # (space, below_tol) -> read-only h and below_tol * (1 + |h|) on the
+        # space's verification grid
+        self.grid = {}
 
 
 @dataclass(frozen=True)
@@ -143,20 +156,43 @@ def _report_from_rule(
 
 def _require_monotone(h: Potential, order: int):
     """Refuse h unless absolutely monotone to order; a pass is remembered, a failure not."""
-    deriv = getattr(h, "_deriv", None)
-    try:
-        if _MONOTONE_TO.get(deriv, -1) >= order:
-            return
-    except TypeError:  # no weak reference to it: checked on every call
-        deriv = None
+    record = _record(h)
+    if record is not None and record.monotone_to >= order:
+        return
     ok, violation = check_absolutely_monotone(h, order)
     if not ok:
         raise MonotonicityError(
             f"{h.label()} is not absolutely monotone to order {order}; "
             f"first violation {violation}"
         )
-    if deriv is not None:
-        _MONOTONE_TO[deriv] = order
+    if record is not None:
+        record.monotone_to = order
+
+
+def _record(h: Potential):
+    """h's record, or None when its derivative function has no weak reference."""
+    deriv = getattr(h, "_deriv", None)
+    try:
+        record = _POTENTIALS.get(deriv)
+        if record is None:
+            record = _POTENTIALS[deriv] = _PotentialRecord()
+    except TypeError:  # no weak reference to it: everything is computed on every call
+        return None
+    return record
+
+
+def _grid_values(space: SpaceDescriptor, h: Potential, below_tol: float):
+    """h on the space's verification grid, and below_tol * (1 + |h|) there; cached per h."""
+    record = _record(h)
+    key = (space, below_tol)
+    if record is not None and key in record.grid:
+        return record.grid[key]
+    hv = np.array(h(pmspace.verification_grid(space)), dtype=float)
+    tol = below_tol * (1.0 + np.abs(hv))
+    if record is not None:
+        hv.flags.writeable = tol.flags.writeable = False
+        record.grid[key] = hv, tol
+    return hv, tol
 
 
 def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
@@ -201,14 +237,14 @@ def verify_certificate(
     below_tol * (1 + |h|); ``f_geq``: all coefficients of the expansion
     in the Q-system are nonnegative (within -1e-8).  f is evaluated from
     the space's cached table of Q_0..Q_deg on the grid
-    (:func:`ulbkit.orthopoly.grid_table`).  Failures are reported as data.
+    (:func:`ulbkit.orthopoly.grid_table`), and h and the tolerance from
+    the potential's cached row.  Failures are reported as data.
     """
     grid = pmspace.verification_grid(space)
     f = np.asarray(f, dtype=float)
     fv = f @ orthopoly.grid_table(space, len(f) - 1)
-    hv = np.asarray(h(grid), dtype=float)
+    hv, tol = _grid_values(space, h, below_tol)
     excess = fv - hv
-    tol = below_tol * (1.0 + np.abs(hv))
     worst = int(np.argmax(excess - tol))
     below = bool(np.all(excess <= tol))
     minq = float(np.min(f))

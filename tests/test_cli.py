@@ -104,6 +104,14 @@ def test_validation_errors_exit_2(capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "ParameterError"
         assert ("n >= 2" if n == "-2" else "2 <= M") in error["message"]
+    # as is one whose search would take minutes
+    code, out, err = run_cli(
+        capsys, "oracle", "exhaustive", "--n", "12", "--M", "4095",
+        "--potential", "riesz", "--p", "1",
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and "pair terms" in error["message"]
 
 
 def test_missing_potential_param_exit_2(capsys):

@@ -303,6 +303,17 @@ def test_exhaustive_hamming_examples():
         oracle.exhaustive_hamming(6, 59, RIESZ1)
 
 
+def test_exhaustive_refuses_near_full_codes_by_their_pair_terms(monkeypatch):
+    # H(12,2) M=4095 passes the count (4096 subsets) and the table size
+    # (33 MB), but sums 3.4e10 pair terms, about two minutes: it is refused
+    # before any table is built
+    built = []
+    monkeypatch.setattr(oracle, "_combination_table", lambda *args: built.append(args))
+    with pytest.raises(ParameterError, match="3.43e\\+10 pair terms > 1e\\+08"):
+        oracle.exhaustive_hamming(12, 4095, RIESZ1)
+    assert built == []
+
+
 def test_exhaustive_matches_unreduced_enumeration():
     # tiny instance: compare against brute force over all M-subsets
     n, M = 3, 3

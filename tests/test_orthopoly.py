@@ -317,7 +317,7 @@ def test_growing_a_space_builds_few_systems(monkeypatch):
     # systems are built to 16 * 2^j: S^2 grown to degree ~630 builds at
     # most 8 per (a, b), where 16-degree blocks built ~20 each
     monkeypatch.setattr(levenshtein, "_LEVEL_MAPS", {})
-    levenshtein.validity_interval.cache_clear()
+    levenshtein._level.cache_clear()
     orthopoly._build_system.cache_clear()
     assert levenshtein.tau_for_cardinality(make_space("sphere", n=3), 400000) == (631, 1, 1262)
     assert orthopoly.adjacent_system.cache_info().currsize <= 8 * 4

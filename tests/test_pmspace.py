@@ -246,9 +246,12 @@ def test_moments_where_masses_underflow(n, zeros):
     _, mass = pmspace.t_grid(space)
     assert np.count_nonzero(mass == 0.0) == zeros
     got = pmspace.moments(space, 10)
+    combs = [math.comb(n, l) for l in range(n + 1)]
     for m in range(11):
-        exact = Fraction(sum(math.comb(n, l) * (n - 2 * l) ** m for l in range(n + 1)), 2**n * n**m)
-        assert got[m] == pytest.approx(float(exact), rel=5e-12, abs=0), m
+        # a quotient of Python integers is correctly rounded, as the float
+        # of a Fraction is, without reducing integers near 2^n
+        exact = sum(c * (n - 2 * l) ** m for l, c in enumerate(combs)) / (2**n * n**m)
+        assert got[m] == pytest.approx(exact, rel=5e-12, abs=0), m
 
 
 def test_sphere_recurrence_agreement():

@@ -154,6 +154,16 @@ def test_gaussian_coefficient_overflows_to_inf(c, order):
     assert check_absolutely_monotone(builtin("gaussian", c=c), order) == (True, None)
 
 
+def test_gaussian_derivative_past_the_float_range_is_a_silent_inf():
+    # called directly, outside the monotonicity check: c**j alone passes the
+    # float range (2^1100), or only its product with exp(c t) does
+    # (2^1023 e^2); either is +inf, with no overflow warning
+    h = builtin("gaussian", c=2)
+    assert h.deriv(0.0, 1100) == h.deriv(1.0, 1023) == math.inf
+    assert np.array_equal(h.deriv(np.array([-1.0, 0.0, 1.0]), 1100), [math.inf] * 3)
+    assert h.deriv(-1.0, 1023) == pytest.approx(2.0**1023 * math.exp(-2.0), rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "h, order",
     [(builtin("monomial", j=200), 149), (builtin("series", coeffs=[0.0] * 200 + [1.0]), 149),

@@ -492,9 +492,9 @@ def test_verification_runs_no_recurrence_on_the_grid(monkeypatch):
 
 @pytest.mark.parametrize("tau", [53, 54])
 def test_point_values_run_the_float_recurrence(monkeypatch, tau):
-    # a warm HP^3 op evaluates its systems at s, and on an even level at
-    # -1, one point at a time, and only the recurrence on Python floats
-    # sees those points
+    # a warm HP^3 op evaluates its systems at s one point at a time (Q_k
+    # at -1, for the weight at -1 of an even level, is in the level's
+    # record), and only the recurrence on Python floats sees those points
     space = make_space("projective", n=4, field_dim=4)
     lo = lev.design_bound(space, tau)
     M = int(round(0.5 * (lo + lev.design_bound(space, tau + 1))))
@@ -514,6 +514,6 @@ def test_point_values_run_the_float_recurrence(monkeypatch, tau):
     monkeypatch.setattr(rec, "_eval_all_array", recording_array_branch)
     rule = ulb(space, M, GAUSS).rule
     assert rule.tau == tau
-    # L_tau(s) takes two values at s; the weight at -1 one at s and one at -1
-    assert shapes.count(()) == 2 + 2 * rule.epsilon
+    # L_tau(s) takes two values at s; the weight at -1 one at s
+    assert shapes.count(()) == 2 + rule.epsilon
     assert not [t for t in array_args if np.ndim(t) == 0 or np.size(t) == 2]

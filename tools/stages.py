@@ -9,6 +9,9 @@ benchmark lists (``perfbench/workloads.py``) warm, ``--reps`` times:
 Per stage: the median over ops of the op's median time, and its share of
 the median op.  ``_lev_value`` runs inside ``_rule_from_nodes``, and
 ``eval_q_derivatives`` and ``linalg.solve`` inside ``hermite_certificate``.
+Warm, ``_level`` only looks up the level's record; one more run per op,
+after the record cache is emptied, times building it
+(``levenshtein._level, cold``).
 """
 
 import argparse
@@ -30,12 +33,14 @@ from ulbkit.errors import UlbkitError  # noqa: E402
 
 ULB = sys.modules["ulbkit.ulb"]
 # (namespace the pipeline looks the name up in, attribute)
-STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_bordered_rule"),
-          (levenshtein, "_rule_from_nodes"), (levenshtein, "_lev_value"),
+STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_level"),
+          (levenshtein, "_bordered_rule"), (levenshtein, "_rule_from_nodes"),
+          (levenshtein, "_lev_value"),
           (ULB, "_require_monotone"), (ULB, "hermite_certificate"),
           (orthopoly, "eval_q_derivatives"), (linalg, "solve"),
           (ULB, "verify_certificate"))
 SPENT = defaultdict(float)
+LEVELS = levenshtein._level  # the cache, whose wrapper below hides cache_clear
 
 
 def _timed(name, fn):
@@ -68,14 +73,22 @@ def main(argv=None):
                 space, h = workloads.make(op["space"]), potentials[op["potential"]]
                 kwargs = {"rel_tol": op["rel_tol"]} if op.get("rel_tol") else {}
                 runs = defaultdict(list)
-                for rep in range(args.reps + 1):  # the first run warms the caches
+                # the first run warms the caches, the last builds the level's
+                # record afresh
+                for rep in range(args.reps + 2):
+                    cold = rep == args.reps + 1
+                    if cold:
+                        LEVELS.cache_clear()
                     SPENT.clear()
                     start = perf_counter()
                     with contextlib.suppress(UlbkitError):
                         ulbkit.ulb(space, op["M"], h, **kwargs)
                     SPENT["total"] = perf_counter() - start
-                    for name, sec in SPENT.items() if rep else ():
-                        runs[name].append(sec)
+                    if cold:
+                        runs["levenshtein._level, cold"].append(SPENT["levenshtein._level"])
+                    elif rep:
+                        for name, sec in SPENT.items():
+                            runs[name].append(sec)
                 for name, secs in runs.items():
                     per_op[name].append(statistics.median(secs))
         ms = {name: 1e3 * statistics.median(meds) for name, meds in per_op.items()}
