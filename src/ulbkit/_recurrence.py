@@ -169,21 +169,16 @@ def eval_derivatives(b, g, deg: int, order: int, t):
     return out.reshape((deg + 1, order + 1) + t.shape)
 
 
-def jacobi_matrix(b, g, deg: int, border=None):
+def jacobi_matrix(b, g, deg: int):
     """The deg x deg symmetric tridiagonal Jacobi matrix of the recurrence.
 
     Diagonal beta_0..beta_{deg-1} and off-diagonal sqrt(gamma_1..gamma_{deg-1});
-    its characteristic polynomial is pi_deg.  ``border``, a pair (c, g'),
-    replaces beta_{deg-1} by c and gamma_{deg-1} by g': the bordered
-    matrix of a modified eigenproblem (Golub, SIAM Rev. 1973).
+    its characteristic polynomial is pi_deg.
     """
     J = np.zeros((deg, deg))
     flat = J.reshape(-1)
     flat[:: deg + 1] = b[:deg]
     flat[1 :: deg + 1] = flat[deg :: deg + 1] = np.sqrt(g[1:deg])
-    if border is not None:
-        J[-1, -1] = border[0]
-        J[-1, -2] = J[-2, -1] = np.sqrt(border[1])
     return J
 
 
@@ -196,13 +191,13 @@ def jacobi_zeros(b, g, deg: int):
     return np.linalg.eigvalsh(jacobi_matrix(b, g, deg))
 
 
-def gauss(b, g, deg: int, border=None):
+def gauss(b, g, deg: int):
     """The deg-point Gauss rule of the recurrence's measure: nodes ascending, weights.
 
     Nodes are the eigenvalues of the Jacobi matrix, weights gamma_0 times
     the squared first components of its unit eigenvectors (Golub & Welsch,
     Math. Comp. 1969): positive by construction and accurate relative to
-    their size.  ``border`` is that of :func:`jacobi_matrix`.
+    their size.
     """
-    x, vecs = np.linalg.eigh(jacobi_matrix(b, g, deg, border))
+    x, vecs = np.linalg.eigh(jacobi_matrix(b, g, deg))
     return x, g[0] * vecs[0] ** 2

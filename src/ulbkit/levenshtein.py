@@ -77,23 +77,18 @@ class _Level(NamedTuple):
     """
 
     interval: tuple  # the validity interval (lo, hi)
-    # the (0,eps) system: the Jacobi matrix, and P_k at s
+    # the (0,eps) system: the Jacobi matrix, the border's P_{k-1}(1) and
+    # P_k(1), and P_k at s
     system: OrthoSystem
-    # the border: g_k r_k, g_0 and sum_{i<k} r_i, which is also L_tau's
-    # norm head, then P_{k-1}(1) and P_k(1)
+    # the border: g_k r_k and sum_{i<k} r_i, which is also L_tau's norm head
     g_r: float
-    g_0: float
     r_head: float
-    p_km1_at_one: float
-    p_k_at_one: float
-    # L_tau: q1^eps and the (1,eps) system with its P_{k-1}(1)
+    # L_tau: q1^eps and the (1,eps) system
     q1_eps: float
     lev_system: OrthoSystem
-    lev_p_at_one: float
-    # the weight at -1 on an even level: the (1,0) system with its P_k(1),
-    # and Q_k^{1,0}(-1); None on an odd level
+    # the weight at -1 on an even level: the (1,0) system and Q_k^{1,0}(-1);
+    # None on an odd level
     weight_system: OrthoSystem | None
-    weight_p_at_one: float | None
     q_at_minus_one: float | None
 
 
@@ -108,17 +103,15 @@ def _level(space: SpaceDescriptor, k: int, eps: int) -> _Level:
     else:
         lower = largest_zero(adjacent_system(space, 1, 1 - eps, k - 1 + eps), k - 1 + eps)
     system = adjacent_system(space, 0, eps, k)
-    g, r, v = system.rec_gamma, system.norms, system.value_at_one
+    g, r = system.rec_gamma, system.norms
     lev_system = adjacent_system(space, 1, eps, k - 1)
-    weight_system = weight_p = q_m1 = None
+    weight_system = q_m1 = None
     if eps:
         weight_system = adjacent_system(space, 1, 0, k)
-        weight_p = weight_system.value_at_one[k]
         q_m1 = eval_q_all(weight_system, k, -1.0)[k]
     return _Level(
-        (lower, upper), system, g[k] * r[k], g[0], float(np.sum(r[:k])), v[k - 1], v[k],
-        pmspace.q1_value(space) ** eps, lev_system, lev_system.value_at_one[k - 1],
-        weight_system, weight_p, q_m1,
+        (lower, upper), system, g[k] * r[k], float(np.sum(r[:k])),
+        pmspace.q1_value(space) ** eps, lev_system, weight_system, q_m1,
     )
 
 
@@ -145,8 +138,8 @@ def _in_interval(s: float, lo: float, hi: float) -> bool:
 def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
     k, eps = _split(tau)
     level = _level(space, k, eps)
-    num = _p_at(level.lev_system, k - 1, s) / level.lev_p_at_one
-    den = _p_at(level.system, k, s) / level.p_k_at_one
+    num = _p_at(level.lev_system, k - 1, s) / level.lev_system.value_at_one[k - 1]
+    den = _p_at(level.system, k, s) / level.system.value_at_one[k]
     return level.q1_eps * (1.0 - num / den) * level.r_head
 
 
@@ -261,13 +254,13 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     -1 (eps = 1) is left 0 for :func:`_rule_from_nodes`.
     """
     level = _level(space, k, eps)
+    b, g, v = level.system.rec_beta, level.system.rec_gamma, level.system.value_at_one
     # the denominator is (M - D(tau-1)) / q1^eps, with D(0) = 1: positive
     # for every M the level serves
-    g_border = level.g_r / (M * level.g_0 / (1 + eps) - level.r_head)
+    g_border = level.g_r / (M * g[0] / (1 + eps) - level.r_head)
     # pi_{k-1}(1) / pi_k(1) = 2 P_{k-1}(1) / P_k(1)
-    c = 1.0 - 2.0 * g_border * level.p_km1_at_one / level.p_k_at_one
-    system = level.system
-    x, w = rec.gauss(system.rec_beta, system.rec_gamma, k + 1, (c, g_border))
+    c = 1.0 - 2.0 * g_border * v[k - 1] / v[k]
+    x, w = rec.gauss(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
     x, w = x[:-1], w[:-1]
     if not eps:
         return x, w
@@ -289,7 +282,7 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         # ~1720) the checks below refuse the inf, 0 or nan that gives.
         inner = nodes[1:-1]
         level = _level(space, k, eps)
-        q_s = _p_at(level.weight_system, k, s) / level.weight_p_at_one
+        q_s = _p_at(level.weight_system, k, s) / level.weight_system.value_at_one[k]
         with np.errstate(all="ignore"):
             num, den = np.prod(s - inner), 2 * level.q_at_minus_one * np.prod(-1 - inner)
             weights[0] = -weights[-1] * (1 - s) * q_s * num / den

@@ -98,9 +98,7 @@ def builtin(name: str, **params) -> Potential:
             raise ParameterError(f"gaussian potential needs c > 0, got {c}")
 
         def deriv(t, j):
-            # a numpy power overflows to inf where a float power raises
-            if j < 2:
-                return np.float64(c) ** j * np.exp(c * t)
+            # a numpy power overflows to inf where a float power raises:
             # past the float range c^j, or its product with exp(c t), is
             # +inf, silently as a Riesz derivative is
             with np.errstate(over="ignore"):

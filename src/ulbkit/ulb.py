@@ -109,13 +109,15 @@ def ulb(
         "sum" bounds the full ordered pair sum; "mean" divides by M.
     abs_tol, rel_tol : float
         Grid tolerance of the pointwise certificate check, and relative
-        tolerance of the certificate-vs-quadrature value cross-check.
+        tolerance of the certificate-vs-quadrature value cross-check;
+        each must be finite and >= 0 (ParameterError otherwise).
 
     Returns
     -------
     UlbReport
         Bound values in both conventions plus the validated certificate.
     """
+    _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = quadrature_rule(space, M)
     return _report_from_rule(space, rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
 
@@ -129,8 +131,17 @@ def ulb_odd_branch(
     rel_tol: float = _IDENTITY_TOL,
 ) -> UlbReport:
     """The odd-level bound, valid on even intervals as well (weaker there)."""
+    _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = odd_branch_rule(space, M)
     return _report_from_rule(space, rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
+
+
+def _check_tolerances(**tolerances):
+    # a NaN fails the comparison; it would also be a cache key that never
+    # matches, so each call would add a grid row to the potential's record
+    for name, value in tolerances.items():
+        if not 0.0 <= value < np.inf:
+            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _report_from_rule(
@@ -238,8 +249,10 @@ def verify_certificate(
     in the Q-system are nonnegative (within -1e-8).  f is evaluated from
     the space's cached table of Q_0..Q_deg on the grid
     (:func:`ulbkit.orthopoly.grid_table`), and h and the tolerance from
-    the potential's cached row.  Failures are reported as data.
+    the potential's cached row.  Failures are reported as data; a
+    below_tol that is not finite and >= 0 raises ParameterError.
     """
+    _check_tolerances(below_tol=below_tol)
     grid = pmspace.verification_grid(space)
     f = np.asarray(f, dtype=float)
     fv = f @ orthopoly.grid_table(space, len(f) - 1)

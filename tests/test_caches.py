@@ -8,6 +8,7 @@ import pytest
 
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
+from ulbkit.errors import ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import Potential, builtin
 from ulbkit.ulb import improve_with_qj, ulb, ulb_odd_branch, verify_certificate
@@ -142,3 +143,22 @@ def test_a_potential_without_a_weak_reference_is_evaluated_every_call():
     assert verify_certificate(S2, np.ones(3), h) == first
     assert calls == [(grid_size,), (grid_size,)]
     assert ULB._record(h) is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1e-9, float("inf")])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(bad):
+    # a NaN key would never match, so each call would add a grid row
+    M = _mid_level(S2, 6)
+    ulb(S2, M, GAUSS)
+    rows = ULB._POTENTIALS[GAUSS._deriv].grid
+    before = dict(rows)
+    for call in (lambda: ulb(S2, M, GAUSS, abs_tol=bad), lambda: ulb(S2, M, GAUSS, rel_tol=bad),
+                 lambda: ulb_odd_branch(S2, M, GAUSS, abs_tol=bad),
+                 lambda: ulb_odd_branch(S2, M, GAUSS, rel_tol=bad),
+                 lambda: verify_certificate(S2, np.ones(3), GAUSS, bad)):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            call()
+    assert rows == before
+    # zero is a tolerance; a rel_tol of 0 would refuse on the last bit
+    assert ulb(S2, M, GAUSS, abs_tol=0.0).rule.M == M
+    verify_certificate(S2, np.ones(3), GAUSS, 0.0)

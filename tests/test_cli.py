@@ -95,6 +95,15 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau > 601)")
+    # a tolerance must be finite and >= 0
+    for flag, value in (("--abs-tol", "nan"), ("--rel-tol", "-1e-9"), ("--abs-tol", "inf")):
+        code, out, err = run_cli(
+            capsys, "ulb", "--space", "sphere", "--n", "3", "--M", "4",
+            "--potential", "riesz", "--p", "1", f"{flag}={value}",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParameterError" and "finite and >= 0" in error["message"]
     # oracle exhaustive checks n and M before the size of the search
     for n, M in (("4", "-1"), ("-2", "3"), ("30", "1"), ("4", "17")):
         code, out, err = run_cli(
