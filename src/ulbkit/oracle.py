@@ -251,7 +251,9 @@ def named_config(space: SpaceDescriptor, name: str) -> Code:
 
 
 # entries of the Gram matrices and L-BFGS histories of one batch of
-# restarts: 2 MB in all
+# restarts: 2 MB in all.  The two-loop recursion's scratch buffer, one
+# entry per coordinate of the batch, takes the place of temporaries of
+# its size, so it adds nothing to the peak
 _BATCH_ENTRIES = 1 << 18
 
 # the (move, gradient change) pairs of each restart's L-BFGS history
@@ -282,7 +284,8 @@ def minimize_sphere(
     step falls below 1e-16 (an energy of 0); or after ``iterations``
     steps, the cap of each restart.  The result is deterministic for a
     fixed seed, and an upper estimate of the minimal energy only, never
-    a certificate of optimality.
+    a certificate of optimality.  Raises ParameterError for n < 2,
+    M < 2, restarts < 1 or iterations < 1.
 
     Returns
     -------
@@ -297,9 +300,13 @@ def minimize_sphere(
     """
     if n < 2 or M < 2:
         raise ParameterError("need n >= 2 and M >= 2")
+    if restarts < 1 or iterations < 1:
+        raise ParameterError(
+            f"need restarts >= 1 and iterations >= 1, got {restarts} and {iterations}"
+        )
     space = pmspace.make_space("sphere", n=n)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(max(1, restarts), M, n))
+    x = rng.normal(size=(restarts, M, n))
     x /= np.linalg.norm(x, axis=2)[..., None]
     # restarts descend independently, so batching them changes no result;
     # it bounds the memory of the batch's Gram matrices and histories for large M
@@ -340,27 +347,34 @@ def _descend(x, h, iterations):
     floor = 8.0 * np.finfo(float).eps
     for it in range(iterations):
         cand = xl + alpha[:, None, None] * d
-        cand /= np.linalg.norm(cand, axis=2)[..., None]
+        cand /= np.sqrt(np.add.reduce(cand * cand, axis=2, keepdims=True))
         cand_val, cand_tang = _energy_and_gradient(cand, h, pairs)
         accept = cand_val < vl
         # a rejected step that could not lower the energy by more than
         # its rounding ends the row, as does a step below 1e-16 (an
         # energy of 0 has no rounding)
-        slope = np.abs((d * tl).sum(axis=(1, 2)))
+        slope = np.abs(np.add.reduce(d * tl, axis=(1, 2)))
         done = ~accept & ((alpha * slope <= floor * np.abs(vl)) | (alpha < 1e-16))
-        s = (cand - xl).reshape(len(xl), -1)
-        y = (cand_tang - tl).reshape(len(xl), -1)
-        sy = (s * y).sum(axis=1)
-        store = accept & (sy > 0)
+        # the move and gradient change go straight into the slot, which
+        # then keeps them only in the rows that store a pair
         slot = it % _MEMORY
-        hs[slot], hy[slot], rho[slot] = 0.0, 0.0, 0.0
-        hs[slot, store], hy[slot, store] = s[store], y[store]
-        rho[slot, store] = 1.0 / sy[store]
-        scale[store] = sy[store] / (y[store] * y[store]).sum(axis=1)
-        xl[accept], vl[accept], tl[accept] = cand[accept], cand_val[accept], cand_tang[accept]
-        alpha[accept] = 1.0
-        alpha[~accept] *= 0.5
-        d[accept] = _direction(xl, tl, hs, hy, rho, scale, slot)[accept]
+        s, y = hs[slot], hy[slot]
+        np.subtract(cand.reshape(s.shape), xl.reshape(s.shape), out=s)
+        np.subtract(cand_tang.reshape(y.shape), tl.reshape(y.shape), out=y)
+        sy = np.add.reduce(s * y, axis=1)
+        store = accept & (sy > 0)
+        unstored = ~store[:, None]
+        np.copyto(s, 0.0, where=unstored)
+        np.copyto(y, 0.0, where=unstored)
+        rho[slot] = 0.0
+        np.divide(1.0, sy, out=rho[slot], where=store)
+        np.divide(sy, np.add.reduce(y * y, axis=1), out=scale, where=store)
+        moved = accept[:, None, None]
+        np.copyto(xl, cand, where=moved)
+        np.copyto(vl, cand_val, where=accept)
+        np.copyto(tl, cand_tang, where=moved)
+        alpha = np.where(accept, 1.0, 0.5 * alpha)
+        np.copyto(d, _direction(xl, tl, hs, hy, rho, scale, slot), where=moved)
         if done.any():
             rows = live[done]
             out_x[rows], out_val[rows], iters[rows] = xl[done], vl[done], it + 1
@@ -381,22 +395,27 @@ def _direction(x, g, hs, hy, rho, scale, newest):
     The two-loop recursion runs over each row's history ``hs``, ``hy``,
     ``rho`` (slot ``newest`` the latest) from the initial Hessian
     ``scale``; the direction is projected onto the tangent space, and
-    where it does not descend, ``-scale * g`` replaces it.
+    where it does not descend, ``-scale * g`` replaces it.  A slot that
+    no row has written holds only zero pairs, which leave every row as
+    it is, so the recursion skips it.
     """
     q = g.reshape(len(g), -1).copy()
-    order = [(newest - k) % _MEMORY for k in range(_MEMORY)]
-    a = np.empty_like(rho)
+    tmp = np.empty_like(q)
+    written = rho.any(axis=1).tolist()
+    order = [k for k in ((newest - j) % _MEMORY for j in range(_MEMORY)) if written[k]]
+    a = {}
     for k in order:
-        a[k] = rho[k] * (hs[k] * q).sum(axis=1)
-        q -= a[k][:, None] * hy[k]
+        a[k] = rho[k] * np.add.reduce(np.multiply(hs[k], q, out=tmp), axis=1)
+        q -= np.multiply(hy[k], a[k][:, None], out=tmp)
     q *= scale[:, None]
     for k in reversed(order):
-        b = rho[k] * (hy[k] * q).sum(axis=1)
-        q += (a[k] - b)[:, None] * hs[k]
-    d = -q.reshape(g.shape)
-    d -= (d * x).sum(axis=2)[..., None] * x
-    ascent = ~((d * g).sum(axis=(1, 2)) < 0)
-    d[ascent] = -scale[ascent, None, None] * g[ascent]
+        b = rho[k] * np.add.reduce(np.multiply(hy[k], q, out=tmp), axis=1)
+        q += np.multiply(hs[k], (a[k] - b)[:, None], out=tmp)
+    d = np.negative(q, out=q).reshape(g.shape)
+    d -= np.add.reduce(d * x, axis=2, keepdims=True) * x
+    ascent = ~(np.add.reduce(d * g, axis=(1, 2)) < 0)
+    if ascent.any():
+        d[ascent] = -scale[ascent, None, None] * g[ascent]
     return d
 
 
@@ -406,23 +425,29 @@ def _energy_and_gradient(x, h, pairs):
     ``pairs`` holds the flat indices of the entries (i, j), i < j, of an
     M x M matrix.
     """
-    g = np.clip(x @ x.transpose(0, 2, 1), -1.0, 1.0 - 1e-12)
+    R, M, _ = x.shape
+    g = x @ x.transpose(0, 2, 1)
+    np.maximum(g, -1.0, out=g)
+    np.minimum(g, 1.0 - 1e-12, out=g)
     # take gives C-ordered rows, so each row sums in the same order
     # whatever the number of rows
-    val = 2.0 * np.sum(h(np.take(g.reshape(len(g), -1), pairs, axis=1)), axis=1)
-    diag = np.arange(x.shape[1])
-    g[:, diag, diag] = -1.0  # self-terms must not blow up riesz
-    dh = h.deriv(g, 1)
-    dh[:, diag, diag] = 0.0
+    flat = g.reshape(R, -1)
+    val = 2.0 * np.add.reduce(h(flat.take(pairs, axis=1)), axis=1)
+    # the diagonals, as every (M+1)-th entry of each flat row
+    flat[:, :: M + 1] = -1.0  # self-terms must not blow up riesz
+    # C order, so that the flat view below writes into dh itself
+    dh = np.ascontiguousarray(h.deriv(g, 1))
+    dh.reshape(R, -1)[:, :: M + 1] = 0.0
     grad = 2.0 * dh @ x
-    tang = grad - np.sum(grad * x, axis=2)[..., None] * x
+    tang = grad - np.add.reduce(grad * x, axis=2, keepdims=True) * x
     return val, tang
 
 
 # rows of the combination table summed per array pass: at M = 5 a pass of
-# 4096 rows holds 0.2 MB of index columns, sums and temporaries, and the
-# whole H(6,2) search peaks at 0.4 MB, its table included (0.11 MB)
-_CHUNK = 1 << 12
+# 8192 rows holds 0.4 MB of index columns, sums and temporaries, and the
+# whole H(6,2) search peaks at 0.77 MB, its table (0.11 MB) and h tables
+# (0.09 MB) included
+_CHUNK = 1 << 13
 
 # the largest combination table built: 64 MiB.  Only codes of nearly all
 # 2^n words have larger ones (H(6,2) M=59 would take 352 MiB, H(9,2)
@@ -444,10 +469,12 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     Translation symmetry pins the first word at zero, and the subsets
     are visited in lexicographic order.  Those whose second word is w
     are w followed by a suffix of one table, the (M-2)-subsets of the
-    words 2..2^n-1 in lexicographic order, built once per call; each
-    suffix is summed in passes of at most ``_CHUNK`` rows, pair by pair
-    in the order of a pair loop, so each energy is the float sum that
-    loop gives.  The first subset of least energy is returned.  Raises
+    words 2..2^n-1 in lexicographic order, built once per call.  The
+    suffixes, one after another, are summed in passes of at most
+    ``_CHUNK`` rows, so a long suffix spans several passes and a pass
+    packs several short ones; each row is summed pair by pair in the
+    order of a pair loop, so each energy is the float sum that loop
+    gives.  The first subset of least energy is returned.  Raises
     ParameterError for n < 2, M outside 2..2^n, an unknown convention,
     an instance with C(2^n, M) above ten million, one whose table
     would take more than 64 MiB, or one that would sum more than 1e8 pair
@@ -499,33 +526,66 @@ def _search_table(hxor, M):
     lexicographic order.
     """
     total = len(hxor)
+    n = total.bit_length() - 1
     # words above w1 >= 1, so the table starts at word 2
     tab = _combination_table(2, total, M - 2)
-    rows = tab.shape[1]
-    words = np.arange(total)
     w1s = range(1, total - M + 2)
     # the first row of the suffix whose entries all exceed w1; keys of the
     # table's dtype spare searchsorted a widened copy of the table
     starts = np.searchsorted(tab[0], np.array(w1s, dtype=tab.dtype), side="right")
+    # a pass holds each word w of a row as (w1 << n) | w, its row's w1 in
+    # the high bits, so one gather looks up a term of w1 and w, and the
+    # xor of two such words is the xor of the words.  At that index h0 is
+    # h(w), h1 is h(w1 ^ w), and first is 0.0 + h(w1) + h(w), the sum of
+    # a row's first two terms.  The three tables take 1.5 MB at H(8,2)
+    # M=3, the most words and w1s searched
+    every_w1 = np.arange(w1s[-1] + 1)[:, None]
+    h0 = np.tile(hxor, len(every_w1))
+    h1 = hxor[every_w1 ^ np.arange(total)].ravel()
+    first = ((0.0 + hxor[every_w1]) + hxor).ravel()
     best_val, best_set = math.inf, None
-    for w1, first in zip(w1s, starts.tolist()):
-        h1 = hxor[w1 ^ words]
-        for a in range(first, rows, _CHUNK):
-            cols = tab[:, a : a + _CHUNK].astype(np.intp)
-            # the pair terms in the (i, j) order of a pair loop over
-            # (0, w1, *row): (0, w1), (0, row), (w1, row), then within row
-            vals = np.zeros(cols.shape[1])
-            vals += hxor[w1]
-            for c in cols:
-                vals += hxor[c]
-            for c in cols:
-                vals += h1[c]
-            for i, j in itertools.combinations(range(M - 2), 2):
-                vals += hxor[cols[i] ^ cols[j]]
-            at = int(np.argmin(vals))
-            if vals[at] < best_val:
-                best_val, best_set = float(vals[at]), [0, w1, *cols[:, at].tolist()]
+    for segments in _passes(w1s, starts.tolist(), tab.shape[1]):
+        cols = np.empty((M - 2, sum(b - a for _, a, b in segments)), dtype=np.intp)
+        end = 0
+        for w1, a, b in segments:
+            np.bitwise_or(tab[:, a:b], np.intp(w1 << n), out=cols[:, end : end + b - a])
+            end += b - a
+        # the pair terms in the (i, j) order of a pair loop over
+        # (0, w1, *row): (0, w1), (0, row), (w1, row), then within row
+        vals = first[cols[0]]
+        for c in cols[1:]:
+            vals += h0[c]
+        for c in cols:
+            vals += h1[c]
+        for i, j in itertools.combinations(range(M - 2), 2):
+            vals += hxor[cols[i] ^ cols[j]]
+        at = int(np.argmin(vals))
+        if vals[at] < best_val:
+            row = cols[:, at].tolist()
+            best_val = float(vals[at])
+            best_set = [0, row[0] >> n, *(w & (total - 1) for w in row)]
     return best_val, best_set
+
+
+def _passes(w1s, starts, rows):
+    """The suffixes of every w1, in order, cut into passes of at most ``_CHUNK`` rows.
+
+    Suffix w1 is the rows ``starts[i]..rows-1`` of the table.  Each pass
+    is a list of (w1, first row, end row) segments, so a long suffix
+    spans several passes and a pass packs several short ones.
+    """
+    segments, size = [], 0
+    for w1, a in zip(w1s, starts):
+        while a < rows:
+            b = min(rows, a + _CHUNK - size)
+            segments.append((w1, a, b))
+            size += b - a
+            a = b
+            if size == _CHUNK:
+                yield segments
+                segments, size = [], 0
+    if segments:
+        yield segments
 
 
 def _combination_table(lo, hi, k):

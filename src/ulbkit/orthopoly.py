@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _recurrence as rec
 from . import pmspace
@@ -196,6 +195,9 @@ def poly_eval(space: SpaceDescriptor, coeffs, t):
 
 def expand_in_q(space: SpaceDescriptor, monomial) -> np.ndarray:
     """Q-coefficients f_i of f = sum_i f_i Q_i, given f's monomial coefficients, ascending."""
+    # imported here, its only use, to keep it out of every process's start-up
+    from numpy.polynomial import polynomial as npoly
+
     monomial = np.asarray(monomial, dtype=float)
     return _project(space, lambda x: npoly.polyval(x, monomial), len(monomial) - 1)
 

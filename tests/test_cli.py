@@ -121,6 +121,15 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ParameterError" and "pair terms" in error["message"]
+    # oracle minimize needs at least one restart
+    for restarts in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "oracle", "minimize", "--n", "3", "--M", "4", "--restarts", restarts,
+            "--potential", "riesz", "--p", "1",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParameterError" and "restarts >= 1" in error["message"]
 
 
 def test_missing_potential_param_exit_2(capsys):
@@ -513,7 +522,7 @@ def test_bound_commands_leave_the_cli_only_modules_unloaded():
         " '--p', '1'])\n"
         "main(['quadrature', '--space', 'hamming', '--n', '8', '--q', '2', '--M', '16'])\n"
         "lazy = ('ulbkit.oracle', 'ulbkit.asymptotics', 'ulbkit.designbounds',"
-        " 'ulbkit.selfcheck', 'csv')\n"
+        " 'ulbkit.selfcheck', 'csv', 'numpy.polynomial')\n"
         "print([m for m in lazy if m in sys.modules], file=sys.stderr)\n"
     )
     proc = subprocess.run(

@@ -140,6 +140,12 @@ def test_minimize_sphere_finds_known_optima():
     assert info["iterations_best"] <= 200
 
 
+def test_minimize_sphere_refuses_no_restarts_or_iterations():
+    for kwargs in ({"restarts": 0}, {"restarts": -3}, {"iterations": 0}, {"iterations": -1}):
+        with pytest.raises(ParameterError, match="restarts >= 1 and iterations >= 1"):
+            oracle.minimize_sphere(3, 4, RIESZ1, **kwargs)
+
+
 def test_minimize_sphere_deterministic():
     _, a, _ = oracle.minimize_sphere(3, 7, RIESZ1, restarts=3, seed=11)
     _, b, _ = oracle.minimize_sphere(3, 7, RIESZ1, restarts=3, seed=11)
@@ -161,6 +167,52 @@ def test_restarts_descend_independently():
         _, val, it = oracle._descend(starts[r : r + 1], RIESZ1, 4000)
         assert val[0] == pytest.approx(vals[r], rel=1e-12, abs=0)
         assert it[0] == iters[r]
+
+
+def _direction_all_slots(x, g, hs, hy, rho, scale, newest):
+    # the two-loop recursion over all five slots, written or not: the
+    # reference for _direction, which skips the slots that no row wrote
+    q = g.reshape(len(g), -1).copy()
+    order = [(newest - k) % oracle._MEMORY for k in range(oracle._MEMORY)]
+    a = np.empty_like(rho)
+    for k in order:
+        a[k] = rho[k] * (hs[k] * q).sum(axis=1)
+        q -= a[k][:, None] * hy[k]
+    q *= scale[:, None]
+    for k in reversed(order):
+        b = rho[k] * (hy[k] * q).sum(axis=1)
+        q += (a[k] - b)[:, None] * hs[k]
+    d = -q.reshape(g.shape)
+    d -= (d * x).sum(axis=2)[..., None] * x
+    ascent = ~((d * g).sum(axis=(1, 2)) < 0)
+    d[ascent] = -scale[ascent, None, None] * g[ascent]
+    return d
+
+
+def test_direction_skips_unwritten_slots_bit_for_bit(monkeypatch):
+    # every direction of these descents equals the full five-slot two-loop
+    # bit for bit: the first step (no slot written), the steps of a partial
+    # history, and steps whose newest slot no row filled because every row
+    # rejected its step (a lone restart's last steps)
+    seen = set()
+    direction = oracle._direction
+
+    def checked(x, g, hs, hy, rho, scale, newest):
+        d = direction(x, g, hs, hy, rho, scale, newest)
+        assert d.tobytes() == _direction_all_slots(x, g, hs, hy, rho, scale, newest).tobytes()
+        written = rho.any(axis=1)
+        if not written.any():
+            seen.add("first")
+        elif not written.all():
+            seen.add("partial")
+        if written.any() and not written[newest]:
+            seen.add("all rejected")
+        return d
+
+    monkeypatch.setattr(oracle, "_direction", checked)
+    for R, M in ((1, 6), (4, 9)):
+        oracle._descend(_unit_starts(3, R, M), RIESZ1, 4000)
+    assert seen == {"first", "partial", "all rejected"}
 
 
 def test_iterations_cap_each_restart():
@@ -250,15 +302,27 @@ def test_exhaustive_6_5_keeps_its_pinned_result(h, energy, words):
 
 
 def test_exhaustive_across_chunks(monkeypatch):
-    # each second word w1 sums its own suffix of the table; at (4, 4) the
-    # suffixes of w1 = 1, 2, 3, ... hold 91, 78, 66, ... rows, at (4, 5)
-    # 364, 286, 220, ...: chunks of 4 and 5 split most of them, some with
-    # a short last chunk and some exactly (55, 220), and 300 splits only
-    # the first suffix of (4, 5)
+    # the suffixes of w1 = 1, 2, 3, ... hold 91, 78, 66, ... rows at (4, 4),
+    # 364, 286, 220, ... at (4, 5), 14, 13, ..., 1 at M = 3, and 91, 13, 1
+    # and 14, 1 at the near-full (4, 14) and (4, 15): passes of 4 and 5 rows
+    # split the long suffixes, some with a short last piece and some
+    # exactly (55, 220), and pack the short ones, and passes of 300 split
+    # only the first suffix of (4, 5) and take all of M = 3 at once
     for chunk in (4, 5, 300):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        for n, M in ((4, 4), (4, 5)):
+        for n, M in ((4, 3), (4, 4), (4, 5), (4, 14), (4, 15)):
             _assert_matches_loop(n, M, RIESZ1)
+
+
+def test_passes_cover_every_suffix_in_order(monkeypatch):
+    # suffixes of 7, 4 and 1 rows in passes of 5: the first fills one pass
+    # and starts the next, which the second completes; the third pass holds
+    # the second's last row and the third suffix
+    monkeypatch.setattr(oracle, "_CHUNK", 5)
+    passes = list(oracle._passes([1, 2, 3], [0, 3, 6], 7))
+    assert [sum(b - a for _, a, b in p) for p in passes] == [5, 5, 2]
+    rows = [(w1, r) for p in passes for w1, a, b in p for r in range(a, b)]
+    assert rows == [(1, r) for r in range(7)] + [(2, r) for r in range(3, 7)] + [(3, 6)]
 
 
 @pytest.mark.parametrize(
@@ -272,7 +336,7 @@ def test_combination_table_is_lexicographic(lo, hi, k):
 
 
 def test_exhaustive_memory_stays_small():
-    # the table and one pass of H(6,2) M=5 peak at ~0.4 MB; a warm-up call
+    # the table and one pass of H(6,2) M=5 peak at ~0.8 MB; a warm-up call
     # keeps first-call allocations out of the peak
     oracle.exhaustive_hamming(4, 4, RIESZ1)
     tracemalloc.start()

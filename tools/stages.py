@@ -1,4 +1,4 @@
-"""Median milliseconds per op spent in each stage of a warm library ``ulb``.
+"""Median milliseconds per op spent in each stage of a warm library ``ulb`` and of the oracle.
 
 Wraps pipeline functions from outside the package, by their current
 names, and runs each ``ulb`` op of the bound-table and high-degree
@@ -12,6 +12,13 @@ the median op.  ``_lev_value`` runs inside ``_rule_from_nodes``, and
 Warm, ``_level`` only looks up the level's record; one more run per op,
 after the record cache is emptied, times building it
 (``levenshtein._level, cold``).
+
+For the oracle-sandwich list (``--workloads oracle-sandwich``) it prints
+one line per op instead: the op's median time and the medians of the
+sphere minimizer's L-BFGS loop (``_descend``, its own time without the
+two calls below), its directions (``_direction``), its energies and
+gradients (``_energy_and_gradient``) and the Hamming search
+(``_search_table``).  Each wrapped call adds about a microsecond.
 """
 
 import argparse
@@ -28,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import ulbkit  # noqa: E402
 import workloads  # noqa: E402
 from numpy import linalg  # noqa: E402
-from ulbkit import levenshtein, orthopoly  # noqa: E402
+from ulbkit import levenshtein, oracle, orthopoly  # noqa: E402
 from ulbkit.errors import UlbkitError  # noqa: E402
 
 ULB = sys.modules["ulbkit.ulb"]
@@ -39,6 +46,8 @@ STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_level"),
           (ULB, "_require_monotone"), (ULB, "hermite_certificate"),
           (orthopoly, "eval_q_derivatives"), (linalg, "solve"),
           (ULB, "verify_certificate"))
+WORKLOADS = ("bound-table", "high-degree", "oracle-sandwich")
+ORACLE_STAGES = ("_descend", "_direction", "_energy_and_gradient", "_search_table")
 SPENT = defaultdict(float)
 LEVELS = levenshtein._level  # the cache, whose wrapper below hides cache_clear
 
@@ -54,47 +63,88 @@ def _timed(name, fn):
     return wrapper
 
 
+def ulb_stages(workload, seeds, reps):
+    potentials = {name: ulbkit.builtin(name, **params)
+                  for name, params in workloads.POTENTIALS.items()}
+    per_op = defaultdict(list)  # stage -> one median per op
+    for seed in seeds:
+        for op in workloads.generate(workload, seed):
+            if op["kind"] != "ulb":
+                continue
+            space, h = workloads.make(op["space"]), potentials[op["potential"]]
+            kwargs = {"rel_tol": op["rel_tol"]} if op.get("rel_tol") else {}
+            runs = defaultdict(list)
+            # the first run warms the caches, the last builds the level's
+            # record afresh
+            for rep in range(reps + 2):
+                cold = rep == reps + 1
+                if cold:
+                    LEVELS.cache_clear()
+                SPENT.clear()
+                start = perf_counter()
+                with contextlib.suppress(UlbkitError):
+                    ulbkit.ulb(space, op["M"], h, **kwargs)
+                SPENT["total"] = perf_counter() - start
+                if cold:
+                    runs["levenshtein._level, cold"].append(SPENT["levenshtein._level"])
+                elif rep:
+                    for name, sec in SPENT.items():
+                        runs[name].append(sec)
+            for name, secs in runs.items():
+                per_op[name].append(statistics.median(secs))
+    ms = {name: 1e3 * statistics.median(meds) for name, meds in per_op.items()}
+    print(f"{workload} ({len(per_op['total'])} ops, {reps} reps)")
+    for name in sorted(ms, key=ms.get, reverse=True):
+        print(f"  {name:32s} {ms[name]:8.4f} ms {100 * ms[name] / ms['total']:6.1f}%")
+
+
+def oracle_stages(seeds, reps):
+    h = ulbkit.builtin("riesz", **workloads.POTENTIALS["riesz"])
+    runs = defaultdict(lambda: defaultdict(list))  # op -> stage -> seconds per run
+    for seed in seeds:
+        for op in workloads.generate("oracle-sandwich", seed):
+            minimize = op["kind"] == "minimize"
+            label = (f"minimize S^{op['n'] - 1} M={op['M']:<2d}" if minimize
+                     else f"exhaustive H({op['n']},2) M={op['M']}")
+            # the first run is a warm-up
+            for rep in range(reps + 1):
+                SPENT.clear()
+                start = perf_counter()
+                if minimize:
+                    oracle.minimize_sphere(op["n"], op["M"], h, restarts=op["restarts"],
+                                           seed=op["seed"])
+                else:
+                    oracle.exhaustive_hamming(op["n"], op["M"], h)
+                SPENT["total"] = perf_counter() - start
+                SPENT["_descend"] -= SPENT["_direction"] + SPENT["_energy_and_gradient"]
+                if rep:
+                    for name in ("total", *ORACLE_STAGES):
+                        runs[label][name].append(SPENT[name])
+    print(f"oracle-sandwich ({len(runs)} ops, {reps} reps): median ms per op")
+    print(f"  {'op':26s} {'whole':>8s} {'_descend':>9s} {'_direction':>11s}"
+          f" {'_energy_and_gradient':>21s} {'_search_table':>14s}")
+    for label, stages in sorted(runs.items()):
+        med = [1e3 * statistics.median(stages[name]) for name in ("total", *ORACLE_STAGES)]
+        print(f"  {label:26s} {med[0]:8.2f} {med[1]:9.2f} {med[2]:11.2f} {med[3]:21.2f}"
+              f" {med[4]:14.2f}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
     ap.add_argument("--reps", type=int, default=25)
+    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     args = ap.parse_args(argv)
     for module, attr in STAGES:
         setattr(module, attr, _timed(f"{module.__name__.split('.')[-1]}.{attr}",
                                      getattr(module, attr)))
-    potentials = {name: ulbkit.builtin(name, **params)
-                  for name, params in workloads.POTENTIALS.items()}
-    for workload in ("bound-table", "high-degree"):
-        per_op = defaultdict(list)  # stage -> one median per op
-        for seed in args.seeds:
-            for op in workloads.generate(workload, seed):
-                if op["kind"] != "ulb":
-                    continue
-                space, h = workloads.make(op["space"]), potentials[op["potential"]]
-                kwargs = {"rel_tol": op["rel_tol"]} if op.get("rel_tol") else {}
-                runs = defaultdict(list)
-                # the first run warms the caches, the last builds the level's
-                # record afresh
-                for rep in range(args.reps + 2):
-                    cold = rep == args.reps + 1
-                    if cold:
-                        LEVELS.cache_clear()
-                    SPENT.clear()
-                    start = perf_counter()
-                    with contextlib.suppress(UlbkitError):
-                        ulbkit.ulb(space, op["M"], h, **kwargs)
-                    SPENT["total"] = perf_counter() - start
-                    if cold:
-                        runs["levenshtein._level, cold"].append(SPENT["levenshtein._level"])
-                    elif rep:
-                        for name, sec in SPENT.items():
-                            runs[name].append(sec)
-                for name, secs in runs.items():
-                    per_op[name].append(statistics.median(secs))
-        ms = {name: 1e3 * statistics.median(meds) for name, meds in per_op.items()}
-        print(f"{workload} ({len(per_op['total'])} ops, {args.reps} reps)")
-        for name in sorted(ms, key=ms.get, reverse=True):
-            print(f"  {name:32s} {ms[name]:8.4f} ms {100 * ms[name] / ms['total']:6.1f}%")
+    for attr in ORACLE_STAGES:
+        setattr(oracle, attr, _timed(attr, getattr(oracle, attr)))
+    for workload in args.workloads:
+        if workload == "oracle-sandwich":
+            oracle_stages(args.seeds, args.reps)
+        else:
+            ulb_stages(workload, args.seeds, args.reps)
 
 
 if __name__ == "__main__":
