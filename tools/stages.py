@@ -13,12 +13,11 @@ Warm, ``_level`` only looks up the level's record; one more run per op,
 after the record cache is emptied, times building it
 (``levenshtein._level, cold``).
 
-For the oracle-sandwich list (``--workloads oracle-sandwich``) it prints
-one line per op instead: the op's median time and the medians of the
-sphere minimizer's L-BFGS loop (``_descend``, its own time without the
-two calls below), its directions (``_direction``), its energies and
-gradients (``_energy_and_gradient``) and the Hamming search
-(``_search_table``).  Each wrapped call adds about a microsecond.
+Then, for the oracle-sandwich list, it prints one line per op instead:
+the op's median time and the medians of the sphere minimizer's L-BFGS
+loop (``_descend``, its own time without the two calls below), its
+directions (``_direction``), its energies and gradients
+(``_energy_and_gradient``) and the Hamming search (``_search_table``).  Each wrapped call adds about a microsecond.
 """
 
 import argparse
@@ -46,7 +45,6 @@ STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_level"),
           (ULB, "_require_monotone"), (ULB, "hermite_certificate"),
           (orthopoly, "eval_q_derivatives"), (linalg, "solve"),
           (ULB, "verify_certificate"))
-WORKLOADS = ("bound-table", "high-degree", "oracle-sandwich")
 ORACLE_STAGES = ("_descend", "_direction", "_energy_and_gradient", "_search_table")
 SPENT = defaultdict(float)
 LEVELS = levenshtein._level  # the cache, whose wrapper below hides cache_clear
@@ -133,18 +131,15 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
     ap.add_argument("--reps", type=int, default=25)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     args = ap.parse_args(argv)
     for module, attr in STAGES:
         setattr(module, attr, _timed(f"{module.__name__.split('.')[-1]}.{attr}",
                                      getattr(module, attr)))
     for attr in ORACLE_STAGES:
         setattr(oracle, attr, _timed(attr, getattr(oracle, attr)))
-    for workload in args.workloads:
-        if workload == "oracle-sandwich":
-            oracle_stages(args.seeds, args.reps)
-        else:
-            ulb_stages(workload, args.seeds, args.reps)
+    for workload in ("bound-table", "high-degree"):
+        ulb_stages(workload, args.seeds, args.reps)
+    oracle_stages(args.seeds, args.reps)
 
 
 if __name__ == "__main__":
