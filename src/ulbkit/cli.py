@@ -245,29 +245,20 @@ def _cmd_design_energy(args):
     from . import designbounds
 
     space = _space_from(args)
-    h = _potential_from(args)
-    subset = None
-    if args.I:
-        vals = _floats(args.I)
-        if len(vals) != 2:
-            raise ParameterError("--I takes an interval as two numbers lo,hi")
-        subset = (vals[0], vals[1])
-    query = designbounds.DesignEnergyQuery(
-        space, args.tau, args.M, h, _poly_from(args, space), args.direction, subset=subset
-    )
     fn = designbounds.design_lower_bound if args.direction == "lower" else designbounds.design_upper_bound
-    return {"space": space.label(), "direction": args.direction, "bound": fn(query)}
+    subset = tuple(args.I) if args.I else None
+    bound = fn(space, args.tau, args.M, _potential_from(args), _poly_from(args, space), subset)
+    return {"space": space.label(), "direction": args.direction, "bound": bound}
 
 
 def _cmd_separated_energy(args):
     from . import designbounds
 
     space = _space_from(args)
-    h = _potential_from(args)
-    query = designbounds.DesignEnergyQuery(
-        space, 0, args.M, h, _poly_from(args, space), "separated_upper", separation=args.s
+    bound = designbounds.separated_upper_bound(
+        space, args.M, _potential_from(args), _poly_from(args, space), args.s
     )
-    return {"space": space.label(), "s": args.s, "bound": designbounds.separated_upper_bound(query)}
+    return {"space": space.label(), "s": args.s, "bound": bound}
 
 
 def _load_code(space, args):
@@ -408,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["lower", "upper"], required=True)
     p.add_argument("--poly", type=str, help="comma-separated coefficients")
     p.add_argument("--poly-basis", choices=["monomial", "q"], default="monomial")
-    p.add_argument("--I", type=str, help="inner-product interval lo,hi")
+    p.add_argument("--I", nargs=2, type=float, metavar=("LO", "HI"), help="inner-product interval")
     p.set_defaults(func=_cmd_design_energy)
 
     p = sub.add_parser("separated-energy", help="upper energy bound at fixed separation")

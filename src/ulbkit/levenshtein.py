@@ -309,11 +309,11 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:
     Degree tau; vanishes at every node; attains f(1)/f_0 = M.
     """
     rule = quadrature_rule(space, M)
-    return _lev_polynomial_from_rule(space, rule)
+    return _lev_polynomial_from_rule(rule)
 
 
-def _lev_polynomial_from_rule(space: SpaceDescriptor, rule: QuadratureRule) -> np.ndarray:
-    k, eps, s = rule.k, rule.epsilon, rule.s
+def _lev_polynomial_from_rule(rule: QuadratureRule) -> np.ndarray:
+    space, k, eps, s = rule.space, rule.k, rule.epsilon, rule.s
 
     def level(t):
         return (t + 1.0) ** eps * (t - s) * orthopoly.cd_kernel(space, 1, eps, k - 1, t, s) ** 2

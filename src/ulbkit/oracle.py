@@ -487,8 +487,9 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
         raise ParameterError(f"need 2 <= M <= {total}, got M={M}")
     if convention not in ("sum", "mean"):
         raise ParameterError(f"unknown energy convention {convention!r}")
-    if math.comb(total, M) > 10_000_000:
+    if _comb_above(total, M, 10_000_000):
         raise ParameterError(f"instance too large: C(2^{n}, {M}) > 1e7")
+    # each binomial below is at most C(2^n, M), so exact and cheap from here
     table_bytes = math.comb(total - 2, M - 2) * (M - 2) * np.min_scalar_type(total - 1).itemsize
     if table_bytes > _TABLE_BYTES:
         raise ParameterError(
@@ -517,6 +518,21 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     code = make_code(space, pts)
     total_energy = 2.0 * best_val
     return code, (total_energy if convention == "sum" else total_energy / M)
+
+
+def _comb_above(n, k, limit):
+    """Whether C(n, k) > limit, multiplying only until the product passes limit.
+
+    math.comb would build the exact number, which takes minutes for
+    C(2^24, 2^23).
+    """
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        if c > limit:
+            break
+        c = c * (n - k + i) // i  # C(n - k + i, i), rising with i
+    return c > limit
 
 
 def _search_table(hxor, M):

@@ -193,6 +193,14 @@ def poly_eval(space: SpaceDescriptor, coeffs, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def lp_value(coeffs, M: int) -> float:
+    """The linear-programming value M*(f_0*M - f(1)) of f = sum_i f_i Q_i and M points.
+
+    f_0 is the constant Q-coefficient and f(1) the sum of all of them.
+    """
+    return M * (float(coeffs[0]) * M - float(np.sum(coeffs)))
+
+
 def expand_in_q(space: SpaceDescriptor, monomial) -> np.ndarray:
     """Q-coefficients f_i of f = sum_i f_i Q_i, given f's monomial coefficients, ascending."""
     # imported here, its only use, to keep it out of every process's start-up

@@ -119,7 +119,7 @@ def ulb(
     """
     _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = quadrature_rule(space, M)
-    return _report_from_rule(space, rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _report_from_rule(rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def ulb_odd_branch(
@@ -133,7 +133,7 @@ def ulb_odd_branch(
     """The odd-level bound, valid on even intervals as well (weaker there)."""
     _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = odd_branch_rule(space, M)
-    return _report_from_rule(space, rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _report_from_rule(rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def _check_tolerances(**tolerances):
@@ -145,7 +145,7 @@ def _check_tolerances(**tolerances):
 
 
 def _report_from_rule(
-    space, rule, h, convention="sum", certificate=None, value_sum=None, check_value=True,
+    rule, h, convention="sum", certificate=None, value_sum=None,
     abs_tol=_BELOW_TOL, rel_tol=_IDENTITY_TOL,
 ):
     if convention not in ("sum", "mean"):
@@ -157,11 +157,10 @@ def _report_from_rule(
         value_sum = M * M * float(np.dot(rule.weights, h_nodes))
     if certificate is None:
         certificate = hermite_certificate(rule, h, h_nodes)
-    checks = verify_certificate(space, certificate, h, below_tol=abs_tol)
-    if check_value:
-        _check_value_identity(rule, certificate, value_sum, rel_tol)
+    checks = verify_certificate(rule.space, certificate, h, below_tol=abs_tol)
+    _check_value_identity(rule, certificate, value_sum, rel_tol)
     return UlbReport(
-        space, M, rule, value_sum, value_sum / M, certificate, checks, convention
+        rule.space, M, rule, value_sum, value_sum / M, certificate, checks, convention
     )
 
 
@@ -207,11 +206,8 @@ def _grid_values(space: SpaceDescriptor, h: Potential, below_tol: float):
 
 
 def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
-    # the certificate must reproduce the bound through M*(f_0*M - f(1)),
-    # where f_0 is the constant Q-coefficient and f(1) their sum
-    f0 = float(certificate[0])
-    f1 = float(np.sum(certificate))
-    alt = rule.M * (f0 * rule.M - f1)
+    # the certificate must reproduce the bound through its LP value
+    alt = orthopoly.lp_value(certificate, rule.M)
     if not (abs(alt - value_sum) <= rel_tol * max(1.0, abs(value_sum))):
         raise ConditionError(
             f"certificate value {alt} disagrees with quadrature value {value_sum}",
@@ -277,22 +273,22 @@ def test_functions(space: SpaceDescriptor, M: int, j_range) -> TestFunctionRepor
     flags that degree-j polynomials can improve the bound.
     """
     rule = quadrature_rule(space, M)
-    return _test_functions_from_rule(space, rule, j_range)
+    return _test_functions_from_rule(rule, j_range)
 
 
-def _test_functions_from_rule(space, rule, j_range) -> TestFunctionReport:
+def _test_functions_from_rule(rule, j_range) -> TestFunctionReport:
     js = sorted(set(int(j) for j in j_range))
     if js and js[0] < 0:
         raise ParameterError("test function indices must be nonnegative")
     jmax = max(js) if js else 0
-    system = adjacent_system(space, 0, 0, jmax)
+    system = adjacent_system(rule.space, 0, 0, jmax)
     qvals = eval_q_all(system, jmax, rule.nodes) if js else np.zeros((1, 0))
     values = []
     for j in js:
         values.append(1.0 / rule.M + float(np.dot(rule.weights, qvals[j])))
     first_neg = next((j for j, v in zip(js, values) if j > rule.tau and v < -1e-8), None)
     return TestFunctionReport(
-        space, rule.M, rule.s, rule.tau, tuple(js), tuple(values), first_neg
+        rule.space, rule.M, rule.s, rule.tau, tuple(js), tuple(values), first_neg
     )
 
 
@@ -312,20 +308,20 @@ def improve_with_qj(
     M^2 * eta * |P_j|.
     """
     rule = quadrature_rule(space, M)
-    return _improve_given_rule(space, rule, h, j, eta, convention)
+    return _improve_given_rule(rule, h, j, eta, convention)
 
 
-def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_value=True):
+def _improve_given_rule(rule, h, j, eta=None, convention="sum"):
     if j <= rule.tau:
         raise ParameterError(f"improvement needs j > tau={rule.tau}, got {j}")
-    report = _test_functions_from_rule(space, rule, [j])
+    report = _test_functions_from_rule(rule, [j])
     pj = report.values[0]
     if pj >= -1e-8:
         raise ParameterError(
             f"test function P_{j} = {pj:.3e} is not negative; no improvement available"
         )
     _require_monotone(h, j + 1)
-    system = adjacent_system(space, 0, 0, j)
+    system = adjacent_system(rule.space, 0, 0, j)
 
     def qj(order, t):
         # derivatives of Q_j of orders 0..order at t
@@ -345,9 +341,7 @@ def _improve_given_rule(space, rule, h, j, eta=None, convention="sum", check_val
     M = rule.M
     base = M * M * float(np.dot(rule.weights, h(rule.nodes)))
     improved = base - M * M * eta * pj
-    out = _report_from_rule(
-        space, rule, h, convention, certificate=f, value_sum=improved, check_value=check_value
-    )
+    out = _report_from_rule(rule, h, convention, certificate=f, value_sum=improved)
     return replace(out, improvement={"j": j, "eta": eta, "p_j": pj, "base_value_sum": base})
 
 

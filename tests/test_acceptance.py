@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as npoly
 from ulbkit import asymptotics as asy
 from ulbkit import levenshtein as lev
 from ulbkit import oracle, orthopoly, pmspace
-from ulbkit.designbounds import DesignEnergyQuery, design_lower_bound, design_upper_bound
+from ulbkit.designbounds import design_lower_bound, design_upper_bound
 from ulbkit.errors import ConditionError, DegreeOverflowError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
@@ -282,24 +282,14 @@ def test_criterion_10_validators():
         (make_space("hamming", n=8, q=2), 16),
     ]:
         rep = ulb(space, m, RIESZ1)
-        query = DesignEnergyQuery(space, rep.rule.tau, m, RIESZ1, rep.certificate, "lower")
-        value = design_lower_bound(query)
+        value = design_lower_bound(space, rep.rule.tau, m, RIESZ1, rep.certificate)
         worst = max(worst, abs(value - rep.value_sum) / rep.value_sum)
     # soundness: violating candidates never produce a bound
     s3 = make_space("sphere", n=3)
     sound = 0
-    for bad_query, fn in [
-        (
-            DesignEnergyQuery(s3, 3, 10, RIESZ1, np.append(np.zeros(4), -1.0), "lower"),
-            design_lower_bound,
-        ),
-        (
-            DesignEnergyQuery(s3, 3, 10, GAUSS, np.append(np.zeros(4), 1.0), "upper"),
-            design_upper_bound,
-        ),
-    ]:
+    for fn, h, top in [(design_lower_bound, RIESZ1, -1.0), (design_upper_bound, GAUSS, 1.0)]:
         with pytest.raises(ConditionError):
-            fn(bad_query)
+            fn(s3, 3, 10, h, np.append(np.zeros(4), top))
         sound += 1
     _status(
         10,

@@ -245,6 +245,47 @@ def test_separated_energy_subcommand(capsys):
     assert json.loads(out)["result"]["bound"] == pytest.approx(1.2 * 6 * 5, rel=1e-12)
 
 
+def test_design_energy_interval_with_a_negative_end(capsys):
+    # f = h(-0.5) lies above the increasing h below -0.5, so only the
+    # interval makes it a certificate
+    argv = ["design-energy", "--space", "sphere", "--n", "3", "--M", "8", "--tau", "2",
+            "--direction", "lower", "--poly", "0.5773502691896257",
+            "--potential", "riesz", "--p", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(err)["error"]["type"] == "ConditionError"
+    code, out, _ = run_cli(capsys, *argv, "--I", "-0.5", "0.5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"]["I"] == [-0.5, 0.5]
+    assert report["result"]["bound"] == pytest.approx(0.5773502691896257 * 8 * 7, rel=1e-12)
+
+
+def test_design_and_separated_energy_refuse_meaningless_inputs(capsys):
+    for argv in (
+        ["design-energy", "--space", "sphere", "--n", "3", "--M", "10", "--tau", "-3",
+         "--direction", "lower", "--poly", "0.3,0,0,0,0", "--potential", "riesz", "--p", "1"],
+        ["separated-energy", "--space", "sphere", "--n", "3", "--M", "6", "--s", "-2",
+         "--poly", "0.1", "--potential", "gaussian", "--c", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParameterError"
+
+
+def test_oracle_exhaustive_refuses_a_huge_instance_at_once():
+    # the size check must not build C(2^24, 2^23) exactly; a subprocess
+    # with a timeout, so a slow refusal fails instead of stalling the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ulbkit.cli", "oracle", "exhaustive", "--n", "24",
+         "--M", str(2**23), "--potential", "riesz", "--p", "1"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "C(2^24, 8388608) > 1e7" in json.loads(proc.stderr)["error"]["message"]
+
+
 def test_oracle_subcommands(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "strength", "--space", "sphere", "--n", "3",
