@@ -4,7 +4,7 @@ Everything here is deliberately decoupled from the bound machinery:
 energies are direct pair sums over explicit configurations, design
 strength comes from the raw moment sums, the sphere minimizer is a
 seeded projected gradient descent (an upper estimate only), and the
-Hamming search is exhaustive over translation classes.
+Hamming search is exhaustive over the cube's symmetry classes.
 """
 
 import itertools
@@ -444,41 +444,55 @@ def _energy_and_gradient(x, h, pairs):
 
 
 # rows of the combination table summed per array pass: at M = 5 a pass of
-# 8192 rows holds 0.4 MB of index columns, sums and temporaries, and the
-# whole H(6,2) search peaks at 0.77 MB, its table (0.11 MB) and h tables
-# (0.09 MB) included
+# 8192 rows holds 0.6 MB of index columns, sums and temporaries, and the
+# whole H(6,2) search peaks at 0.71 MB, its table (0.11 MB) included
 _CHUNK = 1 << 13
 
 # the largest combination table built: 64 MiB.  Only codes of nearly all
 # 2^n words have larger ones (H(6,2) M=59 would take 352 MiB, H(9,2)
 # M=510 126 MiB; H(5,2) M=25 takes 45 MiB), and their searches would
-# need millions of numpy passes anyway
+# sum billions of pair terms anyway
 _TABLE_BYTES = 1 << 26
 
-# the most pair terms a search sums: C(2^n - 1, M - 1) subsets with the
-# first word pinned, C(M, 2) pairs each.  H(6,2) M=5 has 6.0e6 (20 ms),
-# H(8,2) M=255 8.3e6 (0.2 s) and H(9,2) M=511 6.7e7 (1 s); H(10,2)
-# M=1023 has 5.3e8 and H(12,2) M=4095 3.4e10 (~2 min), though both pass
-# the count and the table size
+# the most pair terms a search sums: C(M, 2) for each row of the n
+# suffixes it visits.  H(6,2) M=5 has 7.8e5 (3 ms), H(11,2) M=2048 2.1e6
+# (0.06 s), H(6,2) M=61 6.9e7 (0.3 s) and H(9,2) M=511 6.6e7 (0.7 s, the
+# slowest that passes); H(12,2) M=4095 has 3.4e10, though it passes the
+# count and the table size
 _PAIR_TERMS = 10**8
 
 
 def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     """Exact minimal energy over all M-subsets of the binary cube.
 
-    Translation symmetry pins the first word at zero, and the subsets
-    are visited in lexicographic order.  Those whose second word is w
-    are w followed by a suffix of one table, the (M-2)-subsets of the
-    words 2..2^n-1 in lexicographic order, built once per call.  The
-    suffixes, one after another, are summed in passes of at most
-    ``_CHUNK`` rows, so a long suffix spans several passes and a pass
-    packs several short ones; each row is summed pair by pair in the
-    order of a pair loop, so each energy is the float sum that loop
-    gives.  The first subset of least energy is returned.  Raises
-    ParameterError for n < 2, M outside 2..2^n, an unknown convention,
-    an instance with C(2^n, M) above ten million, one whose table
-    would take more than 64 MiB, or one that would sum more than 1e8 pair
-    terms.
+    A code's energy depends only on its distance distribution: with A_d
+    its number of pairs at distance d, it is taken to be
+    2 * sum_{d=1..n} A_d * h(1 - 2d/n), summed over d in ascending
+    order, so every code of one symmetry class has the same float
+    energy.  Translations and coordinate permutations keep the
+    distribution, and they take a code of minimum distance d to one that
+    holds 0 and c_d = 2^d - 1 and whose other words have weight at least
+    d: translate one word of a closest pair to 0, then permute the
+    coordinates so that the other becomes c_d.  With the nonzero words
+    ordered by weight, c_d first among those of weight d, such a code is
+    0, c_d and an (M-2)-subset of the words after c_d, a suffix of one
+    table: the (M-2)-subsets of the words after c_1 in lexicographic
+    order, built once per call.  The search visits the n suffixes, one
+    per d, in passes of at most ``_CHUNK`` table rows.  A pass adds each
+    row's pair terms in the order that takes fewest numpy calls, and
+    ranks by the formula every row within that sum's rounding bound of
+    the pass's least sum, so the energy returned is the least that the
+    formula gives over all M-subsets.  The code returned is the first
+    least-energy row in the order of d and then of the table.  A row of
+    suffix d with a pair closer than d has a representative of its
+    class in an earlier suffix, so that code holds 0 and c_d, d its
+    minimum distance.
+
+    Raises ParameterError for n < 2, M outside 2..2^n, an unknown
+    convention, an instance with C(2^n, M) above ten million, one whose
+    table would take more than 64 MiB, or one whose suffixes hold more
+    than 1e8 pair terms.  The instances that pass all three take at most
+    about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
@@ -496,26 +510,23 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
             f"instance too large: its table of {M - 2}-subsets would take "
             f"{table_bytes / 2**20:.0f} MiB > {_TABLE_BYTES >> 20} MiB"
         )
-    terms = math.comb(total - 1, M - 1) * math.comb(M, 2)
+    # c_d is the nonzero word at position s = C(n,1) + ... + C(n,d-1) by
+    # weight; the table covers the 2^n - 2 positions after c_1, and suffix
+    # d is its last C(2^n - 2 - s, M - 2) rows, whose words all lie after c_d
+    tails = [math.comb(total - 2 - s, M - 2)
+             for s in itertools.accumulate((math.comb(n, d) for d in range(1, n)), initial=0)]
+    terms = sum(tails) * math.comb(M, 2)
     if terms > _PAIR_TERMS:
         raise ParameterError(
             f"instance too large: its search would sum {terms:.2e} pair terms > {_PAIR_TERMS:.0e}"
         )
     space = pmspace.make_space("hamming", n=n, q=2)
     hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]
-    # h of the distance between two words, indexed by their xor; distinct
-    # words never have xor 0
     bits = np.array([w.bit_count() for w in range(total)])
-    hxor = np.array([math.inf] + hval)[bits]
-    if M == 2:
-        vals = np.zeros(total - 1)
-        vals += hxor[1:]
-        at = int(np.argmin(vals))
-        best_val, best_set = float(vals[at]), [0, at + 1]
-    else:
-        best_val, best_set = _search_table(hxor, M)
-    pts = [[(wd >> i) & 1 for i in range(n - 1, -1, -1)] for wd in best_set]
-    code = make_code(space, pts)
+    best_val, best_set = _search_classes(bits, hval, M, tails)
+    # the words are distinct by construction, so make_code's O(M^2 n)
+    # check for duplicates is skipped
+    code = Code(space, (np.array(best_set)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     total_energy = 2.0 * best_val
     return code, (total_energy if convention == "sum" else total_energy / M)
 
@@ -535,97 +546,110 @@ def _comb_above(n, k, limit):
     return c > limit
 
 
-def _search_table(hxor, M):
-    """Least pair sum of hxor over the M-sets (0, w1, *row), M >= 3, and the first such set.
+def _search_classes(bits, hval, M, tails):
+    """Least sum_d A_d h_d over the codes (0, c_d, *row), and a canonical code that has it.
 
-    The rows are the (M-2)-subsets of the words above w1, in
-    lexicographic order.
+    ``bits`` holds the weight of each word, ``hval`` h at the distances
+    1..n and ``tails`` the number of rows of each suffix d.  The table
+    is walked in passes of at most ``_CHUNK`` rows, and a pass visits
+    the rows of each suffix d in it, d ascending; the code returned is
+    the first least one in the order of d and then of rows.  It is
+    canonical: a row of suffix d with a pair closer than d has a
+    representative of its class, of the same energy, in an earlier
+    suffix.
     """
-    total = len(hxor)
-    n = total.bit_length() - 1
-    # words above w1 >= 1, so the table starts at word 2
-    tab = _combination_table(2, total, M - 2)
-    w1s = range(1, total - M + 2)
-    # the first row of the suffix whose entries all exceed w1; keys of the
-    # table's dtype spare searchsorted a widened copy of the table
-    starts = np.searchsorted(tab[0], np.array(w1s, dtype=tab.dtype), side="right")
-    # a pass holds each word w of a row as (w1 << n) | w, its row's w1 in
-    # the high bits, so one gather looks up a term of w1 and w, and the
-    # xor of two such words is the xor of the words.  At that index h0 is
-    # h(w), h1 is h(w1 ^ w), and first is 0.0 + h(w1) + h(w), the sum of
-    # a row's first two terms.  The three tables take 1.5 MB at H(8,2)
-    # M=3, the most words and w1s searched
-    every_w1 = np.arange(w1s[-1] + 1)[:, None]
-    h0 = np.tile(hxor, len(every_w1))
-    h1 = hxor[every_w1 ^ np.arange(total)].ravel()
-    first = ((0.0 + hxor[every_w1]) + hxor).ravel()
-    best_val, best_set = math.inf, None
-    for segments in _passes(w1s, starts.tolist(), tab.shape[1]):
-        cols = np.empty((M - 2, sum(b - a for _, a, b in segments)), dtype=np.intp)
-        end = 0
-        for w1, a, b in segments:
-            np.bitwise_or(tab[:, a:b], np.intp(w1 << n), out=cols[:, end : end + b - a])
-            end += b - a
-        # the pair terms in the (i, j) order of a pair loop over
-        # (0, w1, *row): (0, w1), (0, row), (w1, row), then within row
-        vals = first[cols[0]]
-        for c in cols[1:]:
-            vals += h0[c]
-        for c in cols:
-            vals += h1[c]
-        for i, j in itertools.combinations(range(M - 2), 2):
-            vals += hxor[cols[i] ^ cols[j]]
-        at = int(np.argmin(vals))
-        if vals[at] < best_val:
-            row = cols[:, at].tolist()
-            best_val = float(vals[at])
-            best_set = [0, row[0] >> n, *(w & (total - 1) for w in row)]
-    return best_val, best_set
+    total, n, k = len(bits), len(hval), M - 2
+    # h of the distance between two words, indexed by their xor; distinct
+    # words never have xor 0
+    hxor = np.array([math.inf] + hval)[bits]
+    # the nonzero words by weight, the first of weight d its least word c_d
+    order = (1 + np.argsort(bits[1:], kind="stable")).astype(np.min_scalar_type(total - 1))
+    tab = _combination_table(order[1:], k)
+    rows = tab.shape[1]
+    # the terms of a word w with 0 and with c_d, h(w) + h(c_d ^ w)
+    cs = [(1 << d) - 1 for d in range(1, n + 1)]
+    hc = hxor + hxor[np.array(cs)[:, None] ^ np.arange(total)]
+    # a row's fast sum of its K = C(M, 2) terms lies within
+    # gamma_(K-1) K max|h| of its exact value, and its formula within
+    # gamma_n K max|h| (gamma_m = m u / (1 - m u), u = eps/2); their sum
+    # e is below 1.01 (K + n) u K max|h|.  A row whose formula is at most
+    # that of the row of least fast sum then has a fast sum within 2e of
+    # the least, and a row whose formula is below best a fast sum below
+    # best + e.  tol, twice the bound on 2e, also covers the rounding of
+    # low + tol and best + tol
+    K = math.comb(M, 2)
+    tol = 2.0 * np.finfo(float).eps * (K + n) * K * max(abs(v) for v in hval)
+    best, best_set = (math.inf, 0), None
+    for a in range(0, rows, _CHUNK):
+        cols = tab[:, a : a + _CHUNK].astype(np.intp)
+        # the terms within a row, the same for every d, taken by the first
+        # word of each pair, so a near-full code takes O(M) numpy calls
+        inner = np.zeros(cols.shape[1])
+        for i in range(k - 1):
+            inner += np.add.reduce(hxor[cols[i + 1 :] ^ cols[i]], axis=0)
+        for d, tail in enumerate(tails, 1):
+            lo = max(rows - tail - a, 0)  # suffix d's first row in the pass
+            if lo >= cols.shape[1]:
+                break
+            vals = np.add.reduce(hc[d - 1][cols[:, lo:]], axis=0)
+            vals += inner[lo:]
+            vals += hval[d - 1]
+            low = vals.min()
+            if low > best[0] + tol:
+                continue  # no row here has a formula as low as the best
+            near = lo + np.flatnonzero(vals <= low + tol)
+            codes = np.empty((M, len(near)), dtype=np.intp)
+            codes[0], codes[1], codes[2:] = 0, cs[d - 1], cols[:, near]
+            exact = _distribution_energies(codes, bits, hval)
+            at = int(np.argmin(exact))
+            if (exact[at], d) < best:
+                best, best_set = (float(exact[at]), d), codes[:, at].tolist()
+    return best[0], best_set
 
 
-def _passes(w1s, starts, rows):
-    """The suffixes of every w1, in order, cut into passes of at most ``_CHUNK`` rows.
+def _distribution_energies(codes, bits, hval):
+    """sum_{d=1..n} A_d h_d, d ascending, of each code, a column of ``codes``.
 
-    Suffix w1 is the rows ``starts[i]..rows-1`` of the table.  Each pass
-    is a list of (w1, first row, end row) segments, so a long suffix
-    spans several passes and a pass packs several short ones.
+    Pairs are taken by their first word, so a near-full code takes O(M)
+    numpy calls.
     """
-    segments, size = [], 0
-    for w1, a in zip(w1s, starts):
-        while a < rows:
-            b = min(rows, a + _CHUNK - size)
-            segments.append((w1, a, b))
-            size += b - a
-            a = b
-            if size == _CHUNK:
-                yield segments
-                segments, size = [], 0
-    if segments:
-        yield segments
+    M, rows = codes.shape
+    width = len(hval) + 1
+    counts = np.zeros(rows * width, dtype=np.intp)
+    base = np.arange(0, rows * width, width)
+    for i in range(M - 1):
+        at = bits[codes[i + 1 :] ^ codes[i]]
+        at += base
+        counts += np.bincount(at.ravel(), minlength=len(counts))
+    counts = counts.reshape(rows, width)
+    vals = np.zeros(rows)
+    for d, hd in enumerate(hval, 1):
+        vals += counts[:, d] * hd
+    return vals
 
 
-def _combination_table(lo, hi, k):
-    """All k-subsets of lo..hi-1 in lexicographic order, as the columns of a (k, rows) array.
+def _combination_table(words, k):
+    """All k-subsets of ``words`` as the columns of a (k, rows) array, in ``words``' dtype.
 
-    The entries take the narrowest unsigned dtype that holds hi - 1.
+    The subsets are in lexicographic order of the words' positions.
     """
-    dtype = np.min_scalar_type(hi - 1)
+    m = len(words)
     # built from the last position back: the tails from position j on are
-    # the (k-j)-subsets of lo+j..hi-1, each a first word f followed by the
-    # suffix of the next tails whose first word exceeds f, so no
-    # intermediate table outgrows the last
-    tab = np.arange(lo + k - 1, hi, dtype=dtype)[None, :]
-    for j in range(k - 2, -1, -1):
-        firsts = range(lo + j, hi - k + j + 1)
-        keys = np.array(firsts, dtype=dtype)
-        starts = np.searchsorted(tab[0], keys, side="right").tolist()
-        size = sum(tab.shape[1] - s for s in starts)
-        out = np.empty((k - j, size), dtype=dtype)
+    # the (k-j)-subsets of positions j..m-1, each a first position f
+    # followed by the last C(m-1-f, k-j-1) of the next tails, those whose
+    # first position exceeds f, so no intermediate table outgrows the
+    # last.  Position k holds the one empty tail
+    tab = np.empty((0, 1), dtype=words.dtype)
+    for j in range(k - 1, -1, -1):
+        width = tab.shape[1]
+        firsts = range(j, m - k + j + 1)
+        sizes = [math.comb(m - 1 - f, k - j - 1) for f in firsts]
+        out = np.empty((k - j, sum(sizes)), dtype=words.dtype)
         pos = 0
-        for f, s in zip(firsts, starts):
-            end = pos + tab.shape[1] - s
-            out[0, pos:end] = f
-            out[1:, pos:end] = tab[:, s:]
+        for f, size in zip(firsts, sizes):
+            end = pos + size
+            out[0, pos:end] = words[f]
+            out[1:, pos:end] = tab[:, width - size :]
             pos = end
         tab = out
     return tab

@@ -33,7 +33,7 @@ class Potential:
         if order < 0:
             raise ParameterError("derivative order must be nonnegative")
         t = np.asarray(t, dtype=float)
-        if self.singular_at_one and np.any(t >= 1.0):
+        if self.singular_at_one and (t >= 1.0).any():
             raise DomainError(f"{self.name} potential is singular at t=1; got t >= 1")
         out = self._deriv(t, order)
         return float(out) if out.shape == () else out

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -242,57 +243,80 @@ def test_restarts_in_batches_give_the_same_result(monkeypatch):
     assert (val, info) == whole[1:]
 
 
-def _exhaustive_loop(n, M, h):
-    # the pair-by-pair search with an early break that the chunked array
-    # search replaced: the reference for its energies and codes
-    total = 1 << n
-    hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]
-    best_val, best_set = math.inf, None
-    for rest in itertools.combinations(range(1, total), M - 1):
-        words = (0,) + rest
-        val = 0.0
-        for i in range(M):
-            for j in range(i + 1, M):
-                val += hval[(words[i] ^ words[j]).bit_count() - 1]
-                if val >= best_val:
-                    break
-            else:
-                continue
-            break
-        else:
-            if val < best_val:
-                best_val, best_set = val, words
-    pts = [[(wd >> i) & 1 for i in range(n - 1, -1, -1)] for wd in best_set]
-    return np.asarray(pts), 2.0 * best_val
+@functools.lru_cache(maxsize=None)
+def _all_distributions(n, M):
+    # every M-subset of the cube's words and its distance distribution,
+    # A_0..A_n per row, counted pair by pair
+    subsets = np.array(list(itertools.combinations(range(1 << n), M)))
+    bits = np.array([w.bit_count() for w in range(1 << n)])
+    counts = np.zeros((len(subsets), n + 1), dtype=int)
+    rows = np.arange(len(subsets))
+    for i, j in itertools.combinations(range(M), 2):
+        counts[rows, bits[subsets[:, i] ^ subsets[:, j]]] += 1
+    return counts
 
 
-def _assert_matches_loop(n, M, h):
+def _formula(counts, h, n):
+    # 2 * sum_{d=1..n} A_d h(1 - 2d/n), summed over d in ascending order,
+    # for each row of counts; numpy rounds each product and sum as Python
+    # floats do
+    vals = np.zeros(len(counts))
+    for d in range(1, n + 1):
+        vals += counts[:, d] * float(h(1.0 - 2.0 * d / n))
+    return 2.0 * vals
+
+
+def _assert_matches_all_subsets(n, M, h):
+    # the least energy over all M-subsets, bit for bit, attained by a code
+    # that holds 0 and c_d = 2^d - 1, d its minimum distance
     code, val = oracle.exhaustive_hamming(n, M, h)
-    ref_points, ref_val = _exhaustive_loop(n, M, h)
-    assert val == ref_val
-    assert np.array_equal(code.points, ref_points)
+    assert val == _formula(_all_distributions(n, M), h, n).min()
+    words = [int("".join(map(str, row)), 2) for row in code.points.tolist()]
+    assert len(set(words)) == M
+    counts = np.zeros((1, n + 1), dtype=int)
+    for x, y in itertools.combinations(words, 2):
+        counts[0, (x ^ y).bit_count()] += 1
+    assert _formula(counts, h, n)[0] == val
+    assert oracle.energy(code.space, code, h) == pytest.approx(val, rel=1e-13)
+    d = int(np.flatnonzero(counts[0])[0])
+    assert words[:2] == [0, (1 << d) - 1]
 
 
-@pytest.mark.parametrize("h", [RIESZ1, builtin("gaussian", c=1)], ids=["riesz", "gaussian"])
-def test_exhaustive_matches_the_pair_loop(h):
-    cases = [(n, M) for n in range(2, 6) for M in range(2, 6) if M <= 2**n] + [(6, 4)]
-    if h is RIESZ1:
-        # the deepest table, of 4-subsets; its loop takes ~0.6 s, so once
-        cases.append((5, 6))
-    for n, M in cases:
-        _assert_matches_loop(n, M, h)
+# h linear in the distance gives codes of different distributions the
+# same exact energy, whose fast sums and formulas round apart: H(4,2) M=7
+# needs the rows that lie within the rounding bound of the least fast sum
+LINEAR = builtin("series", coeffs=[1 / 3, 1 / 7])
 
 
-# energies (float hex) and codes of H(6,2) M=5 as the pair-by-pair and
-# chunked-combination searches found them; the pair loop takes ~1.6 s here
+@pytest.mark.parametrize(
+    "h", [RIESZ1, builtin("gaussian", c=1), LINEAR], ids=["riesz", "gaussian", "linear"]
+)
+def test_exhaustive_matches_all_subsets(h):
+    cases = [(n, M) for n in (2, 3, 4) for M in range(2, 2**n + 1)]
+    for n, M in cases + [(5, M) for M in range(2, 6)]:
+        _assert_matches_all_subsets(n, M, h)
+
+
+def test_exhaustive_full_cube_by_its_distribution():
+    # all 1024 words of H(10,2): 2^(n-1) C(n,d) pairs at distance d
+    n, M = 10, 1024
+    code, val = oracle.exhaustive_hamming(n, M, RIESZ1)
+    counts = np.array([[2 ** (n - 1) * math.comb(n, d) for d in range(n + 1)]])
+    assert val == _formula(counts, RIESZ1, n)[0]
+    assert sorted(map(tuple, code.points.tolist())) == list(itertools.product((0, 1), repeat=n))
+
+
+# energies (float hex) and codes of H(6,2) M=5: each energy is the least
+# by the distribution formula over all C(64, 5) subsets (a brute force
+# of about 10 s, too slow for the suite), and each code has it
 @pytest.mark.parametrize(
     "h, energy, words",
     [(RIESZ1, "0x1.a02b9c24676cap+3",
       [[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 1],
        [1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0]]),
      (builtin("gaussian", c=1), "0x1.0992f26d1b17ep+4",
-      [[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 1, 1],
-       [1, 0, 1, 1, 0, 1], [1, 1, 0, 1, 1, 0]])],
+      [[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 1],
+       [1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0]])],
     ids=["riesz", "gaussian"],
 )
 def test_exhaustive_6_5_keeps_its_pinned_result(h, energy, words):
@@ -302,41 +326,38 @@ def test_exhaustive_6_5_keeps_its_pinned_result(h, energy, words):
 
 
 def test_exhaustive_across_chunks(monkeypatch):
-    # the suffixes of w1 = 1, 2, 3, ... hold 91, 78, 66, ... rows at (4, 4),
-    # 364, 286, 220, ... at (4, 5), 14, 13, ..., 1 at M = 3, and 91, 13, 1
-    # and 14, 1 at the near-full (4, 14) and (4, 15): passes of 4 and 5 rows
-    # split the long suffixes, some with a short last piece and some
-    # exactly (55, 220), and pack the short ones, and passes of 300 split
-    # only the first suffix of (4, 5) and take all of M = 3 at once
+    # the tables of M = 3, (4, 4), (4, 5) and the near-full (4, 14) and
+    # (4, 15) hold 14, 91, 364, 91 and 14 rows; suffixes d = 2 and 3
+    # start at rows 4 and 10, 46 and 85, and 244 and 360 (the near-full
+    # tables have suffix d = 1 only).  Passes of 4 and 5 rows split every
+    # table, with a short last pass or exactly (364 at 4), and suffixes
+    # start both at pass boundaries (244 and 360 at 4, 85 and 360 at 5)
+    # and inside passes; passes of 300 split only (4, 5).  Under the
+    # linear h, (4, 8) (3003 rows) meets a pass whose least fast sum lies
+    # within the rounding bound of the best so far, but holds a row of
+    # lower formula, so such a pass must not be skipped
     for chunk in (4, 5, 300):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         for n, M in ((4, 3), (4, 4), (4, 5), (4, 14), (4, 15)):
-            _assert_matches_loop(n, M, RIESZ1)
-
-
-def test_passes_cover_every_suffix_in_order(monkeypatch):
-    # suffixes of 7, 4 and 1 rows in passes of 5: the first fills one pass
-    # and starts the next, which the second completes; the third pass holds
-    # the second's last row and the third suffix
-    monkeypatch.setattr(oracle, "_CHUNK", 5)
-    passes = list(oracle._passes([1, 2, 3], [0, 3, 6], 7))
-    assert [sum(b - a for _, a, b in p) for p in passes] == [5, 5, 2]
-    rows = [(w1, r) for p in passes for w1, a, b in p for r in range(a, b)]
-    assert rows == [(1, r) for r in range(7)] + [(2, r) for r in range(3, 7)] + [(3, 6)]
+            _assert_matches_all_subsets(n, M, RIESZ1)
+        _assert_matches_all_subsets(4, 8, LINEAR)
 
 
 @pytest.mark.parametrize(
-    "lo, hi, k", [(2, 4, 1), (2, 4, 2), (1, 16, 1), (2, 16, 3), (2, 32, 4), (2, 32, 30),
-                  (2, 256, 2), (2, 512, 2)]
+    "lo, hi, k", [(2, 4, 0), (2, 4, 1), (2, 4, 2), (1, 16, 1), (2, 16, 3), (2, 32, 4),
+                  (2, 32, 30), (2, 256, 2), (2, 512, 2)]
 )
 def test_combination_table_is_lexicographic(lo, hi, k):
-    tab = oracle._combination_table(lo, hi, k)
+    # words in descending order, so the table's order is that of their
+    # positions and not of their values
+    words = np.arange(hi - 1, lo - 1, -1, dtype=np.min_scalar_type(hi - 1))
+    tab = oracle._combination_table(words, k)
     assert tab.dtype == (np.uint8 if hi <= 256 else np.uint16)
-    assert tab.T.tolist() == [list(c) for c in itertools.combinations(range(lo, hi), k)]
+    assert tab.T.tolist() == [list(c) for c in itertools.combinations(words.tolist(), k)]
 
 
 def test_exhaustive_memory_stays_small():
-    # the table and one pass of H(6,2) M=5 peak at ~0.8 MB; a warm-up call
+    # the table and one pass of H(6,2) M=5 peak at ~0.7 MB; a warm-up call
     # keeps first-call allocations out of the peak
     oracle.exhaustive_hamming(4, 4, RIESZ1)
     tracemalloc.start()

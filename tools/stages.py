@@ -17,7 +17,8 @@ Then, for the oracle-sandwich list, it prints one line per op instead:
 the op's median time and the medians of the sphere minimizer's L-BFGS
 loop (``_descend``, its own time without the two calls below), its
 directions (``_direction``), its energies and gradients
-(``_energy_and_gradient``) and the Hamming search (``_search_table``).  Each wrapped call adds about a microsecond.
+(``_energy_and_gradient``) and the Hamming search over symmetry classes
+(``_search_classes``).  Each wrapped call adds about a microsecond.
 """
 
 import argparse
@@ -45,7 +46,7 @@ STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_level"),
           (ULB, "_require_monotone"), (ULB, "hermite_certificate"),
           (orthopoly, "eval_q_derivatives"), (linalg, "solve"),
           (ULB, "verify_certificate"))
-ORACLE_STAGES = ("_descend", "_direction", "_energy_and_gradient", "_search_table")
+ORACLE_STAGES = ("_descend", "_direction", "_energy_and_gradient", "_search_classes")
 SPENT = defaultdict(float)
 LEVELS = levenshtein._level  # the cache, whose wrapper below hides cache_clear
 
@@ -120,11 +121,11 @@ def oracle_stages(seeds, reps):
                         runs[label][name].append(SPENT[name])
     print(f"oracle-sandwich ({len(runs)} ops, {reps} reps): median ms per op")
     print(f"  {'op':26s} {'whole':>8s} {'_descend':>9s} {'_direction':>11s}"
-          f" {'_energy_and_gradient':>21s} {'_search_table':>14s}")
+          f" {'_energy_and_gradient':>21s} {'_search_classes':>16s}")
     for label, stages in sorted(runs.items()):
         med = [1e3 * statistics.median(stages[name]) for name in ("total", *ORACLE_STAGES)]
         print(f"  {label:26s} {med[0]:8.2f} {med[1]:9.2f} {med[2]:11.2f} {med[3]:21.2f}"
-              f" {med[4]:14.2f}")
+              f" {med[4]:16.2f}")
 
 
 def main(argv=None):
