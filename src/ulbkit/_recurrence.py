@@ -139,34 +139,47 @@ def eval_derivatives(b, g, deg: int, order: int, t):
 
     Differentiating the recurrence r times gives
     P_{k+1}^{(r)} = 2 (t - beta_k) P_k^{(r)} + 2r P_k^{(r-1)} - 4 gamma_k P_{k-1}^{(r)},
-    evaluated in that order.  One loop serves every order: each step
-    writes into its row of the output through views made once.  The
+    evaluated in that order.  The loop carries the order-1 rows halved
+    and the higher ones at 1/8, so that 2r P_k^{(r-1)} is the row below
+    itself for r <= 2, and only orders >= 3 multiply it (by 2r).  Scaling
+    by a power of two is exact, and it is undone once at the end, so the
     values equal, bit for bit, those of a loop that forms every term as a
-    new array.  Returns an array of shape (deg+1, order+1) + shape(t).
+    new array, wherever they are normal floats.  Each step writes into
+    its row of the output, one contiguous block of every order, through
+    views made once: 4 ufunc calls per degree up to order 2.  Returns an
+    array of shape (deg+1, order+1) + shape(t).
     """
     t = np.asarray(t, dtype=float)
-    x = t.reshape(-1)  # 1-d, so that every row below is a view, even for a 0-d t
-    out = np.zeros((deg + 1, order + 1, x.size))
-    out[0, 0] = 1.0
+    n = t.size
+    out = np.zeros((deg + 1, (order + 1) * n))
+    out[0, :n] = 1.0
     # 2 (t - beta_k) for every k, already of the shape of a row of the output
-    shift = np.empty((deg, order + 1, x.size))
-    shift[...] = (2.0 * (x - np.reshape(b[:deg], (deg, 1))))[:, None]
-    r = np.empty((order, x.size))
-    r[...] = np.arange(2.0, 2.0 * order + 1.0, 2.0)[:, None]
-    tmp = np.empty((order + 1, x.size))
-    tmp_high = tmp[1:]
-    rows, highs, lows = list(out), list(out[:, 1:]), list(out[:, :-1])
+    shift = np.empty((deg, order + 1, n))
+    shift[...] = (2.0 * (t.reshape(-1) - np.reshape(b[:deg], (deg, 1))))[:, None]
+    shift = shift.reshape(deg, (order + 1) * n)
+    tmp = np.empty((order + 1) * n)
+    tmp_high = tmp[n:]
+    # 2r times the scale of order r over that of order r-1: 1 up to order 2
+    coef = np.repeat([1.0, 1.0] + [2.0 * r for r in range(3, order + 1)], n) if order > 2 else None
     mul, add, sub = np.multiply, np.add, np.subtract
-    for k, g_k in enumerate((4.0 * g[:deg]).tolist()):
-        row = rows[k + 1]
-        mul(shift[k], rows[k], row)
-        if order:
-            mul(r, lows[k], tmp_high)
-            add(highs[k + 1], tmp_high, highs[k + 1])
-        if k:
-            mul(rows[k - 1], g_k, tmp)
+    prev = None
+    # step k writes row k+1 from rows k and k-1
+    for cur, row, sh, low, high, g_k in zip(out, out[1:], shift, out[:, : order * n],
+                                            out[1:, n:], (4.0 * g[:deg]).tolist()):
+        mul(sh, cur, row)
+        if coef is not None:
+            mul(coef, low, tmp_high)
+            add(high, tmp_high, high)
+        elif order:
+            add(high, low, high)
+        if prev is not None:
+            mul(prev, g_k, tmp)
             sub(row, tmp, row)
-    return out.reshape((deg + 1, order + 1) + t.shape)
+        prev = cur
+    out = out.reshape((deg + 1, order + 1) + t.shape)
+    out[:, 1:2] *= 2.0
+    out[:, 2:] *= 8.0
+    return out
 
 
 def jacobi_matrix(b, g, deg: int):
@@ -191,13 +204,13 @@ def jacobi_zeros(b, g, deg: int):
     return np.linalg.eigvalsh(jacobi_matrix(b, g, deg))
 
 
-def gauss(b, g, deg: int):
-    """The deg-point Gauss rule of the recurrence's measure: nodes ascending, weights.
+def gauss(J, mass: float):
+    """The Gauss rule of a Jacobi matrix J of a measure of total mass: nodes ascending, weights.
 
-    Nodes are the eigenvalues of the Jacobi matrix, weights gamma_0 times
-    the squared first components of its unit eigenvectors (Golub & Welsch,
+    Nodes are the eigenvalues of J, weights the mass (gamma_0) times the
+    squared first components of its unit eigenvectors (Golub & Welsch,
     Math. Comp. 1969): positive by construction and accurate relative to
     their size.
     """
-    x, vecs = np.linalg.eigh(jacobi_matrix(b, g, deg))
-    return x, g[0] * vecs[0] ** 2
+    x, vecs = np.linalg.eigh(J)
+    return x, mass * vecs[0] ** 2

@@ -345,15 +345,7 @@ def _cmd_selfcheck(args):
 # --- wiring ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="ulbkit",
-        description="Energy bounds for codes in polynomial metric spaces",
-    )
-    ap.add_argument("--version", action="version", version=f"ulbkit {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ulb", help="universal lower energy bound")
+def _ulb_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", required=True, help="cardinality, range lo:hi[:step], or comma list")
     p.add_argument("--odd-branch", action="store_true")
@@ -362,29 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_convention(p)
     p.set_defaults(func=_cmd_ulb)
 
-    p = sub.add_parser("quadrature", help="1/M-quadrature rule")
+
+def _quadrature_args(p):
     _add_space_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.set_defaults(func=_cmd_quadrature)
 
-    p = sub.add_parser("lev-bound", help="cardinality bound at a separation")
+
+def _lev_bound_args(p):
     _add_space_args(p), _add_common(p)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.set_defaults(func=_cmd_lev_bound)
 
-    p = sub.add_parser("design-bound", help="minimum design cardinality bound")
+
+def _design_bound_args(p):
     _add_space_args(p), _add_common(p)
     p.add_argument("--tau", type=int, required=True)
     p.set_defaults(func=_cmd_design_bound)
 
-    p = sub.add_parser("testfns", help="improvability test functions")
+
+def _testfns_args(p):
     _add_space_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--jmax", type=int, default=10)
     p.set_defaults(func=_cmd_testfns)
 
-    p = sub.add_parser("improve", help="improve the bound with a degree-j polynomial")
+
+def _improve_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--degree", type=int, required=True, help="degree j of the improving polynomial")
@@ -392,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_convention(p)
     p.set_defaults(func=_cmd_improve)
 
-    p = sub.add_parser("design-energy", help="energy bounds for designs")
+
+def _design_energy_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--tau", type=int, required=True)
@@ -402,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--I", nargs=2, type=float, metavar=("LO", "HI"), help="inner-product interval")
     p.set_defaults(func=_cmd_design_energy)
 
-    p = sub.add_parser("separated-energy", help="upper energy bound at fixed separation")
+
+def _separated_energy_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
@@ -410,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly-basis", choices=["monomial", "q"], default="monomial")
     p.set_defaults(func=_cmd_separated_energy)
 
-    p = sub.add_parser("oracle", help="ground-truth energies and configurations")
+
+def _oracle_args(p):
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("energy", "strength", "named"):
         op = osub.add_parser(name)
@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
             _add_convention(op)
         op.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("asymptotics", help="fixed-level large-dimension sweep")
+
+def _asymptotics_args(p):
     _add_potential_args(p), _add_common(p)
     p.add_argument("--family", choices=["sphere", "hamming"], required=True)
     p.add_argument("--tau", type=int, required=True)
@@ -444,10 +445,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=str, help="lo:hi[:step]")
     p.set_defaults(func=_cmd_asymptotics)
 
-    p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
+
+def _selfcheck_args(p):
     _add_common(p)
     p.set_defaults(func=_cmd_selfcheck)
 
+
+# (name, help, the function that adds its arguments), in the order of --help
+_SUBCOMMANDS = (
+    ("ulb", "universal lower energy bound", _ulb_args),
+    ("quadrature", "1/M-quadrature rule", _quadrature_args),
+    ("lev-bound", "cardinality bound at a separation", _lev_bound_args),
+    ("design-bound", "minimum design cardinality bound", _design_bound_args),
+    ("testfns", "improvability test functions", _testfns_args),
+    ("improve", "improve the bound with a degree-j polynomial", _improve_args),
+    ("design-energy", "energy bounds for designs", _design_energy_args),
+    ("separated-energy", "upper energy bound at fixed separation", _separated_energy_args),
+    ("oracle", "ground-truth energies and configurations", _oracle_args),
+    ("asymptotics", "fixed-level large-dimension sweep", _asymptotics_args),
+    ("selfcheck", "run the built-in invariant suite", _selfcheck_args),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser; given a command, only that subcommand gets its arguments.
+
+    Every subcommand is listed with its help either way, so the top-level
+    help and usage errors are those of the full parser; so are the help,
+    errors and results of ``command`` itself.  None builds every
+    subcommand's arguments.
+    """
+    ap = argparse.ArgumentParser(
+        prog="ulbkit",
+        description="Energy bounds for codes in polynomial metric spaces",
+    )
+    ap.add_argument("--version", action="version", version=f"ulbkit {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, text, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=text)
+        if command is None or command == name:
+            add_arguments(p)
     return ap
 
 
@@ -483,7 +520,10 @@ def _emit(args, payload) -> str:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so the first argument
+    # that is not an option is the subcommand argparse runs, if it runs one
+    ap = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

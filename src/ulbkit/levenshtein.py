@@ -10,6 +10,7 @@ weights rho_i of the exact integration identity
     f_0 = f(1)/M + sum_i rho_i f(alpha_i),   deg f <= tau.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -251,7 +252,8 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     an eigenvalue, and the last off-diagonal sqrt(g') gives it that
     weight.  1 is the top eigenvalue; the k others are the nodes besides
     -1, with weights gamma_0 v_0i^2 / (1 + alpha_i)^eps.  The weight at
-    -1 (eps = 1) is left 0 for :func:`_rule_from_nodes`.
+    -1 (eps = 1) is left 0 for :func:`_rule_from_nodes`.  The border is
+    written into the matrix of the next degree, in place.
     """
     level = _level(space, k, eps)
     b, g, v = level.system.rec_beta, level.system.rec_gamma, level.system.value_at_one
@@ -259,12 +261,18 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     # for every M the level serves
     g_border = level.g_r / (M * g[0] / (1 + eps) - level.r_head)
     # pi_{k-1}(1) / pi_k(1) = 2 P_{k-1}(1) / P_k(1)
-    c = 1.0 - 2.0 * g_border * v[k - 1] / v[k]
-    x, w = rec.gauss(np.append(b[:k], c), np.append(g[:k], g_border), k + 1)
-    x, w = x[:-1], w[:-1]
+    J = rec.jacobi_matrix(b, g, k + 1)
+    J[k, k] = 1.0 - 2.0 * g_border * v[k - 1] / v[k]
+    J[k, k - 1] = J[k - 1, k] = math.sqrt(g_border)
+    x, w = rec.gauss(J, g[0])
     if not eps:
-        return x, w
-    return np.concatenate([[-1.0], x]), np.concatenate([[0.0], w / (1.0 + x)])
+        return x[:-1], w[:-1]
+    nodes, weights = np.empty(k + 1), np.empty(k + 1)
+    nodes[0], weights[0] = -1.0, 0.0
+    nodes[1:] = x[:-1]
+    np.add(1.0, x[:-1], out=weights[1:])
+    np.divide(w[:-1], weights[1:], out=weights[1:])
+    return nodes, weights
 
 
 def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) -> QuadratureRule:
@@ -272,7 +280,7 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
     s = float(nodes[-1])
     if not abs(_lev_value(space, tau, s) - M) <= _SOLVE_RTOL * M:
         raise ConvergenceError(f"L_{tau}(s) misses M={M} at the separation s={s}")
-    if not np.all(nodes[1:] > nodes[:-1]):
+    if not (nodes[1:] > nodes[:-1]).all():
         raise ConvergenceError("quadrature nodes are not strictly increasing")
     if eps:
         # The weight at -1 vanishes at the bottom of the level.  The rule
@@ -284,16 +292,16 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         level = _level(space, k, eps)
         q_s = _p_at(level.weight_system, k, s) / level.weight_system.value_at_one[k]
         with np.errstate(all="ignore"):
-            num, den = np.prod(s - inner), 2 * level.q_at_minus_one * np.prod(-1 - inner)
+            num, den = (s - inner).prod(), 2 * level.q_at_minus_one * (-1 - inner).prod()
             weights[0] = -weights[-1] * (1 - s) * q_s * num / den
-    if not np.all(weights > 0):
+    if not (weights > 0).all():
         raise ConvergenceError(
             f"nonpositive quadrature weight for M={M}: {weights}"
         )
     # 1/M + sum_i rho_i alpha_i^m against the moments b_m of the measure,
-    # m <= tau; the powers are cumulative products
-    powers = np.vander(nodes, tau + 1, increasing=True)
-    residual = float(np.max(np.abs(1.0 / M + weights @ powers - pmspace.moments(space, tau))))
+    # m <= tau
+    powers = _powers(nodes, tau)
+    residual = float(abs(1.0 / M + weights @ powers - pmspace.moments(space, tau)).max())
     if not residual <= _POWER_SUM_TOL:
         raise ConvergenceError(
             f"power-sum residual {residual:.2e} too large for M={M}"
@@ -301,6 +309,15 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
     return QuadratureRule(
         space, int(M), k, eps, tau, s, nodes, weights, residual, odd_branch
     )
+
+
+def _powers(x, deg: int) -> np.ndarray:
+    """x_i^m for m = 0..deg >= 1, shape (len(x), deg+1): the cumulative products np.vander forms."""
+    out = np.empty((len(x), deg + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    np.multiply.accumulate(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
 
 
 def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:

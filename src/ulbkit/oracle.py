@@ -92,8 +92,14 @@ def pairwise_t(code: Code) -> np.ndarray:
     if sp.family is Family.SPHERE:
         return np.clip(pts @ pts.T, -1.0, 1.0)
     if sp.family is Family.HAMMING:
-        d = np.count_nonzero(pts[:, None, :] != pts[None, :, :], axis=2)
-        return 1.0 - 2.0 * d / sp.n
+        # distances counted row by row into the result, then 1 - 2d/n in
+        # place: O(M n) scratch instead of an (M, M, n) array
+        t = np.empty((len(pts), len(pts)))
+        for row, word in zip(t, pts):
+            (pts != word).sum(axis=1, out=row)
+        t *= 2.0
+        t /= sp.n
+        return np.subtract(1.0, t, out=t)
     if sp.family is Family.JOHNSON:
         inter = pts @ pts.T
         d = sp.w - inter

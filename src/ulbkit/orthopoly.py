@@ -198,7 +198,8 @@ def lp_value(coeffs, M: int) -> float:
 
     f_0 is the constant Q-coefficient and f(1) the sum of all of them.
     """
-    return M * (float(coeffs[0]) * M - float(np.sum(coeffs)))
+    coeffs = np.asarray(coeffs)
+    return M * (float(coeffs[0]) * M - float(coeffs.sum()))
 
 
 def expand_in_q(space: SpaceDescriptor, monomial) -> np.ndarray:

@@ -179,7 +179,8 @@ def measure_rule(space: SpaceDescriptor, deg: int):
     if space.is_finite:
         return t_grid(space)
     npoints = deg // 2 + 1
-    x, wts = rec.gauss(*rec.jacobi_monic(*space.jacobi_exponents(), npoints), npoints)
+    b, g = rec.jacobi_monic(*space.jacobi_exponents(), npoints)
+    x, wts = rec.gauss(rec.jacobi_matrix(b, g, npoints), g[0])
     return x, wts / np.sum(wts)
 
 

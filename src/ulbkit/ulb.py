@@ -224,14 +224,18 @@ def hermite_certificate(rule: QuadratureRule, h: Potential, h_nodes=None) -> np.
     matched nodes a.  ``h_nodes``, when given, is h(rule.nodes).
     """
     nodes = rule.nodes
+    m = len(nodes)
     skip = int(rule.epsilon == 1 and abs(nodes[0] + 1.0) <= 1e-12)  # no slope at -1
-    deg = 2 * len(nodes) - 1 - skip
-    q = orthopoly.eval_q_derivatives(adjacent_system(rule.space, 0, 0, deg), deg, 1, nodes)
-    lhs = np.hstack([q[:, 0], q[:, 1, skip:]]).T
-    if h_nodes is None:
-        h_nodes = h(nodes)
-    rhs = np.concatenate([h_nodes, h.deriv(nodes[skip:], 1)])
-    return np.linalg.solve(lhs, rhs)
+    deg = 2 * m - 1 - skip
+    # row i: Q_i at the nodes, then Q_i' at the nodes; one equation per column
+    table = orthopoly.eval_q_derivatives(adjacent_system(rule.space, 0, 0, deg), deg, 1, nodes)
+    table = table.reshape(deg + 1, 2 * m)
+    if skip:
+        table[:, m:-1] = table[:, m + 1:]  # the slopes after the one at -1 move over it
+    rhs = np.empty(deg + 1)
+    rhs[:m] = h(nodes) if h_nodes is None else h_nodes
+    rhs[m:] = h.deriv(nodes[skip:], 1)
+    return np.linalg.solve(table[:, : deg + 1].T, rhs)
 
 
 def verify_certificate(
@@ -254,9 +258,9 @@ def verify_certificate(
     fv = f @ orthopoly.grid_table(space, len(f) - 1)
     hv, tol = _grid_values(space, h, below_tol)
     excess = fv - hv
-    worst = int(np.argmax(excess - tol))
-    below = bool(np.all(excess <= tol))
-    minq = float(np.min(f))
+    worst = int((excess - tol).argmax())
+    below = bool((excess <= tol).all())
+    minq = float(f.min())
     return CertificateChecks(
         below_h=below,
         f_geq=bool(minq >= _FGEQ_TOL),

@@ -194,6 +194,54 @@ def test_cli_flag_surface():
     assert sum(len(flags) for flags in declared.values()) == 169
 
 
+_SUBCOMMAND_NAMES = sorted({cmd.split()[0] for cmd in _FLAGS})
+_ORACLE_NAMES = [cmd.split()[1] for cmd in _FLAGS if cmd.startswith("oracle ")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["-h"], ["--version"], ["nope"], ["--nope"], ["-", "ulb"], ["--", "nope"],
+     ["--", "quadrature", "--help"], ["-x", "ulb", "--help"], ["ulb", "--space", "cube"],
+     ["ulb", "--space", "sphere", "--n", "3"], ["quadrature", "--M", "x"],
+     ["oracle"], ["oracle", "nope"], ["oracle", "minimize", "--n", "3"],
+     ["selfcheck", "--format", "yaml"],
+     ["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz", "--p", "1", "-y"]]
+    + [[cmd, "--help"] for cmd in _SUBCOMMAND_NAMES]
+    + [["oracle", name, "--help"] for name in _ORACLE_NAMES],
+    ids=" ".join,
+)
+def test_cli_builds_only_the_chosen_subcommand_byte_for_byte(capsys, monkeypatch, argv):
+    # main builds the arguments of the chosen subcommand only; help, usage
+    # errors and exit codes are those of the parser with every subcommand
+    built = []
+
+    def chosen(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr("ulbkit.cli.build_parser", chosen)
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr("ulbkit.cli.build_parser", lambda command=None: build_parser())
+    assert got == run_cli(capsys, *argv)
+    assert built and built[0] is not None
+
+
+def test_cli_parser_of_one_subcommand_parses_as_the_full_one():
+    full = build_parser()
+    space = ["--space", "hamming", "--n", "5", "--q", "2"]
+    for argv in (["ulb", *space, "--M", "4:6", "--potential", "riesz", "--p", "1"],
+                 ["oracle", "exhaustive", "--n", "4", "--M", "3", "--potential", "gaussian"],
+                 ["design-energy", *space, "--M", "4", "--tau", "2", "--direction", "lower",
+                  "--I", "-1", "0.5"],
+                 ["selfcheck"]):
+        assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+    # the others list their names and help but declare no flag
+    assert _declared_flags(build_parser("quadrature")) == {
+        name: sorted(_FLAGS["quadrature"]) if name == "quadrature" else []
+        for name in _SUBCOMMAND_NAMES
+    }
+
+
 @pytest.mark.parametrize(
     "argv,library",
     [(["quadrature", "--space", "sphere", "--n", "3", "--M", "12", "--seed", "1"], False),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
 from ulbkit.errors import ConvergenceError, DegreeOverflowError, ParameterError
@@ -405,6 +406,43 @@ def test_a_nan_in_the_rule_fails_its_checks(field):
     {"nodes": nodes, "weights": weights}[field][3] = np.nan
     with pytest.raises(ConvergenceError):
         lev._rule_from_nodes(space, 100, k, eps, tau, nodes, weights)
+
+
+def _bordered_rule_by_appends(space, M, k, eps):
+    # the rule as it was before the border was written into the matrix in
+    # place: appended to copies of the recurrence coefficients
+    level = lev._level(space, k, eps)
+    b, g, v = level.system.rec_beta, level.system.rec_gamma, level.system.value_at_one
+    g_border = level.g_r / (M * g[0] / (1 + eps) - level.r_head)
+    c = 1.0 - 2.0 * g_border * v[k - 1] / v[k]
+    b2, g2 = np.append(b[:k], c), np.append(g[:k], g_border)
+    x, w = rec.gauss(rec.jacobi_matrix(b2, g2, k + 1), g2[0])
+    x, w = x[:-1], w[:-1]
+    if not eps:
+        return x, w
+    return np.concatenate([[-1.0], x]), np.concatenate([[0.0], w / (1.0 + x)])
+
+
+@pytest.mark.parametrize("space", [make_space("sphere", n=3), make_space("hamming", n=30, q=2),
+                                   make_space("projective", n=4, field_dim=4)],
+                         ids=lambda space: space.label())
+def test_bordered_rule_equals_the_appended_border(space):
+    levels = set()
+    for tau in (1, 2, 9, 10, 19, 20):
+        lo, hi = lev.design_bound(space, tau), lev.design_bound(space, tau + 1)
+        M = int(round(0.5 * (lo + hi)))
+        k, eps, tau_m = lev.tau_for_cardinality(space, M)
+        levels.add(eps)
+        for got, want in zip(lev._bordered_rule(space, M, k, eps),
+                             _bordered_rule_by_appends(space, M, k, eps)):
+            assert got.tobytes() == want.tobytes(), (tau_m, M)
+    assert levels == {0, 1}
+
+
+@pytest.mark.parametrize("deg", [1, 2, 7, 55])
+def test_power_table_equals_vander(deg):
+    x = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(deg).uniform(-1.0, 1.0, 20)])
+    assert lev._powers(x, deg).tobytes() == np.vander(x, deg + 1, increasing=True).tobytes()
 
 
 def test_circle_design_bounds_are_polygon_sizes():

@@ -42,6 +42,32 @@ def test_extended_hamming_code():
     assert d[iu].min() == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("n,q,M", [(8, 2, 16), (7, 3, 40), (5, 4, 2)])
+def test_hamming_pairwise_t_equals_the_broadcast_count(n, q, M):
+    # the (M, M, n) form the row-by-row count replaced, bit for bit
+    words = np.random.default_rng(n).permutation(q**n)[:M]
+    pts = (words[:, None] // q ** np.arange(n)) % q
+    code = oracle.make_code(make_space("hamming", n=n, q=q), pts)
+    d = np.count_nonzero(pts[:, None, :] != pts[None, :, :], axis=2)
+    assert oracle.pairwise_t(code).tobytes() == (1.0 - 2.0 * d / n).tobytes()
+
+
+def test_hamming_pairwise_t_of_the_full_cube_stays_small():
+    # H(11,2) M=2048: the (M, M) float result takes 32 MB; an (M, M, n)
+    # boolean temporary alone would take 44 MB
+    n, M = 11, 2048
+    pts = (np.arange(M)[:, None] >> np.arange(n)) & 1
+    code = oracle.make_code(make_space("hamming", n=n, q=2), pts)
+    tracemalloc.start()
+    try:
+        t = oracle.pairwise_t(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * t.nbytes
+    assert np.array_equal(np.sort(t[0]), np.sort(1.0 - 2.0 * pts.sum(axis=1) / n))
+
+
 def test_energy_examples():
     tet = oracle.named_config(S3, "simplex")
     assert oracle.energy(S3, tet, RIESZ1) == pytest.approx(12 * (3 / 8) ** 0.5, rel=1e-12)

@@ -76,6 +76,47 @@ def test_derivatives_equal_the_reference_loop(space, top, order):
     assert rec.eval_derivatives(b, g, 0, order, nodes).shape == (1, order + 1, 27)
 
 
+def _derivatives_by_five_calls(b, g, deg, order, t):
+    # the loop as it was before it carried the slope rows scaled: five
+    # ufunc calls per degree, every order multiplied by 2r
+    t = np.asarray(t, dtype=float)
+    x = t.reshape(-1)
+    out = np.zeros((deg + 1, order + 1, x.size))
+    out[0, 0] = 1.0
+    shift = np.empty((deg, order + 1, x.size))
+    shift[...] = (2.0 * (x - np.reshape(b[:deg], (deg, 1))))[:, None]
+    r = np.empty((order, x.size))
+    r[...] = np.arange(2.0, 2.0 * order + 1.0, 2.0)[:, None]
+    tmp = np.empty((order + 1, x.size))
+    tmp_high = tmp[1:]
+    rows, highs, lows = list(out), list(out[:, 1:]), list(out[:, :-1])
+    for k, g_k in enumerate((4.0 * g[:deg]).tolist()):
+        row = rows[k + 1]
+        np.multiply(shift[k], rows[k], row)
+        if order:
+            np.multiply(r, lows[k], tmp_high)
+            np.add(highs[k + 1], tmp_high, highs[k + 1])
+        if k:
+            np.multiply(rows[k - 1], g_k, tmp)
+            np.subtract(row, tmp, row)
+    return out.reshape((deg + 1, order + 1) + t.shape)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("deg", [0, 1, 2, 21, 300])
+def test_derivatives_equal_the_five_call_loop(deg, order):
+    rng = np.random.default_rng(deg)
+    nodes = np.concatenate([[-1.0, 1.0], np.sort(rng.uniform(-1.0, 1.0, 25))])
+    for n in (3, 10):
+        system = adjacent_system(make_space("sphere", n=n), 0, 0, deg)
+        b, g = system.rec_beta, system.rec_gamma
+        for t in (np.float64(0.3), nodes, nodes.reshape(3, 9)):
+            got = rec.eval_derivatives(b, g, deg, order, t)
+            want = _derivatives_by_five_calls(b, g, deg, order, t)
+            assert got.shape == want.shape == (deg + 1, order + 1) + np.shape(t)
+            assert got.tobytes() == want.tobytes(), (n, np.shape(t))
+
+
 def _frexp_norms(value_at_one, gamma, c_norm):
     # r_i as formed from the monic values at 1 before the recurrence was
     # scaled by 2^k, with mantissas and binary exponents carried apart
