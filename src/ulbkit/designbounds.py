@@ -2,14 +2,16 @@
 polynomials.
 
 These are validators: each operation checks its certificate conditions
-on the requested inner-product set and emits the linear-programming
-value M*(f_0*M - f(1)) (:func:`ulbkit.orthopoly.lp_value`).  A polynomial
-that fails a condition never yields a bound; the failure carries the
-offending index or point.
+on the requested inner-product set with the code of
+:func:`ulbkit.ulb.verify_certificate` (an upper bound's are a lower
+bound's for -f and -h) and emits the linear-programming value
+M*(f_0*M - f(1)) (:func:`ulbkit.orthopoly.lp_value`).  A polynomial that
+fails a condition never yields a bound; the failure carries the first
+coefficient index of the wrong sign, or the point where f is furthest past h.
 
 Each takes the space, the cardinality M >= 2, the potential h and the
-candidate's Q-coefficients f = (f_0..f_deg).  ``subset`` restricts the
-inner products of the codes considered: an (lo, hi) interval inside
+candidate's finite Q-coefficients f = (f_0..f_deg).  ``subset`` restricts
+the inner products of the codes considered: an (lo, hi) interval inside
 [-1, 1), an explicit array of values, or None for all of T(M) below 1.
 """
 
@@ -17,9 +19,10 @@ import numpy as np
 
 from . import pmspace
 from .errors import ConditionError, ParameterError
-from .orthopoly import lp_value, poly_eval
+from .orthopoly import lp_value
 from .pmspace import SpaceDescriptor
 from .potentials import Potential
+from .ulb import _conditions, _values
 
 _COEFF_TOL = 1e-9
 _GRID_TOL = 1e-9
@@ -27,18 +30,8 @@ _GRID_TOL = 1e-9
 _PAD = 1e-12
 
 
-def _check(M: int, tau: int = 0, s: float = -1.0):
-    """Refuse inputs no bound is stated for."""
-    if M < 2:
-        raise ParameterError("M must be >= 2")
-    if tau < 0:
-        raise ParameterError(f"design strength tau must be >= 0, got {tau}")
-    if not -1.0 <= s < 1.0:
-        raise ParameterError(f"separation s must lie in [-1, 1), got {s}")
-
-
-def _subset_grid(space: SpaceDescriptor, subset, s: float | None = None) -> np.ndarray:
-    """Concrete t-grid on which pointwise conditions are checked, cut to t <= s if s is given."""
+def _subset_grid(space: SpaceDescriptor, subset, s: float | None = None):
+    """Points where pointwise conditions are checked, cut to t <= s if s is given; None for T(M)."""
     grid = pmspace.verification_grid(space)
     lo, hi = -1.0, 1.0
     if isinstance(subset, tuple):
@@ -51,42 +44,50 @@ def _subset_grid(space: SpaceDescriptor, subset, s: float | None = None) -> np.n
             grid = np.linspace(lo, hi, 2000)
     elif subset is not None:
         grid = np.asarray(subset, dtype=float)
-        if grid.size == 0 or grid.min() < -1.0 or grid.max() >= 1.0:
+        # NaN fails both comparisons, so a non-finite entry is refused too
+        if grid.size == 0 or not ((grid >= -1.0) & (grid < 1.0)).all():
             raise ParameterError("explicit subset must lie inside [-1, 1)")
         return grid if s is None else grid[grid <= s]
     if s is None:
-        return grid
+        return None if subset is None else grid
     if space.is_finite:
         return grid[grid <= s + _PAD]
     # a sampled interval: s itself is checked when the set reaches it
     return np.append(grid[grid < s], s) if lo <= s <= hi else grid[grid < s]
 
 
-def _pointwise(space, h, f, grid, want_below: bool, label: str):
-    fv = np.asarray(poly_eval(space, f, grid), dtype=float)
-    hv = np.asarray(h(grid), dtype=float)
-    gap = (hv - fv) if want_below else (fv - hv)
-    tol = _GRID_TOL * (1.0 + np.abs(hv))
-    bad = np.nonzero(gap < -tol)[0]
-    if bad.size:
-        i = int(bad[0])
+def _bound(space, M, h, f, subset, side, pointwise, sign, tau=0, s=None):
+    """M*(f_0*M - f(1)), once side * f <= side * h and side * f_i >= 0 for i > tau.
+
+    side 1 gives a lower bound's conditions, side -1 an upper bound's;
+    the pointwise one holds on the subset, cut to t <= s if s is given.
+    """
+    if M < 2:
+        raise ParameterError("M must be >= 2")
+    if tau < 0:
+        raise ParameterError(f"design strength tau must be >= 0, got {tau}")
+    if s is not None and not -1.0 <= s < 1.0:
+        raise ParameterError(f"separation s must lie in [-1, 1), got {s}")
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or not np.isfinite(f).all():
+        raise ParameterError("f must be a list of finite Q-coefficients")
+    t = _subset_grid(space, subset, s)
+    if t is not None and not t.size:
+        raise ParameterError("no inner product of the subset is left to check")
+    t, fv, hv, tol = _values(space, f, h, _GRID_TOL, t)
+    coeff_tol = _COEFF_TOL * max(1.0, float(np.abs(f).max()))
+    below, worst, _, _, bad = _conditions(side * f, side * fv, side * hv, tol, tau + 1, coeff_tol)
+    if not below:
         raise ConditionError(
-            f"condition {label} fails at t={grid[i]:.12g}"
-            f" (f={fv[i]:.12g}, h={hv[i]:.12g})",
-            where=float(grid[i]),
+            f"condition {pointwise} fails at t={t[worst]:.12g}"
+            f" (f={fv[worst]:.12g}, h={hv[worst]:.12g})",
+            where=float(t[worst]),
         )
-
-
-def _coefficient_sign(f, start: int, want_nonneg: bool, label: str):
-    scale = max(1.0, float(np.max(np.abs(f))))
-    for i in range(start, len(f)):
-        c = f[i]
-        bad = c < -_COEFF_TOL * scale if want_nonneg else c > _COEFF_TOL * scale
-        if bad:
-            raise ConditionError(
-                f"condition {label} fails at coefficient index {i} (value {c:.6g})",
-                where=i,
-            )
+    if bad is not None:
+        raise ConditionError(
+            f"condition {sign} fails at coefficient index {bad} (value {f[bad]:.6g})", where=bad
+        )
+    return lp_value(f, M)
 
 
 def design_lower_bound(
@@ -97,10 +98,7 @@ def design_lower_bound(
     Needs f <= h on the inner-product set and nonnegative expansion
     coefficients above index tau.
     """
-    _check(M, tau=tau)
-    _pointwise(space, h, f, _subset_grid(space, subset), want_below=True, label="(D1) f<=h")
-    _coefficient_sign(f, tau + 1, True, "(D2) f_i>=0 for i>tau")
-    return lp_value(f, M)
+    return _bound(space, M, h, f, subset, 1, "(D1) f<=h", "(D2) f_i>=0 for i>tau", tau=tau)
 
 
 def design_upper_bound(
@@ -110,10 +108,7 @@ def design_upper_bound(
 
     Mirror image: f >= h pointwise, nonpositive coefficients above tau.
     """
-    _check(M, tau=tau)
-    _pointwise(space, h, f, _subset_grid(space, subset), want_below=False, label="(E1) g>=h")
-    _coefficient_sign(f, tau + 1, False, "(E2) g_i<=0 for i>tau")
-    return lp_value(f, M)
+    return _bound(space, M, h, f, subset, -1, "(E1) g>=h", "(E2) g_i<=0 for i>tau", tau=tau)
 
 
 def separated_upper_bound(
@@ -125,8 +120,4 @@ def separated_upper_bound(
     and nonpositive coefficients at every index from 1 up (the strictest
     reading of the index range).
     """
-    _check(M, s=s)
-    grid = _subset_grid(space, subset, s)
-    _pointwise(space, h, f, grid, want_below=False, label="(F1) f>=h below s")
-    _coefficient_sign(f, 1, False, "(F2) f_i<=0 for i>=1")
-    return lp_value(f, M)
+    return _bound(space, M, h, f, subset, -1, "(F1) f>=h below s", "(F2) f_i<=0 for i>=1", s=s)

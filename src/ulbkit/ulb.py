@@ -191,20 +191,6 @@ def _record(h: Potential):
     return record
 
 
-def _grid_values(space: SpaceDescriptor, h: Potential, below_tol: float):
-    """h on the space's verification grid, and below_tol * (1 + |h|) there; cached per h."""
-    record = _record(h)
-    key = (space, below_tol)
-    if record is not None and key in record.grid:
-        return record.grid[key]
-    hv = np.array(h(pmspace.verification_grid(space)), dtype=float)
-    tol = below_tol * (1.0 + np.abs(hv))
-    if record is not None:
-        hv.flags.writeable = tol.flags.writeable = False
-        record.grid[key] = hv, tol
-    return hv, tol
-
-
 def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
     # the certificate must reproduce the bound through its LP value
     alt = orthopoly.lp_value(certificate, rule.M)
@@ -253,21 +239,42 @@ def verify_certificate(
     below_tol that is not finite and >= 0 raises ParameterError.
     """
     _check_tolerances(below_tol=below_tol)
-    grid = pmspace.verification_grid(space)
     f = np.asarray(f, dtype=float)
+    grid, fv, hv, tol = _values(space, f, h, below_tol)
+    below, worst, excess, minq, bad = _conditions(f, fv, hv, tol)
+    return CertificateChecks(below, bad is None, minq, excess, float(grid[worst]))
+
+
+def _values(space, f, h, below_tol, t=None):
+    """t, and f, h and below_tol * (1 + |h|) at t; by default the verification grid, from caches."""
+    if t is not None:
+        hv = np.asarray(h(t), dtype=float)
+        return t, orthopoly.poly_eval(space, f, t), hv, below_tol * (1.0 + np.abs(hv))
+    grid = pmspace.verification_grid(space)
     fv = f @ orthopoly.grid_table(space, len(f) - 1)
-    hv, tol = _grid_values(space, h, below_tol)
+    record, key = _record(h), (space, below_tol)
+    if record is None or key not in record.grid:
+        hv = np.array(h(grid), dtype=float)
+        tol = below_tol * (1.0 + np.abs(hv))
+        if record is None:
+            return grid, fv, hv, tol
+        hv.flags.writeable = tol.flags.writeable = False
+        record.grid[key] = hv, tol
+    return (grid, fv, *record.grid[key])
+
+
+def _conditions(f, fv, hv, tol, start=0, coeff_tol=-_FGEQ_TOL):
+    """A lower bound's conditions, fv <= hv + tol and f_i >= -coeff_tol from i = start; NaN fails.
+
+    Returns whether fv <= hv + tol holds, the index of the largest fv - hv - tol and fv - hv
+    there, the least f_i from start (inf if none), and the first i that fails, or None.
+    """
     excess = fv - hv
     worst = int((excess - tol).argmax())
     below = bool((excess <= tol).all())
-    minq = float(f.min())
-    return CertificateChecks(
-        below_h=below,
-        f_geq=bool(minq >= _FGEQ_TOL),
-        min_q_coefficient=minq,
-        max_excess=float(excess[worst]),
-        worst_t=float(grid[worst]),
-    )
+    minq = float(f[start:].min(initial=np.inf))
+    bad = None if minq >= -coeff_tol else start + int((f[start:] >= -coeff_tol).argmin())
+    return below, worst, float(excess[worst]), minq, bad
 
 
 def test_functions(space: SpaceDescriptor, M: int, j_range) -> TestFunctionReport:

@@ -320,6 +320,24 @@ def test_design_and_separated_energy_refuse_meaningless_inputs(capsys):
         assert json.loads(err)["error"]["type"] == "ParameterError"
 
 
+@pytest.mark.parametrize("poly", ["0.1,nan", "inf", "nan,0,0", "inf,1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["design-energy", "--tau", "0", "--direction", "lower", "--potential", "riesz", "--p", "1"],
+     ["design-energy", "--tau", "0", "--direction", "upper", "--potential", "gaussian", "--c", "1"],
+     ["separated-energy", "--s", "0.0", "--potential", "gaussian", "--c", "1"]],
+    ids=["lower", "upper", "separated"],
+)
+def test_non_finite_certificates_are_refused(capsys, argv, poly):
+    # a NaN coefficient used to pass every comparison and print "bound": null
+    for basis in ("monomial", "q"):
+        code, out, err = run_cli(capsys, *argv, "--space", "sphere", "--n", "3", "--M", "10",
+                                 "--poly", poly, "--poly-basis", basis)
+        # stderr holds the JSON error alone, no numpy warning
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParameterError"
+
+
 def test_oracle_exhaustive_refuses_a_huge_instance_at_once():
     # the size check must not build C(2^24, 2^23) exactly; a subprocess
     # with a timeout, so a slow refusal fails instead of stalling the suite

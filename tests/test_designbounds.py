@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ulbkit import oracle, orthopoly
+from ulbkit import designbounds, oracle, orthopoly, pmspace
 from ulbkit.designbounds import design_lower_bound, design_upper_bound, separated_upper_bound
 from ulbkit.errors import ConditionError, ParameterError
+from ulbkit.levenshtein import design_bound
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import ulb
@@ -167,3 +168,166 @@ def test_separated_upper_checks_t_equal_to_s():
     assert separated_upper_bound(
         h8, 2, GAUSS, np.array([0.8]), 0.0, subset=np.array([-0.25, 0.5])
     ) == pytest.approx(1.6, rel=1e-12)
+
+
+# The validators' checks as they were before they shared the code of
+# ulb.verify_certificate: poly_eval and h on the points, afresh per call,
+# the first failing point reported.  Kept as a reference.
+def _pointwise(space, h, f, grid, want_below: bool, label: str):
+    fv = np.asarray(orthopoly.poly_eval(space, f, grid), dtype=float)
+    hv = np.asarray(h(grid), dtype=float)
+    gap = (hv - fv) if want_below else (fv - hv)
+    tol = 1e-9 * (1.0 + np.abs(hv))
+    bad = np.nonzero(gap < -tol)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ConditionError(
+            f"condition {label} fails at t={grid[i]:.12g}"
+            f" (f={fv[i]:.12g}, h={hv[i]:.12g})",
+            where=float(grid[i]),
+        )
+
+
+def _coefficient_sign(f, start: int, want_nonneg: bool, label: str):
+    scale = max(1.0, float(np.max(np.abs(f))))
+    for i in range(start, len(f)):
+        c = f[i]
+        bad = c < -1e-9 * scale if want_nonneg else c > 1e-9 * scale
+        if bad:
+            raise ConditionError(
+                f"condition {label} fails at coefficient index {i} (value {c:.6g})",
+                where=i,
+            )
+
+
+def _reference(kind, space, M, h, f, subset, tau, s):
+    """What the old validators gave: ("ok", bound) or (condition label, where)."""
+    labels = {
+        "lower": ("(D1) f<=h", "(D2) f_i>=0 for i>tau"),
+        "upper": ("(E1) g>=h", "(E2) g_i<=0 for i>tau"),
+        "separated": ("(F1) f>=h below s", "(F2) f_i<=0 for i>=1"),
+    }[kind]
+    grid = designbounds._subset_grid(space, subset, s)
+    if grid is None:
+        grid = pmspace.verification_grid(space)
+    try:
+        _pointwise(space, h, f, grid, kind == "lower", labels[0])
+        _coefficient_sign(f, tau + 1 if s is None else 1, kind == "lower", labels[1])
+    except ConditionError as exc:
+        return str(exc).split(" fails")[0], exc.where
+    return "ok", orthopoly.lp_value(f, M)
+
+
+def _verdict(kind, space, M, h, f, subset, tau, s):
+    try:
+        if kind == "separated":
+            value = separated_upper_bound(space, M, h, f, s, subset)
+        else:
+            fn = design_lower_bound if kind == "lower" else design_upper_bound
+            value = fn(space, tau, M, h, f, subset)
+    except ConditionError as exc:
+        return str(exc).split(" fails")[0], exc.where
+    return "ok", value
+
+
+def _candidates(rng, f):
+    """A ulb certificate, perturbed: shifted, noisy, a coefficient added
+    above its degree, mirrored above h, and random."""
+    scale = float(np.abs(f).max())
+    out = [f, f + 1e-6 * scale * np.eye(len(f))[0], f - 1e-3 * scale * np.eye(len(f))[0]]
+    for size in (1e-4, 1e-2):
+        out.append(f + size * scale * rng.standard_normal(len(f)))
+    for top in (-1e-3, 1e-3):
+        out.append(np.append(f, top * scale))
+    for top in (0.0, 1e-3):
+        out.append(np.append(-f, top * scale) + 2.5 * scale * np.eye(len(f) + 1)[0])
+    out.append(rng.standard_normal(len(f) + 1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("sphere", {"n": 3}), ("hamming", {"n": 8, "q": 2}), ("johnson", {"n": 10, "w": 5}),
+     ("projective", {"n": 3, "field_dim": 2})],
+)
+def test_validators_agree_with_the_reference(family, params):
+    # same pass or fail, same condition, same coefficient index; a failing
+    # point may differ, since the worst point is reported, not the first
+    space = make_space(family, **params)
+    rng = np.random.default_rng(2201)
+    subsets = [None, (-0.5, 0.5), (-1.0, 0.0), rng.uniform(-1.0, 1.0, 40)]
+    if space.is_finite:
+        subsets.append(np.array(pmspace.verification_grid(space)[::2]))
+    outcomes = set()
+    for h in (GAUSS, RIESZ1):
+        for level in (2, 4):
+            M = int(np.ceil(0.5 * (design_bound(space, level) + design_bound(space, level + 1))))
+            rep = ulb(space, M, h)
+            for f in _candidates(rng, rep.certificate):
+                for subset in subsets:
+                    cases = [("lower", tau, None) for tau in (0, rep.rule.tau)]
+                    cases += [("upper", tau, None) for tau in (0, rep.rule.tau)]
+                    cases += [("separated", 0, s) for s in (-0.5, rep.rule.s)]
+                    for kind, tau, s in cases:
+                        args = (kind, space, M, h, f, subset, tau, s)
+                        grid = designbounds._subset_grid(space, subset, s)
+                        if grid is not None and not grid.size:
+                            with pytest.raises(ParameterError, match="left to check"):
+                                _verdict(*args)
+                            continue
+                        old, new = _reference(*args), _verdict(*args)
+                        assert new[0] == old[0], args
+                        if old[0] == "ok" or "f_i" in old[0] or "g_i" in old[0]:
+                            assert new[1] == old[1], args
+                        outcomes.add((kind, old[0][:13]))
+    # each validator passes, and fails each of its two conditions, somewhere
+    assert len(outcomes) == 9, sorted(outcomes)
+
+
+def test_a_certificate_ulb_finds_above_h_yields_no_design_bound():
+    # HP^3 at tau 37 with Gaussian h: the Hermite interpolant rises above
+    # h near t = 1 by more than the grid tolerance
+    hp3 = make_space("projective", n=4, field_dim=4)
+    rep = ulb(hp3, 5125840719, GAUSS)
+    assert rep.rule.tau == 37 and not rep.certificate_checks.below_h
+    with pytest.raises(ConditionError, match=r"\(D1\)") as err:
+        design_lower_bound(hp3, 37, rep.M, GAUSS, rep.certificate)
+    assert err.value.where == rep.certificate_checks.worst_t
+
+
+@pytest.mark.parametrize("f", [[np.nan], [3.0, np.inf], [3.0, 0.0, -np.inf], 0.3, [[0.3]]])
+def test_coefficients_that_are_not_a_finite_list_are_refused(f):
+    # a NaN coefficient used to pass every comparison and yield a NaN bound
+    for call in (
+        lambda: design_lower_bound(S3, 0, 10, RIESZ1, f),
+        lambda: design_upper_bound(S3, 0, 10, GAUSS, f),
+        lambda: separated_upper_bound(S3, 6, GAUSS, f, 0.0),
+    ):
+        with pytest.raises(ParameterError, match="list of finite"):
+            call()
+
+
+def test_non_finite_subset_entries_are_refused():
+    # f = 10 lies above h everywhere; NaN compares false with every bound
+    for subset in (np.array([np.nan]), np.array([0.0, np.nan]), np.array([np.inf]),
+                   np.array([-np.inf, 0.0])):
+        with pytest.raises(ParameterError, match="explicit subset"):
+            design_lower_bound(S3, 0, 10, RIESZ1, np.array([10.0]), subset=subset)
+        with pytest.raises(ParameterError, match="explicit subset"):
+            separated_upper_bound(S3, 6, GAUSS, np.array([10.0]), 0.0, subset=subset)
+    with pytest.raises(ParameterError, match="subset interval"):
+        design_lower_bound(S3, 0, 10, RIESZ1, np.array([10.0]), subset=(np.nan, 0.5))
+
+
+def test_an_empty_set_of_inner_products_is_refused():
+    h8 = make_space("hamming", n=8, q=2)
+    for call in (
+        # no point of H(8,2)'s grid (steps of 1/4) lies in the interval
+        lambda: design_lower_bound(h8, 0, 4, GAUSS, np.array([0.1]), subset=(0.1, 0.2)),
+        # no point of the subset lies at or below s
+        lambda: separated_upper_bound(S3, 6, GAUSS, np.array([3.0]), 0.0,
+                                      subset=np.array([0.5, 0.6])),
+        lambda: separated_upper_bound(S3, 6, GAUSS, np.array([3.0]), 0.0, subset=(0.2, 0.5)),
+    ):
+        with pytest.raises(ParameterError, match="left to check"):
+            call()

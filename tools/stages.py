@@ -9,9 +9,12 @@ benchmark lists (``perfbench/workloads.py``) warm, ``--reps`` times:
 Per stage: the median over ops of the op's median time, and its share of
 the median op.  ``_lev_value`` runs inside ``_rule_from_nodes``, and
 ``eval_q_derivatives`` and ``linalg.solve`` inside ``hermite_certificate``.
-Warm, ``_level`` only looks up the level's record; one more run per op,
-after the record cache is emptied, times building it
-(``levenshtein._level, cold``).
+``verify_certificate`` is the certificate check, the one the validators of
+``designbounds`` share.  A stage that no op of a list calls stops the
+script with an error, so a renamed or bypassed function cannot leave its
+row reading zero or missing.  Warm, ``_level`` only looks up the level's
+record; ``COLD_REPS`` more runs per op, each after the record cache is
+emptied, time building it (``levenshtein._level, cold``, their median).
 
 Then, for the oracle-sandwich list, it prints one line per op instead:
 the op's median time and the medians of the sphere minimizer's L-BFGS
@@ -46,6 +49,8 @@ STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_level"),
           (ULB, "_require_monotone"), (ULB, "hermite_certificate"),
           (orthopoly, "eval_q_derivatives"), (linalg, "solve"),
           (ULB, "verify_certificate"))
+STAGE_NAMES = [f"{module.__name__.split('.')[-1]}.{attr}" for module, attr in STAGES]
+COLD_REPS = 5
 ORACLE_STAGES = ("_descend", "_direction", "_energy_and_gradient", "_search_classes")
 SPENT = defaultdict(float)
 LEVELS = levenshtein._level  # the cache, whose wrapper below hides cache_clear
@@ -73,10 +78,10 @@ def ulb_stages(workload, seeds, reps):
             space, h = workloads.make(op["space"]), potentials[op["potential"]]
             kwargs = {"rel_tol": op["rel_tol"]} if op.get("rel_tol") else {}
             runs = defaultdict(list)
-            # the first run warms the caches, the last builds the level's
-            # record afresh
-            for rep in range(reps + 2):
-                cold = rep == reps + 1
+            # the first run warms the caches, the last COLD_REPS build the
+            # level's record afresh
+            for rep in range(reps + 1 + COLD_REPS):
+                cold = rep > reps
                 if cold:
                     LEVELS.cache_clear()
                 SPENT.clear()
@@ -91,6 +96,9 @@ def ulb_stages(workload, seeds, reps):
                         runs[name].append(sec)
             for name, secs in runs.items():
                 per_op[name].append(statistics.median(secs))
+    missing = [name for name in STAGE_NAMES if name not in per_op]
+    if missing:
+        sys.exit(f"{workload}: no op called {', '.join(missing)}; wrap what the pipeline calls now")
     ms = {name: 1e3 * statistics.median(meds) for name, meds in per_op.items()}
     print(f"{workload} ({len(per_op['total'])} ops, {reps} reps)")
     for name in sorted(ms, key=ms.get, reverse=True):
@@ -133,9 +141,8 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
     ap.add_argument("--reps", type=int, default=25)
     args = ap.parse_args(argv)
-    for module, attr in STAGES:
-        setattr(module, attr, _timed(f"{module.__name__.split('.')[-1]}.{attr}",
-                                     getattr(module, attr)))
+    for (module, attr), name in zip(STAGES, STAGE_NAMES):
+        setattr(module, attr, _timed(name, getattr(module, attr)))
     for attr in ORACLE_STAGES:
         setattr(oracle, attr, _timed(attr, getattr(oracle, attr)))
     for workload in ("bound-table", "high-degree"):
