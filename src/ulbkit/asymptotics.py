@@ -68,31 +68,24 @@ class AsymptoticQuery:
         return pmspace.make_space("hamming", n=n, q=2)
 
     def ns(self):
-        return tuple(self.n_range) if self.n_range else _default_range(self.family)
-
-
-def _default_range(family: str):
-    hi = 64 if family == "sphere" else 48
-    return tuple(range(8, hi + 1, 4))
+        hi = 64 if self.family == "sphere" else 48
+        return tuple(self.n_range) if self.n_range else tuple(range(8, hi + 1, 4))
 
 
 def cardinality_sequence(query: AsymptoticQuery, n: int):
-    """Target cardinality at dimension n, clamped into its level interval.
+    """Target cardinality at dimension n, clamped into the integers of its level.
 
-    Returns (M_n, clamped).  The lower clamp admits the design-bound
-    value itself at the bottom level (the antipodal-pair boundary);
-    higher levels clamp strictly inside (D(tau), D(tau+1)].
+    Returns (M_n, clamped).  The level's integers are those the level map
+    gives level tau, so M_n is served at tau by construction; at the
+    bottom level they include the design bound D(1) = 2 itself (the
+    antipodal pair, the repetition code).
     """
     k, eps, tau = query.k, query.epsilon, query.tau
-    space = query.space(n)
     target = round(n ** (k - 1 + eps) * ((2.0 - eps) / math.factorial(k - 1 + eps) + query.delta))
-    d_lo = levenshtein.design_bound(space, tau)
-    d_hi = levenshtein.design_bound(space, tau + 1)
-    lo = 2 if (tau == 1 and abs(d_lo - 2.0) < 1e-9) else int(math.floor(d_lo + 1e-9)) + 1
-    hi = int(math.floor(d_hi + 1e-9))
-    if lo > hi:
+    level = levenshtein._level_cardinalities(query.space(n), tau)
+    if not level:
         raise UlbkitError(f"empty level-{tau} interval at n={n}")
-    M = min(max(target, lo), hi)
+    M = min(max(target, level[0]), level[-1])
     return M, M != target
 
 
@@ -129,7 +122,7 @@ def sweep(query: AsymptoticQuery):
     except ParameterError:
         limit = math.nan
     h = query.h
-    h0 = float(h(0.0))
+    r = taylor_coeffs(query)
     rows = []
     for n in query.ns():
         try:
@@ -140,10 +133,8 @@ def sweep(query: AsymptoticQuery):
             continue
         b = pmspace.moments(query.space(n), query.tau)
         quad = float(np.dot(rule.weights, h(rule.nodes)))
-        compare = sum(
-            float(h.deriv(0.0, 2 * j)) / math.factorial(2 * j) * b[2 * j]
-            for j in range(query.tau // 2 + 1)
-        )
+        # the Taylor terms h^(2j)(0)/(2j)! b_2j; b vanishes at odd orders
+        compare = sum(r[2 * j] * b[2 * j] for j in range(query.tau // 2 + 1))
         remainder = M * (quad - compare)
         rows.append(
             {
@@ -156,19 +147,7 @@ def sweep(query: AsymptoticQuery):
                 "remainder": remainder,
                 "limit": limit,
                 "ratio1": quad,
-                "ratio2": n * (quad - h0),
+                "ratio2": n * (quad - float(r[0])),
             }
         )
     return rows
-
-
-def remainder_sequence(query: AsymptoticQuery):
-    """(n, remainder) pairs from the sweep."""
-    return [(row["n"], row["remainder"]) for row in sweep(query) if "remainder" in row]
-
-
-def corollary_ratios(query: AsymptoticQuery):
-    """(n, ratio1, ratio2) with ratio1 = bound/M^2, ratio2 = n*(ratio1 - h(0))."""
-    return [
-        (row["n"], row["ratio1"], row["ratio2"]) for row in sweep(query) if "ratio1" in row
-    ]

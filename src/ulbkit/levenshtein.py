@@ -185,6 +185,21 @@ def _level_of(space: SpaceDescriptor, M):
     return k, eps, j + 1
 
 
+def _level_cardinalities(space: SpaceDescriptor, tau: int) -> range:
+    """The integers M that the space's level map gives level tau; maybe none.
+
+    They are tops[tau-2] < M <= tops[tau-1], and from D(1) (1 - _LEVEL_RTOL) and 2 up at tau 1;
+    exact below 2^53, where tau_for_cardinality's float comparison still tells integers apart.
+    """
+    d1, tops, capped = _LEVEL_MAPS.get(space) or _grow_level_map(space)
+    while not capped and len(tops) < tau:
+        d1, tops, capped = _grow_level_map(space)
+    if len(tops) < tau:
+        raise DegreeOverflowError(f"{space.label()} has no level {tau}")
+    lo = max(2, math.ceil(d1 * (1.0 - _LEVEL_RTOL))) if tau == 1 else math.floor(tops[tau - 2]) + 1
+    return range(lo, math.floor(tops[tau - 1]) + 1)
+
+
 def _grow_level_map(space: SpaceDescriptor):
     """Add a block of levels to the space's level map, up to a finite space's cap."""
     d1, tops, capped = _LEVEL_MAPS.get(space) or (design_bound(space, 1), np.empty(0), False)
@@ -326,11 +341,7 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:
     Degree tau; vanishes at every node; attains f(1)/f_0 = M.
     """
     rule = quadrature_rule(space, M)
-    return _lev_polynomial_from_rule(rule)
-
-
-def _lev_polynomial_from_rule(rule: QuadratureRule) -> np.ndarray:
-    space, k, eps, s = rule.space, rule.k, rule.epsilon, rule.s
+    k, eps, s = rule.k, rule.epsilon, rule.s
 
     def level(t):
         return (t + 1.0) ** eps * (t - s) * orthopoly.cd_kernel(space, 1, eps, k - 1, t, s) ** 2

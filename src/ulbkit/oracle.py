@@ -79,9 +79,7 @@ def make_code(space: SpaceDescriptor, points) -> Code:
         if np.any(np.abs(sq - 1.0) > 1e-8):
             raise ParameterError("projective representatives must be unit vectors")
     code = Code(space, pts)
-    t = pairwise_t(code)
-    iu = np.triu_indices(len(pts), k=1)
-    if len(pts) > 1 and np.any(t[iu] > _COINCIDENT):
+    if np.any(_pair_t(code) > _COINCIDENT):
         raise ParameterError("duplicate points in code")
     return code
 
@@ -91,19 +89,12 @@ def pairwise_t(code: Code) -> np.ndarray:
     sp, pts = code.space, code.points
     if sp.family is Family.SPHERE:
         return np.clip(pts @ pts.T, -1.0, 1.0)
-    if sp.family is Family.HAMMING:
-        # distances counted row by row into the result, then 1 - 2d/n in
-        # place: O(M n) scratch instead of an (M, M, n) array
-        t = np.empty((len(pts), len(pts)))
-        for row, word in zip(t, pts):
-            (pts != word).sum(axis=1, out=row)
-        t *= 2.0
-        t /= sp.n
-        return np.subtract(1.0, t, out=t)
-    if sp.family is Family.JOHNSON:
-        inter = pts @ pts.T
-        d = sp.w - inter
-        return 1.0 - 2.0 * d / sp.w
+    if sp.family in (Family.HAMMING, Family.JOHNSON):
+        # both triangles from the pair values, t = 1 on the diagonal
+        upper = ~np.tri(len(pts), dtype=bool)
+        t = np.ones((len(pts), len(pts)))
+        t[upper] = t.T[upper] = _pair_t(code)
+        return t
     if sp.field_dim == 4:
         # x y* for quaternions stored as complex pairs (a, b) = a + b j
         a, b = code.points[:, :, 0], code.points[:, :, 1]
@@ -116,6 +107,27 @@ def pairwise_t(code: Code) -> np.ndarray:
     return np.clip(2.0 * cos2 - 1.0, -1.0, 1.0)
 
 
+def _pair_t(code: Code) -> np.ndarray:
+    """t(x_i, x_j) over the pairs i < j, in C order: pairwise_t's upper triangle.
+
+    Hamming and Johnson codes count differing coordinates row by row into the
+    result, with no (M, M) matrix; Gram matrices are read through a mask.
+    """
+    sp, pts = code.space, code.points
+    M = len(pts)
+    if sp.family not in (Family.HAMMING, Family.JOHNSON):
+        return pairwise_t(code)[~np.tri(M, dtype=bool)]
+    t = np.empty(M * (M - 1) // 2)
+    start = 0
+    for i in range(M - 1):
+        (pts[i + 1 :] != pts[i]).sum(axis=1, out=t[start : start + M - 1 - i])
+        start += M - 1 - i
+    # 1 - 2d/n with d the Hamming distance, and 1 - 2d/w with d the Johnson
+    # distance, half the count: each quotient is that real number rounded
+    t /= sp.n / 2.0 if sp.family is Family.HAMMING else sp.w
+    return np.subtract(1.0, t, out=t)
+
+
 def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "sum") -> float:
     """Pair-sum energy of a code; "mean" divides the sum by the size.
 
@@ -126,9 +138,7 @@ def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "
         raise ParameterError(f"unknown energy convention {convention!r}")
     if code.size < 2:
         return 0.0
-    t = pairwise_t(code)
-    iu = np.triu_indices(code.size, k=1)
-    vals = t[iu]
+    vals = _pair_t(code)
     if np.any(vals > _COINCIDENT):
         raise DomainError("code contains coincident points")
     total = 2.0 * float(np.sum(h(vals)))
@@ -143,10 +153,9 @@ def separation(space: SpaceDescriptor, code: Code):
     """
     if code.size < 2:
         raise ParameterError("separation needs at least two points")
-    t = pairwise_t(code)
-    iu = np.triu_indices(code.size, k=1)
-    s = float(np.max(t[iu]))
-    ell = float(np.min(t[iu]))
+    vals = _pair_t(code)
+    s = float(np.max(vals))
+    ell = float(np.min(vals))
     return s, ell, s
 
 
@@ -155,9 +164,7 @@ def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
     cap = space.max_degree
     if cap is not None and tau_max > cap:
         raise ParameterError(f"tau_max {tau_max} exceeds the degree cap {cap}")
-    t = pairwise_t(code)
-    iu = np.triu_indices(code.size, k=1)
-    vals = t[iu]
+    vals = _pair_t(code)
     M = code.size
     tol = 1e-8 * M * M
     q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau_max), tau_max, vals)

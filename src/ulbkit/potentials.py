@@ -33,7 +33,8 @@ class Potential:
         if order < 0:
             raise ParameterError("derivative order must be nonnegative")
         t = np.asarray(t, dtype=float)
-        if self.singular_at_one and (t >= 1.0).any():
+        # fmax skips NaN, and the initial value answers an empty t
+        if self.singular_at_one and np.fmax.reduce(t, axis=None, initial=-np.inf) >= 1.0:
             raise DomainError(f"{self.name} potential is singular at t=1; got t >= 1")
         out = self._deriv(t, order)
         return float(out) if out.shape == () else out
@@ -82,7 +83,8 @@ def builtin(name: str, **params) -> Potential:
         def deriv(t, j):
             # h^(j) = 2^j (p/2)_j (2-2t)^(-p/2-j)
             if j < 2:
-                return (p if j else 1.0) * (2.0 - 2.0 * t) ** (-p / 2.0 - j)
+                power = (2.0 - 2.0 * t) ** (-p / 2.0 - j)
+                return p * power if j else power
             # in logs: from order ~537 the coefficient alone overflows and
             # the power alone underflows at t = -1, and inf * 0 is nan; past
             # the float range the value is +inf, silently as a float product

@@ -205,9 +205,8 @@ def test_criterion_6_endpoint_equalities():
 
 def test_criterion_7_asymptotics():
     query = asy.AsymptoticQuery("sphere", 1, GAUSS, delta=0.0, n_range=tuple(range(8, 65, 4)))
-    rows = asy.remainder_sequence(query)
     limit = asy.limit_expression(query)
-    errs = {n: abs(v - limit) for n, v in rows}
+    errs = {r["n"]: abs(r["remainder"] - limit) for r in asy.sweep(query) if "remainder" in r}
     target = math.exp(-1) - 2
     approach_ok = abs(limit - target) < 1e-14 and errs[64] <= 1e-9
     # the bottom level attains the limit exactly, so "strictly smaller at
@@ -216,13 +215,15 @@ def test_criterion_7_asymptotics():
     # demonstrate a genuine strict decrease at a growing-cardinality level
     q5 = asy.AsymptoticQuery("sphere", 5, GAUSS, delta=0.0, n_range=tuple(range(8, 65, 4)))
     lim5 = asy.limit_expression(q5)
-    errs5 = [abs(v - lim5) for _, v in asy.remainder_sequence(q5)]
+    errs5 = [abs(r["remainder"] - lim5) for r in asy.sweep(q5) if "remainder" in r]
     strict_ok = errs5[-1] < errs5[len(errs5) // 2] < errs5[0]
     # first corollary ratio where the cardinality grows superlinearly
-    ratio_rows = asy.corollary_ratios(
-        asy.AsymptoticQuery("sphere", 5, GAUSS, delta=0.0, n_range=tuple(range(16, 65, 4)))
-    )
-    ratio_ok = all(r1 >= GAUSS(0.0) - 1e-9 for _, r1, _ in ratio_rows)
+    ratio_rows = [
+        r for r in asy.sweep(
+            asy.AsymptoticQuery("sphere", 5, GAUSS, delta=0.0, n_range=tuple(range(16, 65, 4)))
+        ) if "ratio1" in r
+    ]
+    ratio_ok = all(r["ratio1"] >= GAUSS(0.0) - 1e-9 for r in ratio_rows)
     _status(
         7,
         approach_ok and shrink_ok and strict_ok and ratio_ok,

@@ -16,6 +16,18 @@ def _query(family="sphere", tau=3, delta=0.0, rho=None, ns=(), h=GAUSS):
     return asy.AsymptoticQuery(family, tau, h, delta=delta, rho=rho, n_range=tuple(ns))
 
 
+def remainder_sequence(query):
+    """(n, remainder) pairs from the sweep."""
+    return [(row["n"], row["remainder"]) for row in asy.sweep(query) if "remainder" in row]
+
+
+def corollary_ratios(query):
+    """(n, ratio1, ratio2) with ratio1 = bound/M^2, ratio2 = n*(ratio1 - h(0))."""
+    return [
+        (row["n"], row["ratio1"], row["ratio2"]) for row in asy.sweep(query) if "ratio1" in row
+    ]
+
+
 def test_query_validation():
     with pytest.raises(ParameterError):
         _query(family="johnson")
@@ -47,6 +59,30 @@ def test_cardinality_targets():
     assert M == 48
 
 
+def test_cardinality_sequence_stays_on_its_level():
+    # at delta=0 the targets of these levels often meet a design bound
+    # D(tau) that rounds just below its integer (S^135 tau 9: M=29783252,
+    # D(9)=29783251.999999993); each M_n is served at the query's level
+    grid = [("sphere", tau, range(8, 2049, 8)) for tau in (6, 7, 8, 9)]
+    grid += [("hamming", tau, range(8, 1001, 8)) for tau in (4, 6)]
+    for family, tau, ns in grid:
+        q = _query(family=family, tau=tau)
+        for n in ns:
+            M, _ = asy.cardinality_sequence(q, n)
+            assert lev.tau_for_cardinality(q.space(n), M)[2] == tau, (family, tau, n, M)
+
+
+@pytest.mark.parametrize(
+    "family, tau, n", [("sphere", 9, 136), ("sphere", 8, 160), ("hamming", 6, 128)]
+)
+def test_sweep_builds_the_rule_at_the_query_level(family, tau, n):
+    (row,) = asy.sweep(_query(family=family, tau=tau, rho=0.5, ns=(n,)))
+    rule = lev.quadrature_rule(_query(family=family, tau=tau).space(n), row["M"])
+    assert rule.tau == tau
+    # -1 is a node exactly on even levels
+    assert (row["alpha_0"] == -1.0) == (tau % 2 == 0)
+
+
 def test_limit_expression_examples():
     # odd bottom level, delta=0: e^{-1} - 2
     assert asy.limit_expression(_query(tau=1)) == pytest.approx(math.exp(-1) - 2, abs=1e-14)
@@ -67,7 +103,7 @@ def test_limit_needs_rho_for_even_levels():
 
 def test_remainder_sequence_bottom_level_exact():
     q = _query(tau=1, ns=range(8, 65, 4))
-    rows = asy.remainder_sequence(q)
+    rows = remainder_sequence(q)
     limit = asy.limit_expression(q)
     assert len(rows) == 15
     for _, value in rows:
@@ -77,7 +113,7 @@ def test_remainder_sequence_bottom_level_exact():
 def test_remainder_sequence_converges_at_higher_level():
     q = _query(tau=5, ns=range(8, 65, 4))
     limit = asy.limit_expression(q)
-    errors = [abs(v - limit) for _, v in asy.remainder_sequence(q)]
+    errors = [abs(v - limit) for _, v in remainder_sequence(q)]
     # trend assertion over the top half of the range
     half = len(errors) // 2
     assert errors[-1] < errors[half] < errors[0]
@@ -144,7 +180,7 @@ def test_hamming_family_sweep():
 
 def test_corollary_ratios():
     q = _query(tau=5, ns=range(16, 65, 8))
-    rows = asy.corollary_ratios(q)
+    rows = corollary_ratios(q)
     h0 = GAUSS(0.0)
     for n, ratio1, ratio2 in rows:
         assert ratio1 >= h0 - 1e-9
@@ -160,7 +196,7 @@ def test_constant_potential_degenerate_ratio():
     # a constant potential keeps ratio1 pinned at (M-1)/M * h(0)
     const = builtin("series", coeffs=[2.0])
     q = _query(tau=3, ns=(16, 32), h=const)
-    for n, ratio1, _ in asy.corollary_ratios(q):
+    for n, ratio1, _ in corollary_ratios(q):
         M = asy.cardinality_sequence(q, n)[0]
         assert ratio1 == pytest.approx(2.0 * (M - 1) / M, rel=1e-12)
 

@@ -217,6 +217,43 @@ def test_level_map_stops_where_a_finite_space_systems_stop(space):
     assert got == _outcome(_linear_level, space, M)
 
 
+def _level_or_error(space, M):
+    try:
+        return lev.tau_for_cardinality(space, M)[2]
+    except (ParameterError, DegreeOverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "family, params, last",
+    [
+        ("sphere", {"n": 3}, None),
+        ("sphere", {"n": 136}, None),
+        ("hamming", {"n": 128, "q": 2}, 255),
+        ("johnson", {"n": 80, "w": 40}, 79),
+        ("projective", {"n": 4, "field_dim": 4}, None),
+    ],
+)
+def test_level_cardinalities_round_trip(family, params, last):
+    # every M the level map gives level tau maps back to tau, and the two
+    # integers just outside the range map to the levels beside it
+    space = make_space(family, **params)
+    assert (2 in lev._level_cardinalities(space, 1)) == (lev.design_bound(space, 1) <= 2)
+    for tau in range(1, 13):
+        level = lev._level_cardinalities(space, tau)
+        lo, hi = level[0], level[-1]
+        sample = level if hi - lo < 200 else [lo + (hi - lo) * i // 49 for i in range(50)]
+        assert {_level_or_error(space, M) for M in [*sample, lo + 1, hi - 1]} == {tau}, tau
+        assert _level_or_error(space, lo - 1) == (tau - 1 if tau > 1 else ParameterError), tau
+        assert _level_or_error(space, hi + 1) == tau + 1, tau
+    if last:
+        # a finite space's last level is the last the map gives (on H(128,2)
+        # an empty one: D(256) rounds below D(255))
+        assert isinstance(lev._level_cardinalities(space, last), range)
+        with pytest.raises(DegreeOverflowError):
+            lev._level_cardinalities(space, last + 1)
+
+
 def test_solve_separation_examples():
     for n in (3, 4, 6):
         s = make_space("sphere", n=n)

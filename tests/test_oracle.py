@@ -124,6 +124,75 @@ def test_unknown_config_rejected():
         oracle.named_config(S3, "dodecahedron")
 
 
+def _random_codes():
+    """One code per family and field, drawn from a seeded generator."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(9, 4))
+    yield make_space("sphere", n=4), x / np.linalg.norm(x, axis=1)[:, None]
+    words = rng.permutation(3**5)[:30]
+    yield make_space("hamming", n=5, q=3), (words[:, None] // 3 ** np.arange(5)) % 3
+    yield make_space("hamming", n=8, q=2), oracle._rm_1_3_words()
+    yield make_space("johnson", n=8, w=4), oracle.named_config(
+        make_space("johnson", n=8, w=4), "steiner_quadruple_8").points
+    ones = np.array([c for c in itertools.combinations(range(10), 5)])[rng.permutation(252)[:40]]
+    johnson = np.zeros((40, 10), dtype=int)
+    np.put_along_axis(johnson, ones, 1, axis=1)
+    yield make_space("johnson", n=10, w=5), johnson
+    for field_dim, shape in ((1, (7, 3)), (2, (8, 3)), (4, (6, 2, 2))):
+        z = rng.normal(size=shape) + (1j * rng.normal(size=shape) if field_dim > 1 else 0)
+        z /= np.sqrt(np.sum(np.abs(z) ** 2, axis=tuple(range(1, z.ndim)), keepdims=True))
+        yield make_space("projective", n=shape[1], field_dim=field_dim), z
+
+
+def _distance_t_reference(code):
+    """The (M, M) matrix t of a Hamming or Johnson code by the broadcast formulas."""
+    sp, pts = code.space, code.points
+    if sp.family is pmspace.Family.HAMMING:
+        d = np.count_nonzero(pts[:, None, :] != pts[None, :, :], axis=2)
+        return 1.0 - 2.0 * d / sp.n
+    return 1.0 - 2.0 * (sp.w - pts @ pts.T) / sp.w
+
+
+def test_pair_values_are_the_upper_triangle_bit_for_bit():
+    # energy, separation and design strength read the pairs i < j in C
+    # order, each with the bits of pairwise_t's entry
+    for space, pts in _random_codes():
+        code = oracle.make_code(space, pts)
+        t = oracle.pairwise_t(code)
+        if space.family in (pmspace.Family.HAMMING, pmspace.Family.JOHNSON):
+            assert t.tobytes() == _distance_t_reference(code).tobytes(), space.label()
+        vals = t[np.triu_indices(code.size, k=1)]
+        assert oracle._pair_t(code).tobytes() == vals.tobytes(), space.label()
+        energy = 2.0 * float(np.sum(RIESZ1(vals)))
+        assert oracle.energy(space, code, RIESZ1) == energy
+        assert oracle.separation(space, code) == (vals.max(), vals.min(), vals.max())
+    for M in (0, 1):
+        code = oracle.Code(S3, np.eye(3)[:M])
+        assert oracle._pair_t(code).shape == (0,)
+
+
+def test_pair_sums_of_the_full_cube_stay_small():
+    # H(11,2) M=2048: the pair values take 16 MiB; gathering them from
+    # the (M, M) matrix through triu_indices peaks at 112 MiB (energy),
+    # 82 MiB (make_code) and 80 MiB (separation), and the bounds are half
+    n, M = 11, 2048
+    space = make_space("hamming", n=n, q=2)
+    pts = (np.arange(M)[:, None] >> np.arange(n)) & 1
+    code = oracle.make_code(space, pts)
+    for call, limit in (
+        (lambda: oracle.energy(space, code, RIESZ1), 56),
+        (lambda: oracle.make_code(space, pts), 41),
+        (lambda: oracle.separation(space, code), 40),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit << 20
+
+
 def test_projective_codes():
     cp3 = make_space("projective", n=3, field_dim=2)
     lines = np.eye(3, dtype=complex)

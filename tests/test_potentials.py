@@ -81,6 +81,20 @@ def test_singular_domain_error():
     assert builtin("gaussian", c=1)(1.0) == pytest.approx(np.e)
 
 
+def test_singular_check_skips_nan_and_passes_empty_input():
+    # a NaN argument is no evidence of t >= 1: it evaluates to NaN; an
+    # infinite one is refused, wherever it stands
+    for h in (builtin("riesz", p=1), builtin("log")):
+        assert np.isnan(h(np.nan))
+        vals = h.deriv(np.array([[np.nan], [0.0]]), 1)
+        assert np.isnan(vals[0, 0]) and vals[1, 0] == h.deriv(0.0, 1)
+        assert h(np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(DomainError):
+            h(np.array([np.nan, np.inf]))
+        with pytest.raises(DomainError):
+            h.deriv(np.array([[0.0, np.nan], [1.0, 0.0]]), 2)
+
+
 def test_invalid_parameters():
     with pytest.raises(ParameterError):
         builtin("riesz", p=0)

@@ -8,9 +8,12 @@ printed beside it as a float hex, so a change that moves only the
 residual reads as such.  An oracle op (``minimize_sphere`` or
 ``exhaustive_hamming``, Riesz p=1 as in the benchmark) prints a digest
 of its code's points and its energy as a float hex.  An op that raises
-prints its error instead.  Running this on two checkouts and diffing
-the output tells whether a change leaves every bound and every oracle
-result bit-identical:
+prints its error instead.  Last come the rows of ``asymptotics.sweep``
+over a fixed query set (sphere tau 5-9, Hamming tau 4-6, Gaussian c=1,
+rho 0.5), one line per row with every numeric field as a float hex, or
+the row's note where the sweep skipped it.  Running this on two
+checkouts and diffing the output tells whether a change leaves every
+bound, every oracle result and every asymptotics row bit-identical:
 
     python tools/fingerprints.py --seeds 11 12 > after.txt
 
@@ -29,11 +32,18 @@ import numpy as np  # noqa: E402
 
 import ulbkit  # noqa: E402
 import workloads  # noqa: E402
-from ulbkit import oracle  # noqa: E402
+from ulbkit import asymptotics, oracle  # noqa: E402
 from ulbkit.errors import UlbkitError  # noqa: E402
 
 WORKLOADS = ("bound-table", "high-degree")
 ORACLE_WORKLOAD = "oracle-sandwich"
+# (family, levels, dimensions) of the asymptotics rows; the dimensions
+# reach the range where design bounds round just below their integers
+ASYMPTOTICS = (
+    ("sphere", range(5, 10), (*range(8, 65, 8), 136, 160, 256, 360, 512, 1024, 2048)),
+    ("hamming", range(4, 7), (*range(8, 49, 8), 128, 280, 500, 1000)),
+)
+ASYMPTOTIC_FIELDS = ("M", "s", "alpha_0", "rho_0_M", "remainder", "limit", "ratio1", "ratio2")
 
 
 def _bits(x):
@@ -65,6 +75,19 @@ def oracle_fingerprint(op, h):
     return f"{digest} energy {float(energy).hex()}"
 
 
+def asymptotics_lines(h):
+    for family, levels, ns in ASYMPTOTICS:
+        for tau in levels:
+            query = asymptotics.AsymptoticQuery(family, tau, h, rho=0.5, n_range=ns)
+            for row in asymptotics.sweep(query):
+                if "skipped" in row:
+                    line = f"skipped: {row['skipped']}"
+                else:
+                    line = " ".join(f"{f}={float(row[f]).hex()}" for f in ASYMPTOTIC_FIELDS)
+                    line += f" clamped={row['clamped']}"
+                yield f"asymptotics {family} tau{tau} n{row['n']}: {line}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -90,6 +113,8 @@ def main(argv=None):
             except UlbkitError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             print(f"{ORACLE_WORKLOAD} s{seed} #{i}: {line}")
+    for line in asymptotics_lines(ulbkit.builtin("gaussian", c=1.0)):
+        print(line)
 
 
 if __name__ == "__main__":
