@@ -18,6 +18,17 @@ def check_parameter_names(what: str, params, names):
         raise ParameterError(f"{what} takes no parameters {extras}")
 
 
+def integer(what: str, name: str, value) -> int:
+    """value as an int; ParameterError unless it equals an integer."""
+    try:
+        ok = value is not None and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} needs an integer {name}, got {value!r}")
+    return int(value)
+
+
 class DegreeOverflowError(UlbkitError):
     """Polynomial degree beyond what a finite space can represent."""
 

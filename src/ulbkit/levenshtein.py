@@ -10,6 +10,8 @@ weights rho_i of the exact integration identity
     f_0 = f(1)/M + sum_i rho_i f(alpha_i),   deg f <= tau.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -28,9 +30,10 @@ _SOLVE_RTOL = 1e-10
 _LEVEL_RTOL = 1e-12
 # levels added to a space's level map at a time
 _LEVEL_BLOCK = 16
-# space -> (D(1), tops, capped): tops[j] is the largest of
-# design_bound(space, tau) * (1 + _LEVEL_RTOL) over tau = 2..j+2, and capped
-# says a finite space's last level is in
+# space -> (D(1), tops, capped): tops is a tuple of Python ints, tops[0] the
+# largest integer below level 1 and tops[j] the largest of _top(D(tau)) over
+# tau = 2..j+1, the last integer of levels 1..j; capped says a finite space's
+# last level is in
 _LEVEL_MAPS = {}
 
 
@@ -152,11 +155,13 @@ def _p_at(system: OrthoSystem, deg: int, t: float):
 def tau_for_cardinality(space: SpaceDescriptor, M: int):
     """Level (k, eps, tau) serving cardinality M: D(tau) < M <= D(tau+1).
 
-    M is compared with each design bound within a relative 1e-12, so a
-    cardinality equal to D(tau+1) is served at the top of level tau,
-    where every weight is positive, whatever the rounding of D(tau+1).
-    The bottom boundary M equal to D(1) is served by the level tau=1
-    rule with s = -1 whenever D(1) is an achievable integer cardinality.
+    M is compared exactly with the integer top of each level, the largest
+    integer within min(1e-12 D, 1/2) of the design bound D above it
+    (``_top``), so a cardinality equal to D(tau+1) is served at the top of
+    level tau, where every weight is positive, whatever the rounding of
+    D(tau+1), and D(tau+1) + 1 at level tau+1.  The bottom boundary M equal
+    to D(1) is served by the level tau=1 rule with s = -1 whenever D(1) is
+    an achievable integer cardinality.
     """
     if M < 2 or int(M) != M:
         raise ParameterError("M must be an integer >= 2")
@@ -166,52 +171,68 @@ def tau_for_cardinality(space: SpaceDescriptor, M: int):
 def _level_of(space: SpaceDescriptor, M):
     """(k, eps, tau) for M by the space's level map, growing it as needed."""
     d1, tops, capped = _LEVEL_MAPS.get(space) or _grow_level_map(space)
-    if M < d1 * (1.0 - _LEVEL_RTOL):
+    while not capped and M > tops[-1]:
+        d1, tops, capped = _grow_level_map(space)
+    # the first tau with M <= tops[tau]; the running maximum makes tops
+    # sorted without moving that first index
+    tau = bisect.bisect_left(tops, M)
+    if tau == 0:
         raise ParameterError(
             f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
             " no quadrature rule exists"
         )
-    while not capped and not M <= tops[-1]:
-        d1, tops, capped = _grow_level_map(space)
-    # the first tau >= 1 with M <= D(tau+1) * (1 + _LEVEL_RTOL); the running
-    # maximum makes tops sorted without moving that first index
-    j = int(np.searchsorted(tops, M, side="left"))
-    if j == len(tops):
+    if tau == len(tops):
         raise DegreeOverflowError(
             f"M={M} exceeds the level capacity of {space.label()}"
-            f" (needs tau > {j + 1})"
+            f" (needs tau > {tau})"
         )
-    k, eps = _split(j + 1)
-    return k, eps, j + 1
+    k, eps = _split(tau)
+    return k, eps, tau
 
 
 def _level_cardinalities(space: SpaceDescriptor, tau: int) -> range:
     """The integers M that the space's level map gives level tau; maybe none.
 
-    They are tops[tau-2] < M <= tops[tau-1], and from D(1) (1 - _LEVEL_RTOL) and 2 up at tau 1;
-    exact below 2^53, where tau_for_cardinality's float comparison still tells integers apart.
+    They are tops[tau-1] < M <= tops[tau], and 2 up at tau 1: the integers
+    that tau_for_cardinality serves at tau, however large.
     """
     d1, tops, capped = _LEVEL_MAPS.get(space) or _grow_level_map(space)
-    while not capped and len(tops) < tau:
+    while not capped and len(tops) <= tau:
         d1, tops, capped = _grow_level_map(space)
-    if len(tops) < tau:
+    if len(tops) <= tau:
         raise DegreeOverflowError(f"{space.label()} has no level {tau}")
-    lo = max(2, math.ceil(d1 * (1.0 - _LEVEL_RTOL))) if tau == 1 else math.floor(tops[tau - 2]) + 1
-    return range(lo, math.floor(tops[tau - 1]) + 1)
+    return range(max(2, tops[tau - 1] + 1), tops[tau] + 1)
+
+
+def _slack(d: float) -> float:
+    """How far a level reaches past its design bound d: its rounding, under 1/2."""
+    return min(_LEVEL_RTOL * d, 0.5)
+
+
+def _top(d: float) -> int:
+    """The largest integer M <= d + _slack(d), the last integer of the level below d.
+
+    Exact for every float d >= 0: int(d) and d % 1 are, and only their
+    fraction meets the slack.
+    """
+    return int(d) + math.floor(d % 1.0 + _slack(d))
 
 
 def _grow_level_map(space: SpaceDescriptor):
     """Add a block of levels to the space's level map, up to a finite space's cap."""
-    d1, tops, capped = _LEVEL_MAPS.get(space) or (design_bound(space, 1), np.empty(0), False)
+    if space in _LEVEL_MAPS:
+        d1, tops, capped = _LEVEL_MAPS[space]
+    else:
+        d1 = design_bound(space, 1)
+        tops, capped = (math.ceil(d1 - _slack(d1)) - 1,), False
     block = []
-    for tau in range(len(tops) + 2, len(tops) + 2 + _LEVEL_BLOCK):
+    for tau in range(len(tops) + 1, len(tops) + 1 + _LEVEL_BLOCK):
         try:
-            block.append(design_bound(space, tau) * (1.0 + _LEVEL_RTOL))
+            block.append(_top(design_bound(space, tau)))
         except DegreeOverflowError:
             capped = True
             break
-    tops = np.maximum.accumulate(np.concatenate([tops, block]))
-    tops.flags.writeable = False
+    tops += tuple(itertools.accumulate(block, max, initial=tops[-1]))[1:]
     _LEVEL_MAPS[space] = (d1, tops, capped)
     return _LEVEL_MAPS[space]
 

@@ -1,10 +1,11 @@
 """Independent ground truth: explicit codes, energies, and searches.
 
-Everything here is deliberately decoupled from the bound machinery:
-energies are direct pair sums over explicit configurations, design
-strength comes from the raw moment sums, the sphere minimizer is a
-seeded projected gradient descent (an upper estimate only), and the
-Hamming search is exhaustive over the cube's symmetry classes.
+Everything here is deliberately decoupled from the bound machinery.  A
+finite code has one energy, 2 sum_d A_d h(t_d) over its distance
+distribution counted in O(M n) memory (0.1 MiB on the full H(11,2) cube),
+which the exhaustive search ranks by; sphere and projective codes sum h
+over their pairs.  Design strength comes from the raw moment sums, and
+the sphere minimizer is a seeded L-BFGS descent (an upper estimate only).
 """
 
 import itertools
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import orthopoly, pmspace
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, integer
 from .pmspace import Family, SpaceDescriptor
 from .potentials import Potential
 
@@ -79,7 +80,7 @@ def make_code(space: SpaceDescriptor, points) -> Code:
         if np.any(np.abs(sq - 1.0) > 1e-8):
             raise ParameterError("projective representatives must be unit vectors")
     code = Code(space, pts)
-    if np.any(_pair_t(code) > _COINCIDENT):
+    if np.any(_pair_values(code)[0] > _COINCIDENT):
         raise ParameterError("duplicate points in code")
     return code
 
@@ -90,11 +91,11 @@ def pairwise_t(code: Code) -> np.ndarray:
     if sp.family is Family.SPHERE:
         return np.clip(pts @ pts.T, -1.0, 1.0)
     if sp.family in (Family.HAMMING, Family.JOHNSON):
-        # both triangles from the pair values, t = 1 on the diagonal
-        upper = ~np.tri(len(pts), dtype=bool)
-        t = np.ones((len(pts), len(pts)))
-        t[upper] = t.T[upper] = _pair_t(code)
-        return t
+        # row by row, with no (M, M, n) array
+        t = np.empty((len(pts), len(pts)))
+        for i, row in enumerate(pts):
+            (pts != row).sum(axis=1, out=t[i])
+        return _count_t(sp, t, out=t)
     if sp.field_dim == 4:
         # x y* for quaternions stored as complex pairs (a, b) = a + b j
         a, b = code.points[:, :, 0], code.points[:, :, 1]
@@ -107,30 +108,47 @@ def pairwise_t(code: Code) -> np.ndarray:
     return np.clip(2.0 * cos2 - 1.0, -1.0, 1.0)
 
 
-def _pair_t(code: Code) -> np.ndarray:
-    """t(x_i, x_j) over the pairs i < j, in C order: pairwise_t's upper triangle.
-
-    Hamming and Johnson codes count differing coordinates row by row into the
-    result, with no (M, M) matrix; Gram matrices are read through a mask.
-    """
-    sp, pts = code.space, code.points
-    M = len(pts)
-    if sp.family not in (Family.HAMMING, Family.JOHNSON):
-        return pairwise_t(code)[~np.tri(M, dtype=bool)]
-    t = np.empty(M * (M - 1) // 2)
-    start = 0
-    for i in range(M - 1):
-        (pts[i + 1 :] != pts[i]).sum(axis=1, out=t[start : start + M - 1 - i])
-        start += M - 1 - i
+def _count_t(space: SpaceDescriptor, counts, out=None):
+    """t of two words that differ in ``counts`` coordinates."""
     # 1 - 2d/n with d the Hamming distance, and 1 - 2d/w with d the Johnson
     # distance, half the count: each quotient is that real number rounded
-    t /= sp.n / 2.0 if sp.family is Family.HAMMING else sp.w
+    t = np.divide(counts, space.n / 2.0 if space.family is Family.HAMMING else space.w, out=out)
     return np.subtract(1.0, t, out=t)
+
+
+def _pair_values(code: Code):
+    """(t, A): a finite code's distance distribution, or a Gram code's pairs and None.
+
+    t_d and A_d at the counts d of differing coordinates that occur, d
+    ascending, counted row by row; pairwise_t's upper triangle in C order.
+    """
+    sp, pts = code.space, code.points
+    if sp.family not in (Family.HAMMING, Family.JOHNSON):
+        return pairwise_t(code)[~np.tri(len(pts), dtype=bool)], None
+    counts = np.zeros(sp.n + 1, dtype=np.intp)
+    for i in range(len(pts) - 1):
+        counts += np.bincount((pts[i + 1 :] != pts[i]).sum(axis=1), minlength=sp.n + 1)
+    d = np.flatnonzero(counts)
+    return _count_t(sp, d), counts[d]
+
+
+def _h_at(h: Potential, t) -> list:
+    """h at each t of an array, one Python float at a time."""
+    return [float(h(x)) for x in t.tolist()]
+
+
+def _distribution_sum(counts, hval):
+    """sum_d A_d h_d of each row of ``counts``, d ascending: column j holds the A at hval[j]."""
+    vals = np.zeros(len(counts))
+    for a, hd in zip(counts.T, hval):
+        vals += a * hd
+    return vals
 
 
 def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "sum") -> float:
     """Pair-sum energy of a code; "mean" divides the sum by the size.
 
+    Finite codes sum 2 * sum_d A_d h(t_d), d ascending, as exhaustive_hamming does.
     Raises DomainError on coincident points, where singular potentials
     have no finite value and codes stop being sets.
     """
@@ -138,10 +156,11 @@ def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "
         raise ParameterError(f"unknown energy convention {convention!r}")
     if code.size < 2:
         return 0.0
-    vals = _pair_t(code)
+    vals, counts = _pair_values(code)
     if np.any(vals > _COINCIDENT):
         raise DomainError("code contains coincident points")
-    total = 2.0 * float(np.sum(h(vals)))
+    hv = h(vals) if counts is None else _distribution_sum(counts[None], _h_at(h, vals))
+    total = 2.0 * float(np.sum(hv))
     return total if convention == "sum" else total / code.size
 
 
@@ -153,7 +172,7 @@ def separation(space: SpaceDescriptor, code: Code):
     """
     if code.size < 2:
         raise ParameterError("separation needs at least two points")
-    vals = _pair_t(code)
+    vals = _pair_values(code)[0]
     s = float(np.max(vals))
     ell = float(np.min(vals))
     return s, ell, s
@@ -164,12 +183,12 @@ def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
     cap = space.max_degree
     if cap is not None and tau_max > cap:
         raise ParameterError(f"tau_max {tau_max} exceeds the degree cap {cap}")
-    vals = _pair_t(code)
+    vals, counts = _pair_values(code)
     M = code.size
     tol = 1e-8 * M * M
     q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau_max), tau_max, vals)
     # full double sums: M diagonal terms Q_i(1)=1 plus both pair orders
-    totals = M + 2.0 * np.sum(q, axis=1)
+    totals = M + 2.0 * (np.sum(q, axis=1) if counts is None else q @ counts)
     strength = 0
     for i in range(1, tau_max + 1):
         if abs(totals[i]) > tol:
@@ -297,8 +316,9 @@ def minimize_sphere(
     step falls below 1e-16 (an energy of 0); or after ``iterations``
     steps, the cap of each restart.  The result is deterministic for a
     fixed seed, and an upper estimate of the minimal energy only, never
-    a certificate of optimality.  Raises ParameterError for n < 2,
-    M < 2, restarts < 1 or iterations < 1.
+    a certificate of optimality.  Raises ParameterError for n, M,
+    restarts or iterations not an integer, n < 2, M < 2, restarts < 1 or
+    iterations < 1.
 
     Returns
     -------
@@ -311,6 +331,9 @@ def minimize_sphere(
         order of the starts; ``iterations_best``: the iterations the
         best restart took.
     """
+    n, M, restarts, iterations = (
+        integer("minimize_sphere", *arg)
+        for arg in (("n", n), ("M", M), ("restarts", restarts), ("iterations", iterations)))
     if n < 2 or M < 2:
         raise ParameterError("need n >= 2 and M >= 2")
     if restarts < 1 or iterations < 1:
@@ -501,12 +524,13 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     class in an earlier suffix, so that code holds 0 and c_d, d its
     minimum distance.
 
-    Raises ParameterError for n < 2, M outside 2..2^n, an unknown
-    convention, an instance with C(2^n, M) above ten million, one whose
-    table would take more than 64 MiB, or one whose suffixes hold more
-    than 1e8 pair terms.  The instances that pass all three take at most
-    about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.
+    Raises ParameterError for a non-integer n or M, n < 2, M outside
+    2..2^n, an unknown convention, an instance with C(2^n, M) above ten
+    million, one whose table would take more than 64 MiB, or one whose
+    suffixes hold more than 1e8 pair terms.  The instances that pass all
+    three take at most about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.
     """
+    n, M = integer("exhaustive_hamming", "n", n), integer("exhaustive_hamming", "M", M)
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
     total = 1 << n
@@ -534,7 +558,7 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
             f"instance too large: its search would sum {terms:.2e} pair terms > {_PAIR_TERMS:.0e}"
         )
     space = pmspace.make_space("hamming", n=n, q=2)
-    hval = [float(h(1.0 - 2.0 * d / n)) for d in range(1, n + 1)]
+    hval = _h_at(h, _count_t(space, np.arange(1, n + 1)))
     bits = np.array([w.bit_count() for w in range(total)])
     best_val, best_set = _search_classes(bits, hval, M, tails)
     # the words are distinct by construction, so make_code's O(M^2 n)
@@ -634,11 +658,7 @@ def _distribution_energies(codes, bits, hval):
         at = bits[codes[i + 1 :] ^ codes[i]]
         at += base
         counts += np.bincount(at.ravel(), minlength=len(counts))
-    counts = counts.reshape(rows, width)
-    vals = np.zeros(rows)
-    for d, hd in enumerate(hval, 1):
-        vals += counts[:, d] * hd
-    return vals
+    return _distribution_sum(counts.reshape(rows, width)[:, 1:], hval)
 
 
 def _combination_table(words, k):

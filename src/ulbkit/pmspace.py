@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _recurrence as rec
-from .errors import DegreeOverflowError, ParameterError, check_parameter_names
+from .errors import DegreeOverflowError, ParameterError, check_parameter_names, integer
 
 
 class Family(str, Enum):
@@ -89,30 +89,29 @@ def make_space(family, **params) -> SpaceDescriptor:
     family : Family or str
         One of "sphere", "hamming", "johnson", "projective".
     **params
-        sphere: n; hamming: n, q; johnson: n, w; projective: n and
-        field_dim in {1, 2, 4}.
+        Integers (an integral float is taken as its integer): sphere: n;
+        hamming: n, q; johnson: n, w; projective: n and field_dim in
+        {1, 2, 4}.
     """
     family = Family(family)
     check_parameter_names(family.value, params, _PARAMETERS[family])
-    n = params["n"]
-    if n is None or int(n) != n:
-        raise ParameterError("every space needs an integer parameter n")
-    n = int(n)
+    what = f"{family.value} space"
+    n = integer(what, "n", params["n"])
     if family is Family.SPHERE:
         if n < 2:
             raise ParameterError(f"sphere needs n >= 2, got {n}")
         return SpaceDescriptor(family, n)
     if family is Family.HAMMING:
-        q = int(params["q"])
+        q = integer(what, "q", params["q"])
         if n < 2 or q < 2:
             raise ParameterError(f"Hamming needs n >= 2 and q >= 2, got n={n}, q={q}")
         return SpaceDescriptor(family, n, q=q)
     if family is Family.JOHNSON:
-        w = int(params["w"])
+        w = integer(what, "w", params["w"])
         if n < 2 or w < 1 or w > n // 2:
             raise ParameterError(f"Johnson needs 1 <= w <= n/2, got n={n}, w={w}")
         return SpaceDescriptor(family, n, w=w)
-    m = int(params["field_dim"])
+    m = integer(what, "field_dim", params["field_dim"])
     if n < 2:
         raise ParameterError(f"projective space needs n >= 2, got {n}")
     if m not in (1, 2, 4):

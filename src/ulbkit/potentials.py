@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_parameter_names
+from .errors import DomainError, ParameterError, check_parameter_names, integer
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,12 @@ def builtin(name: str, **params) -> Potential:
     name : str
         One of:
 
-        - ``riesz`` (power p > 0): h(t) = (2 - 2t)^(-p/2), the p-Riesz
+        - ``riesz`` (finite power p > 0): h(t) = (2 - 2t)^(-p/2), the p-Riesz
           kernel of Euclidean distance on the sphere;
-        - ``gaussian`` (c > 0): h(t) = exp(c*t);
+        - ``gaussian`` (finite c > 0): h(t) = exp(c*t);
         - ``log``: h(t) = -log(2 - 2t)/2;
         - ``monomial`` (integer j >= 0): h(t) = (1 + t)^j;
-        - ``series`` (coeffs, all >= 0): h(t) = sum_j c_j (1 + t)^j.
+        - ``series`` (coeffs, all finite and >= 0): h(t) = sum_j c_j (1 + t)^j.
 
     Raises
     ------
@@ -77,8 +77,8 @@ def builtin(name: str, **params) -> Potential:
     check_parameter_names(f"{name} potential", params, _PARAMETERS[name])
     if name == "riesz":
         p = float(params["p"])
-        if p <= 0:
-            raise ParameterError(f"riesz potential needs p > 0, got {p}")
+        if not 0 < p < math.inf:
+            raise ParameterError(f"riesz potential needs a finite p > 0, got {p}")
 
         def deriv(t, j):
             # h^(j) = 2^j (p/2)_j (2-2t)^(-p/2-j)
@@ -96,8 +96,8 @@ def builtin(name: str, **params) -> Potential:
 
     if name == "gaussian":
         c = float(params["c"])
-        if c <= 0:
-            raise ParameterError(f"gaussian potential needs c > 0, got {c}")
+        if not 0 < c < math.inf:
+            raise ParameterError(f"gaussian potential needs a finite c > 0, got {c}")
 
         def deriv(t, j):
             # a numpy power overflows to inf where a float power raises:
@@ -118,7 +118,7 @@ def builtin(name: str, **params) -> Potential:
         return Potential("log", {}, singular_at_one=True, _deriv=deriv)
 
     if name == "monomial":
-        jpow = int(params["j"])
+        jpow = integer("monomial potential", "j", params["j"])
         if jpow < 0:
             raise ParameterError("monomial potential needs an integer j >= 0")
 
@@ -132,8 +132,8 @@ def builtin(name: str, **params) -> Potential:
 
     # series, the last name left
     coeffs = np.asarray(params["coeffs"], dtype=float)
-    if coeffs.size == 0 or np.any(coeffs < 0):
-        raise ParameterError("series potential needs nonnegative coefficients")
+    if coeffs.size == 0 or not np.all((coeffs >= 0) & (coeffs < math.inf)):
+        raise ParameterError("series potential needs finite nonnegative coefficients")
 
     def deriv(t, j):
         t = np.asarray(t, dtype=float)

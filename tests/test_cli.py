@@ -132,6 +132,21 @@ def test_validation_errors_exit_2(capsys):
         assert error["type"] == "ParameterError" and "restarts >= 1" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "potential, flag, value",
+    [("riesz", "--p", "nan"), ("riesz", "--p", "inf"), ("gaussian", "--c", "nan")],
+)
+def test_non_finite_potential_parameter_exits_2(capsys, potential, flag, value):
+    # refused as a parameter, not later as a potential that is not absolutely monotone
+    code, out, err = run_cli(
+        capsys, "ulb", "--space", "sphere", "--n", "3", "--M", "4",
+        "--potential", potential, flag, value,
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and f"needs a finite {flag[2:]} > 0" in error["message"]
+
+
 def test_missing_potential_param_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz"

@@ -1,4 +1,6 @@
 import functools
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -123,7 +125,7 @@ def test_tau_for_cardinality_errors():
 def _linear_level(space, M):
     """The level map as a scan over the levels: the reference for lev._level_of."""
     d1 = lev.design_bound(space, 1)
-    if M < d1 * (1.0 - lev._LEVEL_RTOL):
+    if M <= math.ceil(d1 - lev._slack(d1)) - 1:
         raise ParameterError(
             f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
             " no quadrature rule exists"
@@ -137,7 +139,7 @@ def _linear_level(space, M):
                 f"M={M} exceeds the level capacity of {space.label()}"
                 f" (needs tau > {tau})"
             ) from None
-        if M <= d_next * (1.0 + lev._LEVEL_RTOL):
+        if M <= lev._top(d_next):
             k, eps = lev._split(tau)
             return k, eps, tau
         tau += 1
@@ -252,6 +254,69 @@ def test_level_cardinalities_round_trip(family, params, last):
         assert isinstance(lev._level_cardinalities(space, last), range)
         with pytest.raises(DegreeOverflowError):
             lev._level_cardinalities(space, last + 1)
+
+
+def _exact_design_bound(space, tau):
+    """D(tau) of a binary Hamming or a Johnson space, in exact arithmetic."""
+    n, k = space.n, (tau + 1) // 2
+    if space.family is pmspace.Family.HAMMING:
+        if tau % 2 == 0:
+            return sum(math.comb(n, i) for i in range(k + 1))
+        return 2 * sum(math.comb(n - 1, i) for i in range(k))
+    if tau % 2 == 0:
+        return Fraction(math.comb(n, k))
+    return Fraction(n, space.w) * math.comb(n - 1, k - 1)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [make_space("hamming", n=30, q=2), make_space("hamming", n=128, q=2),
+     make_space("johnson", n=7, w=3), make_space("johnson", n=8, w=4),
+     make_space("johnson", n=30, w=15), make_space("johnson", n=80, w=40)],
+    ids=lambda s: s.label(),
+)
+def test_level_boundaries_at_exact_design_bounds(space):
+    # the largest integer at or below the exact D(tau) lies below level tau,
+    # and the next integer at level tau or above.  The float design bound
+    # must lie within the slack of the exact one: from about 2.5e14 it is
+    # off by more than 1/2 (H(128,2) tau 20: 1.6 below), so the boundary
+    # check stops at 2^47
+    bounds = []
+    for tau in range(1, 42):
+        try:
+            bounds.append(lev.design_bound(space, tau))
+        except DegreeOverflowError:
+            break
+    for tau, d in enumerate(bounds[1:-1], 2):
+        exact = _exact_design_bound(space, tau)
+        assert d == pytest.approx(float(exact), rel=1e-13), tau
+        if exact < 2**47:
+            below = math.floor(exact)
+            assert lev.tau_for_cardinality(space, below)[2] < tau, tau
+            # past a finite space's last level the map overflows
+            above = _level_or_error(space, below + 1)
+            assert above is DegreeOverflowError or above >= tau, tau
+            if bounds[tau - 2] < d < bounds[tau]:
+                assert lev.tau_for_cardinality(space, below)[2] == tau - 1, tau
+                assert lev.tau_for_cardinality(space, below + 1)[2] == tau, tau
+
+
+def test_level_ends_where_floats_no_longer_tell_integers_apart():
+    # H(128,2) levels 24 (2.6e16, past 2^53) and 30 (1.5e19, past int64):
+    # the ends of a level and the integers beside them map exactly
+    h128 = make_space("hamming", n=128, q=2)
+    for tau in (24, 30):
+        level = lev._level_cardinalities(h128, tau)
+        assert [lev.tau_for_cardinality(h128, M)[2]
+                for M in (level[0] - 1, level[0], level[-1], level[-1] + 1)] == [
+                    tau - 1, tau, tau, tau + 1], tau
+    # S^2047: D(9) = 2 C(2051, 4) is a float exactly, and a relative slack
+    # of 1e-12 would reach 1.47 past it
+    s2047 = make_space("sphere", n=2048)
+    d9 = 2 * math.comb(2051, 4)
+    assert lev.design_bound(s2047, 9) == d9 == 1470314316800
+    assert lev.tau_for_cardinality(s2047, d9)[2] == 8
+    assert lev.tau_for_cardinality(s2047, d9 + 1)[2] == 9
 
 
 def test_solve_separation_examples():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ulbkit import oracle, pmspace
+from ulbkit import oracle, orthopoly, pmspace
 from ulbkit.errors import DomainError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
@@ -154,35 +154,80 @@ def _distance_t_reference(code):
 
 
 def test_pair_values_are_the_upper_triangle_bit_for_bit():
-    # energy, separation and design strength read the pairs i < j in C
-    # order, each with the bits of pairwise_t's entry
+    # sphere and projective codes: energy, separation and design strength
+    # read the pairs i < j in C order, each with the bits of pairwise_t's
+    # entry; finite codes: pairwise_t equals the broadcast formulas
     for space, pts in _random_codes():
         code = oracle.make_code(space, pts)
         t = oracle.pairwise_t(code)
         if space.family in (pmspace.Family.HAMMING, pmspace.Family.JOHNSON):
             assert t.tobytes() == _distance_t_reference(code).tobytes(), space.label()
+            continue
         vals = t[np.triu_indices(code.size, k=1)]
-        assert oracle._pair_t(code).tobytes() == vals.tobytes(), space.label()
+        got, counts = oracle._pair_values(code)
+        assert counts is None and got.tobytes() == vals.tobytes(), space.label()
         energy = 2.0 * float(np.sum(RIESZ1(vals)))
         assert oracle.energy(space, code, RIESZ1) == energy
         assert oracle.separation(space, code) == (vals.max(), vals.min(), vals.max())
     for M in (0, 1):
         code = oracle.Code(S3, np.eye(3)[:M])
-        assert oracle._pair_t(code).shape == (0,)
+        assert oracle._pair_values(code)[0].shape == (0,)
+
+
+def _finite_codes():
+    """Seeded random Johnson and q-ary Hamming codes, and the named finite configurations."""
+    rng = np.random.default_rng(31)
+    for n, q, M in ((5, 3, 30), (7, 3, 60), (4, 5, 40), (9, 2, 100)):
+        words = rng.permutation(q**n)[:M]
+        yield make_space("hamming", n=n, q=q), (words[:, None] // q ** np.arange(n)) % q
+    for n, w, M in ((10, 5, 40), (9, 3, 30), (12, 4, 80)):
+        ones = np.array(list(itertools.combinations(range(n), w)))
+        ones = ones[rng.permutation(len(ones))[:M]]
+        words = np.zeros((M, n), dtype=int)
+        np.put_along_axis(words, ones, 1, axis=1)
+        yield make_space("johnson", n=n, w=w), words
+    for family, params, name in (
+        ("hamming", {"n": 8, "q": 2}, "extended_hamming_8"),
+        ("hamming", {"n": 6, "q": 2}, "parity_check"),
+        ("hamming", {"n": 6, "q": 2}, "repetition"),
+        ("johnson", {"n": 7, "w": 3}, "fano"),
+        ("johnson", {"n": 8, "w": 4}, "steiner_quadruple_8"),
+    ):
+        space = make_space(family, **params)
+        yield space, oracle.named_config(space, name).points
+
+
+def test_finite_codes_match_their_pair_sums():
+    # the distance distribution against every pair of the broadcast matrix:
+    # the energy within rounding, the separation bit for bit, and the same
+    # design strength as the moment sums over all pairs
+    for space, pts in _finite_codes():
+        code = oracle.make_code(space, pts)
+        vals = _distance_t_reference(code)[np.triu_indices(code.size, k=1)]
+        for h in (RIESZ1, builtin("gaussian", c=1)):
+            want = 2.0 * float(np.sum(h(vals)))
+            assert oracle.energy(space, code, h) == pytest.approx(want, rel=1e-14, abs=0)
+        assert oracle.separation(space, code) == (vals.max(), vals.min(), vals.max())
+        tau = min(space.max_degree or 6, 6)
+        q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau), tau, vals)
+        totals = code.size + 2.0 * np.sum(q, axis=1)
+        want = next((i - 1 for i in range(1, tau + 1)
+                     if abs(totals[i]) > 1e-8 * code.size**2), tau)
+        assert oracle.design_strength(space, code, tau) == want, space.label()
 
 
 def test_pair_sums_of_the_full_cube_stay_small():
-    # H(11,2) M=2048: the pair values take 16 MiB; gathering them from
-    # the (M, M) matrix through triu_indices peaks at 112 MiB (energy),
-    # 82 MiB (make_code) and 80 MiB (separation), and the bounds are half
+    # H(11,2) M=2048: its C(M, 2) pair values alone would take 16 MiB, and
+    # building them peaked at 48.0 (energy), 18.0 (make_code) and 16.1 MiB
+    # (separation); the distance distribution takes O(M n) scratch
     n, M = 11, 2048
     space = make_space("hamming", n=n, q=2)
     pts = (np.arange(M)[:, None] >> np.arange(n)) & 1
     code = oracle.make_code(space, pts)
-    for call, limit in (
-        (lambda: oracle.energy(space, code, RIESZ1), 56),
-        (lambda: oracle.make_code(space, pts), 41),
-        (lambda: oracle.separation(space, code), 40),
+    for call in (
+        lambda: oracle.energy(space, code, RIESZ1),
+        lambda: oracle.make_code(space, pts),
+        lambda: oracle.separation(space, code),
     ):
         tracemalloc.start()
         try:
@@ -190,7 +235,7 @@ def test_pair_sums_of_the_full_cube_stay_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limit << 20
+        assert peak <= 1 << 20
 
 
 def test_projective_codes():
@@ -240,6 +285,23 @@ def test_minimize_sphere_refuses_no_restarts_or_iterations():
     for kwargs in ({"restarts": 0}, {"restarts": -3}, {"iterations": 0}, {"iterations": -1}):
         with pytest.raises(ParameterError, match="restarts >= 1 and iterations >= 1"):
             oracle.minimize_sphere(3, 4, RIESZ1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("n", 3.5), ("M", 4.5), ("restarts", 1.5), ("iterations", 10.5)]
+)
+def test_minimize_sphere_refuses_non_integer_sizes(name, value):
+    # M, restarts and iterations raised a bare TypeError from numpy, n the sphere's message
+    sizes = {"n": 3, "M": 4, "restarts": 2, "iterations": 10, name: value}
+    with pytest.raises(ParameterError, match=f"minimize_sphere needs an integer {name}, got {value}"):
+        oracle.minimize_sphere(h=RIESZ1, **sizes)
+
+
+@pytest.mark.parametrize("name, value", [("n", 3.5), ("M", 2.5)])
+def test_exhaustive_refuses_non_integer_sizes(name, value):
+    sizes = {"n": 4, "M": 3, name: value}
+    with pytest.raises(ParameterError, match=f"exhaustive_hamming needs an integer {name}, got {value}"):
+        oracle.exhaustive_hamming(h=RIESZ1, **sizes)
 
 
 def test_minimize_sphere_deterministic():
@@ -372,7 +434,7 @@ def _assert_matches_all_subsets(n, M, h):
     for x, y in itertools.combinations(words, 2):
         counts[0, (x ^ y).bit_count()] += 1
     assert _formula(counts, h, n)[0] == val
-    assert oracle.energy(code.space, code, h) == pytest.approx(val, rel=1e-13)
+    assert oracle.energy(code.space, code, h) == val
     d = int(np.flatnonzero(counts[0])[0])
     assert words[:2] == [0, (1 << d) - 1]
 
@@ -505,8 +567,23 @@ def test_exhaustive_matches_unreduced_enumeration():
         pts = [words[i] for i in sub]
         code = oracle.Code(space, np.asarray(pts))
         best = min(best, oracle.energy(space, code, h))
-    _, val = oracle.exhaustive_hamming(n, M, h)
-    assert val == pytest.approx(best, rel=1e-12)
+    code, val = oracle.exhaustive_hamming(n, M, h)
+    assert oracle.energy(space, code, h) == val == best
+
+
+@pytest.mark.parametrize("h", [RIESZ1, builtin("gaussian", c=1)], ids=["riesz", "gaussian"])
+def test_exhaustive_energy_is_the_energy_of_its_code(h):
+    # one formula: the energy the search returns is oracle.energy of its
+    # code, bit for bit, on every instance it accepts with n = 3..7, M = 2..8
+    accepted = 0
+    for n, M in itertools.product(range(3, 8), range(2, 9)):
+        try:
+            code, val = oracle.exhaustive_hamming(n, M, h)
+        except ParameterError:
+            continue
+        accepted += 1
+        assert oracle.energy(code.space, code, h) == val, (n, M)
+    assert accepted == 26
 
 
 def test_exhaustive_above_bound():

@@ -44,6 +44,21 @@ def test_make_space_rejects_bad_params(family, params):
         make_space(family, **params)
 
 
+
+@pytest.mark.parametrize(
+    "family, params, name",
+    [("hamming", {"n": 5, "q": 2.5}, "q"), ("johnson", {"n": 10, "w": 2.7}, "w"),
+     ("projective", {"n": 3, "field_dim": 1.5}, "field_dim")],
+    ids=["q", "w", "field_dim"],
+)
+def test_make_space_refuses_non_integer_parameters(family, params, name):
+    # these were truncated: q=2.5 gave H(5,2), w=2.7 J(10,2), field_dim=1.5 RP^2
+    with pytest.raises(ParameterError, match=f"{family} space needs an integer {name}, got"):
+        make_space(family, **params)
+    # an integral float is that integer
+    whole = {key: math.ceil(value) if key == name else value for key, value in params.items()}
+    assert make_space(family, **{k: float(v) for k, v in whole.items()}) == make_space(family, **whole)
+
 def test_antipodality_flags():
     assert make_space("sphere", n=5).antipodal
     assert make_space("hamming", n=6, q=2).antipodal

@@ -106,6 +106,28 @@ def test_invalid_parameters():
         builtin("nope")
 
 
+
+@pytest.mark.parametrize("coeffs", [[1.0, math.nan], [math.inf], [0.5, -math.inf]])
+def test_series_refuses_non_finite_coefficients(coeffs):
+    # a nan coefficient passed coeffs < 0 and gave h = nan everywhere
+    with pytest.raises(ParameterError, match="series potential needs finite nonnegative"):
+        builtin("series", coeffs=coeffs)
+
+
+def test_monomial_refuses_a_non_integer_power():
+    # j=1.5 was truncated to a j=1 potential
+    with pytest.raises(ParameterError, match="monomial potential needs an integer j, got 1.5"):
+        builtin("monomial", j=1.5)
+    assert builtin("monomial", j=2.0).params == {"j": 2}
+
+
+@pytest.mark.parametrize("name, key", [("riesz", "p"), ("gaussian", "c")])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_are_refused(name, key, value):
+    # these passed p <= 0 and c <= 0, and failed later as not absolutely monotone
+    with pytest.raises(ParameterError, match=f"{name} potential needs a finite {key} > 0, got"):
+        builtin(name, **{key: value})
+
 def test_parameters_a_potential_does_not_take():
     with pytest.raises(ParameterError, match=r"\['c'\]"):
         builtin("riesz", p=1, c=2)

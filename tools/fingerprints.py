@@ -8,12 +8,17 @@ printed beside it as a float hex, so a change that moves only the
 residual reads as such.  An oracle op (``minimize_sphere`` or
 ``exhaustive_hamming``, Riesz p=1 as in the benchmark) prints a digest
 of its code's points and its energy as a float hex.  An op that raises
-prints its error instead.  Last come the rows of ``asymptotics.sweep``
-over a fixed query set (sphere tau 5-9, Hamming tau 4-6, Gaussian c=1,
-rho 0.5), one line per row with every numeric field as a float hex, or
-the row's note where the sweep skipped it.  Running this on two
-checkouts and diffing the output tells whether a change leaves every
-bound, every oracle result and every asymptotics row bit-identical:
+prints its error instead.  Under Riesz p=1 and Gaussian c=1, each
+``exhaustive_hamming`` op also prints the energy it returns beside
+``oracle.energy`` of the code it returns, and each finite anchor
+(``extended_hamming_8`` on H(8,2), ``fano`` on J(7,3),
+``steiner_quadruple_8`` on J(8,4)) its ``oracle.energy``, all as float
+hexes.  Last come the rows of ``asymptotics.sweep`` over a fixed query
+set (sphere tau 5-9, Hamming tau 4-6, Gaussian c=1, rho 0.5), one line
+per row with every numeric field as a float hex, or the row's note
+where the sweep skipped it.  Running this on two checkouts and diffing
+the output tells whether a change leaves every bound, every oracle
+result and every asymptotics row bit-identical:
 
     python tools/fingerprints.py --seeds 11 12 > after.txt
 
@@ -44,6 +49,12 @@ ASYMPTOTICS = (
     ("hamming", range(4, 7), (*range(8, 49, 8), 128, 280, 500, 1000)),
 )
 ASYMPTOTIC_FIELDS = ("M", "s", "alpha_0", "rho_0_M", "remainder", "limit", "ratio1", "ratio2")
+# the finite anchors whose oracle.energy is printed
+FINITE_ANCHORS = (
+    (("hamming", {"n": 8, "q": 2}), "extended_hamming_8"),
+    (("johnson", {"n": 7, "w": 3}), "fano"),
+    (("johnson", {"n": 8, "w": 4}), "steiner_quadruple_8"),
+)
 
 
 def _bits(x):
@@ -73,6 +84,20 @@ def oracle_fingerprint(op, h):
         code, energy = oracle.exhaustive_hamming(op["n"], op["M"], h)
     digest = hashlib.sha1(np.asarray(code.points).tobytes()).hexdigest()
     return f"{digest} energy {float(energy).hex()}"
+
+
+def energy_line(op, h):
+    """The energy an exhaustive op returns and oracle.energy of its code."""
+    code, energy = oracle.exhaustive_hamming(op["n"], op["M"], h)
+    return f"search {float(energy).hex()} oracle.energy {oracle.energy(code.space, code, h).hex()}"
+
+
+def anchor_lines(potentials):
+    for (family, params), name in FINITE_ANCHORS:
+        space = ulbkit.make_space(family, **params)
+        code = oracle.named_config(space, name)
+        for pname, h in potentials.items():
+            yield f"anchor {space.label()} {name} {pname}: {oracle.energy(space, code, h).hex()}"
 
 
 def asymptotics_lines(h):
@@ -113,6 +138,11 @@ def main(argv=None):
             except UlbkitError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             print(f"{ORACLE_WORKLOAD} s{seed} #{i}: {line}")
+            if op["kind"] == "exhaustive":
+                for name, h in potentials.items():
+                    print(f"{ORACLE_WORKLOAD} s{seed} #{i} {name}: {energy_line(op, h)}")
+    for line in anchor_lines(potentials):
+        print(line)
     for line in asymptotics_lines(ulbkit.builtin("gaussian", c=1.0)):
         print(line)
 
