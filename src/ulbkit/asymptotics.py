@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import levenshtein, pmspace
-from .errors import ParameterError, UlbkitError
+from .errors import ParameterError, UlbkitError, integer
 from .potentials import Potential
 
 _FAMILIES = ("sphere", "hamming")
@@ -43,10 +43,12 @@ class AsymptoticQuery:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ParameterError(f"asymptotics cover {_FAMILIES}, got {self.family!r}")
+        # frozen: an integral float tau is stored as its integer
+        object.__setattr__(self, "tau", integer("asymptotics", "tau", self.tau))
         if self.tau < 1:
             raise ParameterError("tau must be >= 1")
-        if self.delta < 0:
-            raise ParameterError("delta must be >= 0")
+        if not 0 <= self.delta < math.inf:
+            raise ParameterError(f"delta must be finite and >= 0, got {self.delta}")
         if self.rho is not None and not (0.0 <= self.rho <= 1.0):
             raise ParameterError("rho must lie in [0, 1]")
 

@@ -18,7 +18,7 @@ the inner products of the codes considered: an (lo, hi) interval inside
 import numpy as np
 
 from . import pmspace
-from .errors import ConditionError, ParameterError
+from .errors import ConditionError, ParameterError, integer
 from .orthopoly import lp_value
 from .pmspace import SpaceDescriptor
 from .potentials import Potential
@@ -62,6 +62,7 @@ def _bound(space, M, h, f, subset, side, pointwise, sign, tau=0, s=None):
     side 1 gives a lower bound's conditions, side -1 an upper bound's;
     the pointwise one holds on the subset, cut to t <= s if s is given.
     """
+    M, tau = integer("designbounds", "M", M), integer("designbounds", "tau", tau)
     if M < 2:
         raise ParameterError("M must be >= 2")
     if tau < 0:

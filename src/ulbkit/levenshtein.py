@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _recurrence as rec
 from . import orthopoly, pmspace
-from .errors import ConvergenceError, DegreeOverflowError, ParameterError
+from .errors import ConvergenceError, DegreeOverflowError, ParameterError, integer
 from .orthopoly import OrthoSystem, adjacent_system, eval_q_all, largest_zero
 from .pmspace import SpaceDescriptor
 
@@ -65,8 +65,6 @@ def design_bound(space: SpaceDescriptor, tau: int) -> float:
 
     Nondecreasing in tau; attained by the tight configurations.
     """
-    if tau < 1:
-        raise ParameterError("tau must be >= 1")
     k, eps = _split(tau)
     system = adjacent_system(space, 0, 1 - eps, k - 1 + eps)
     total = float(np.sum(system.norms[: k + eps]))
@@ -163,7 +161,7 @@ def tau_for_cardinality(space: SpaceDescriptor, M: int):
     to D(1) is served by the level tau=1 rule with s = -1 whenever D(1) is
     an achievable integer cardinality.
     """
-    if M < 2 or int(M) != M:
+    if integer("a cardinality", "M", M) < 2:
         raise ParameterError("M must be an integer >= 2")
     return _level_of(space, M)
 
@@ -371,6 +369,8 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:
 
 
 def _split(tau: int):
+    """(k, eps) with tau = 2k - 1 + eps, for an integer tau >= 1 (ParameterError otherwise)."""
+    tau = integer("a level", "tau", tau)
     if tau < 1:
         raise ParameterError("tau must be >= 1")
     eps = (tau + 1) % 2

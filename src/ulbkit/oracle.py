@@ -180,6 +180,7 @@ def separation(space: SpaceDescriptor, code: Code):
 
 def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
     """Largest tau <= tau_max with vanishing moment sums of orders 1..tau."""
+    tau_max = integer("design_strength", "tau_max", tau_max)
     cap = space.max_degree
     if cap is not None and tau_max > cap:
         raise ParameterError(f"tau_max {tau_max} exceeds the degree cap {cap}")
@@ -325,7 +326,9 @@ def minimize_sphere(
     code : Code
         The best configuration found.
     value : float
-        Its energy (sum convention).
+        Its energy (sum convention), ``energy(space, code, h)``; the
+        descent's own sum for it, in ``restart_energies``, can differ
+        in the last bits.
     info : dict
         ``restart_energies``: the final energy of each restart, in the
         order of the starts; ``iterations_best``: the iterations the
@@ -352,7 +355,7 @@ def minimize_sphere(
     best = int(np.argmin(vals))
     code = make_code(space, x[best])
     info = {"restart_energies": vals.tolist(), "iterations_best": int(iters[best])}
-    return code, float(vals[best]), info
+    return code, energy(space, code, h), info
 
 
 def _descend(x, h, iterations):

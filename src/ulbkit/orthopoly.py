@@ -208,6 +208,10 @@ def expand_in_q(space: SpaceDescriptor, monomial) -> np.ndarray:
     from numpy.polynomial import polynomial as npoly
 
     monomial = np.asarray(monomial, dtype=float)
+    # the change of basis would turn inf into NaN
+    if monomial.ndim != 1 or not monomial.size or not np.isfinite(monomial).all():
+        raise ParameterError("monomial coefficients must be a nonempty list of finite numbers,"
+                             f" got {monomial.tolist()}")
     return _project(space, lambda x: npoly.polyval(x, monomial), len(monomial) - 1)
 
 

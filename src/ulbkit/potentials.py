@@ -19,12 +19,16 @@ class Potential:
     """An evaluable potential with closed-form derivatives.
 
     ``deriv(t, j)`` returns the j-th derivative (j=0 is the value).
+    ``_memo`` is what bounds with this instance share, whatever the space
+    and M (see :mod:`ulbkit.ulb`); it takes no part in construction,
+    comparison or repr, and ``dataclasses.replace`` starts a fresh one.
     """
 
     name: str
     params: dict = field(default_factory=dict)
     singular_at_one: bool = False
     _deriv: Callable = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
         return self.deriv(t, 0)

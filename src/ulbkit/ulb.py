@@ -9,13 +9,12 @@ feasible polynomial of degree at most tau.  Test functions P_j decide
 whether higher-degree polynomials can improve it.
 """
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import orthopoly, pmspace
-from .errors import ConditionError, ConvergenceError, MonotonicityError, ParameterError
+from .errors import ConditionError, ConvergenceError, MonotonicityError, ParameterError, integer
 from .levenshtein import QuadratureRule, odd_branch_rule, quadrature_rule
 from .orthopoly import adjacent_system, eval_q_all
 from .pmspace import SpaceDescriptor
@@ -26,24 +25,10 @@ _BELOW_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
 # where the shifted potential of an improvement is checked for monotonicity
 _ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
-# derivative function -> its potential's _PotentialRecord.  Keyed on the
-# instance's function, not on its name and parameters: a Potential is
-# unhashable (params is a dict), and potentials that share a name can
-# differ, as the shifted ones of an improvement do.
-_POTENTIALS = weakref.WeakKeyDictionary()
-
-
-class _PotentialRecord:
-    """What bounds with one potential share, whatever the space and M."""
-
-    __slots__ = ("monotone_to", "grid")
-
-    def __init__(self):
-        # the highest order at which the potential passed the monotonicity check
-        self.monotone_to = -1
-        # (space, below_tol) -> read-only h and below_tol * (1 + |h|) on the
-        # space's verification grid
-        self.grid = {}
+# A potential's own record, h._memo, holds what bounds with that instance
+# share, whatever the space and M: under "monotone_to" the highest order at
+# which it passed the monotonicity check, and under each (space, below_tol)
+# the read-only h and below_tol * (1 + |h|) on the space's verification grid.
 
 
 @dataclass(frozen=True)
@@ -166,8 +151,7 @@ def _report_from_rule(
 
 def _require_monotone(h: Potential, order: int):
     """Refuse h unless absolutely monotone to order; a pass is remembered, a failure not."""
-    record = _record(h)
-    if record is not None and record.monotone_to >= order:
+    if h._memo.get("monotone_to", -1) >= order:
         return
     ok, violation = check_absolutely_monotone(h, order)
     if not ok:
@@ -175,20 +159,7 @@ def _require_monotone(h: Potential, order: int):
             f"{h.label()} is not absolutely monotone to order {order}; "
             f"first violation {violation}"
         )
-    if record is not None:
-        record.monotone_to = order
-
-
-def _record(h: Potential):
-    """h's record, or None when its derivative function has no weak reference."""
-    deriv = getattr(h, "_deriv", None)
-    try:
-        record = _POTENTIALS.get(deriv)
-        if record is None:
-            record = _POTENTIALS[deriv] = _PotentialRecord()
-    except TypeError:  # no weak reference to it: everything is computed on every call
-        return None
-    return record
+    h._memo["monotone_to"] = order
 
 
 def _check_value_identity(rule, certificate, value_sum, rel_tol=_IDENTITY_TOL):
@@ -252,15 +223,13 @@ def _values(space, f, h, below_tol, t=None):
         return t, orthopoly.poly_eval(space, f, t), hv, below_tol * (1.0 + np.abs(hv))
     grid = pmspace.verification_grid(space)
     fv = f @ orthopoly.grid_table(space, len(f) - 1)
-    record, key = _record(h), (space, below_tol)
-    if record is None or key not in record.grid:
+    rows = h._memo.get((space, below_tol))
+    if rows is None:
         hv = np.array(h(grid), dtype=float)
         tol = below_tol * (1.0 + np.abs(hv))
-        if record is None:
-            return grid, fv, hv, tol
         hv.flags.writeable = tol.flags.writeable = False
-        record.grid[key] = hv, tol
-    return (grid, fv, *record.grid[key])
+        rows = h._memo[space, below_tol] = hv, tol
+    return (grid, fv, *rows)
 
 
 def _conditions(f, fv, hv, tol, start=0, coeff_tol=-_FGEQ_TOL):
@@ -288,7 +257,7 @@ def test_functions(space: SpaceDescriptor, M: int, j_range) -> TestFunctionRepor
 
 
 def _test_functions_from_rule(rule, j_range) -> TestFunctionReport:
-    js = sorted(set(int(j) for j in j_range))
+    js = sorted({integer("test_functions", "j", j) for j in j_range})
     if js and js[0] < 0:
         raise ParameterError("test function indices must be nonnegative")
     jmax = max(js) if js else 0
@@ -323,6 +292,7 @@ def improve_with_qj(
 
 
 def _improve_given_rule(rule, h, j, eta=None, convention="sum"):
+    j = integer("improve_with_qj", "j", j)
     if j <= rule.tau:
         raise ParameterError(f"improvement needs j > tau={rule.tau}, got {j}")
     report = _test_functions_from_rule(rule, [j])
@@ -341,8 +311,8 @@ def _improve_given_rule(rule, h, j, eta=None, convention="sum"):
     if eta is None:
         eta = _admissible_eta(h, qj, j)
     else:
-        if eta <= 0:
-            raise ParameterError("eta must be positive")
+        if not 0 < eta < np.inf:
+            raise ParameterError(f"eta must be finite and positive, got {eta}")
         if not check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
             raise ParameterError(f"supplied eta={eta} breaks absolute monotonicity")
     g = hermite_certificate(rule, _shifted(h, qj, eta))

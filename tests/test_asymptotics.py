@@ -37,6 +37,17 @@ def test_query_validation():
         _query(rho=1.5)
 
 
+@pytest.mark.parametrize("field, value", [("tau", 2.5), ("tau", math.nan), ("delta", math.nan),
+                                          ("delta", math.inf)])
+def test_query_needs_an_integer_tau_and_a_finite_delta(field, value):
+    # tau 2.5 and a NaN or infinite delta used to be accepted
+    with pytest.raises(ParameterError, match=f"{field}"):
+        _query(**{field: value})
+    query = _query(tau=3.0)
+    assert query.tau == 3 and type(query.tau) is int
+    assert asy.cardinality_sequence(query, 8) == asy.cardinality_sequence(_query(tau=3), 8)
+
+
 def test_cardinality_targets():
     # bottom level: the target 2 is admitted exactly
     q1 = _query(tau=1, delta=0.0)

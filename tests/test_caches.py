@@ -1,7 +1,7 @@
 """What a bound caches per level and per potential changes no bit of it."""
 
+import dataclasses
 import importlib
-import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +38,8 @@ def _report_bytes(report):
 def _clear_every_cache(monkeypatch):
     monkeypatch.setattr(lev, "_LEVEL_MAPS", {})
     monkeypatch.setattr(orthopoly, "_GRID_TABLES", {})
-    monkeypatch.setattr(ULB, "_POTENTIALS", weakref.WeakKeyDictionary())
+    for h in (RIESZ1, GAUSS):
+        h._memo.clear()
     for cached in (lev._level, orthopoly._build_system, pmspace.moments,
                    pmspace.verification_grid, pmspace.t_grid):
         cached.cache_clear()
@@ -107,8 +108,7 @@ def test_potentials_keep_their_own_grid_values():
     shifted = [ULB._shifted(RIESZ1, qj, eta) for eta in (base.improvement["eta"], 1e-3)]
     for h in [g1, g2, RIESZ1] + shifted:
         verify_certificate(space, f, h)
-    cached = [ULB._POTENTIALS[h._deriv].grid[(space, ULB._BELOW_TOL)][0]
-              for h in [g1, g2, RIESZ1] + shifted]
+    cached = [h._memo[space, ULB._BELOW_TOL][0] for h in [g1, g2, RIESZ1] + shifted]
     for h, hv in zip([g1, g2, RIESZ1] + shifted, cached):
         assert np.array_equal(hv, h(grid))
     assert len({hv.tobytes() for hv in cached}) == len(cached)
@@ -121,14 +121,15 @@ def test_cached_grid_values_are_read_only():
     ulb(space, _mid_level(space, 9), GAUSS)
     for below_tol in (ULB._BELOW_TOL, 1e-6):
         verify_certificate(space, np.ones(3), GAUSS, below_tol)
-        hv, tol = ULB._POTENTIALS[GAUSS._deriv].grid[(space, below_tol)]
+        hv, tol = GAUSS._memo[space, below_tol]
         assert np.array_equal(tol, below_tol * (1.0 + np.abs(hv)))
         for arr in (hv, tol):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
-def test_a_potential_without_a_weak_reference_is_evaluated_every_call():
+def test_a_potential_is_evaluated_on_the_grid_once_per_space_and_tolerance():
+    # a derivative function without a weak reference takes the same path as any other
     class Exp:
         __slots__ = ()
 
@@ -141,8 +142,25 @@ def test_a_potential_without_a_weak_reference_is_evaluated_every_call():
     grid_size = len(pmspace.verification_grid(S2))
     first = verify_certificate(S2, np.ones(3), h)
     assert verify_certificate(S2, np.ones(3), h) == first
+    assert calls == [(grid_size,)]
+    verify_certificate(S2, np.ones(3), h, 1e-6)
+    verify_certificate(S2, np.ones(3), h, 1e-6)
     assert calls == [(grid_size,), (grid_size,)]
-    assert ULB._record(h) is None
+    assert set(h._memo) == {(S2, ULB._BELOW_TOL), (S2, 1e-6)}
+
+
+def test_each_potential_instance_keeps_its_own_memo():
+    def deriv(t, order):
+        return np.exp(t)
+
+    a, b = Potential("exp", _deriv=deriv), Potential("exp", _deriv=deriv)
+    verify_certificate(S2, np.ones(3), a)
+    assert (S2, ULB._BELOW_TOL) in a._memo and b._memo == {}
+    assert a == b and repr(a) == repr(b) and "_memo=" not in repr(a)
+    fresh = dataclasses.replace(a)
+    assert fresh._memo == {} and fresh._memo is not a._memo and fresh == a
+    with pytest.raises(TypeError):
+        Potential("exp", _deriv=deriv, _memo={})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e-9, float("inf")])
@@ -150,7 +168,7 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(bad):
     # a NaN key would never match, so each call would add a grid row
     M = _mid_level(S2, 6)
     ulb(S2, M, GAUSS)
-    rows = ULB._POTENTIALS[GAUSS._deriv].grid
+    rows = GAUSS._memo
     before = dict(rows)
     for call in (lambda: ulb(S2, M, GAUSS, abs_tol=bad), lambda: ulb(S2, M, GAUSS, rel_tol=bad),
                  lambda: ulb_odd_branch(S2, M, GAUSS, abs_tol=bad),

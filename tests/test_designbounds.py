@@ -307,6 +307,16 @@ def test_coefficients_that_are_not_a_finite_list_are_refused(f):
             call()
 
 
+@pytest.mark.parametrize("name, value", [("M", np.nan), ("M", np.inf), ("M", 2.5), ("tau", 1.5)])
+def test_sizes_that_are_not_integers_are_refused(name, value):
+    # M = nan, inf and 2.5 gave nan, inf and 0.375; tau = 1.5 raised TypeError
+    sizes = {"tau": 0, "M": 10, name: value}
+    with pytest.raises(ParameterError, match=f"needs an integer {name}"):
+        design_lower_bound(S3, sizes["tau"], sizes["M"], RIESZ1, [0.1])
+    assert design_lower_bound(S3, 0.0, 10.0, RIESZ1, [0.1]) == design_lower_bound(
+        S3, 0, 10, RIESZ1, [0.1])
+
+
 def test_non_finite_subset_entries_are_refused():
     # f = 10 lies above h everywhere; NaN compares false with every bound
     for subset in (np.array([np.nan]), np.array([0.0, np.nan]), np.array([np.inf]),

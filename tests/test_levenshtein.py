@@ -319,6 +319,30 @@ def test_level_ends_where_floats_no_longer_tell_integers_apart():
     assert lev.tau_for_cardinality(s2047, d9 + 1)[2] == 9
 
 
+@pytest.mark.parametrize("tau", [2.5, 0.5, math.nan, math.inf, "3"])
+def test_a_level_needs_an_integer_tau(tau):
+    # 3.0 used to raise AttributeError, 2.5 a misleading "adjacent exponents" error
+    s2 = make_space("sphere", n=3)
+    assert lev.design_bound(s2, 3.0) == lev.design_bound(s2, 3)
+    assert lev.validity_interval(s2, 3.0) == lev.validity_interval(s2, 3)
+    assert lev.lev_bound(s2, 3.0, 0.0) == lev.lev_bound(s2, 3, 0.0)
+    for call in (lev.design_bound, lev.validity_interval,
+                 lambda space, t: lev.lev_bound(space, t, 0.0)):
+        with pytest.raises(ParameterError, match="needs an integer tau"):
+            call(s2, tau)
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, 10.5])
+def test_a_cardinality_must_be_an_integer(M):
+    # NaN and inf used to raise a bare ValueError and OverflowError
+    s2 = make_space("sphere", n=3)
+    with pytest.raises(ParameterError, match="needs an integer M"):
+        lev.tau_for_cardinality(s2, M)
+    with pytest.raises(ParameterError, match="needs an integer M"):
+        ulb(s2, M, builtin("riesz", p=1))
+    assert lev.tau_for_cardinality(s2, 10.0) == lev.tau_for_cardinality(s2, 10)
+
+
 def test_solve_separation_examples():
     for n in (3, 4, 6):
         s = make_space("sphere", n=n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ulbkit import levenshtein, orthopoly, pmspace
-from ulbkit.errors import DegreeOverflowError
+from ulbkit.errors import DegreeOverflowError, ParameterError
 from ulbkit.orthopoly import adjacent_system
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
@@ -393,3 +393,11 @@ def test_verification_from_the_table_matches_poly_eval(family, params, M, potent
     checks = verify_certificate(space, f, h)
     assert checks == _checks_by_poly_eval(space, f, h)
     assert checks.below_h is below_h
+
+
+@pytest.mark.parametrize("monomial", [[np.nan, 1.0], [np.inf], [0.0, -np.inf, 1.0], [], [[0.3]]])
+def test_expand_in_q_refuses_non_finite_coefficients(monomial):
+    # a NaN used to pass through as NaN coefficients, inf turned into NaN, and an
+    # empty list raised IndexError
+    with pytest.raises(ParameterError, match="nonempty list of finite numbers"):
+        orthopoly.expand_in_q(make_space("sphere", n=3), monomial)

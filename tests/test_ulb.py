@@ -198,6 +198,29 @@ def test_improvement_preconditions():
         improve_with_qj(space, 7, RIESZ1, 6, eta=-1.0)
 
 
+def test_test_function_indices_must_be_integers():
+    # 1.5 and 7.9 used to be truncated to 1 and 7
+    space = make_space("sphere", n=3)
+    for js in ([1.5, 7.9], [2, math.nan], [math.inf]):
+        with pytest.raises(ParameterError, match="needs an integer j"):
+            compute_test_functions(space, 7, js)
+    assert compute_test_functions(space, 7, [1.0, 7.0]).values == compute_test_functions(
+        space, 7, [1, 7]).values
+
+
+def test_improvement_needs_an_integer_j_and_a_finite_eta():
+    # j = 6.0 raised TypeError; a non-finite eta was refused as breaking monotonicity
+    space = make_space("sphere", n=3)
+    as_float, as_int = (improve_with_qj(space, 7, RIESZ1, j) for j in (6.0, 6))
+    assert as_float.value_sum == as_int.value_sum and as_float.improvement == as_int.improvement
+    assert as_float.certificate.tobytes() == as_int.certificate.tobytes()
+    with pytest.raises(ParameterError, match="needs an integer j"):
+        improve_with_qj(space, 7, RIESZ1, 6.5)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="eta must be finite and positive"):
+            improve_with_qj(space, 7, RIESZ1, 6, eta=eta)
+
+
 def test_improvement_on_synthetic_rule():
     # a perturbed-weight rule has a negative test function where every real
     # one is nonnegative, but it is not exact, so the certificate's LP value

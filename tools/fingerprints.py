@@ -9,8 +9,8 @@ residual reads as such.  An oracle op (``minimize_sphere`` or
 ``exhaustive_hamming``, Riesz p=1 as in the benchmark) prints a digest
 of its code's points and its energy as a float hex.  An op that raises
 prints its error instead.  Under Riesz p=1 and Gaussian c=1, each
-``exhaustive_hamming`` op also prints the energy it returns beside
-``oracle.energy`` of the code it returns, and each finite anchor
+oracle op also prints the energy it returns beside ``oracle.energy`` of
+the code it returns, and each finite anchor
 (``extended_hamming_8`` on H(8,2), ``fano`` on J(7,3),
 ``steiner_quadruple_8`` on J(8,4)) its ``oracle.energy``, all as float
 hexes.  Last come the rows of ``asymptotics.sweep`` over a fixed query
@@ -76,20 +76,27 @@ def fingerprint(report):
     return f"{digest.hexdigest()} residual {float(rule.power_sum_residual).hex()}"
 
 
-def oracle_fingerprint(op, h):
+def run_oracle(op, h):
+    """The code and energy an oracle op returns."""
     if op["kind"] == "minimize":
         code, energy, _ = oracle.minimize_sphere(
             op["n"], op["M"], h, restarts=op["restarts"], seed=op["seed"])
-    else:
-        code, energy = oracle.exhaustive_hamming(op["n"], op["M"], h)
+        return code, energy
+    return oracle.exhaustive_hamming(op["n"], op["M"], h)
+
+
+def oracle_fingerprint(op, h):
+    code, energy = run_oracle(op, h)
     digest = hashlib.sha1(np.asarray(code.points).tobytes()).hexdigest()
     return f"{digest} energy {float(energy).hex()}"
 
 
 def energy_line(op, h):
-    """The energy an exhaustive op returns and oracle.energy of its code."""
-    code, energy = oracle.exhaustive_hamming(op["n"], op["M"], h)
-    return f"search {float(energy).hex()} oracle.energy {oracle.energy(code.space, code, h).hex()}"
+    """The energy an oracle op returns and oracle.energy of its code."""
+    code, energy = run_oracle(op, h)
+    label = "minimize" if op["kind"] == "minimize" else "search"
+    exact = oracle.energy(code.space, code, h)
+    return f"{label} {float(energy).hex()} oracle.energy {exact.hex()}"
 
 
 def anchor_lines(potentials):
@@ -138,9 +145,8 @@ def main(argv=None):
             except UlbkitError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             print(f"{ORACLE_WORKLOAD} s{seed} #{i}: {line}")
-            if op["kind"] == "exhaustive":
-                for name, h in potentials.items():
-                    print(f"{ORACLE_WORKLOAD} s{seed} #{i} {name}: {energy_line(op, h)}")
+            for name, h in potentials.items():
+                print(f"{ORACLE_WORKLOAD} s{seed} #{i} {name}: {energy_line(op, h)}")
     for line in anchor_lines(potentials):
         print(line)
     for line in asymptotics_lines(ulbkit.builtin("gaussian", c=1.0)):
