@@ -84,9 +84,9 @@ def cardinality_sequence(query: AsymptoticQuery, n: int):
     """
     k, eps, tau = query.k, query.epsilon, query.tau
     target = round(n ** (k - 1 + eps) * ((2.0 - eps) / math.factorial(k - 1 + eps) + query.delta))
+    # a sphere's or Hamming space's exact design bounds are increasing
+    # integers, so every level holds an integer
     level = levenshtein._level_cardinalities(query.space(n), tau)
-    if not level:
-        raise UlbkitError(f"empty level-{tau} interval at n={n}")
     M = min(max(target, level[0]), level[-1])
     return M, M != target
 

@@ -11,9 +11,9 @@ weights rho_i of the exact integration identity
 """
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,17 +23,16 @@ from . import _recurrence as rec
 from . import orthopoly, pmspace
 from .errors import ConvergenceError, DegreeOverflowError, ParameterError, integer
 from .orthopoly import OrthoSystem, adjacent_system, eval_q_all, largest_zero
-from .pmspace import SpaceDescriptor
+from .pmspace import Family, SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
 _SOLVE_RTOL = 1e-10
-_LEVEL_RTOL = 1e-12
 # levels added to a space's level map at a time
 _LEVEL_BLOCK = 16
-# space -> (D(1), tops, capped): tops is a tuple of Python ints, tops[0] the
-# largest integer below level 1 and tops[j] the largest of _top(D(tau)) over
-# tau = 2..j+1, the last integer of levels 1..j; capped says a finite space's
-# last level is in
+# space -> (D(1) as a float, tops, capped): tops is a tuple of Python ints,
+# tops[0] = ceil(D(1)) - 1, the largest integer below level 1, and
+# tops[tau] = floor(D(tau+1)), the last integer of level tau, with D exact;
+# capped says the map's last level is in
 _LEVEL_MAPS = {}
 
 
@@ -61,14 +60,29 @@ class QuadratureRule:
 
 
 def design_bound(space: SpaceDescriptor, tau: int) -> float:
-    """Minimum-cardinality bound D(tau) for designs of strength tau.
-
-    Nondecreasing in tau; attained by the tight configurations.
-    """
+    """D(tau), the float nearest :func:`exact_design_bound`; refused past the (0,1-eps) system."""
     k, eps = _split(tau)
-    system = adjacent_system(space, 0, 1 - eps, k - 1 + eps)
-    total = float(np.sum(system.norms[: k + eps]))
-    return pmspace.q1_value(space) ** (1 - eps) * total
+    adjacent_system(space, 0, 1 - eps, k - 1 + eps)
+    try:
+        return float(exact_design_bound(space, tau))
+    except OverflowError:  # past the largest float, which rounds to inf
+        return math.inf
+
+
+def exact_design_bound(space: SpaceDescriptor, tau: int):
+    """D(tau) = q1^(1-eps) sum_{i<k+eps} r_i^{0,1-eps}, exact (an int or a Fraction), by the closed
+    forms of Delsarte, Goethals & Seidel (1977) and Levenshtein (1998); increasing in tau."""
+    k, eps = _split(tau)
+    n, q, comb = space.n, space.q, math.comb
+    if space.family is Family.SPHERE:
+        # 2 C(n+k-2, n-1) on an odd level, C(n+k-2, n-1) + C(n+k-1, n-1) on an even one
+        return comb(n + k - 2, n - 1) + comb(n + k - 2 + eps, n - 1)
+    if space.family is Family.HAMMING:
+        return q ** (1 - eps) * sum(comb(n - 1 + eps, i) * (q - 1) ** i for i in range(k + eps))
+    if space.family is Family.JOHNSON:
+        return comb(n, k) if eps else Fraction(n, space.w) * comb(n - 1, k - 1)
+    alpha, beta = space.jacobi_exponents()
+    return n ** (1 - eps) * pmspace.jacobi_sum(alpha, beta + 1 - eps, k - 1 + eps)
 
 
 class _Level(NamedTuple):
@@ -153,13 +167,10 @@ def _p_at(system: OrthoSystem, deg: int, t: float):
 def tau_for_cardinality(space: SpaceDescriptor, M: int):
     """Level (k, eps, tau) serving cardinality M: D(tau) < M <= D(tau+1).
 
-    M is compared exactly with the integer top of each level, the largest
-    integer within min(1e-12 D, 1/2) of the design bound D above it
-    (``_top``), so a cardinality equal to D(tau+1) is served at the top of
-    level tau, where every weight is positive, whatever the rounding of
-    D(tau+1), and D(tau+1) + 1 at level tau+1.  The bottom boundary M equal
-    to D(1) is served by the level tau=1 rule with s = -1 whenever D(1) is
-    an achievable integer cardinality.
+    M is compared exactly with each level's top, the floor of the exact
+    D(tau+1), so M = D(tau+1) is served at the top of level tau, where every
+    weight is positive.  M = D(1), where an integer, is served by the level-1
+    rule with s = -1.  M past the map's last level raises DegreeOverflowError.
     """
     if integer("a cardinality", "M", M) < 2:
         raise ParameterError("M must be an integer >= 2")
@@ -167,12 +178,9 @@ def tau_for_cardinality(space: SpaceDescriptor, M: int):
 
 
 def _level_of(space: SpaceDescriptor, M):
-    """(k, eps, tau) for M by the space's level map, growing it as needed."""
-    d1, tops, capped = _LEVEL_MAPS.get(space) or _grow_level_map(space)
-    while not capped and M > tops[-1]:
-        d1, tops, capped = _grow_level_map(space)
-    # the first tau with M <= tops[tau]; the running maximum makes tops
-    # sorted without moving that first index
+    """(k, eps, tau) for M by the space's level map."""
+    d1, tops = _level_map(space, lambda tops: M <= tops[-1])
+    # the first tau with M <= tops[tau]
     tau = bisect.bisect_left(tops, M)
     if tau == 0:
         raise ParameterError(
@@ -194,45 +202,37 @@ def _level_cardinalities(space: SpaceDescriptor, tau: int) -> range:
     They are tops[tau-1] < M <= tops[tau], and 2 up at tau 1: the integers
     that tau_for_cardinality serves at tau, however large.
     """
-    d1, tops, capped = _LEVEL_MAPS.get(space) or _grow_level_map(space)
-    while not capped and len(tops) <= tau:
-        d1, tops, capped = _grow_level_map(space)
+    d1, tops = _level_map(space, lambda tops: len(tops) > tau)
     if len(tops) <= tau:
         raise DegreeOverflowError(f"{space.label()} has no level {tau}")
     return range(max(2, tops[tau - 1] + 1), tops[tau] + 1)
 
 
-def _slack(d: float) -> float:
-    """How far a level reaches past its design bound d: its rounding, under 1/2."""
-    return min(_LEVEL_RTOL * d, 0.5)
+def _level_map(space: SpaceDescriptor, covers):
+    """(D(1), tops) of the space's level map, grown by blocks of levels until covers(tops).
 
-
-def _top(d: float) -> int:
-    """The largest integer M <= d + _slack(d), the last integer of the level below d.
-
-    Exact for every float d >= 0: int(d) and d % 1 are, and only their
-    fraction meets the slack.
+    Level tau is listed while its rule's systems exist, and on a finite space
+    the certificate's: a finite map ends at its last servable level.
     """
-    return int(d) + math.floor(d % 1.0 + _slack(d))
-
-
-def _grow_level_map(space: SpaceDescriptor):
-    """Add a block of levels to the space's level map, up to a finite space's cap."""
-    if space in _LEVEL_MAPS:
-        d1, tops, capped = _LEVEL_MAPS[space]
-    else:
-        d1 = design_bound(space, 1)
-        tops, capped = (math.ceil(d1 - _slack(d1)) - 1,), False
-    block = []
-    for tau in range(len(tops) + 1, len(tops) + 1 + _LEVEL_BLOCK):
-        try:
-            block.append(_top(design_bound(space, tau)))
-        except DegreeOverflowError:
-            capped = True
-            break
-    tops += tuple(itertools.accumulate(block, max, initial=tops[-1]))[1:]
-    _LEVEL_MAPS[space] = (d1, tops, capped)
-    return _LEVEL_MAPS[space]
+    d1, tops, capped = _LEVEL_MAPS.get(space) or (
+        design_bound(space, 1), (math.ceil(exact_design_bound(space, 1)) - 1,), False)
+    while not capped and not covers(tops):
+        for tau in range(len(tops), len(tops) + _LEVEL_BLOCK):
+            k, eps = _split(tau)
+            try:
+                # (0,eps) to degree k, which also gives D(tau+1), (1,0) to k and
+                # (1,1) to k-1+eps; on a finite space (0,0) to the certificate's
+                # degree tau, so tau <= n on H(n,q) and tau <= w on J(n,w), or
+                # less where a system ends earlier
+                for a, b, deg in ((0, eps, k), (1, 0, k), (1, 1, k - 1 + eps),
+                                  (0, 0, tau if space.is_finite else 0)):
+                    adjacent_system(space, a, b, deg)
+            except DegreeOverflowError:
+                capped = True
+                break
+            tops += (math.floor(exact_design_bound(space, tau + 1)),)
+        _LEVEL_MAPS[space] = (d1, tops, capped)
+    return d1, tops
 
 
 def solve_separation(space: SpaceDescriptor, M: int) -> float:

@@ -317,9 +317,10 @@ def minimize_sphere(
     step falls below 1e-16 (an energy of 0); or after ``iterations``
     steps, the cap of each restart.  The result is deterministic for a
     fixed seed, and an upper estimate of the minimal energy only, never
-    a certificate of optimality.  Raises ParameterError for n, M,
-    restarts or iterations not an integer, n < 2, M < 2, restarts < 1 or
-    iterations < 1.
+    a certificate of optimality.  ``seed`` is None (fresh entropy) or an
+    integer >= 0; an integral float is taken as its integer.  Raises
+    ParameterError for n, M, restarts or iterations not an integer, n < 2,
+    M < 2, restarts < 1, iterations < 1, or any other seed.
 
     Returns
     -------
@@ -343,8 +344,10 @@ def minimize_sphere(
         raise ParameterError(
             f"need restarts >= 1 and iterations >= 1, got {restarts} and {iterations}"
         )
+    if seed is not None and integer("minimize_sphere", "seed", seed) < 0:
+        raise ParameterError(f"minimize_sphere needs a seed >= 0 or None, got {seed!r}")
     space = pmspace.make_space("sphere", n=n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else int(seed))
     x = rng.normal(size=(restarts, M, n))
     x /= np.linalg.norm(x, axis=2)[..., None]
     # restarts descend independently, so batching them changes no result;

@@ -12,6 +12,7 @@ dimension m = 1, 2, 4).
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -184,36 +185,40 @@ def measure_rule(space: SpaceDescriptor, deg: int):
 
 
 def multiplicity(space: SpaceDescriptor, i: int) -> int:
-    """Dimension r_i of the i-th harmonic subspace."""
+    """Dimension r_i of the i-th harmonic subspace, exact."""
     _check_degree(space, i)
     if i == 0:
         return 1
-    if space.family is Family.SPHERE:
-        n = space.n
-        return round((2 * i + n - 2) / (i + n - 2) * math.comb(i + n - 2, i))
     if space.family is Family.HAMMING:
         return math.comb(space.n, i) * (space.q - 1) ** i
     if space.family is Family.JOHNSON:
         return math.comb(space.n, i) - math.comb(space.n, i - 1)
     alpha, beta = space.jacobi_exponents()
-    val = (
-        (2 * i + alpha + beta + 1)
-        * _gbinom(i + alpha + beta, i)
-        * _gbinom(i + alpha, i)
-        / ((alpha + beta + 1) * _gbinom(i + beta, i))
-    )
-    r = round(val)
-    if abs(val - r) > 1e-6 * max(1.0, abs(val)):
-        raise ParameterError(f"non-integer multiplicity {val} for {space.label()}, i={i}")
-    return r
+    return int(jacobi_sum(alpha, beta, i) - jacobi_sum(alpha, beta, i - 1))
 
 
-def _gbinom(x: float, k: int) -> float:
-    """Generalized binomial coefficient C(x, k) for integer k >= 0."""
-    out = 1.0
-    for j in range(k):
-        out *= (x - j) / (k - j)
-    return out
+def jacobi_sum(alpha: float, beta: float, k: int):
+    """r_0 + ... + r_k, exact, for the Jacobi weight (1-t)^alpha (1+t)^beta of unit mass.
+
+    r_i = P_i(1)^2 / ||P_i||^2, for half-integers alpha and beta: a sphere's
+    (alpha = beta) or projective space's multiplicity.
+    """
+    return _jacobi_sums(round(2 * alpha), round(2 * beta), 16 << (k // 16).bit_length())[k]
+
+
+@lru_cache(maxsize=None)
+def _jacobi_sums(a2: int, b2: int, size: int) -> tuple:
+    """The sums of :func:`jacobi_sum` for k < size, by r_{i+1}/r_i in a2 = 2 alpha, b2 = 2 beta."""
+    sums = list(_jacobi_sums(a2, b2, size // 2)) if size > 16 else [1]
+    r = sums[-1] - sums[-2] if len(sums) > 1 else 1
+    for i in range(len(sums) - 1, size - 1):
+        # r_{i+1}/r_i = (2i+c+2)(i+alpha+1) / ((i+1)(i+beta+1)) * (i+c)/(2i+c), c = alpha+beta+1;
+        # the last factor is 1 at i = 0, also where c = 0 (S^1)
+        r *= Fraction((4 * i + a2 + b2 + 6) * (2 * i + a2 + 2), 2 * (i + 1) * (2 * i + b2 + 2))
+        if i:
+            r *= Fraction(2 * i + a2 + b2 + 2, 4 * i + a2 + b2 + 2)
+        sums.append(sums[-1] + r)
+    return tuple(sums)
 
 
 @lru_cache(maxsize=None)

@@ -38,9 +38,9 @@ def _status(num, ok, detail):
 
 
 def _grid_cardinalities(space):
-    """One cardinality per level 1..5, mid-interval."""
+    """One cardinality per level 1..5, mid-interval; a finite space's levels end at its degree cap."""
     out = []
-    for tau in range(1, 6):
+    for tau in range(1, 1 + min(5, space.max_degree or 5)):
         lo = lev.design_bound(space, tau)
         hi = lev.design_bound(space, tau + 1)
         m = int(math.ceil((lo + hi) / 2))

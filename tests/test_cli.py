@@ -86,7 +86,7 @@ def test_validation_errors_exit_2(capsys):
     )
     assert code == 2
     assert json.loads(err)["error"]["type"] == "MonotonicityError"
-    # H(1000,2)'s levels end at tau 601 with its systems; past them the
+    # H(1000,2)'s levels end at tau 300 with its systems; past them the
     # refusal is a degree overflow, not a failed Stieltjes run
     code, out, err = run_cli(
         capsys, "ulb", "--space", "hamming", "--n", "1000", "--q", "2", "--M", str(2 * 10**264),
@@ -94,7 +94,7 @@ def test_validation_errors_exit_2(capsys):
     )
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau > 601)")
+    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau > 301)")
     # a tolerance must be finite and >= 0
     for flag, value in (("--abs-tol", "nan"), ("--rel-tol", "-1e-9"), ("--abs-tol", "inf")):
         code, out, err = run_cli(

@@ -123,23 +123,29 @@ def test_tau_for_cardinality_errors():
 
 
 def _linear_level(space, M):
-    """The level map as a scan over the levels: the reference for lev._level_of."""
-    d1 = lev.design_bound(space, 1)
-    if M <= math.ceil(d1 - lev._slack(d1)) - 1:
+    """The level map as a scan over the exact design bounds: the reference for lev._level_of.
+
+    A finite space's levels end at its degree cap, an infinite space's
+    where design_bound refuses the bound above a level.
+    """
+    d1 = _exact_design_bound(space, 1)
+    if M <= math.ceil(d1) - 1:
         raise ParameterError(
-            f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
+            f"M={M} is below the level-1 design bound {float(d1):g} of {space.label()};"
             " no quadrature rule exists"
         )
     tau = 1
     while True:
         try:
-            d_next = lev.design_bound(space, tau + 1)
+            if tau > (space.max_degree or math.inf):
+                raise DegreeOverflowError
+            lev.design_bound(space, tau + 1)
         except DegreeOverflowError:
             raise DegreeOverflowError(
                 f"M={M} exceeds the level capacity of {space.label()}"
                 f" (needs tau > {tau})"
             ) from None
-        if M <= lev._top(d_next):
+        if M <= math.floor(_exact_design_bound(space, tau + 1)):
             k, eps = lev._split(tau)
             return k, eps, tau
         tau += 1
@@ -206,17 +212,31 @@ def test_level_map_stops_where_the_systems_stop():
         assert got == _outcome(_linear_level, space, M)
 
 
+def test_level_map_past_the_largest_float():
+    # S^399's design bounds pass the largest float before its systems end:
+    # design_bound gives inf there, and the map, in integers, ends at its
+    # last level (a float top once raised a bare OverflowError)
+    space = make_space("sphere", n=400)
+    assert lev.design_bound(space, 1369) < math.inf == lev.design_bound(space, 1370)
+    assert lev.exact_design_bound(space, 1370) > 2**1024
+    with pytest.raises(DegreeOverflowError, match=r"capacity of S\^399"):
+        lev.tau_for_cardinality(space, 10**400)
+
+
 @pytest.mark.parametrize(
     "space", [make_space("hamming", n=1000, q=2), make_space("johnson", n=1000, w=500)],
     ids=lambda s: s.label())
 def test_level_map_stops_where_a_finite_space_systems_stop(space):
     # the systems of these spaces end at degree 300, where the monic norms
-    # leave the normal float range, so their levels end at tau 601
+    # leave the normal float range; a certificate's degree ends there too,
+    # so their levels end at tau 300, although D(601) is still defined
     M = 2 * lev.design_bound(space, 601)
     got = _outcome(lev._level_of, space, M)
     assert got == (DegreeOverflowError,
-                   f"M={M} exceeds the level capacity of {space.label()} (needs tau > 601)")
-    assert got == _outcome(_linear_level, space, M)
+                   f"M={M} exceeds the level capacity of {space.label()} (needs tau > 301)")
+    assert lev._level_cardinalities(space, 300)
+    with pytest.raises(DegreeOverflowError):
+        lev._level_cardinalities(space, 301)
 
 
 def _level_or_error(space, M):
@@ -231,8 +251,8 @@ def _level_or_error(space, M):
     [
         ("sphere", {"n": 3}, None),
         ("sphere", {"n": 136}, None),
-        ("hamming", {"n": 128, "q": 2}, 255),
-        ("johnson", {"n": 80, "w": 40}, 79),
+        ("hamming", {"n": 128, "q": 2}, 128),
+        ("johnson", {"n": 80, "w": 40}, 40),
         ("projective", {"n": 4, "field_dim": 4}, None),
     ],
 )
@@ -249,56 +269,105 @@ def test_level_cardinalities_round_trip(family, params, last):
         assert _level_or_error(space, lo - 1) == (tau - 1 if tau > 1 else ParameterError), tau
         assert _level_or_error(space, hi + 1) == tau + 1, tau
     if last:
-        # a finite space's last level is the last the map gives (on H(128,2)
-        # an empty one: D(256) rounds below D(255))
-        assert isinstance(lev._level_cardinalities(space, last), range)
+        # a finite space's map ends at its last servable level, the space's
+        # degree cap: a bound there needs a certificate of degree tau
+        assert lev._level_cardinalities(space, last)
+        with pytest.raises(DegreeOverflowError):
+            lev._level_cardinalities(space, last + 1)
+        with pytest.raises(DegreeOverflowError, match=r"needs tau > "):
+            lev.tau_for_cardinality(space, lev._level_cardinalities(space, last)[-1] + 1)
+
+
+def _gbinom(x, k):
+    """C(x, k) for a Fraction x and an integer k >= 0."""
+    return math.prod((x - j) / (k - j) for j in range(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_r(alpha, beta, i):
+    """The Jacobi multiplicity r_i by its product formula, exact; alpha + beta > -1."""
+    c = alpha + beta + 1
+    return (2 * i + c) / c * _gbinom(i + c - 1, i) * _gbinom(i + alpha, i) / _gbinom(i + beta, i)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_design_bound(space, tau):
+    """D(tau) in exact arithmetic, from the closed forms, apart from the library."""
+    n, k, odd = space.n, (tau + 1) // 2, tau % 2
+    if space.family is pmspace.Family.SPHERE:
+        if odd:
+            return 2 * math.comb(n + k - 2, n - 1)
+        return math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1)
+    if space.family is pmspace.Family.HAMMING:
+        q = space.q
+        if odd:
+            return q * sum(math.comb(n - 1, i) * (q - 1) ** i for i in range(k))
+        return sum(math.comb(n, i) * (q - 1) ** i for i in range(k + 1))
+    if space.family is pmspace.Family.JOHNSON:
+        return Fraction(n, space.w) * math.comb(n - 1, k - 1) if odd else math.comb(n, k)
+    alpha, beta = map(Fraction, space.jacobi_exponents())
+    if odd:
+        return n * sum(_jacobi_r(alpha, beta + 1, i) for i in range(k))
+    return sum(_jacobi_r(alpha, beta, i) for i in range(k + 1))
+
+
+@pytest.mark.parametrize(
+    "space, last",
+    [pytest.param(space, last, id=space.label()) for space, last in (
+        (make_space("hamming", n=30, q=2), 30), (make_space("hamming", n=128, q=2), 128),
+        (make_space("johnson", n=7, w=3), 3), (make_space("johnson", n=8, w=4), 4),
+        (make_space("johnson", n=30, w=15), 15), (make_space("johnson", n=80, w=40), 40),
+        (make_space("hamming", n=9, q=3), 9), (make_space("sphere", n=2048), 20),
+        (make_space("projective", n=4, field_dim=4), 40))],
+)
+def test_level_boundaries_at_exact_design_bounds(space, last):
+    # every level's cardinalities run from floor(D(tau)) + 1 to
+    # floor(D(tau+1)) with D exact, however far D passes 2^53, and
+    # design_bound is the float nearest D (H(128,2) tau 20: the float norm
+    # sum once read 1.6 below it)
+    for tau in range(1, last + 2):
+        exact = _exact_design_bound(space, tau)
+        assert lev.exact_design_bound(space, tau) == exact, tau
+        assert lev.design_bound(space, tau) == float(exact), tau
+    for tau in range(1, last + 1):
+        lo = max(2, math.ceil(_exact_design_bound(space, 1))) if tau == 1 else (
+            math.floor(_exact_design_bound(space, tau)) + 1)
+        level = lev._level_cardinalities(space, tau)
+        assert level == range(lo, math.floor(_exact_design_bound(space, tau + 1)) + 1), tau
+        if level:
+            assert lev.tau_for_cardinality(space, level[0])[2] == tau, tau
+            assert lev.tau_for_cardinality(space, level[-1])[2] == tau, tau
+    if space.is_finite:
         with pytest.raises(DegreeOverflowError):
             lev._level_cardinalities(space, last + 1)
 
 
-def _exact_design_bound(space, tau):
-    """D(tau) of a binary Hamming or a Johnson space, in exact arithmetic."""
-    n, k = space.n, (tau + 1) // 2
-    if space.family is pmspace.Family.HAMMING:
-        if tau % 2 == 0:
-            return sum(math.comb(n, i) for i in range(k + 1))
-        return 2 * sum(math.comb(n - 1, i) for i in range(k))
-    if tau % 2 == 0:
-        return Fraction(math.comb(n, k))
-    return Fraction(n, space.w) * math.comb(n - 1, k - 1)
+def test_an_exact_design_bound_past_the_float_error_ends_its_level():
+    # the float norm sum read D(10) = 8291875042451 of H(1000,2) 1.26 low
+    # and served it at level 10, where its weight at -1 came out negative;
+    # in exact arithmetic it is the top of level 9
+    h1000 = make_space("hamming", n=1000, q=2)
+    d10 = sum(math.comb(1000, i) for i in range(6))
+    assert d10 == 8291875042451 == lev.exact_design_bound(h1000, 10)
+    assert lev.tau_for_cardinality(h1000, d10) == (5, 0, 9)
+    assert lev.tau_for_cardinality(h1000, d10 + 1) == (5, 1, 10)
 
 
-@pytest.mark.parametrize(
-    "space",
-    [make_space("hamming", n=30, q=2), make_space("hamming", n=128, q=2),
-     make_space("johnson", n=7, w=3), make_space("johnson", n=8, w=4),
-     make_space("johnson", n=30, w=15), make_space("johnson", n=80, w=40)],
-    ids=lambda s: s.label(),
-)
-def test_level_boundaries_at_exact_design_bounds(space):
-    # the largest integer at or below the exact D(tau) lies below level tau,
-    # and the next integer at level tau or above.  The float design bound
-    # must lie within the slack of the exact one: from about 2.5e14 it is
-    # off by more than 1/2 (H(128,2) tau 20: 1.6 below), so the boundary
-    # check stops at 2^47
-    bounds = []
-    for tau in range(1, 42):
-        try:
-            bounds.append(lev.design_bound(space, tau))
-        except DegreeOverflowError:
-            break
-    for tau, d in enumerate(bounds[1:-1], 2):
-        exact = _exact_design_bound(space, tau)
-        assert d == pytest.approx(float(exact), rel=1e-13), tau
-        if exact < 2**47:
-            below = math.floor(exact)
-            assert lev.tau_for_cardinality(space, below)[2] < tau, tau
-            # past a finite space's last level the map overflows
-            above = _level_or_error(space, below + 1)
-            assert above is DegreeOverflowError or above >= tau, tau
-            if bounds[tau - 2] < d < bounds[tau]:
-                assert lev.tau_for_cardinality(space, below)[2] == tau - 1, tau
-                assert lev.tau_for_cardinality(space, below + 1)[2] == tau, tau
+def test_a_finite_map_ends_at_its_last_servable_level():
+    # H(12,2) once listed levels 13-21, where every bound was refused from
+    # inside the build; M = 2973 lies past D(13)
+    h12 = make_space("hamming", n=12, q=2)
+    assert lev.tau_for_cardinality(h12, 2972)[2] == 12
+    with pytest.raises(DegreeOverflowError, match=r"capacity of H\(12,2\)"):
+        lev.tau_for_cardinality(h12, 2973)
+    # a rule's (1,1) or (1,0) system can end first: on J(7,2) the (1,1)
+    # system has degree 0, so level 2 has no rule, and on J(7,1) the (1,0)
+    # system has degree 0, so no level has one
+    j72, j71 = make_space("johnson", n=7, w=2), make_space("johnson", n=7, w=1)
+    assert lev.tau_for_cardinality(j72, 7)[2] == 1
+    for space, M in ((j72, 8), (j71, 7)):
+        with pytest.raises(DegreeOverflowError, match="exceeds the level capacity"):
+            lev.tau_for_cardinality(space, M)
 
 
 def test_level_ends_where_floats_no_longer_tell_integers_apart():
@@ -310,8 +379,7 @@ def test_level_ends_where_floats_no_longer_tell_integers_apart():
         assert [lev.tau_for_cardinality(h128, M)[2]
                 for M in (level[0] - 1, level[0], level[-1], level[-1] + 1)] == [
                     tau - 1, tau, tau, tau + 1], tau
-    # S^2047: D(9) = 2 C(2051, 4) is a float exactly, and a relative slack
-    # of 1e-12 would reach 1.47 past it
+    # S^2047: D(9) = 2 C(2051, 4) is a float exactly, and ends level 8
     s2047 = make_space("sphere", n=2048)
     d9 = 2 * math.comb(2051, 4)
     assert lev.design_bound(s2047, 9) == d9 == 1470314316800
@@ -414,7 +482,8 @@ def test_quadrature_rule_bottom_boundary():
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.label())
 def test_quadrature_rule_structure(space):
-    for tau in range(1, 6):
+    # a finite space's levels end at its degree cap
+    for tau in range(1, 1 + min(5, space.max_degree or 5)):
         try:
             d_lo = lev.design_bound(space, tau)
             d_hi = lev.design_bound(space, tau + 1)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,20 @@ def test_minimize_sphere_refuses_non_integer_sizes(name, value):
     sizes = {"n": 3, "M": 4, "restarts": 2, "iterations": 10, name: value}
     with pytest.raises(ParameterError, match=f"minimize_sphere needs an integer {name}, got {value}"):
         oracle.minimize_sphere(h=RIESZ1, **sizes)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.5, "3", -1, -2.0, math.nan, [1]])
+def test_minimize_sphere_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # 1.5 and "3" raised numpy's bare TypeError, -1 a bare ValueError
+    with pytest.raises(ParameterError, match=f"minimize_sphere needs .*seed.*got {re.escape(repr(seed))}"):
+        oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, iterations=10, seed=seed)
+
+
+def test_minimize_sphere_takes_an_integral_float_seed_as_its_integer():
+    runs = [oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, iterations=10, seed=seed)
+            for seed in (2, 2.0, np.int64(2))]
+    assert len({run[1] for run in runs}) == 1
+    assert oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, iterations=10, seed=None)[1] > 0
 
 
 @pytest.mark.parametrize("name, value", [("n", 3.5), ("M", 2.5)])

@@ -111,6 +111,29 @@ def test_multiplicity_examples():
     assert pmspace.multiplicity(make_space("sphere", n=8), 0) == 1
 
 
+def test_multiplicities_are_exact_integers():
+    # S^2047 r_10 = C(2057,10) - C(2055,8), about 6e26: a float product
+    # was wrong from the 8th digit
+    r = pmspace.multiplicity(make_space("sphere", n=2048), 10)
+    assert type(r) is int and r == math.comb(2057, 10) - math.comb(2055, 8)
+    # S^1: r_i = 2, where the Jacobi formula's 1/(alpha + beta + 1) is 1/0
+    assert [pmspace.multiplicity(make_space("sphere", n=2), i) for i in range(6)] == [1] + [2] * 5
+    # CP^2: r_i = (i+1)^3; RP^2: the even harmonics of S^2, 4i + 1
+    assert [pmspace.multiplicity(make_space("projective", n=3, field_dim=2), i)
+            for i in range(40)] == [(i + 1) ** 3 for i in range(40)]
+    assert [pmspace.multiplicity(make_space("projective", n=3, field_dim=1), i)
+            for i in range(40)] == [4 * i + 1 for i in range(40)]
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (5, 4)])
+def test_projective_multiplicities_match_the_system_norms(n, m):
+    space = make_space("projective", n=n, field_dim=m)
+    norms = orthopoly.adjacent_system(space, 0, 0, 12).norms
+    got = [pmspace.multiplicity(space, i) for i in range(13)]
+    np.testing.assert_allclose(got, norms[:13], rtol=1e-12, atol=0)
+
+
 def test_multiplicity_krawtchouk_general_q():
     h = make_space("hamming", n=6, q=4)
     assert pmspace.multiplicity(h, 2) == math.comb(6, 2) * 9

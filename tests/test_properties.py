@@ -5,9 +5,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ulbkit import levenshtein as lev
-from ulbkit.errors import DegreeOverflowError
+from ulbkit.errors import DegreeOverflowError, UlbkitError
 from ulbkit.pmspace import make_space
+from ulbkit.potentials import builtin
 from ulbkit.ulb import test_functions as p_values
+from ulbkit.ulb import ulb
 
 SPACES = st.one_of(
     st.builds(lambda n: ("sphere", {"n": n}), st.integers(2, 40)),
@@ -65,3 +67,25 @@ def test_rule_invariants(case):
     assert abs(lev.lev_bound(space, tau, rule.s) - M) <= 1e-10 * M
     values = p_values(space, M, range(1, tau + 1)).values
     assert np.max(np.abs(values)) < 1e-8
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(SPACES, st.integers(1, 12), st.sampled_from([("riesz", {"p": 1.0}), ("gaussian", {"c": 1.0})]))
+def test_ulb_increases_across_level_ends(space_params, tau, potential):
+    # the last two integers of level tau and the first two of level tau+1,
+    # whose bounds come from different rules: every bound that ulb returns
+    # grows with M
+    space = make_space(space_params[0], **space_params[1])
+    try:
+        top = lev._level_cardinalities(space, tau).stop - 1
+    except DegreeOverflowError:
+        assume(False)
+    h = builtin(potential[0], **potential[1])
+    values = []
+    for M in range(max(2, top - 1), top + 3):
+        try:
+            values.append(ulb(space, M, h).value_sum)
+        except UlbkitError:
+            continue
+    assert all(a < b for a, b in zip(values, values[1:])), (space.label(), top, values)

@@ -122,6 +122,17 @@ def test_verify_certificate_negative_cases():
     assert checks.min_q_coefficient == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_f_geq_refuses_a_coefficient_just_below_its_tolerance():
+    # J(80,40) tau 14: the certificate's most negative Q-coefficient is
+    # -1.28e-8, past the tolerance -1e-8 but well inside -1e-6; the bound is
+    # returned with f_geq false, and below_h holds
+    rep = ulb(make_space("johnson", n=80, w=40), 4487111914, GAUSS)
+    checks = rep.certificate_checks
+    assert rep.rule.tau == 14
+    assert checks.below_h and not checks.f_geq
+    assert -1.3e-8 < checks.min_q_coefficient < -1.25e-8
+
+
 def test_refuses_non_monotone_potential():
     with pytest.raises(MonotonicityError):
         ulb(make_space("sphere", n=3), 4, builtin("log"))

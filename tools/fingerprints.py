@@ -16,9 +16,14 @@ the code it returns, and each finite anchor
 hexes.  Last come the rows of ``asymptotics.sweep`` over a fixed query
 set (sphere tau 5-9, Hamming tau 4-6, Gaussian c=1, rho 0.5), one line
 per row with every numeric field as a float hex, or the row's note
-where the sweep skipped it.  Running this on two checkouts and diffing
-the output tells whether a change leaves every bound, every oracle
-result and every asymptotics row bit-identical:
+where the sweep skipped it.  Then, for the spaces of the bound-table and
+high-degree lists and for S^2047, H(128,2), H(1000,2), J(80,40) and
+J(100,30), ``design_bound`` as a float hex for tau = 1..40, up to where it
+is refused, and the top of every level of the space's level map as an
+int (the last integer the map gives that level), up to the error that
+ends the map.  Running this on two checkouts and diffing the output
+tells whether a change leaves every bound, every oracle result, every
+asymptotics row, every design bound and every level end bit-identical:
 
     python tools/fingerprints.py --seeds 11 12 > after.txt
 
@@ -27,6 +32,7 @@ The op lists come from ``perfbench/workloads.py``, imported as is.
 
 import argparse
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -37,7 +43,7 @@ import numpy as np  # noqa: E402
 
 import ulbkit  # noqa: E402
 import workloads  # noqa: E402
-from ulbkit import asymptotics, oracle  # noqa: E402
+from ulbkit import asymptotics, levenshtein, oracle  # noqa: E402
 from ulbkit.errors import UlbkitError  # noqa: E402
 
 WORKLOADS = ("bound-table", "high-degree")
@@ -49,6 +55,13 @@ ASYMPTOTICS = (
     ("hamming", range(4, 7), (*range(8, 49, 8), 128, 280, 500, 1000)),
 )
 ASYMPTOTIC_FIELDS = ("M", "s", "alpha_0", "rho_0_M", "remainder", "limit", "ratio1", "ratio2")
+# the spaces whose design bounds and level tops are printed, besides those
+# of the workloads
+LEVEL_SPACES = (
+    ("sphere", {"n": 2048}), ("hamming", {"n": 128, "q": 2}), ("hamming", {"n": 1000, "q": 2}),
+    ("johnson", {"n": 80, "w": 40}), ("johnson", {"n": 100, "w": 30}),
+)
+DESIGN_TAUS = range(1, 41)
 # the finite anchors whose oracle.energy is printed
 FINITE_ANCHORS = (
     (("hamming", {"n": 8, "q": 2}), "extended_hamming_8"),
@@ -120,6 +133,31 @@ def asymptotics_lines(h):
                 yield f"asymptotics {family} tau{tau} n{row['n']}: {line}"
 
 
+def level_lines():
+    """Design bounds and level tops of each space; an error ends a space's lines.
+
+    An OverflowError is printed like a library error, so a checkout whose
+    float level map overflows (S^2047 past tau 416 once did) shows that in
+    the diff.
+    """
+    spaces = dict.fromkeys(ulbkit.make_space(family, **params) for family, params
+                           in (*workloads.SPACES.values(), *LEVEL_SPACES))
+    for space in spaces:
+        for tau in DESIGN_TAUS:
+            try:
+                yield f"design_bound {space.label()} tau{tau}: {levenshtein.design_bound(space, tau).hex()}"
+            except (UlbkitError, OverflowError) as exc:
+                yield f"design_bound {space.label()} tau{tau}: {type(exc).__name__}: {exc}"
+                break
+        for tau in itertools.count(1):
+            try:
+                top = levenshtein._level_cardinalities(space, tau).stop - 1
+            except (UlbkitError, OverflowError) as exc:
+                yield f"level {space.label()} tau{tau}: {type(exc).__name__}: {exc}"
+                break
+            yield f"level {space.label()} tau{tau}: {top}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -150,6 +188,8 @@ def main(argv=None):
     for line in anchor_lines(potentials):
         print(line)
     for line in asymptotics_lines(ulbkit.builtin("gaussian", c=1.0)):
+        print(line)
+    for line in level_lines():
         print(line)
 
 
