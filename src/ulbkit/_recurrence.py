@@ -144,41 +144,48 @@ def eval_derivatives(b, g, deg: int, order: int, t):
     itself for r <= 2, and only orders >= 3 multiply it (by 2r).  Scaling
     by a power of two is exact, and it is undone once at the end, so the
     values equal, bit for bit, those of a loop that forms every term as a
-    new array, wherever they are normal floats.  Each step writes into
-    its row of the output, one contiguous block of every order, through
-    views made once: 4 ufunc calls per degree up to order 2.  Returns an
-    array of shape (deg+1, order+1) + shape(t).
+    new array, wherever they are normal floats.  Each row of the output
+    holds one degree, every order side by side, under a zero row P_{-1}.
+    Step k multiplies the rows k-1 and k, as one stacked block, by the
+    block of 4 gamma_k over 2 (t - beta_k), made once for every k, adds
+    the row below into the slopes of the second product and writes row
+    k+1 as their difference: 3 ufunc calls per degree up to order 2.
+    Returns an array of shape (deg+1, order+1) + shape(t).
     """
     t = np.asarray(t, dtype=float)
     n = t.size
-    out = np.zeros((deg + 1, (order + 1) * n))
-    out[0, :n] = 1.0
-    # 2 (t - beta_k) for every k, already of the shape of a row of the output
-    shift = np.empty((deg, order + 1, n))
-    shift[...] = (2.0 * (t.reshape(-1) - np.reshape(b[:deg], (deg, 1))))[:, None]
-    shift = shift.reshape(deg, (order + 1) * n)
-    tmp = np.empty((order + 1) * n)
-    tmp_high = tmp[n:]
-    # 2r times the scale of order r over that of order r-1: 1 up to order 2
-    coef = np.repeat([1.0, 1.0] + [2.0 * r for r in range(3, order + 1)], n) if order > 2 else None
+    width = (order + 1) * n
+    rows = np.zeros((deg + 2, width))  # P_{-1} = 0, then P_0..P_deg
+    rows[1, :n] = 1.0
+    # 4 gamma_k (0 at k = 0, against P_{-1}) over 2 (t - beta_k), as wide as a row
+    coef = np.empty((deg, 2, order + 1, n))
+    coef[:, 0] = np.reshape(4.0 * g[:deg], (deg, 1, 1))
+    coef[:1, 0] = 0.0
+    coef[:, 1] = (2.0 * (t.reshape(-1) - np.reshape(b[:deg], (deg, 1))))[:, None]
+    # rows k-1 and k, stacked, for every k
+    step = rows.strides[0]
+    pairs = np.ndarray((deg, 2, width), buffer=rows, strides=(step, step, rows.itemsize))
+    prod = np.empty((2, width))
+    older, newer = prod
+    newer_high = newer[n:]
+    r_coef = None
+    if order > 2:
+        # 2r times the scale of order r over that of order r-1: 1 up to order 2
+        r_coef = np.repeat([1.0, 1.0] + [2.0 * r for r in range(3, order + 1)], n)
+        tmp_high = np.empty(order * n)
     mul, add, sub = np.multiply, np.add, np.subtract
-    prev = None
-    # step k writes row k+1 from rows k and k-1
-    for cur, row, sh, low, high, g_k in zip(out, out[1:], shift, out[:, : order * n],
-                                            out[1:, n:], (4.0 * g[:deg]).tolist()):
-        mul(sh, cur, row)
-        if coef is not None:
-            mul(coef, low, tmp_high)
-            add(high, tmp_high, high)
+    for c, pair, low, row in zip(coef.reshape(deg, 2, width), pairs, rows[1:, : order * n], rows[2:]):
+        mul(c, pair, prod)
+        if r_coef is not None:
+            mul(r_coef, low, tmp_high)
+            add(newer_high, tmp_high, newer_high)
         elif order:
-            add(high, low, high)
-        if prev is not None:
-            mul(prev, g_k, tmp)
-            sub(row, tmp, row)
-        prev = cur
-    out = out.reshape((deg + 1, order + 1) + t.shape)
+            add(newer_high, low, newer_high)
+        sub(newer, older, row)
+    out = rows[1:].reshape((deg + 1, order + 1) + t.shape)
     out[:, 1:2] *= 2.0
-    out[:, 2:] *= 8.0
+    if order > 1:
+        out[:, 2:] *= 8.0
     return out
 
 

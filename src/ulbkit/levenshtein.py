@@ -27,8 +27,9 @@ from .pmspace import Family, SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
 _SOLVE_RTOL = 1e-10
-# levels added to a space's level map at a time
-_LEVEL_BLOCK = 16
+# a space's level map grows by the levels 16j..16j+15 (1..15 first), whose
+# certificate degrees on a finite space lie in one system block
+_LEVEL_BLOCK = orthopoly._BLOCK
 # space -> (D(1) as a float, tops, capped): tops is a tuple of Python ints,
 # tops[0] = ceil(D(1)) - 1, the largest integer below level 1, and
 # tops[tau] = floor(D(tau+1)), the last integer of level tau, with D exact;
@@ -190,7 +191,7 @@ def _level_of(space: SpaceDescriptor, M):
     if tau == len(tops):
         raise DegreeOverflowError(
             f"M={M} exceeds the level capacity of {space.label()}"
-            f" (needs tau > {tau})"
+            f" (needs tau >= {tau})"
         )
     k, eps = _split(tau)
     return k, eps, tau
@@ -217,7 +218,7 @@ def _level_map(space: SpaceDescriptor, covers):
     d1, tops, capped = _LEVEL_MAPS.get(space) or (
         design_bound(space, 1), (math.ceil(exact_design_bound(space, 1)) - 1,), False)
     while not capped and not covers(tops):
-        for tau in range(len(tops), len(tops) + _LEVEL_BLOCK):
+        for tau in range(len(tops), (len(tops) // _LEVEL_BLOCK + 1) * _LEVEL_BLOCK):
             k, eps = _split(tau)
             try:
                 # (0,eps) to degree k, which also gives D(tau+1), (1,0) to k and
@@ -370,7 +371,8 @@ def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:
 
 def _split(tau: int):
     """(k, eps) with tau = 2k - 1 + eps, for an integer tau >= 1 (ParameterError otherwise)."""
-    tau = integer("a level", "tau", tau)
+    if type(tau) is not int:
+        tau = integer("a level", "tau", tau)
     if tau < 1:
         raise ParameterError("tau must be >= 1")
     eps = (tau + 1) % 2

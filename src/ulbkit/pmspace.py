@@ -38,6 +38,16 @@ class SpaceDescriptor:
     w: int | None = None
     field_dim: int | None = None  # 1, 2, or 4 for projective spaces
 
+    def __post_init__(self):
+        # every cache is keyed by the space, so its hash is taken once, of
+        # ints alone, and is the same in every process (hash(None) is not,
+        # in Python 3.11)
+        key = (tuple(Family).index(self.family), self.n, self.q or 0, self.w or 0, self.field_dim or 0)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def antipodal(self) -> bool:
         if self.family is Family.SPHERE:

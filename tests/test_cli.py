@@ -94,7 +94,7 @@ def test_validation_errors_exit_2(capsys):
     )
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau > 301)")
+    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau >= 301)")
     # a tolerance must be finite and >= 0
     for flag, value in (("--abs-tol", "nan"), ("--rel-tol", "-1e-9"), ("--abs-tol", "inf")):
         code, out, err = run_cli(

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -143,7 +144,7 @@ def _linear_level(space, M):
         except DegreeOverflowError:
             raise DegreeOverflowError(
                 f"M={M} exceeds the level capacity of {space.label()}"
-                f" (needs tau > {tau})"
+                f" (needs tau >= {tau})"
             ) from None
         if M <= math.floor(_exact_design_bound(space, tau + 1)):
             k, eps = lev._split(tau)
@@ -208,7 +209,7 @@ def test_level_map_stops_where_the_systems_stop():
     assert lev.design_bound(space, 4097) == pytest.approx(2049 * 2050, rel=1e-11)
     for M in (5_000_000, 10**12):
         got = _outcome(lev.tau_for_cardinality, space, M)
-        assert got == (DegreeOverflowError, f"M={M} exceeds the level capacity of S^2 (needs tau > 4097)")
+        assert got == (DegreeOverflowError, f"M={M} exceeds the level capacity of S^2 (needs tau >= 4097)")
         assert got == _outcome(_linear_level, space, M)
 
 
@@ -233,7 +234,7 @@ def test_level_map_stops_where_a_finite_space_systems_stop(space):
     M = 2 * lev.design_bound(space, 601)
     got = _outcome(lev._level_of, space, M)
     assert got == (DegreeOverflowError,
-                   f"M={M} exceeds the level capacity of {space.label()} (needs tau > 301)")
+                   f"M={M} exceeds the level capacity of {space.label()} (needs tau >= 301)")
     assert lev._level_cardinalities(space, 300)
     with pytest.raises(DegreeOverflowError):
         lev._level_cardinalities(space, 301)
@@ -274,7 +275,7 @@ def test_level_cardinalities_round_trip(family, params, last):
         assert lev._level_cardinalities(space, last)
         with pytest.raises(DegreeOverflowError):
             lev._level_cardinalities(space, last + 1)
-        with pytest.raises(DegreeOverflowError, match=r"needs tau > "):
+        with pytest.raises(DegreeOverflowError, match=r"needs tau >= "):
             lev.tau_for_cardinality(space, lev._level_cardinalities(space, last)[-1] + 1)
 
 
@@ -601,6 +602,41 @@ def test_a_nan_in_the_rule_fails_its_checks(field):
     {"nodes": nodes, "weights": weights}[field][3] = np.nan
     with pytest.raises(ConvergenceError):
         lev._rule_from_nodes(space, 100, k, eps, tau, nodes, weights)
+
+
+def _rule_parts(M):
+    # S^2 M=100 is served at tau 17, an odd level: no weight at -1
+    space = make_space("sphere", n=3)
+    k, eps, tau = lev.tau_for_cardinality(space, M)
+    assert (k, eps, tau) == (9, 0, 17)
+    nodes, weights = lev._bordered_rule(space, M, k, eps)
+    return space, (M, k, eps, tau), nodes, weights
+
+
+def test_rule_from_nodes_refuses_a_power_sum_residual_just_past_its_tolerance():
+    space, level, nodes, weights = _rule_parts(100)
+    nodes[4] += 2e-5  # an inner node: L_tau(s) and the weights stay as they were
+    with pytest.raises(ConvergenceError, match="power-sum residual") as err:
+        lev._rule_from_nodes(space, *level, nodes, weights)
+    residual = float(re.search(r"residual (\S+)", str(err.value)).group(1))
+    assert 1e-7 < residual < 1e-4
+
+
+def test_rule_from_nodes_refuses_a_separation_just_past_its_tolerance():
+    space, level, nodes, weights = _rule_parts(100)
+    nodes[-1] += 2e-10
+    miss = abs(lev._lev_value(space, level[3], float(nodes[-1])) - 100) / 100
+    assert 1e-10 < miss < 1e-7
+    with pytest.raises(ConvergenceError, match="misses M=100"):
+        lev._rule_from_nodes(space, *level, nodes, weights)
+
+
+def test_rule_from_nodes_refuses_a_weight_just_below_zero():
+    # the power-sum check would refuse it too: the message tells which fired
+    space, level, nodes, weights = _rule_parts(100)
+    weights[3] = -1e-20
+    with pytest.raises(ConvergenceError, match="nonpositive quadrature weight"):
+        lev._rule_from_nodes(space, *level, nodes, weights)
 
 
 def _bordered_rule_by_appends(space, M, k, eps):

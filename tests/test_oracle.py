@@ -87,6 +87,18 @@ def test_duplicate_points_rejected():
         oracle.energy(S3, code, RIESZ1)
 
 
+def test_make_code_tells_close_points_from_coincident_ones():
+    # 1e-4 rad apart, t = 1 - 5e-9, is a code; 1e-7 rad apart, t = 1 - 5e-15,
+    # is refused as one point twice
+    def pair(angle):
+        return [[1.0, 0.0, 0.0], [math.cos(angle), math.sin(angle), 0.0]]
+
+    code = oracle.make_code(S3, pair(1e-4))
+    assert 1 - oracle.separation(S3, code)[0] == pytest.approx(5e-9, rel=1e-6)
+    with pytest.raises(ParameterError, match="duplicate points"):
+        oracle.make_code(S3, pair(1e-7))
+
+
 def test_separation_examples():
     cp = oracle.named_config(S3, "cross_polytope")
     assert oracle.separation(S3, cp) == pytest.approx((0.0, -1.0, 0.0))

@@ -323,6 +323,21 @@ def test_growing_a_space_builds_few_systems(monkeypatch):
     assert orthopoly.adjacent_system.cache_info().currsize <= 8 * 4
 
 
+def test_a_low_level_of_a_finite_space_builds_no_system_past_degree_16(monkeypatch):
+    # the level map grows by levels 1..15, then 16..31, ...: a cold level
+    # 15 of J(80,40) asks for a certificate of degree 15 at most, where a
+    # block of levels 1..16 built the (0,0) system to degree 32 for level 16
+    monkeypatch.setattr(levenshtein, "_LEVEL_MAPS", {})
+    levenshtein._level.cache_clear()
+    orthopoly._build_system.cache_clear()
+    built, build = [], orthopoly._build_system
+    monkeypatch.setattr(orthopoly, "_build_system", lambda *args: built.append(args[-1]) or build(*args))
+    space = make_space("johnson", n=80, w=40)
+    M = levenshtein.exact_design_bound(space, 16)
+    assert levenshtein.tau_for_cardinality(space, M) == (8, 0, 15)
+    assert built and max(built) == 16
+
+
 TABLE_SPACES = [
     make_space("sphere", n=3),
     make_space("sphere", n=10),

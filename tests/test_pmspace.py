@@ -1,5 +1,10 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,34 @@ def test_make_space_examples():
     assert not make_space("johnson", n=9, w=4).antipodal
     with pytest.raises(ParameterError):
         make_space("johnson", n=9, w=5)
+
+
+def test_equal_descriptors_hash_equal_in_every_process():
+    # the hash is taken of ints alone, so a descriptor unpickled in a process
+    # with another string hash seed hashes as one made there, and as here
+    spaces = [make_space("sphere", n=3), make_space("hamming", n=30, q=2),
+              make_space("johnson", n=80, w=40), make_space("projective", n=4, field_dim=4)]
+    twins = [make_space("sphere", n=3.0), make_space("hamming", n=30.0, q=2),
+             make_space("johnson", n=80, w=40.0), make_space("projective", n=4, field_dim=4.0)]
+    assert twins == spaces and [hash(s) for s in twins] == [hash(s) for s in spaces]
+    assert pickle.loads(pickle.dumps(spaces)) == spaces
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import pickle, sys\n"
+        "from ulbkit.pmspace import make_space\n"
+        "spaces = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = [make_space(s.family.value, n=s.n, **{k: v for k, v in"
+        " (('q', s.q), ('w', s.w), ('field_dim', s.field_dim)) if v is not None}) for s in spaces]\n"
+        "assert fresh == spaces\n"
+        "print(*[hash(s) for s in spaces + fresh])\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(spaces), capture_output=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+    assert proc.returncode == 0, proc.stderr
+    assert [int(h) for h in proc.stdout.split()] == [hash(s) for s in spaces] * 2
 
 
 @pytest.mark.parametrize(

@@ -107,10 +107,13 @@ def _derivatives_by_five_calls(b, g, deg, order, t):
 def test_derivatives_equal_the_five_call_loop(deg, order):
     rng = np.random.default_rng(deg)
     nodes = np.concatenate([[-1.0, 1.0], np.sort(rng.uniform(-1.0, 1.0, 25))])
-    for n in (3, 10):
-        system = adjacent_system(make_space("sphere", n=n), 0, 0, deg)
+    for n, a in ((3, 0), (10, 0), (3, 1)):
+        system = adjacent_system(make_space("sphere", n=n), a, 0, deg)
         b, g = system.rec_beta, system.rec_gamma
-        for t in (np.float64(0.3), nodes, nodes.reshape(3, 9)):
+        # at t = beta_k the shift 2 (t - beta_k) is +0, and at t = -0.0 on a
+        # sphere's (0,0) system, where every beta_k is +0, it is -0
+        on_beta = np.concatenate([[0.0, -0.0], b[:deg:7]])
+        for t in (np.float64(0.3), nodes, nodes.reshape(3, 9), on_beta):
             got = rec.eval_derivatives(b, g, deg, order, t)
             want = _derivatives_by_five_calls(b, g, deg, order, t)
             assert got.shape == want.shape == (deg + 1, order + 1) + np.shape(t)
