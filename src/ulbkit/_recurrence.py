@@ -107,30 +107,20 @@ def eval_all(b, g, deg: int, t):
     ``b`` and ``g`` are arrays or sequences of Python floats; the
     sequences a system makes once (``OrthoSystem.beta_floats``,
     ``gamma_floats``) spare each call a conversion.  Returns an array of
-    shape (deg+1,) + shape(t).  A 0-d t runs the recurrence on Python
-    floats, with the operations of the array path in the same order, so
-    its values equal the array path's bit for bit.
+    shape (deg+1,) + shape(t).  A 0-d t runs the loop on Python floats,
+    an array t on arrays, with the same operations in the same order, so
+    a point's values equal, bit for bit, those of an array holding it.
+    The loop starts from P_{-1} = 0, which the finite mass g_0 multiplies
+    into an exact 0.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim:
-        return _eval_all_array(b, g, deg, t)
-    x2 = 2.0 * float(t)
-    out = [1.0]
-    if deg >= 1:
-        out.append(x2 - 2.0 * float(b[0]))
-        for b_k, g_k in zip(b[1:deg], g[1:deg]):
-            out.append((x2 - 2.0 * b_k) * out[-1] - 4.0 * g_k * out[-2])
-    return np.array(out)
-
-
-def _eval_all_array(b, g, deg: int, t):
-    t2 = 2.0 * t
-    out = np.zeros((deg + 1,) + t.shape)
-    out[0] = 1.0
-    if deg >= 1:
-        out[1] = t2 - 2.0 * b[0]
-    for k, (b_k, g_k) in enumerate(zip(b[1:deg], g[1:deg]), 1):
-        out[k + 1] = (t2 - 2.0 * b_k) * out[k] - 4.0 * g_k * out[k - 1]
+    out = np.empty((deg + 1,) + t.shape)
+    x2 = 2.0 * (t if t.ndim else float(t))
+    prev, cur = 0.0, 1.0
+    out[0] = cur
+    for k in range(deg):
+        prev, cur = cur, (x2 - 2.0 * b[k]) * cur - 4.0 * g[k] * prev
+        out[k + 1] = cur
     return out
 
 

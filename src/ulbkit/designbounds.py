@@ -22,10 +22,11 @@ from .errors import ConditionError, ParameterError, integer
 from .orthopoly import lp_value
 from .pmspace import SpaceDescriptor
 from .potentials import Potential
-from .ulb import _conditions, _values
+from .ulb import _BELOW_TOL, _conditions, _values
 
 _COEFF_TOL = 1e-9
-_GRID_TOL = 1e-9
+# a default ulb's tolerance, so that both share the potential's grid rows
+_GRID_TOL = _BELOW_TOL
 # slack around the ends of a cut on a finite space's grid
 _PAD = 1e-12
 

@@ -27,13 +27,10 @@ from .pmspace import Family, SpaceDescriptor
 
 _POWER_SUM_TOL = 1e-7
 _SOLVE_RTOL = 1e-10
-# a space's level map grows by the levels 16j..16j+15 (1..15 first), whose
-# certificate degrees on a finite space lie in one system block
-_LEVEL_BLOCK = orthopoly._BLOCK
-# space -> (D(1) as a float, tops, capped): tops is a tuple of Python ints,
-# tops[0] = ceil(D(1)) - 1, the largest integer below level 1, and
-# tops[tau] = floor(D(tau+1)), the last integer of level tau, with D exact;
-# capped says the map's last level is in
+# space -> (tops, capped): tops is a tuple of Python ints, tops[0] =
+# ceil(D(1)) - 1, the largest integer below level 1, and tops[tau] =
+# floor(D(tau+1)), the last integer of level tau, with D exact; capped says
+# the map's last level is in
 _LEVEL_MAPS = {}
 
 
@@ -180,10 +177,11 @@ def tau_for_cardinality(space: SpaceDescriptor, M: int):
 
 def _level_of(space: SpaceDescriptor, M):
     """(k, eps, tau) for M by the space's level map."""
-    d1, tops = _level_map(space, lambda tops: M <= tops[-1])
+    tops = _level_map(space, lambda tops: M <= tops[-1])
     # the first tau with M <= tops[tau]
     tau = bisect.bisect_left(tops, M)
     if tau == 0:
+        d1 = design_bound(space, 1)
         raise ParameterError(
             f"M={M} is below the level-1 design bound {d1:g} of {space.label()};"
             " no quadrature rule exists"
@@ -203,37 +201,36 @@ def _level_cardinalities(space: SpaceDescriptor, tau: int) -> range:
     They are tops[tau-1] < M <= tops[tau], and 2 up at tau 1: the integers
     that tau_for_cardinality serves at tau, however large.
     """
-    d1, tops = _level_map(space, lambda tops: len(tops) > tau)
+    tops = _level_map(space, lambda tops: len(tops) > tau)
     if len(tops) <= tau:
         raise DegreeOverflowError(f"{space.label()} has no level {tau}")
     return range(max(2, tops[tau - 1] + 1), tops[tau] + 1)
 
 
 def _level_map(space: SpaceDescriptor, covers):
-    """(D(1), tops) of the space's level map, grown by blocks of levels until covers(tops).
+    """The level tops of the space's map, grown one level at a time until covers(tops).
 
     Level tau is listed while its rule's systems exist, and on a finite space
     the certificate's: a finite map ends at its last servable level.
     """
-    d1, tops, capped = _LEVEL_MAPS.get(space) or (
-        design_bound(space, 1), (math.ceil(exact_design_bound(space, 1)) - 1,), False)
+    tops, capped = _LEVEL_MAPS.get(space) or ((math.ceil(exact_design_bound(space, 1)) - 1,), False)
     while not capped and not covers(tops):
-        for tau in range(len(tops), (len(tops) // _LEVEL_BLOCK + 1) * _LEVEL_BLOCK):
-            k, eps = _split(tau)
-            try:
-                # (0,eps) to degree k, which also gives D(tau+1), (1,0) to k and
-                # (1,1) to k-1+eps; on a finite space (0,0) to the certificate's
-                # degree tau, so tau <= n on H(n,q) and tau <= w on J(n,w), or
-                # less where a system ends earlier
-                for a, b, deg in ((0, eps, k), (1, 0, k), (1, 1, k - 1 + eps),
-                                  (0, 0, tau if space.is_finite else 0)):
-                    adjacent_system(space, a, b, deg)
-            except DegreeOverflowError:
-                capped = True
-                break
+        tau = len(tops)
+        k, eps = _split(tau)
+        try:
+            # (0,eps) to degree k, which also gives D(tau+1), (1,0) to k and
+            # (1,1) to k-1+eps; on a finite space (0,0) to the certificate's
+            # degree tau, so tau <= n on H(n,q) and tau <= w on J(n,w), or
+            # less where a system ends earlier
+            for a, b, deg in ((0, eps, k), (1, 0, k), (1, 1, k - 1 + eps),
+                              (0, 0, tau if space.is_finite else 0)):
+                adjacent_system(space, a, b, deg)
+        except DegreeOverflowError:
+            capped = True
+        else:
             tops += (math.floor(exact_design_bound(space, tau + 1)),)
-        _LEVEL_MAPS[space] = (d1, tops, capped)
-    return d1, tops
+        _LEVEL_MAPS[space] = (tops, capped)
+    return tops
 
 
 def solve_separation(space: SpaceDescriptor, M: int) -> float:

@@ -136,6 +136,8 @@ _PARAMETERS = {
     Family.JOHNSON: {"n", "w"},
     Family.PROJECTIVE: {"n", "field_dim"},
 }
+# (2 alpha, 2 beta) -> [r_0, r_0 + r_1, ...], exact, as long as asked for so far
+_JACOBI_SUMS = {}
 
 
 @lru_cache(maxsize=None)
@@ -211,24 +213,23 @@ def jacobi_sum(alpha: float, beta: float, k: int):
     """r_0 + ... + r_k, exact, for the Jacobi weight (1-t)^alpha (1+t)^beta of unit mass.
 
     r_i = P_i(1)^2 / ||P_i||^2, for half-integers alpha and beta: a sphere's
-    (alpha = beta) or projective space's multiplicity.
+    (alpha = beta) or projective space's multiplicity.  Each exponent pair
+    keeps one list of the sums, grown by r_{i+1}/r_i to the largest k asked for.
     """
-    return _jacobi_sums(round(2 * alpha), round(2 * beta), 16 << (k // 16).bit_length())[k]
-
-
-@lru_cache(maxsize=None)
-def _jacobi_sums(a2: int, b2: int, size: int) -> tuple:
-    """The sums of :func:`jacobi_sum` for k < size, by r_{i+1}/r_i in a2 = 2 alpha, b2 = 2 beta."""
-    sums = list(_jacobi_sums(a2, b2, size // 2)) if size > 16 else [1]
+    a2, b2 = round(2 * alpha), round(2 * beta)
+    sums = _JACOBI_SUMS.setdefault((a2, b2), [1])
+    if len(sums) > k:
+        return sums[k]
+    # the sums so far end in r_i, which the ratios below extend to r_k
     r = sums[-1] - sums[-2] if len(sums) > 1 else 1
-    for i in range(len(sums) - 1, size - 1):
+    for i in range(len(sums) - 1, k):
         # r_{i+1}/r_i = (2i+c+2)(i+alpha+1) / ((i+1)(i+beta+1)) * (i+c)/(2i+c), c = alpha+beta+1;
         # the last factor is 1 at i = 0, also where c = 0 (S^1)
         r *= Fraction((4 * i + a2 + b2 + 6) * (2 * i + a2 + 2), 2 * (i + 1) * (2 * i + b2 + 2))
         if i:
             r *= Fraction(2 * i + a2 + b2 + 2, 4 * i + a2 + b2 + 2)
         sums.append(sums[-1] + r)
-    return tuple(sums)
+    return sums[k]
 
 
 @lru_cache(maxsize=None)

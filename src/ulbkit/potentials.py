@@ -125,31 +125,27 @@ def builtin(name: str, **params) -> Potential:
         jpow = integer("monomial potential", "j", params["j"])
         if jpow < 0:
             raise ParameterError("monomial potential needs an integer j >= 0")
-
-        def deriv(t, j):
-            if j > jpow:
-                return np.zeros_like(np.asarray(t, dtype=float))
-            coef = _float(math.perm(jpow, j))
-            return coef * (1.0 + t) ** (jpow - j)
-
-        return Potential("monomial", {"j": jpow}, _deriv=deriv)
+        return _series("monomial", {"j": jpow}, {jpow: 1.0})
 
     # series, the last name left
     coeffs = np.asarray(params["coeffs"], dtype=float)
     if coeffs.size == 0 or not np.all((coeffs >= 0) & (coeffs < math.inf)):
         raise ParameterError("series potential needs finite nonnegative coefficients")
+    terms = {jpow: c for jpow, c in enumerate(coeffs.tolist()) if c}
+    return _series("series", {"coeffs": tuple(coeffs)}, terms)
+
+
+def _series(name: str, params: dict, terms: dict) -> Potential:
+    """The potential sum_j c_j (1 + t)^j, given its nonzero terms {j: c_j}."""
 
     def deriv(t, j):
-        t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for jpow, c in enumerate(coeffs):
-            if c == 0.0 or j > jpow:
-                continue
-            coef = _float(math.perm(jpow, j))
-            out = out + c * coef * (1.0 + t) ** (jpow - j)
+        for jpow, c in terms.items():
+            if j <= jpow:
+                out = out + c * _float(math.perm(jpow, j)) * (1.0 + t) ** (jpow - j)
         return out
 
-    return Potential("series", {"coeffs": tuple(coeffs)}, _deriv=deriv)
+    return Potential(name, params, _deriv=deriv)
 
 
 def _float(n: int) -> float:
@@ -158,6 +154,11 @@ def _float(n: int) -> float:
         return float(n)
     except OverflowError:
         return math.inf
+
+
+# where check_absolutely_monotone samples by default; read-only
+_MONOTONE_GRID = np.linspace(-1.0, 1.0 - 1e-4, 201)
+_MONOTONE_GRID.flags.writeable = False
 
 
 def check_absolutely_monotone(h: Potential, max_order: int, grid=None):
@@ -171,9 +172,7 @@ def check_absolutely_monotone(h: Potential, max_order: int, grid=None):
         order.  +inf passes: a derivative that outgrows double precision
         is still positive.
     """
-    if grid is None:
-        grid = np.linspace(-1.0, 1.0 - 1e-4, 201)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_MONOTONE_GRID if grid is None else grid, dtype=float)
     # high orders overflow to inf, and inf*0 gives nan: the check decides
     # both below, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,9 +18,11 @@ from .errors import ConditionError, ConvergenceError, MonotonicityError, Paramet
 from .levenshtein import QuadratureRule, odd_branch_rule, quadrature_rule
 from .orthopoly import adjacent_system, eval_q_all
 from .pmspace import SpaceDescriptor
-from .potentials import Potential, check_absolutely_monotone
+from .potentials import _MONOTONE_GRID, Potential, check_absolutely_monotone
 
 _FGEQ_TOL = -1e-8
+# a test function P_j below this is negative: degree j can improve the bound
+_PJ_NEGATIVE = -1e-8
 _BELOW_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
 # where the shifted potential of an improvement is checked for monotonicity
@@ -182,7 +184,7 @@ def hermite_certificate(rule: QuadratureRule, h: Potential, h_nodes=None) -> np.
     """
     nodes = rule.nodes
     m = len(nodes)
-    skip = int(rule.epsilon == 1 and abs(nodes[0] + 1.0) <= 1e-12)  # no slope at -1
+    skip = rule.epsilon  # no slope at -1, the first node of an even level
     deg = 2 * m - 1 - skip
     # row i: Q_i at the nodes, then Q_i' at the nodes; one equation per column
     table = orthopoly.eval_q_derivatives(adjacent_system(rule.space, 0, 0, deg), deg, 1, nodes)
@@ -266,7 +268,7 @@ def _test_functions_from_rule(rule, j_range) -> TestFunctionReport:
     values = []
     for j in js:
         values.append(1.0 / rule.M + float(np.dot(rule.weights, qvals[j])))
-    first_neg = next((j for j, v in zip(js, values) if j > rule.tau and v < -1e-8), None)
+    first_neg = next((j for j, v in zip(js, values) if j > rule.tau and v < _PJ_NEGATIVE), None)
     return TestFunctionReport(
         rule.space, rule.M, rule.s, rule.tau, tuple(js), tuple(values), first_neg
     )
@@ -297,7 +299,7 @@ def _improve_given_rule(rule, h, j, eta=None, convention="sum"):
         raise ParameterError(f"improvement needs j > tau={rule.tau}, got {j}")
     report = _test_functions_from_rule(rule, [j])
     pj = report.values[0]
-    if pj >= -1e-8:
+    if pj >= _PJ_NEGATIVE:
         raise ParameterError(
             f"test function P_{j} = {pj:.3e} is not negative; no improvement available"
         )
@@ -332,7 +334,7 @@ def _admissible_eta(h, qj, j, floor=1e-12):
     Starts from the smallest derivative margin on a grid and halves
     until the shifted potential passes the monotonicity check.
     """
-    grid = np.linspace(-1.0, 1.0 - 1e-4, 201)
+    grid = _MONOTONE_GRID
     eta0 = np.inf
     dq = np.abs(qj(j + 1, grid))
     for order in range(j + 2):

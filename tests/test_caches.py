@@ -38,6 +38,7 @@ def _report_bytes(report):
 def _clear_every_cache(monkeypatch):
     monkeypatch.setattr(lev, "_LEVEL_MAPS", {})
     monkeypatch.setattr(orthopoly, "_GRID_TABLES", {})
+    monkeypatch.setattr(pmspace, "_JACOBI_SUMS", {})
     for h in (RIESZ1, GAUSS):
         h._memo.clear()
     for cached in (lev._level, orthopoly._build_system, pmspace.moments,

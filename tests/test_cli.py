@@ -11,8 +11,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ulbkit import __version__
+from ulbkit import __version__, asymptotics, levenshtein, oracle
 from ulbkit.cli import build_parser, main
+from ulbkit.pmspace import make_space
+from ulbkit.potentials import builtin
 from ulbkit.ulb import ulb
 
 SCHEMA = json.loads(
@@ -493,6 +495,31 @@ def test_asymptotics_missing_rho_yields_null_limit(capsys):
     assert all(row["limit"] is None for row in result["rows"])
 
 
+def _hamming_rows():
+    query = asymptotics.AsymptoticQuery("hamming", 9, builtin("gaussian", c=1), n_range=(8, 48))
+    rows = asymptotics.sweep(query)
+    assert rows[0] == {"n": 8, "skipped": "H(8,2) has no level 9"}
+    return {"family": "hamming", "tau": 9, "delta": 0.0, "limit": asymptotics.limit_expression(query),
+            "rows": rows}
+
+
+# inputs of the schema test, each with the result the library gives for it
+LIBRARY_RESULTS = {
+    ("lev-bound", "--space", "sphere", "--n", "3", "--tau", "3", "--s", "0.2"): lambda: {
+        "space": "S^2", "tau": 3, "s": 0.2,
+        "bound": levenshtein.lev_bound(make_space("sphere", n=3), 3, 0.2)},
+    ("design-bound", "--space", "johnson", "--n", "12", "--w", "4", "--tau", "3"): lambda: {
+        "space": "J(12,4)", "tau": 3,
+        "bound": levenshtein.design_bound(make_space("johnson", n=12, w=4), 3)},
+    ("oracle", "named", "--space", "sphere", "--n", "3", "--config", "icosahedron"): lambda: {
+        "space": "S^2", "config": "icosahedron", "M": 12,
+        "points": oracle.named_config(make_space("sphere", n=3), "icosahedron").points.tolist()},
+    # H(8,2) has no level 9: its row is skipped with a note
+    ("asymptotics", "--family", "hamming", "--tau", "9", "--n-range", "8,48",
+     "--potential", "gaussian", "--c", "1"): _hamming_rows,
+}
+
+
 def test_reports_validate_against_schema(capsys):
     cases = [
         ["ulb", "--space", "sphere", "--n", "3", "--M", "12",
@@ -510,7 +537,7 @@ def test_reports_validate_against_schema(capsys):
         ["ulb", "--space", "sphere", "--n", "3", "--M", "825", "--potential", "riesz", "--p", "1"],
         ["ulb", "--space", "sphere", "--n", "3", "--M", "825",
          "--potential", "gaussian", "--c", "1"],
-    ]
+    ] + [list(argv) for argv in LIBRARY_RESULTS]
     rule_schema = {"$ref": "#/$defs/rule", "$defs": SCHEMA["$defs"]}
     bound_schema = {"$ref": "#/$defs/bound_report", "$defs": SCHEMA["$defs"]}
     row_schema = {"$ref": "#/$defs/asymptotic_row", "$defs": SCHEMA["$defs"]}
@@ -533,6 +560,23 @@ def test_reports_validate_against_schema(capsys):
         elif argv[0] == "asymptotics":
             for row in report["result"]["rows"]:
                 jsonschema.validate(row, row_schema)
+        if tuple(argv) in LIBRARY_RESULTS:
+            assert report["result"] == LIBRARY_RESULTS[tuple(argv)](), argv
+
+
+def test_human_format_echoes_the_parameters_and_the_json_result(capsys):
+    argv = ["design-bound", "--space", "johnson", "--n", "12", "--w", "4", "--tau", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "human")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"ulbkit {__version__} :: design-bound"
+    result_at = lines.index("result:")
+    assert lines[1:result_at] == ["  command = design-bound", "  n = 12", "  space = johnson",
+                                  "  tau = 3", "  w = 4"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    result = json.loads("\n".join(lines[result_at + 1:]))
+    assert result == json.loads(default)["result"] and result["bound"] == 33
 
 
 def test_sweep_keeps_order_and_bytes(capsys):

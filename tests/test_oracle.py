@@ -137,6 +137,49 @@ def test_unknown_config_rejected():
         oracle.named_config(S3, "dodecahedron")
 
 
+@pytest.mark.parametrize(
+    "space, points, message",
+    [
+        (S3, [[1.0, 0.0]], "sphere points must be rows of length 3"),
+        (S3, [[1.0, 1.0, 0.0]], "sphere points must be unit vectors"),
+        (make_space("hamming", n=4, q=3), [[0, 1, 2]], "Hamming words must have length 4"),
+        (make_space("hamming", n=4, q=3), [[0, 1, 2, 3]],
+         re.escape("Hamming symbols must lie in 0..2")),
+        (make_space("johnson", n=6, w=2), [[1, 1, 0, 0, 0]], "Johnson words must have length 6"),
+        (make_space("johnson", n=6, w=2), [[1, 1, 1, 0, 0, 0]],
+         "Johnson words must be binary of weight 2"),
+        (make_space("projective", n=3, field_dim=4), np.zeros((2, 3)),
+         re.escape("quaternionic points must have shape (M, 3, 2)")),
+        (make_space("projective", n=3, field_dim=2), [[1.0, 0.0]],
+         "projective points must be rows of length 3"),
+        (make_space("projective", n=3, field_dim=2), [[1.0, 1j, 0.0]],
+         "projective representatives must be unit vectors"),
+        (make_space("projective", n=3, field_dim=1), [[1.0, 1.0, 0.0]],
+         "projective representatives must be unit vectors"),
+    ],
+    ids=["sphere-length", "sphere-norm", "hamming-length", "hamming-symbol", "johnson-length",
+         "johnson-weight", "quaternionic-shape", "projective-length", "complex-norm", "real-norm"],
+)
+def test_make_code_refuses_points_outside_the_space(space, points, message):
+    with pytest.raises(ParameterError, match=message):
+        oracle.make_code(space, points)
+
+
+def test_energy_separation_and_strength_refusals():
+    one = oracle.make_code(S3, [[1.0, 0.0, 0.0]])
+    with pytest.raises(ParameterError, match="unknown energy convention 'median'"):
+        oracle.energy(S3, oracle.named_config(S3, "icosahedron"), builtin("riesz", p=1), "median")
+    # one point has no pairs
+    assert oracle.energy(S3, one, builtin("riesz", p=1)) == 0.0
+    with pytest.raises(ParameterError, match="separation needs at least two points"):
+        oracle.separation(S3, one)
+    h72 = make_space("hamming", n=7, q=2)
+    with pytest.raises(ParameterError, match="tau_max 8 exceeds the degree cap 7"):
+        oracle.design_strength(h72, oracle.named_config(h72, "repetition"), 8)
+    with pytest.raises(ParameterError, match="need n >= 2 and M >= 2"):
+        oracle.minimize_sphere(1, 3, builtin("riesz", p=1))
+
+
 def _random_codes():
     """One code per family and field, drawn from a seeded generator."""
     rng = np.random.default_rng(23)

@@ -277,7 +277,7 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         system.norms[3] *= 1.001
     levenshtein.tau_for_cardinality(s9, 200)
-    assert isinstance(levenshtein._LEVEL_MAPS[s9][1], tuple)  # integer level tops
+    assert isinstance(levenshtein._LEVEL_MAPS[s9][0], tuple)  # integer level tops
     for arr in (t, system.rec_beta, system.rec_gamma, system.value_at_one, pmspace.moments(s9, 7),
                 pmspace.moments(make_space("johnson", n=7, w=3), 5)):
         assert not arr.flags.writeable
@@ -324,9 +324,9 @@ def test_growing_a_space_builds_few_systems(monkeypatch):
 
 
 def test_a_low_level_of_a_finite_space_builds_no_system_past_degree_16(monkeypatch):
-    # the level map grows by levels 1..15, then 16..31, ...: a cold level
-    # 15 of J(80,40) asks for a certificate of degree 15 at most, where a
-    # block of levels 1..16 built the (0,0) system to degree 32 for level 16
+    # the level map grows one level at a time, only as far as M needs: a
+    # cold level 15 of J(80,40) asks for a certificate of degree 15 at most,
+    # so no level past it builds the (0,0) system to degree 32
     monkeypatch.setattr(levenshtein, "_LEVEL_MAPS", {})
     levenshtein._level.cache_clear()
     orthopoly._build_system.cache_clear()

@@ -167,6 +167,37 @@ def test_projective_multiplicities_match_the_system_norms(n, m):
     np.testing.assert_allclose(got, norms[:13], rtol=1e-12, atol=0)
 
 
+def test_multiplicity_and_moments_refusals():
+    with pytest.raises(DegreeOverflowError, match=r"degree 8 exceeds the cap 7 of H\(7,2\)"):
+        pmspace.multiplicity(make_space("hamming", n=7, q=2), 8)
+    with pytest.raises(ParameterError, match="moment order must be nonnegative"):
+        pmspace.moments(make_space("sphere", n=3), -1)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [make_space("sphere", n=n) for n in (2, 3, 4, 10)]
+    + [make_space("projective", n=n, field_dim=m) for n, m in ((3, 1), (3, 2), (4, 4), (7, 2))],
+    ids=lambda space: space.label(),
+)
+@pytest.mark.parametrize("shift", [0, 1], ids=["multiplicity", "design-bound"])
+def test_jacobi_sums_grown_in_one_call_equal_those_grown_in_many(monkeypatch, space, shift):
+    # each exponent pair keeps one exact list, grown by the ratio
+    # r_{i+1}/r_i: its sums do not depend on the calls that grew it; the
+    # design bounds of even levels take beta + 1
+    alpha, beta = space.jacobi_exponents()
+    beta += shift
+    monkeypatch.setattr(pmspace, "_JACOBI_SUMS", {})
+    many = [pmspace.jacobi_sum(alpha, beta, k) for k in range(301)]
+    monkeypatch.setattr(pmspace, "_JACOBI_SUMS", {})
+    assert pmspace.jacobi_sum(alpha, beta, 300) == many[-1]
+    assert pmspace._JACOBI_SUMS == {(round(2 * alpha), round(2 * beta)): many}
+    assert [type(x) for x in many] == [int] + [Fraction] * 300
+    monkeypatch.setattr(pmspace, "_JACOBI_SUMS", {})
+    ks = (7, 3, 40, 39, 170, 300)
+    assert [pmspace.jacobi_sum(alpha, beta, k) for k in ks] == [many[k] for k in ks]
+
+
 def test_multiplicity_krawtchouk_general_q():
     h = make_space("hamming", n=6, q=4)
     assert pmspace.multiplicity(h, 2) == math.comb(6, 2) * 9

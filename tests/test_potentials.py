@@ -34,6 +34,32 @@ def test_monomial_derivatives():
     assert h.deriv(0.5, 4) == 0.0
 
 
+@pytest.mark.parametrize("jpow", [0, 1, 2, 3, 7, 11, 40, 170, 171, 200])
+def test_monomial_derivatives_are_the_falling_factorial_terms_bit_for_bit(jpow):
+    # perm(J, r) (1+t)^(J-r), zero past J; perm(171, r) passes the float
+    # range from r = 171, where the coefficient is inf
+    h = builtin("monomial", j=jpow)
+    grid = np.linspace(-1.0, 1.0 - 1e-4, 201)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(jpow + 3):
+            try:
+                coef = float(math.perm(jpow, order))
+            except OverflowError:
+                coef = math.inf
+            # a point takes numpy's scalar power, which can differ in the last bit
+            for t in (grid, -1.0, -0.0, 0.5):
+                t = np.asarray(t, dtype=float)
+                want = coef * (1.0 + t) ** (jpow - order) if order <= jpow else np.zeros_like(t)
+                got = h.deriv(t, order)
+                assert type(got) is (float if t.ndim == 0 else np.ndarray)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (order, t)
+
+
+def test_a_negative_derivative_order_is_refused():
+    with pytest.raises(ParameterError, match="derivative order must be nonnegative"):
+        builtin("gaussian", c=1).deriv(0.0, -1)
+
+
 def test_log_convention():
     h = builtin("log")
     assert h(0.5) == pytest.approx(-0.5 * np.log(1.0))
@@ -104,6 +130,8 @@ def test_invalid_parameters():
         builtin("series", coeffs=[1, -2])
     with pytest.raises(ParameterError):
         builtin("nope")
+    with pytest.raises(ParameterError, match="monomial potential needs an integer j >= 0"):
+        builtin("monomial", j=-1)
 
 
 

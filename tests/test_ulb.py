@@ -209,6 +209,15 @@ def test_improvement_preconditions():
         improve_with_qj(space, 7, RIESZ1, 6, eta=-1.0)
 
 
+def test_negative_test_function_indices_and_a_too_large_eta_are_refused():
+    space = make_space("sphere", n=3)
+    with pytest.raises(ParameterError, match="test function indices must be nonnegative"):
+        compute_test_functions(space, 7, [-1, 2])
+    # the admissible eta is about 4.3e-5
+    with pytest.raises(ParameterError, match="supplied eta=10.0 breaks absolute monotonicity"):
+        improve_with_qj(space, 7, RIESZ1, 6, eta=10.0)
+
+
 def test_test_function_indices_must_be_integers():
     # 1.5 and 7.9 used to be truncated to 1 and 7
     space = make_space("sphere", n=3)
@@ -531,21 +540,17 @@ def test_point_values_run_the_float_recurrence(monkeypatch, tau):
     lo = lev.design_bound(space, tau)
     M = int(round(0.5 * (lo + lev.design_bound(space, tau + 1))))
     ulb(space, M, GAUSS)
-    shapes, array_args = [], []
-    eval_all, array_branch = rec.eval_all, rec._eval_all_array
+    shapes = []
+    eval_all = rec.eval_all
 
     def recording_eval_all(b, g, deg, t):
         shapes.append(np.shape(t))
         return eval_all(b, g, deg, t)
 
-    def recording_array_branch(b, g, deg, t):
-        array_args.append(t)
-        return array_branch(b, g, deg, t)
-
     monkeypatch.setattr(rec, "eval_all", recording_eval_all)
-    monkeypatch.setattr(rec, "_eval_all_array", recording_array_branch)
     rule = ulb(space, M, GAUSS).rule
     assert rule.tau == tau
     # L_tau(s) takes two values at s; the weight at -1 one at s
     assert shapes.count(()) == 2 + rule.epsilon
-    assert not [t for t in array_args if np.ndim(t) == 0 or np.size(t) == 2]
+    # and none of them as an array of two points
+    assert not [shape for shape in shapes if shape and math.prod(shape) == 2]
