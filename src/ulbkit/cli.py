@@ -52,8 +52,6 @@ def _jsonable(obj):
         obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return None  # keep the reports strict JSON
-    if isinstance(obj, pmspace.Family):
-        return obj.value
     return obj
 
 
@@ -138,17 +136,7 @@ def _echo(args):
 
 
 def _rule_payload(rule):
-    return {
-        "M": rule.M,
-        "tau": rule.tau,
-        "k": rule.k,
-        "epsilon": rule.epsilon,
-        "s": rule.s,
-        "nodes": _jsonable(rule.nodes),
-        "weights": _jsonable(rule.weights),
-        "power_sum_residual": rule.power_sum_residual,
-        "odd_branch": rule.odd_branch,
-    }
+    return {k: v for k, v in vars(rule).items() if k != "space"}
 
 
 def _report_payload(rep: UlbReport):
@@ -306,9 +294,6 @@ def _cmd_oracle(args):
             "convention": args.convention, "words": _jsonable(code.points)}
 
 
-_ASY_COLS = ("n", "M", "s", "alpha_0", "rho_0_M", "remainder", "limit", "ratio1", "ratio2")
-
-
 def _cmd_asymptotics(args):
     from . import asymptotics
 
@@ -317,14 +302,8 @@ def _cmd_asymptotics(args):
         args.family, args.tau, h, delta=args.delta, rho=args.rho,
         n_range=tuple(_int_range(args.n_range)) if args.n_range else (),
     )
-    rows = asymptotics.sweep(query)
-    table = []
-    for row in rows:
-        if "skipped" in row:
-            table.append({"n": row["n"], "skipped": row["skipped"]})
-        else:
-            table.append({c: row[c] for c in _ASY_COLS} | {"clamped": row["clamped"]})
-    out = {"family": args.family, "tau": args.tau, "delta": args.delta, "rows": table}
+    out = {"family": args.family, "tau": args.tau, "delta": args.delta,
+           "rows": asymptotics.sweep(query)}
     try:
         out["limit"] = asymptotics.limit_expression(query)
     except ParameterError:
@@ -502,21 +481,26 @@ def _emit(args, payload) -> str:
     if fmt == "csv":
         import csv
 
-        rows = payload.get("rows") if isinstance(payload, dict) else None
-        if rows is None:
-            rows = payload.get("reports", [payload]) if isinstance(payload, dict) else [payload]
+        rows = payload.get("rows", payload.get("reports", [payload]))
         buf = io.StringIO()
         cols = sorted({k for r in rows for k in r})
         writer = csv.DictWriter(buf, fieldnames=cols)
         writer.writeheader()
         for r in rows:
-            writer.writerow({k: r.get(k, "") for k in cols})
+            writer.writerow({k: _csv_cell(r.get(k, "")) for k in cols})
         return buf.getvalue()
     lines = [f"ulbkit {__version__} :: {args.command}"]
     lines += [f"  {k} = {v}" for k, v in report["params"].items()]
     lines.append("result:")
     lines.append(json.dumps(report["result"], indent=2, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(value):
+    """A scalar as it is; a dict, list or array as JSON, keys sorted and non-finite values null."""
+    if isinstance(value, (dict, list, np.ndarray)):
+        return json.dumps(_jsonable(value), sort_keys=True)
+    return value
 
 
 def main(argv=None) -> int:

@@ -90,6 +90,9 @@ class _Level(NamedTuple):
     M enters a rule through the border of the Jacobi matrix and through s.
     """
 
+    k: int
+    eps: int
+    tau: int
     interval: tuple  # the validity interval (lo, hi)
     # the (0,eps) system: the Jacobi matrix, the border's P_{k-1}(1) and
     # P_k(1), and P_k at s
@@ -124,7 +127,7 @@ def _level(space: SpaceDescriptor, k: int, eps: int) -> _Level:
         weight_system = adjacent_system(space, 1, 0, k)
         q_m1 = eval_q_all(weight_system, k, -1.0)[k]
     return _Level(
-        (lower, upper), system, g[k] * r[k], float(np.sum(r[:k])),
+        k, eps, 2 * k - 1 + eps, (lower, upper), system, g[k] * r[k], float(np.sum(r[:k])),
         pmspace.q1_value(space) ** eps, lev_system, weight_system, q_m1,
     )
 
@@ -136,12 +139,13 @@ def validity_interval(space: SpaceDescriptor, tau: int):
 
 def lev_bound(space: SpaceDescriptor, tau: int, s: float) -> float:
     """Levenshtein bound L_tau(s) on the size of codes with separation s."""
-    lo, hi = validity_interval(space, tau)
+    level = _level(space, *_split(tau))
+    lo, hi = level.interval
     if not _in_interval(s, lo, hi):
         raise ParameterError(
             f"s={s} outside the level-{tau} validity interval [{lo}, {hi}]"
         )
-    return _lev_value(space, tau, s)
+    return _lev_value(level, s)
 
 
 def _in_interval(s: float, lo: float, hi: float) -> bool:
@@ -149,9 +153,8 @@ def _in_interval(s: float, lo: float, hi: float) -> bool:
     return lo - pad <= s <= hi + pad
 
 
-def _lev_value(space: SpaceDescriptor, tau: int, s: float) -> float:
-    k, eps = _split(tau)
-    level = _level(space, k, eps)
+def _lev_value(level: _Level, s: float) -> float:
+    k = level.k
     num = _p_at(level.lev_system, k - 1, s) / level.lev_system.value_at_one[k - 1]
     den = _p_at(level.system, k, s) / level.system.value_at_one[k]
     return level.q1_eps * (1.0 - num / den) * level.r_head
@@ -243,15 +246,15 @@ def solve_separation(space: SpaceDescriptor, M: int) -> float:
 
 def quadrature_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     """Build and validate the 1/M-quadrature rule for cardinality M."""
-    k, eps, tau = tau_for_cardinality(space, M)
-    lo, hi = validity_interval(space, tau)
-    nodes, weights = _bordered_rule(space, M, k, eps)
+    level = _level(space, *tau_for_cardinality(space, M)[:2])
+    lo, hi = level.interval
+    nodes, weights = _bordered_rule(level, M)
     if not _in_interval(nodes[-1], lo, hi):
         raise ConvergenceError(
-            f"separation {nodes[-1]} for M={M} outside the level-{tau}"
+            f"separation {nodes[-1]} for M={M} outside the level-{level.tau}"
             f" validity interval [{lo}, {hi}]"
         )
-    return _rule_from_nodes(space, M, k, eps, tau, nodes, weights)
+    return _rule_from_nodes(level, M, nodes, weights)
 
 
 def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
@@ -262,19 +265,20 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     Q_k, so the same construction still yields a rule (generally weaker).
     For M served by an odd level this is the ordinary rule.
     """
-    k, eps, tau = tau_for_cardinality(space, M)
+    k, eps, _ = tau_for_cardinality(space, M)
     if eps == 0:
         return replace(quadrature_rule(space, M), odd_branch=True)
-    lo = validity_interval(space, 2 * k - 1)[1]  # t_k^{1,0}
+    level = _level(space, k, 0)
+    lo = level.interval[1]  # t_k^{1,0}
     hi = largest_zero(adjacent_system(space, 0, 0, k), k)
-    nodes, weights = _bordered_rule(space, M, k, 0)
+    nodes, weights = _bordered_rule(level, M)
     s = nodes[-1]
     if not (lo - 1e-12 * (hi - lo) <= s < hi):
         raise ConvergenceError(f"odd-branch separation {s} escaped [{lo}, {hi})")
-    return _rule_from_nodes(space, M, k, 0, 2 * k - 1, nodes, weights, odd_branch=True)
+    return _rule_from_nodes(level, M, nodes, weights, odd_branch=True)
 
 
-def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
+def _bordered_rule(level: _Level, M: int):
     """Nodes and weights of the 1/M-rule at level 2k-1+eps; the last node is s.
 
     Against (1+t)^eps dnu the rule is a Gauss rule with the extra node
@@ -287,7 +291,7 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     -1 (eps = 1) is left 0 for :func:`_rule_from_nodes`.  The border is
     written into the matrix of the next degree, in place.
     """
-    level = _level(space, k, eps)
+    k, eps = level.k, level.eps
     b, g, v = level.system.rec_beta, level.system.rec_gamma, level.system.value_at_one
     # the denominator is (M - D(tau-1)) / q1^eps, with D(0) = 1: positive
     # for every M the level serves
@@ -307,10 +311,11 @@ def _bordered_rule(space: SpaceDescriptor, M: int, k: int, eps: int):
     return nodes, weights
 
 
-def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) -> QuadratureRule:
+def _rule_from_nodes(level: _Level, M, nodes, weights, odd_branch=False) -> QuadratureRule:
     # every check is written so that a NaN fails it
+    space, k, eps, tau = level.system.space, level.k, level.eps, level.tau
     s = float(nodes[-1])
-    if not abs(_lev_value(space, tau, s) - M) <= _SOLVE_RTOL * M:
+    if not abs(_lev_value(level, s) - M) <= _SOLVE_RTOL * M:
         raise ConvergenceError(f"L_{tau}(s) misses M={M} at the separation s={s}")
     if not (nodes[1:] > nodes[:-1]).all():
         raise ConvergenceError("quadrature nodes are not strictly increasing")
@@ -321,7 +326,6 @@ def _rule_from_nodes(space, M, k, eps, tau, nodes, weights, odd_branch=False) ->
         # size.  Where the products leave the float range (S^2 from tau
         # ~1720) the checks below refuse the inf, 0 or nan that gives.
         inner = nodes[1:-1]
-        level = _level(space, k, eps)
         q_s = _p_at(level.weight_system, k, s) / level.weight_system.value_at_one[k]
         with np.errstate(all="ignore"):
             num, den = (s - inner).prod(), 2 * level.q_at_minus_one * (-1 - inner).prod()

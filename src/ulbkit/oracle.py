@@ -145,6 +145,11 @@ def _distribution_sum(counts, hval):
     return vals
 
 
+def _check_space(space: SpaceDescriptor, code: Code):
+    if space != code.space:
+        raise ParameterError(f"the code lies in {code.space.label()}, not in {space.label()}")
+
+
 def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "sum") -> float:
     """Pair-sum energy of a code; "mean" divides the sum by the size.
 
@@ -152,6 +157,7 @@ def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "
     Raises DomainError on coincident points, where singular potentials
     have no finite value and codes stop being sets.
     """
+    _check_space(space, code)
     if convention not in ("sum", "mean"):
         raise ParameterError(f"unknown energy convention {convention!r}")
     if code.size < 2:
@@ -170,6 +176,7 @@ def separation(space: SpaceDescriptor, code: Code):
     s is the separation max t(x,y); ell the minimum; u repeats s under
     the name used for design-structure queries.
     """
+    _check_space(space, code)
     if code.size < 2:
         raise ParameterError("separation needs at least two points")
     vals = _pair_values(code)[0]
@@ -180,6 +187,7 @@ def separation(space: SpaceDescriptor, code: Code):
 
 def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
     """Largest tau <= tau_max with vanishing moment sums of orders 1..tau."""
+    _check_space(space, code)
     tau_max = integer("design_strength", "tau_max", tau_max)
     cap = space.max_degree
     if cap is not None and tau_max > cap:

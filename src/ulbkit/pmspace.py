@@ -216,6 +216,8 @@ def jacobi_sum(alpha: float, beta: float, k: int):
     (alpha = beta) or projective space's multiplicity.  Each exponent pair
     keeps one list of the sums, grown by r_{i+1}/r_i to the largest k asked for.
     """
+    if k < 0:
+        raise ParameterError(f"jacobi_sum needs k >= 0, got {k}")
     a2, b2 = round(2 * alpha), round(2 * beta)
     sums = _JACOBI_SUMS.setdefault((a2, b2), [1])
     if len(sums) > k:

@@ -35,6 +35,8 @@ def test_query_validation():
         _query(delta=-0.5)
     with pytest.raises(ParameterError):
         _query(rho=1.5)
+    with pytest.raises(ParameterError, match="tau must be >= 1"):
+        _query(tau=0)
 
 
 @pytest.mark.parametrize("field, value", [("tau", 2.5), ("tau", math.nan), ("delta", math.nan),

@@ -81,8 +81,11 @@ def test_a_level_record_holds_only_scalars_and_shared_systems(tau):
     # no array of its own, so a sweep over every level costs O(1) per level
     k, eps = lev._split(tau)
     record = lev._level(S2, k, eps)
+    assert (record.k, record.eps, record.tau) == (k, eps, tau)
     for name, value in zip(record._fields, record):
-        if isinstance(value, tuple):
+        if name in ("k", "eps", "tau"):
+            assert type(value) is int, name
+        elif isinstance(value, tuple):
             assert len(value) == 2 and all(isinstance(x, float) for x in value)
         else:
             assert value is None or isinstance(value, (float, orthopoly.OrthoSystem)), name

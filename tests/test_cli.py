@@ -1,6 +1,8 @@
 import argparse
+import csv
 import importlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -160,13 +162,35 @@ def test_missing_potential_param_exit_2(capsys):
     "argv",
     [["ulb", "--space", "sphere", "--n", "3", "--M", "abc", "--potential", "riesz", "--p", "1"],
      ["asymptotics", "--family", "sphere", "--tau", "1", "--potential", "gaussian", "--c", "1",
-      "--n-range", "8:x"]],
-    ids=["ulb-M", "asymptotics-n-range"],
+      "--n-range", "8:x"],
+     ["ulb", "--space", "sphere", "--n", "3", "--M", "5:3", "--potential", "riesz", "--p", "1"]],
+    ids=["ulb-M", "asymptotics-n-range", "ulb-M-empty"],
 )
 def test_bad_integer_range_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "ParameterError"
+    error = json.loads(err)["error"]
+    # "bad integer range '8:x'", "empty range '5:3'"
+    assert error["type"] == "ParameterError" and "range '" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["ulb", "--space", "sphere", "--n", "3", "--M", "4"], "a --potential is required"),
+     (["design-energy", "--space", "sphere", "--n", "3", "--M", "12", "--tau", "5",
+       "--direction", "lower", "--potential", "riesz", "--p", "1"],
+      "a --poly coefficient list is required"),
+     (["oracle", "energy", "--space", "sphere", "--n", "3", "--potential", "riesz", "--p", "1"],
+      "need --config or --points-json"),
+     (["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "series",
+       "--coeffs", "1,x"], "bad number list '1,x'")],
+    ids=["no-potential", "no-poly", "no-code", "bad-coeffs"],
+)
+def test_a_missing_or_malformed_input_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and error["message"] == message
 
 
 _SPACE = ["field_dim", "n", "q", "space", "w"]
@@ -471,6 +495,28 @@ def test_asymptotics_csv(capsys):
     for col in ("n", "M", "s", "alpha_0", "rho_0_M", "remainder", "limit", "ratio1", "ratio2"):
         assert col in header
     assert len(lines) == 4
+
+
+def test_ulb_csv_cells_are_the_json_report_values(capsys):
+    argv = ["ulb", "--space", "sphere", "--n", "3", "--M", "10:14", "--potential", "riesz", "--p", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    reports = json.loads(run_cli(capsys, *argv)[1])["result"]["reports"]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(reports) == 5
+    nested = 0
+    for row, report in zip(rows, reports):
+        assert set(row) == set(report)
+        for key, cell in row.items():
+            if isinstance(report[key], (dict, list)):
+                # a nested cell is JSON, keys sorted, as in the JSON report
+                assert cell == json.dumps(report[key], sort_keys=True), key
+                assert json.loads(cell) == report[key], key
+                nested += 1
+            else:
+                assert cell == str(report[key]), key
+    # the rule, the certificate and its checks of each report
+    assert nested == 15
 
 
 def test_report_roundtrip_and_out_file(tmp_path, capsys):

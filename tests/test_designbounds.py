@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,41 @@ def test_validators_agree_with_the_reference(family, params):
     assert len(outcomes) == 9, sorted(outcomes)
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_a_pointwise_condition_on_a_given_set_holds_to_its_tolerance(side):
+    # a constant f past h at t = -0.75 (h = 0.47) by 0.5e-9 (1 + |h|)
+    # passes, by 1.5e-9 (1 + |h|) fails: the tolerance is 1e-9 (1 + |h|)
+    s2 = make_space("sphere", n=3)
+    t = np.array([-0.75])
+    hv = float(GAUSS(t)[0])
+    sign, fn, name = (1, design_lower_bound, "(D1)") if side == "lower" else (
+        -1, design_upper_bound, "(E1)")
+    for slack in (0.5e-9, 1.5e-9):
+        f = [hv + sign * slack * (1.0 + hv)]
+        if slack < 1e-9:
+            assert fn(s2, 0, 4, GAUSS, f, t) == pytest.approx(4 * (4 * f[0] - f[0]))
+        else:
+            with pytest.raises(ConditionError, match=re.escape(name)):
+                fn(s2, 0, 4, GAUSS, f, t)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_a_coefficient_condition_holds_to_its_tolerance(side):
+    # a constant f well inside h, with f_3 of the wrong sign by 0.5e-9
+    # (within the tolerance 1e-9 max(1, |f|)) or by 5e-9 (past it)
+    s2 = make_space("sphere", n=3)
+    sign, fn, name = (1, design_lower_bound, "(D2)") if side == "lower" else (
+        -1, design_upper_bound, "(E2)")
+    f0 = 0.1 if side == "lower" else 3.0  # Gaussian c=1 lies in [1/e, e]
+    for wrong in (0.5e-9, 5e-9):
+        f = [f0, 0.0, 0.0, -sign * wrong]
+        if wrong < 1e-9:
+            assert fn(s2, 0, 4, GAUSS, f) == pytest.approx(4 * (4 * f0 - sum(f)))
+        else:
+            with pytest.raises(ConditionError, match=re.escape(name) + ".* index 3"):
+                fn(s2, 0, 4, GAUSS, f)
+
+
 def test_a_certificate_ulb_finds_above_h_yields_no_design_bound():
     # HP^3 at tau 37 with Gaussian h: the Hermite interpolant rises above
     # h near t = 1 by more than the grid tolerance
@@ -334,6 +371,9 @@ def test_an_empty_set_of_inner_products_is_refused():
     for call in (
         # no point of H(8,2)'s grid (steps of 1/4) lies in the interval
         lambda: design_lower_bound(h8, 0, 4, GAUSS, np.array([0.1]), subset=(0.1, 0.2)),
+        # nor in one that misses 0.25 and 0.5 by 1e-6: a grid point is taken
+        # within 1e-12 of an end
+        lambda: design_lower_bound(h8, 0, 4, GAUSS, np.array([0.1]), subset=(0.25 + 1e-6, 0.5 - 1e-6)),
         # no point of the subset lies at or below s
         lambda: separated_upper_bound(S3, 6, GAUSS, np.array([3.0]), 0.0,
                                       subset=np.array([0.5, 0.6])),
@@ -341,3 +381,7 @@ def test_an_empty_set_of_inner_products_is_refused():
     ):
         with pytest.raises(ParameterError, match="left to check"):
             call()
+    # the grid points at the ends of an interval or at s are checked
+    assert design_lower_bound(h8, 0, 4, GAUSS, np.array([0.1]), subset=(0.25, 0.5)) == pytest.approx(1.2)
+    with pytest.raises(ConditionError, match=r"\(F1\) f>=h below s fails at t=0.5"):
+        separated_upper_bound(h8, 4, GAUSS, np.array([1.6]), 0.5 - 1e-13)

@@ -105,12 +105,25 @@ def test_lev_bound_strictly_increasing(space):
         assert np.all(np.diff(vals) > 0)
 
 
+@pytest.mark.parametrize("tau", [2, 3])
+def test_lev_bound_takes_s_to_within_1e_12_of_its_interval(tau):
+    s2 = make_space("sphere", n=3)
+    lo, hi = lev.validity_interval(s2, tau)
+    for end, out in ((lo, -1.0), (hi, 1.0)):
+        lev.lev_bound(s2, tau, end + out * 1e-13)
+        with pytest.raises(ParameterError, match=f"outside the level-{tau} validity interval"):
+            lev.lev_bound(s2, tau, end + out * 1e-9)
+
+
 def test_tau_for_cardinality_examples():
     assert lev.tau_for_cardinality(make_space("sphere", n=3), 5) == (1, 1, 2)
     for n in (3, 5, 8):
         assert lev.tau_for_cardinality(make_space("sphere", n=n), n + 1) == (1, 0, 1)
     assert lev.tau_for_cardinality(make_space("hamming", n=8, q=2), 16) == (1, 1, 2)
     assert lev.tau_for_cardinality(make_space("sphere", n=3), 2) == (1, 0, 1)
+    # J(11,3): D(3) = 110/3, so level 2 ends at 36 and 37 starts level 3
+    j113 = make_space("johnson", n=11, w=3)
+    assert [lev.tau_for_cardinality(j113, M)[2] for M in (36, 37)] == [2, 3]
 
 
 def test_tau_for_cardinality_errors():
@@ -587,6 +600,33 @@ def test_odd_branch_rule():
     assert np.allclose(main.weights, odd.weights, atol=1e-10)
 
 
+@pytest.mark.parametrize("case", ["rule-above", "odd-branch-below", "odd-branch-at"])
+def test_a_separation_just_outside_its_interval_is_refused(monkeypatch, case):
+    # S^2 M=10 is served at level 4, (D(4), D(5)]: its rule's s lies in the
+    # level-4 validity interval, its odd-branch s in [t_2^{1,0}, t_2), t_2
+    # the largest zero of Q_2
+    s2 = make_space("sphere", n=3)
+    lo = lev.validity_interval(s2, 3)[1]
+    hi = orthopoly.largest_zero(orthopoly.adjacent_system(s2, 0, 0, 2), 2)
+    assert lo <= lev.odd_branch_rule(s2, 10).s < hi
+    s, build, message = {
+        "rule-above": (lev.validity_interval(s2, 4)[1] + 1e-9, lev.quadrature_rule,
+                       "for M=10 outside the level-4 validity interval"),
+        "odd-branch-below": (lo - 1e-9 * (hi - lo), lev.odd_branch_rule, "odd-branch separation .* escaped"),
+        "odd-branch-at": (hi, lev.odd_branch_rule, "odd-branch separation .* escaped"),
+    }[case]
+    bordered = lev._bordered_rule
+
+    def moved(level, M):
+        nodes, weights = bordered(level, M)
+        nodes[-1] = s
+        return nodes, weights
+
+    monkeypatch.setattr(lev, "_bordered_rule", moved)
+    with pytest.raises(ConvergenceError, match=message):
+        build(s2, 10)
+
+
 def test_rule_rejects_bad_cardinality():
     with pytest.raises(ParameterError):
         lev.quadrature_rule(make_space("sphere", n=3), 1)
@@ -596,12 +636,13 @@ def test_rule_rejects_bad_cardinality():
 def test_a_nan_in_the_rule_fails_its_checks(field):
     # a NaN compares false with everything: each check must fail on it
     space = make_space("sphere", n=3)
-    k, eps, tau = lev.tau_for_cardinality(space, 100)
-    nodes, weights = lev._bordered_rule(space, 100, k, eps)
-    lev._rule_from_nodes(space, 100, k, eps, tau, nodes.copy(), weights.copy())
+    k, eps, _ = lev.tau_for_cardinality(space, 100)
+    level = lev._level(space, k, eps)
+    nodes, weights = lev._bordered_rule(level, 100)
+    lev._rule_from_nodes(level, 100, nodes.copy(), weights.copy())
     {"nodes": nodes, "weights": weights}[field][3] = np.nan
     with pytest.raises(ConvergenceError):
-        lev._rule_from_nodes(space, 100, k, eps, tau, nodes, weights)
+        lev._rule_from_nodes(level, 100, nodes, weights)
 
 
 def _rule_parts(M):
@@ -609,34 +650,35 @@ def _rule_parts(M):
     space = make_space("sphere", n=3)
     k, eps, tau = lev.tau_for_cardinality(space, M)
     assert (k, eps, tau) == (9, 0, 17)
-    nodes, weights = lev._bordered_rule(space, M, k, eps)
-    return space, (M, k, eps, tau), nodes, weights
+    level = lev._level(space, k, eps)
+    nodes, weights = lev._bordered_rule(level, M)
+    return level, nodes, weights
 
 
 def test_rule_from_nodes_refuses_a_power_sum_residual_just_past_its_tolerance():
-    space, level, nodes, weights = _rule_parts(100)
+    level, nodes, weights = _rule_parts(100)
     nodes[4] += 2e-5  # an inner node: L_tau(s) and the weights stay as they were
     with pytest.raises(ConvergenceError, match="power-sum residual") as err:
-        lev._rule_from_nodes(space, *level, nodes, weights)
+        lev._rule_from_nodes(level, 100, nodes, weights)
     residual = float(re.search(r"residual (\S+)", str(err.value)).group(1))
     assert 1e-7 < residual < 1e-4
 
 
 def test_rule_from_nodes_refuses_a_separation_just_past_its_tolerance():
-    space, level, nodes, weights = _rule_parts(100)
+    level, nodes, weights = _rule_parts(100)
     nodes[-1] += 2e-10
-    miss = abs(lev._lev_value(space, level[3], float(nodes[-1])) - 100) / 100
+    miss = abs(lev._lev_value(level, float(nodes[-1])) - 100) / 100
     assert 1e-10 < miss < 1e-7
     with pytest.raises(ConvergenceError, match="misses M=100"):
-        lev._rule_from_nodes(space, *level, nodes, weights)
+        lev._rule_from_nodes(level, 100, nodes, weights)
 
 
 def test_rule_from_nodes_refuses_a_weight_just_below_zero():
     # the power-sum check would refuse it too: the message tells which fired
-    space, level, nodes, weights = _rule_parts(100)
+    level, nodes, weights = _rule_parts(100)
     weights[3] = -1e-20
     with pytest.raises(ConvergenceError, match="nonpositive quadrature weight"):
-        lev._rule_from_nodes(space, *level, nodes, weights)
+        lev._rule_from_nodes(level, 100, nodes, weights)
 
 
 def _bordered_rule_by_appends(space, M, k, eps):
@@ -664,7 +706,7 @@ def test_bordered_rule_equals_the_appended_border(space):
         M = int(round(0.5 * (lo + hi)))
         k, eps, tau_m = lev.tau_for_cardinality(space, M)
         levels.add(eps)
-        for got, want in zip(lev._bordered_rule(space, M, k, eps),
+        for got, want in zip(lev._bordered_rule(lev._level(space, k, eps), M),
                              _bordered_rule_by_appends(space, M, k, eps)):
             assert got.tobytes() == want.tobytes(), (tau_m, M)
     assert levels == {0, 1}

@@ -180,6 +180,35 @@ def test_energy_separation_and_strength_refusals():
         oracle.minimize_sphere(1, 3, builtin("riesz", p=1))
 
 
+@pytest.mark.parametrize("angle, strength", [(1e-4, 5), (1e-3, 1)])
+def test_a_design_moved_off_its_moments_loses_strength(angle, strength):
+    # one icosahedron vertex turned by the angle: the moment sums of orders
+    # 1..5, over M^2, grow to about 1e-9 at 1e-4 rad and to 7e-9..1e-7 at
+    # 1e-3 rad, against the tolerance 1e-8
+    points = oracle.named_config(S3, "icosahedron").points.copy()
+    x = points[0]
+    v = np.cross(x, [0.3, 0.5, 0.7])
+    points[0] = math.cos(angle) * x + math.sin(angle) * v / np.linalg.norm(v)
+    assert oracle.design_strength(S3, oracle.make_code(S3, points), 8) == strength
+
+
+def test_a_code_is_measured_only_in_its_own_space():
+    # the pairs come from the code's space and the Q-system or potential
+    # from the given one: a mismatch would mix two spaces
+    h82 = make_space("hamming", n=8, q=2)
+    code = oracle.named_config(h82, "extended_hamming_8")
+    assert oracle.design_strength(h82, code, 8) == 3
+    for call in (lambda: oracle.energy(S3, code, builtin("gaussian", c=1)),
+                 lambda: oracle.separation(S3, code),
+                 lambda: oracle.design_strength(S3, code, 8)):
+        with pytest.raises(ParameterError, match=r"the code lies in H\(8,2\), not in S\^2"):
+            call()
+    # a space of the same family with another dimension is another space
+    with pytest.raises(ParameterError, match=r"the code lies in S\^2, not in S\^3"):
+        oracle.energy(make_space("sphere", n=4), oracle.named_config(S3, "icosahedron"),
+                      builtin("gaussian", c=1))
+
+
 def _random_codes():
     """One code per family and field, drawn from a seeded generator."""
     rng = np.random.default_rng(23)

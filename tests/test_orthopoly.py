@@ -416,3 +416,11 @@ def test_expand_in_q_refuses_non_finite_coefficients(monomial):
     # empty list raised IndexError
     with pytest.raises(ParameterError, match="nonempty list of finite numbers"):
         orthopoly.expand_in_q(make_space("sphere", n=3), monomial)
+
+
+def test_exponents_past_1_and_a_degree_0_zero_set_are_refused():
+    s2 = make_space("sphere", n=3)
+    with pytest.raises(ParameterError, match=r"adjacent exponents must be 0 or 1, got \(2, 0\)"):
+        adjacent_system(s2, 2, 0)
+    with pytest.raises(ParameterError, match="zeros are defined for degree >= 1"):
+        orthopoly.zeros_of(adjacent_system(s2, 0, 0, 3), 0)

@@ -70,6 +70,7 @@ def test_equal_descriptors_hash_equal_in_every_process():
         ("johnson", {"n": 4, "w": 0}),
         ("hamming", {"n": 8}),
         ("sphere", {"n": 3, "q": 2}),
+        ("projective", {"n": 1, "field_dim": 2}),
     ],
 )
 def test_make_space_rejects_bad_params(family, params):
@@ -172,6 +173,23 @@ def test_multiplicity_and_moments_refusals():
         pmspace.multiplicity(make_space("hamming", n=7, q=2), 8)
     with pytest.raises(ParameterError, match="moment order must be nonnegative"):
         pmspace.moments(make_space("sphere", n=3), -1)
+    with pytest.raises(ParameterError, match="t_grid is defined for finite spaces only"):
+        pmspace.t_grid(make_space("sphere", n=3))
+    with pytest.raises(ParameterError, match="hamming has a discrete measure"):
+        make_space("hamming", n=8, q=2).jacobi_exponents()
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_a_jacobi_sum_below_k_0_is_refused(monkeypatch, k):
+    # refused on a fresh list and on a grown one, where a negative index
+    # would count from the end
+    monkeypatch.setattr(pmspace, "_JACOBI_SUMS", {})
+    with pytest.raises(ParameterError, match=f"jacobi_sum needs k >= 0, got {k}"):
+        pmspace.jacobi_sum(0.0, 0.0, k)
+    grown = pmspace.jacobi_sum(0.0, 0.0, 5)
+    with pytest.raises(ParameterError, match=f"jacobi_sum needs k >= 0, got {k}"):
+        pmspace.jacobi_sum(0.0, 0.0, k)
+    assert pmspace._JACOBI_SUMS[(0, 0)][-1] == grown
 
 
 @pytest.mark.parametrize(

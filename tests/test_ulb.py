@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -216,6 +217,24 @@ def test_negative_test_function_indices_and_a_too_large_eta_are_refused():
     # the admissible eta is about 4.3e-5
     with pytest.raises(ParameterError, match="supplied eta=10.0 breaks absolute monotonicity"):
         improve_with_qj(space, 7, RIESZ1, 6, eta=10.0)
+
+
+def test_an_unknown_energy_convention_is_refused():
+    with pytest.raises(ParameterError, match="unknown energy convention 'median'"):
+        ulb(make_space("sphere", n=3), 7, RIESZ1, convention="median")
+
+
+def test_a_test_function_just_below_its_threshold_is_negative():
+    # P_9 of S^4 M=140 (tau 8) vanishes up to rounding, and P_12 is -1.8e-2:
+    # the weights scaled so that P_9 is -1e-7 flag degree 9, so that it is
+    # -1e-9 they do not
+    rule = lev.quadrature_rule(make_space("sphere", n=5), 140)
+    p9 = _test_functions_from_rule(rule, [9]).values[0]
+    for target, first in ((-1e-7, 9), (-1e-9, 12)):
+        scale = 1.0 + (target - p9) / (p9 - 1.0 / rule.M)
+        report = _test_functions_from_rule(replace(rule, weights=rule.weights * scale), range(9, 13))
+        assert report.values[0] == pytest.approx(target, rel=1e-6)
+        assert report.first_negative_j == first
 
 
 def test_test_function_indices_must_be_integers():
