@@ -92,7 +92,6 @@ class _Level(NamedTuple):
 
     k: int
     eps: int
-    tau: int
     interval: tuple  # the validity interval (lo, hi)
     # the (0,eps) system: the Jacobi matrix, the border's P_{k-1}(1) and
     # P_k(1), and P_k at s
@@ -107,6 +106,10 @@ class _Level(NamedTuple):
     # None on an odd level
     weight_system: OrthoSystem | None
     q_at_minus_one: float | None
+
+    @property
+    def tau(self) -> int:
+        return 2 * self.k - 1 + self.eps
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +130,7 @@ def _level(space: SpaceDescriptor, k: int, eps: int) -> _Level:
         weight_system = adjacent_system(space, 1, 0, k)
         q_m1 = eval_q_all(weight_system, k, -1.0)[k]
     return _Level(
-        k, eps, 2 * k - 1 + eps, (lower, upper), system, g[k] * r[k], float(np.sum(r[:k])),
+        k, eps, (lower, upper), system, g[k] * r[k], float(np.sum(r[:k])),
         pmspace.q1_value(space) ** eps, lev_system, weight_system, q_m1,
     )
 

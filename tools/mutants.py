@@ -4,14 +4,17 @@ Each mutant replaces one piece of text in one file of ``src/ulbkit`` (a
 tolerance, a check's comparison, a level-map end, an oracle constant, a
 designbounds side) in a copy of ``src/`` and ``tests/`` in a temporary
 directory, and runs tier-1 there with ``-x``, the mutant's most likely
-test file first.  A mutant is killed when a test fails (or the run times
-out), and survives when tier-1 passes.  One line per mutant, then a
-summary; the result is written as JSON:
+test file (``test_<file>``) first.  A mutant is killed when a test fails,
+survives when tier-1 passes, and times out when tier-1 has not finished
+after ``TIMEOUT_S``.  A run of the unmutated copy comes first and must
+pass, or no kill means anything.  Two runs at a time; one line per run,
+then a summary; the result is written as JSON:
 
-    python tools/mutants.py --jobs 2 --out mutants.json
+    python tools/mutants.py --out mutants.json
 
-Exit status 0 when every mutant is killed or is listed in ``EQUIVALENT``
-with the reason it cannot change a result, 1 when one survives, 2 when a
+Exit status 0 when the unmutated copy passes and every mutant is killed or
+is listed in ``EQUIVALENT`` with the reason it cannot change a result; 1
+when the unmutated copy fails or a mutant survives or times out; 2 when a
 mutant's old text is no longer found once in its file (the list must then
 be rewritten against the code).  Standard library only; not part of tier-1.
 """
@@ -29,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 240
+JOBS = 2
 
 # (file under src/ulbkit, old text, new text, label); the old text occurs
 # exactly once in its file, and the label says what the mutant loosens
@@ -114,10 +118,8 @@ EQUIVALENT = {
         " positive), which are distinct, so no rule has two equal nodes",
 }
 
-# the test file each mutant's run starts with, by the file it changes
-FIRST = {"ulb.py": "test_ulb.py", "levenshtein.py": "test_levenshtein.py",
-         "oracle.py": "test_oracle.py", "pmspace.py": "test_pmspace.py",
-         "designbounds.py": "test_designbounds.py", "cli.py": "test_cli.py"}
+# the run of the unmutated copy, in the shape of a mutant
+BASELINE = ("ulb.py", None, None, "no mutation")
 
 
 def _apply(src: Path, file: str, old: str, new: str):
@@ -137,11 +139,11 @@ def run_mutant(mutant):
         for name in ("src", "tests", "docs"):
             shutil.copytree(ROOT / name, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        stale = _apply(tmp / "src", file, old, new)
+        stale = old is not None and _apply(tmp / "src", file, old, new)
         if stale:
             return {"label": label, "file": file, "status": "stale", "by": stale, "seconds": 0.0}
         tests = sorted(p.name for p in (tmp / "tests").glob("test_*.py"))
-        first = FIRST[file]
+        first = f"test_{file}"
         order = [first] + [t for t in tests if t != first]
         # without hypothesis's pytest plugin, whose report of a failing
         # property test imports libcst, which warns, and the warning filters
@@ -153,7 +155,7 @@ def run_mutant(mutant):
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            status, by = "killed", f"timeout after {TIMEOUT_S} s"
+            status, by = "timeout", f"no result after {TIMEOUT_S} s"
         else:
             failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
                       if line.startswith(("FAILED ", "ERROR "))]
@@ -165,7 +167,10 @@ def run_mutant(mutant):
                 # a collection or internal error: its last line tells which
                 last = (proc.stdout.strip() or proc.stderr.strip() or "?").splitlines()[-1]
                 status, by = "killed", f"pytest exit {proc.returncode}: {last[:160]}"
-    if status == "survived" and label in EQUIVALENT:
+    if old is None and status in ("survived", "killed"):
+        # the unmutated copy passes where a mutant survives
+        status = "passed" if status == "survived" else "failed"
+    elif status == "survived" and label in EQUIVALENT:
         status, by = "equivalent", EQUIVALENT[label]
     return {"label": label, "file": file, "status": status, "by": by,
             "seconds": round(time.perf_counter() - start, 1)}
@@ -173,29 +178,27 @@ def run_mutant(mutant):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
     ap.add_argument("--out", default="mutants.json", help="JSON result path (default mutants.json)")
     args = ap.parse_args(argv)
-    if not 1 <= args.jobs <= 8:
-        ap.error("--jobs must lie in 1..8")
     start = time.perf_counter()
     results = []
-    with ThreadPoolExecutor(args.jobs) as pool:
-        for res in pool.map(run_mutant, MUTANTS):
+    with ThreadPoolExecutor(JOBS) as pool:
+        for res in pool.map(run_mutant, (BASELINE, *MUTANTS)):
             results.append(res)
             print(f"{res['status']:10} {res['seconds']:6.1f}s  {res['file']:15} {res['label']}"
                   + (f"  [{res['by']}]" if res["by"] else ""), flush=True)
+    baseline, results = results[0], results[1:]
     counts = {s: sum(r["status"] == s for r in results)
-              for s in ("killed", "equivalent", "survived", "stale")}
+              for s in ("killed", "equivalent", "survived", "timeout", "stale")}
     wall = round(time.perf_counter() - start, 1)
-    print(f"{len(results)} mutants: " + ", ".join(f"{n} {s}" for s, n in counts.items())
-          + f"; {wall} s with {args.jobs} jobs")
+    print(f"unmutated copy {baseline['status']}; {len(results)} mutants: "
+          + ", ".join(f"{n} {s}" for s, n in counts.items()) + f"; {wall} s with {JOBS} jobs")
     Path(args.out).write_text(json.dumps(
-        {"mutants": results, "counts": counts, "wall_seconds": wall, "jobs": args.jobs},
-        indent=2) + "\n")
+        {"baseline": baseline, "mutants": results, "counts": counts, "wall_seconds": wall,
+         "jobs": JOBS}, indent=2) + "\n")
     if counts["stale"]:
         return 2
-    return 1 if counts["survived"] else 0
+    return 1 if baseline["status"] != "passed" or counts["survived"] or counts["timeout"] else 0
 
 
 if __name__ == "__main__":
