@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _VALIDATION_ERRORS = (
     ParameterError,
@@ -94,10 +94,6 @@ def _add_common(p):
     p.add_argument("--out", type=str, help="write the report to this path")
 
 
-def _add_convention(p):
-    p.add_argument("--convention", choices=["sum", "mean"], default="sum")
-
-
 def _floats(text):
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -154,8 +150,6 @@ def _report_payload(rep: UlbReport):
         "M": rep.M,
         "value_sum": rep.value_sum,
         "value_mean": rep.value_mean,
-        "energy_convention": rep.energy_convention,
-        "value": rep.value,
         "odd_branch": rep.odd_branch,
         "rule": _rule_payload(rep.rule),
         "certificate_q_coeffs": _jsonable(rep.certificate),
@@ -176,9 +170,7 @@ def _cmd_ulb(args):
     branch = ulb_odd_branch if args.odd_branch else ulb
 
     reports = [
-        _report_payload(
-            branch(space, m, h, args.convention, abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-        )
+        _report_payload(branch(space, m, h, abs_tol=args.abs_tol, rel_tol=args.rel_tol))
         for m in ms
     ]
     return {"reports": reports} if len(ms) > 1 else reports[0]
@@ -225,7 +217,7 @@ def _cmd_testfns(args):
 def _cmd_improve(args):
     space = _space_from(args)
     h = _potential_from(args)
-    rep = improve_with_qj(space, args.M, h, args.degree, eta=args.eta, convention=args.convention)
+    rep = improve_with_qj(space, args.M, h, args.degree, eta=args.eta)
     return _report_payload(rep)
 
 
@@ -275,9 +267,9 @@ def _cmd_oracle(args):
         code = _load_code(space, args)
         if sub == "energy":
             h = _potential_from(args)
-            val = oracle.energy(space, code, h, args.convention)
-            return {"space": space.label(), "M": code.size, "convention": args.convention,
-                    "energy": val}
+            val = oracle.energy(space, code, h)
+            return {"space": space.label(), "M": code.size, "energy_sum": val,
+                    "energy_mean": val / code.size}
         s, ell, u = oracle.separation(space, code)
         return {"space": space.label(), "M": code.size,
                 "strength": oracle.design_strength(space, code, args.tau_max),
@@ -289,9 +281,9 @@ def _cmd_oracle(args):
         )
         return {"space": f"S^{args.n - 1}", "M": args.M, "energy_sum": val,
                 "points": _jsonable(code.points), "restart_energies": _jsonable(info["restart_energies"])}
-    code, val = oracle.exhaustive_hamming(args.n, args.M, h, args.convention)
-    return {"space": f"H({args.n},2)", "M": args.M, "energy": val,
-            "convention": args.convention, "words": _jsonable(code.points)}
+    code, val = oracle.exhaustive_hamming(args.n, args.M, h)
+    return {"space": f"H({args.n},2)", "M": args.M, "energy_sum": val,
+            "energy_mean": val / args.M, "words": _jsonable(code.points)}
 
 
 def _cmd_asymptotics(args):
@@ -330,7 +322,6 @@ def _ulb_args(p):
     p.add_argument("--odd-branch", action="store_true")
     p.add_argument("--abs-tol", type=float, default=_BELOW_TOL, help="pointwise certificate checks")
     p.add_argument("--rel-tol", type=float, default=_IDENTITY_TOL, help="value cross-checks")
-    _add_convention(p)
     p.set_defaults(func=_cmd_ulb)
 
 
@@ -365,7 +356,6 @@ def _improve_args(p):
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--degree", type=int, required=True, help="degree j of the improving polynomial")
     p.add_argument("--eta", type=float)
-    _add_convention(p)
     p.set_defaults(func=_cmd_improve)
 
 
@@ -398,7 +388,7 @@ def _oracle_args(p):
         if name != "named":
             op.add_argument("--points-json", type=str)
         if name == "energy":
-            _add_potential_args(op), _add_convention(op)
+            _add_potential_args(op)
         if name == "strength":
             op.add_argument("--tau-max", type=int, default=8)
         op.set_defaults(func=_cmd_oracle)
@@ -410,8 +400,6 @@ def _oracle_args(p):
         if name == "minimize":
             op.add_argument("--restarts", type=int, default=20)
             op.add_argument("--seed", type=int, default=0)
-        else:
-            _add_convention(op)
         op.set_defaults(func=_cmd_oracle)
 
 

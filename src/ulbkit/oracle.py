@@ -150,24 +150,21 @@ def _check_space(space: SpaceDescriptor, code: Code):
         raise ParameterError(f"the code lies in {code.space.label()}, not in {space.label()}")
 
 
-def energy(space: SpaceDescriptor, code: Code, h: Potential, convention: str = "sum") -> float:
-    """Pair-sum energy of a code; "mean" divides the sum by the size.
+def energy(space: SpaceDescriptor, code: Code, h: Potential) -> float:
+    """Energy of a code: the sum of h(t(x,y)) over its ordered pairs x != y.
 
     Finite codes sum 2 * sum_d A_d h(t_d), d ascending, as exhaustive_hamming does.
     Raises DomainError on coincident points, where singular potentials
     have no finite value and codes stop being sets.
     """
     _check_space(space, code)
-    if convention not in ("sum", "mean"):
-        raise ParameterError(f"unknown energy convention {convention!r}")
     if code.size < 2:
         return 0.0
     vals, counts = _pair_values(code)
     if np.any(vals > _COINCIDENT):
         raise DomainError("code contains coincident points")
     hv = h(vals) if counts is None else _distribution_sum(counts[None], _h_at(h, vals))
-    total = 2.0 * float(np.sum(hv))
-    return total if convention == "sum" else total / code.size
+    return 2.0 * float(np.sum(hv))
 
 
 def separation(space: SpaceDescriptor, code: Code):
@@ -335,7 +332,7 @@ def minimize_sphere(
     code : Code
         The best configuration found.
     value : float
-        Its energy (sum convention), ``energy(space, code, h)``; the
+        Its energy, ``energy(space, code, h)``; the
         descent's own sum for it, in ``restart_energies``, can differ
         in the last bits.
     info : dict
@@ -512,7 +509,7 @@ _TABLE_BYTES = 1 << 26
 _PAIR_TERMS = 10**8
 
 
-def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
+def exhaustive_hamming(n: int, M: int, h: Potential):
     """Exact minimal energy over all M-subsets of the binary cube.
 
     A code's energy depends only on its distance distribution: with A_d
@@ -539,10 +536,10 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     minimum distance.
 
     Raises ParameterError for a non-integer n or M, n < 2, M outside
-    2..2^n, an unknown convention, an instance with C(2^n, M) above ten
-    million, one whose table would take more than 64 MiB, or one whose
-    suffixes hold more than 1e8 pair terms.  The instances that pass all
-    three take at most about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.
+    2..2^n, an instance with C(2^n, M) above ten million, one whose
+    table would take more than 64 MiB, or one whose suffixes hold more
+    than 1e8 pair terms.  The instances that pass all three take at most
+    about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.
     """
     n, M = integer("exhaustive_hamming", "n", n), integer("exhaustive_hamming", "M", M)
     if n < 2:
@@ -550,8 +547,6 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     total = 1 << n
     if M < 2 or M > total:
         raise ParameterError(f"need 2 <= M <= {total}, got M={M}")
-    if convention not in ("sum", "mean"):
-        raise ParameterError(f"unknown energy convention {convention!r}")
     if _comb_above(total, M, 10_000_000):
         raise ParameterError(f"instance too large: C(2^{n}, {M}) > 1e7")
     # each binomial below is at most C(2^n, M), so exact and cheap from here
@@ -578,8 +573,7 @@ def exhaustive_hamming(n: int, M: int, h: Potential, convention: str = "sum"):
     # the words are distinct by construction, so make_code's O(M^2 n)
     # check for duplicates is skipped
     code = Code(space, (np.array(best_set)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    total_energy = 2.0 * best_val
-    return code, (total_energy if convention == "sum" else total_energy / M)
+    return code, 2.0 * best_val
 
 
 def _comb_above(n, k, limit):

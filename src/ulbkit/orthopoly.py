@@ -36,8 +36,7 @@ class OrthoSystem:
 
     ``rec_beta``/``rec_gamma`` and ``value_at_one`` (P_i(1)) follow the
     convention of :mod:`ulbkit._recurrence`; ``norms`` holds the constants
-    r_i^{a,b} from the orthogonality relation, and ``c_norm`` the
-    normalization constant of the weighted measure.  ``beta_floats`` and
+    r_i^{a,b} from the orthogonality relation.  ``beta_floats`` and
     ``gamma_floats`` hold the recurrence coefficients as tuples of Python
     floats, made once, for the recurrence at one point.
     """
@@ -50,7 +49,6 @@ class OrthoSystem:
     rec_gamma: np.ndarray
     value_at_one: np.ndarray
     norms: np.ndarray
-    c_norm: float
     beta_floats: tuple
     gamma_floats: tuple
 
@@ -112,7 +110,7 @@ def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> Ortho
     for arr in (beta, gamma, value_at_one, norms):
         arr.flags.writeable = False  # shared by every caller through the cache
     return OrthoSystem(
-        space, a, b, max_deg, beta, gamma, value_at_one, norms, c_norm, beta_floats, gamma_floats
+        space, a, b, max_deg, beta, gamma, value_at_one, norms, beta_floats, gamma_floats
     )
 
 

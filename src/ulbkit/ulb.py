@@ -51,12 +51,7 @@ class UlbReport:
     value_mean: float
     certificate: np.ndarray  # Q-coefficients f_0..f_tau
     certificate_checks: CertificateChecks
-    energy_convention: str = "sum"
     improvement: dict | None = None
-
-    @property
-    def value(self) -> float:
-        return self.value_sum if self.energy_convention == "sum" else self.value_mean
 
     @property
     def odd_branch(self) -> bool:
@@ -78,7 +73,7 @@ def ulb(
     space: SpaceDescriptor,
     M: int,
     h: Potential,
-    convention: str = "sum",
+    *,
     abs_tol: float = _BELOW_TOL,
     rel_tol: float = _IDENTITY_TOL,
 ) -> UlbReport:
@@ -92,8 +87,6 @@ def ulb(
     h : Potential
         Must be absolutely monotone up to order tau + 1; checked, and
         refused otherwise since the bound's hypothesis would fail.
-    convention : str
-        "sum" bounds the full ordered pair sum; "mean" divides by M.
     abs_tol, rel_tol : float
         Grid tolerance of the pointwise certificate check, and relative
         tolerance of the certificate-vs-quadrature value cross-check;
@@ -102,25 +95,26 @@ def ulb(
     Returns
     -------
     UlbReport
-        Bound values in both conventions plus the validated certificate.
+        The bound on the ordered pair sum (``value_sum``) and that sum
+        divided by M (``value_mean``), with the validated certificate.
     """
     _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = quadrature_rule(space, M)
-    return _report_from_rule(rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _report_from_rule(rule, h, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def ulb_odd_branch(
     space: SpaceDescriptor,
     M: int,
     h: Potential,
-    convention: str = "sum",
+    *,
     abs_tol: float = _BELOW_TOL,
     rel_tol: float = _IDENTITY_TOL,
 ) -> UlbReport:
     """The odd-level bound, valid on even intervals as well (weaker there)."""
     _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = odd_branch_rule(space, M)
-    return _report_from_rule(rule, h, convention, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _report_from_rule(rule, h, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def _check_tolerances(**tolerances):
@@ -132,11 +126,8 @@ def _check_tolerances(**tolerances):
 
 
 def _report_from_rule(
-    rule, h, convention="sum", certificate=None, value_sum=None,
-    abs_tol=_BELOW_TOL, rel_tol=_IDENTITY_TOL,
+    rule, h, certificate=None, value_sum=None, abs_tol=_BELOW_TOL, rel_tol=_IDENTITY_TOL,
 ):
-    if convention not in ("sum", "mean"):
-        raise ParameterError(f"unknown energy convention {convention!r}")
     _require_monotone(h, rule.tau + 1)
     M = rule.M
     h_nodes = h(rule.nodes) if value_sum is None or certificate is None else None
@@ -146,9 +137,7 @@ def _report_from_rule(
         certificate = hermite_certificate(rule, h, h_nodes)
     checks = verify_certificate(rule.space, certificate, h, below_tol=abs_tol)
     _check_value_identity(rule, certificate, value_sum, rel_tol)
-    return UlbReport(
-        rule.space, M, rule, value_sum, value_sum / M, certificate, checks, convention
-    )
+    return UlbReport(rule.space, M, rule, value_sum, value_sum / M, certificate, checks)
 
 
 def _require_monotone(h: Potential, order: int):
@@ -280,7 +269,6 @@ def improve_with_qj(
     h: Potential,
     j: int,
     eta: float | None = None,
-    convention: str = "sum",
 ) -> UlbReport:
     """Improve the bound using the degree-j system polynomial.
 
@@ -290,10 +278,10 @@ def improve_with_qj(
     M^2 * eta * |P_j|.
     """
     rule = quadrature_rule(space, M)
-    return _improve_given_rule(rule, h, j, eta, convention)
+    return _improve_given_rule(rule, h, j, eta)
 
 
-def _improve_given_rule(rule, h, j, eta=None, convention="sum"):
+def _improve_given_rule(rule, h, j, eta=None):
     j = integer("improve_with_qj", "j", j)
     if j <= rule.tau:
         raise ParameterError(f"improvement needs j > tau={rule.tau}, got {j}")
@@ -324,7 +312,7 @@ def _improve_given_rule(rule, h, j, eta=None, convention="sum"):
     M = rule.M
     base = M * M * float(np.dot(rule.weights, h(rule.nodes)))
     improved = base - M * M * eta * pj
-    out = _report_from_rule(rule, h, convention, certificate=f, value_sum=improved)
+    out = _report_from_rule(rule, h, certificate=f, value_sum=improved)
     return replace(out, improvement={"j": j, "eta": eta, "p_j": pj, "base_value_sum": base})
 
 

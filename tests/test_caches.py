@@ -181,6 +181,10 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(bad):
         with pytest.raises(ParameterError, match="finite and >= 0"):
             call()
     assert rows == before
+    # the tolerances are keyword-only: a fourth positional argument is refused
+    for fn in (ulb, ulb_odd_branch):
+        with pytest.raises(TypeError):
+            fn(S2, M, GAUSS, bad)
     # zero is a tolerance; a rel_tol of 0 would refuse on the last bit
     assert ulb(S2, M, GAUSS, abs_tol=0.0).rule.M == M
     verify_certificate(S2, np.ones(3), GAUSS, 0.0)

@@ -37,7 +37,7 @@ def test_ulb_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["tool"]["name"] == "ulbkit"
     assert report["params"]["n"] == 3
     assert report["result"]["value_sum"] == pytest.approx(7.348469, abs=1e-6)
@@ -134,6 +134,14 @@ def test_validation_errors_exit_2(capsys):
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "ParameterError" and "restarts >= 1" in error["message"]
+    # every energy report carries the sum and the mean: there is no --convention
+    space = ["--space", "sphere", "--n", "3", "--potential", "riesz", "--p", "1"]
+    for argv in (["ulb", *space, "--M", "4"], ["improve", *space, "--M", "7", "--degree", "6"],
+                 ["oracle", "energy", *space, "--config", "simplex"],
+                 ["oracle", "exhaustive", "--n", "4", "--M", "3", "--potential", "riesz", "--p", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--convention", "mean")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --convention mean" in err
 
 
 @pytest.mark.parametrize(
@@ -198,19 +206,19 @@ _POTENTIAL = ["c", "coeffs", "j", "p", "potential"]
 _IO = ["format", "out"]
 # every option each subcommand declares: each one is read by its handler
 _FLAGS = {
-    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "abs_tol", "convention", "odd_branch", "rel_tol"],
+    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "abs_tol", "odd_branch", "rel_tol"],
     "quadrature": _SPACE + _IO + ["M"],
     "lev-bound": _SPACE + _IO + ["s", "tau"],
     "design-bound": _SPACE + _IO + ["tau"],
     "testfns": _SPACE + _IO + ["M", "jmax"],
-    "improve": _SPACE + _POTENTIAL + _IO + ["M", "convention", "degree", "eta"],
+    "improve": _SPACE + _POTENTIAL + _IO + ["M", "degree", "eta"],
     "design-energy": _SPACE + _POTENTIAL + _IO + ["I", "M", "direction", "poly", "poly_basis", "tau"],
     "separated-energy": _SPACE + _POTENTIAL + _IO + ["M", "poly", "poly_basis", "s"],
-    "oracle energy": _SPACE + _POTENTIAL + _IO + ["config", "convention", "points_json"],
+    "oracle energy": _SPACE + _POTENTIAL + _IO + ["config", "points_json"],
     "oracle strength": _SPACE + _IO + ["config", "points_json", "tau_max"],
     "oracle named": _SPACE + _IO + ["config"],
     "oracle minimize": _POTENTIAL + _IO + ["M", "n", "restarts", "seed"],
-    "oracle exhaustive": _POTENTIAL + _IO + ["M", "convention", "n"],
+    "oracle exhaustive": _POTENTIAL + _IO + ["M", "n"],
     "asymptotics": _POTENTIAL + _IO + ["delta", "family", "n_range", "rho", "tau"],
     "selfcheck": _IO,
 }
@@ -232,7 +240,7 @@ def _declared_flags(parser, prefix=""):
 def test_cli_flag_surface():
     declared = _declared_flags(build_parser())
     assert declared == {cmd: sorted(flags) for cmd, flags in _FLAGS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 169
+    assert sum(len(flags) for flags in declared.values()) == 165
 
 
 _SUBCOMMAND_NAMES = sorted({cmd.split()[0] for cmd in _FLAGS})
@@ -405,22 +413,25 @@ def test_oracle_subcommands(capsys):
         capsys, "oracle", "energy", "--space", "sphere", "--n", "3",
         "--config", "simplex", "--potential", "riesz", "--p", "1",
     )
-    assert json.loads(out)["result"]["energy"] == pytest.approx(7.348469, abs=1e-6)
+    result = json.loads(out)["result"]
+    assert result["energy_sum"] == pytest.approx(7.348469, abs=1e-6)
+    assert result["energy_mean"] == result["energy_sum"] / 4
     code, out, _ = run_cli(
         capsys, "oracle", "exhaustive", "--n", "4", "--M", "2",
         "--potential", "riesz", "--p", "1",
     )
-    assert json.loads(out)["result"]["energy"] == pytest.approx(1.0, rel=1e-12)
+    result = json.loads(out)["result"]
+    assert result["energy_sum"] == pytest.approx(1.0, rel=1e-12)
+    assert result["energy_mean"] == result["energy_sum"] / 2
 
 
-# stdout of `oracle exhaustive --n 4 --M 3 --potential riesz --p 1`, as
-# the pair-by-pair search printed it
+# stdout of `oracle exhaustive --n 4 --M 3 --potential riesz --p 1`: the
+# code and energy_sum as the pair-by-pair search printed them
 EXHAUSTIVE_4_3 = """{
   "command": "oracle",
   "params": {
     "M": 3,
     "command": "oracle",
-    "convention": "sum",
     "n": 4,
     "oracle_cmd": "exhaustive",
     "p": 1.0,
@@ -428,8 +439,8 @@ EXHAUSTIVE_4_3 = """{
   },
   "result": {
     "M": 3,
-    "convention": "sum",
-    "energy": 3.723614639131598,
+    "energy_mean": 1.2412048797105326,
+    "energy_sum": 3.723614639131598,
     "space": "H(4,2)",
     "words": [
       [
@@ -452,7 +463,7 @@ EXHAUSTIVE_4_3 = """{
       ]
     ]
   },
-  "schema_version": 2,
+  "schema_version": 3,
   "tool": {
     "name": "ulbkit",
     "version": "VERSION"
@@ -481,7 +492,7 @@ def test_oracle_points_json(tmp_path, capsys):
         "--points-json", str(path), "--potential", "gaussian", "--c", "1",
     )
     assert code == 0
-    assert json.loads(out)["result"]["energy"] == pytest.approx(2 * 2.718281828459045**-1)
+    assert json.loads(out)["result"]["energy_sum"] == pytest.approx(2 * 2.718281828459045**-1)
 
 
 def test_asymptotics_csv(capsys):
@@ -583,6 +594,9 @@ def test_reports_validate_against_schema(capsys):
         ["ulb", "--space", "sphere", "--n", "3", "--M", "825", "--potential", "riesz", "--p", "1"],
         ["ulb", "--space", "sphere", "--n", "3", "--M", "825",
          "--potential", "gaussian", "--c", "1"],
+        ["oracle", "energy", "--space", "sphere", "--n", "3", "--config", "icosahedron",
+         "--potential", "riesz", "--p", "1"],
+        ["oracle", "exhaustive", "--n", "4", "--M", "3", "--potential", "gaussian", "--c", "1"],
     ] + [list(argv) for argv in LIBRARY_RESULTS]
     rule_schema = {"$ref": "#/$defs/rule", "$defs": SCHEMA["$defs"]}
     bound_schema = {"$ref": "#/$defs/bound_report", "$defs": SCHEMA["$defs"]}
@@ -595,6 +609,9 @@ def test_reports_validate_against_schema(capsys):
         if argv[0] in ("ulb", "improve"):
             jsonschema.validate(report["result"], bound_schema)
             jsonschema.validate(report["result"]["rule"], rule_schema)
+        if argv[0] == "oracle" and argv[1] in ("energy", "exhaustive"):
+            result = report["result"]
+            assert result["energy_mean"] == result["energy_sum"] / result["M"], argv
         if argv[0] == "ulb":
             # every certificate coefficient is reported, and the checks read all of them
             result = report["result"]
@@ -703,7 +720,7 @@ def test_failed_certificate_exits_1(capsys, monkeypatch, argv, failed):
     code, out, err = run_cli(capsys, *argv, "--potential", "riesz", "--p", "1")
     assert code == 1 and out == ""
     error = json.loads(err)
-    assert error["schema_version"] == 2
+    assert error["schema_version"] == 3
     assert error["error"]["type"] == "ConditionError"
     assert "S^2" in error["error"]["message"] and failed in error["error"]["message"]
     assert ("M=4" if argv[0] == "ulb" else "M=7") in error["error"]["message"]

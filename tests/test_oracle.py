@@ -72,7 +72,6 @@ def test_hamming_pairwise_t_of_the_full_cube_stays_small():
 def test_energy_examples():
     tet = oracle.named_config(S3, "simplex")
     assert oracle.energy(S3, tet, RIESZ1) == pytest.approx(12 * (3 / 8) ** 0.5, rel=1e-12)
-    assert oracle.energy(S3, tet, RIESZ1, "mean") == pytest.approx(3 * (3 / 8) ** 0.5, rel=1e-12)
     two = oracle.make_code(S3, [[0, 0, 1], [0, 0, -1]])
     for h in (RIESZ1, builtin("gaussian", c=2)):
         assert oracle.energy(S3, two, h) == pytest.approx(2 * h(-1.0), rel=1e-13)
@@ -167,8 +166,6 @@ def test_make_code_refuses_points_outside_the_space(space, points, message):
 
 def test_energy_separation_and_strength_refusals():
     one = oracle.make_code(S3, [[1.0, 0.0, 0.0]])
-    with pytest.raises(ParameterError, match="unknown energy convention 'median'"):
-        oracle.energy(S3, oracle.named_config(S3, "icosahedron"), builtin("riesz", p=1), "median")
     # one point has no pairs
     assert oracle.energy(S3, one, builtin("riesz", p=1)) == 0.0
     with pytest.raises(ParameterError, match="separation needs at least two points"):
@@ -655,8 +652,6 @@ def test_exhaustive_hamming_examples():
                           (4, -1, "M <= 16"), (4, 17, "M <= 16"), (30, 1, "M <= 1073741824")):
         with pytest.raises(ParameterError, match=message):
             oracle.exhaustive_hamming(n, M, RIESZ1)
-    with pytest.raises(ParameterError, match="unknown energy convention"):
-        oracle.exhaustive_hamming(4, 3, RIESZ1, convention="bogus")
     # codes of nearly every word pass the count but not the table's size
     with pytest.raises(ParameterError, match="table of 57-subsets would take 352 MiB"):
         oracle.exhaustive_hamming(6, 59, RIESZ1)

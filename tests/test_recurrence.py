@@ -172,7 +172,7 @@ def test_scaled_recurrence_equals_the_monic_path(space, top):
         assert np.array_equal(q.transpose(1, 0, 2)[:, normal], q_ref.transpose(1, 0, 2)[:, normal]), (a, b)
         q = orthopoly.eval_q_all(system, deg, t)
         assert np.array_equal(q[normal], q_ref[:, 0][normal]), (a, b)
-        assert np.array_equal(system.norms[: deg + 1], _frexp_norms(mono_one, gamma[: deg + 1], system.c_norm))
+        assert np.array_equal(system.norms[: deg + 1], _frexp_norms(mono_one, gamma[: deg + 1], 1.0 / gamma[0]))
 
 
 def test_exponents_at_minus_1_and_more_pairs_than_atoms_are_refused():

@@ -32,7 +32,7 @@ def test_simplex_value_matches_tetrahedron():
     rep = ulb(make_space("sphere", n=3), 4, RIESZ1)
     assert rep.value_sum == pytest.approx(12 * (3 / 8) ** 0.5, rel=1e-12)
     assert rep.value_sum == pytest.approx(7.348469, abs=1e-6)
-    assert rep.value_mean == pytest.approx(rep.value_sum / 4, rel=1e-14)
+    assert rep.value_mean == rep.value_sum / 4
     assert rep.certificate_checks.below_h and rep.certificate_checks.f_geq
 
 
@@ -219,11 +219,6 @@ def test_negative_test_function_indices_and_a_too_large_eta_are_refused():
         improve_with_qj(space, 7, RIESZ1, 6, eta=10.0)
 
 
-def test_an_unknown_energy_convention_is_refused():
-    with pytest.raises(ParameterError, match="unknown energy convention 'median'"):
-        ulb(make_space("sphere", n=3), 7, RIESZ1, convention="median")
-
-
 def test_a_test_function_just_below_its_threshold_is_negative():
     # P_9 of S^4 M=140 (tau 8) vanishes up to rounding, and P_12 is -1.8e-2:
     # the weights scaled so that P_9 is -1e-7 flag degree 9, so that it is
@@ -364,13 +359,14 @@ def test_circle_refusals_near_the_degree_ceiling():
     # level loses digits as M grows (relative error 1.9e-10 at M=1590),
     # its rule is refused from ~1600 and the weight leaves the float range
     # from ~1718; Riesz certificates sit at the noise floor of below_h from
-    # M ~850
+    # M ~850.  The pinned Riesz cells end the same way with 1 to 4 BLAS
+    # threads; near the ceiling many do not (M=1500 and 2049 among them)
     s1 = make_space("sphere", n=2)
     with pytest.raises(ConvergenceError, match="power-sum residual inf"):
         ulb(s1, 2048, GAUSS)
     with pytest.raises(ConditionError, match="certificate value"):
-        ulb(s1, 1500, RIESZ1)
-    for M in (1026, 2049):
+        ulb(s1, 1400, RIESZ1)
+    for M in (1026, 2041):
         checks = ulb(s1, M, RIESZ1).certificate_checks
         assert not checks.below_h and checks.f_geq, M
 

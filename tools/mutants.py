@@ -7,8 +7,9 @@ directory, and runs tier-1 there with ``-x``, the mutant's most likely
 test file (``test_<file>``) first.  A mutant is killed when a test fails,
 survives when tier-1 passes, and times out when tier-1 has not finished
 after ``TIMEOUT_S``.  A run of the unmutated copy comes first and must
-pass, or no kill means anything.  Two runs at a time; one line per run,
-then a summary; the result is written as JSON:
+pass, or no kill means anything.  Two runs at a time, each with one
+OpenBLAS thread; one line per run, then a summary; the result is
+written as JSON:
 
     python tools/mutants.py --out mutants.json
 
@@ -145,12 +146,12 @@ def run_mutant(mutant):
         tests = sorted(p.name for p in (tmp / "tests").glob("test_*.py"))
         first = f"test_{file}"
         order = [first] + [t for t in tests if t != first]
-        # without hypothesis's pytest plugin, whose report of a failing
-        # property test imports libcst, which warns, and the warning filters
-        # of pyproject.toml turn that into an internal error naming no test
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-p", "no:hypothesispytest", *(f"tests/{t}" for t in order)]
-        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+               *(f"tests/{t}" for t in order)]
+        # one BLAS thread per run: two runs share two cores, and OpenBLAS's
+        # thread handoffs in small eigh calls cost more than they save
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   OPENBLAS_NUM_THREADS="1")
         try:
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S)
