@@ -2,8 +2,8 @@
 
 Each mutant replaces one piece of text in one file of ``src/ulbkit`` (a
 tolerance, a check's comparison, a level-map end, an oracle constant, a
-designbounds side) in a copy of ``src/`` and ``tests/`` in a temporary
-directory, and runs tier-1 there with ``-x``, the mutant's most likely
+designbounds side, one ulp of a certificate's data) in a copy of
+``src/``, ``tests/``, ``docs/`` and ``tools/`` in a temporary directory, and runs tier-1 there with ``-x``, the mutant's most likely
 test file (``test_<file>``) first.  A mutant is killed when a test fails,
 survives when tier-1 passes, and times out when tier-1 has not finished
 after ``TIMEOUT_S``.  A run of the unmutated copy comes first and must
@@ -59,6 +59,9 @@ MUTANTS = (
      "_values: tolerance on the grid 1 + |h| -> 2 + |h|"),
     ("ulb.py", "if not 0.0 <= value < np.inf:", "if not 0.0 <= value:",
      "_check_tolerances: infinite tolerance accepted"),
+    ("ulb.py", "rhs[:m] = h(nodes) if h_nodes is None else h_nodes",
+     "rhs[:m] = np.nextafter(h(nodes) if h_nodes is None else h_nodes, np.inf)",
+     "hermite_certificate: h at the nodes one ulp up"),
     # levenshtein: the rule's checks and the level map
     ("levenshtein.py", "_POWER_SUM_TOL = 1e-7", "_POWER_SUM_TOL = 1e-4", "_POWER_SUM_TOL 1e-7 -> 1e-4"),
     ("levenshtein.py", "_SOLVE_RTOL = 1e-10", "_SOLVE_RTOL = 1e-7", "_SOLVE_RTOL 1e-10 -> 1e-7"),
@@ -137,7 +140,7 @@ def run_mutant(mutant):
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ulbkit-mutant-") as tmp:
         tmp = Path(tmp)
-        for name in ("src", "tests", "docs"):
+        for name in ("src", "tests", "docs", "tools"):
             shutil.copytree(ROOT / name, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         stale = old is not None and _apply(tmp / "src", file, old, new)
