@@ -12,7 +12,6 @@ from .levenshtein import (
     lev_bound,
     lev_polynomial,
     quadrature_rule,
-    solve_separation,
     tau_for_cardinality,
 )
 from .ulb import (
@@ -38,7 +37,6 @@ __all__ = [
     "lev_bound",
     "lev_polynomial",
     "quadrature_rule",
-    "solve_separation",
     "tau_for_cardinality",
     "UlbReport",
     "TestFunctionReport",

@@ -14,9 +14,9 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-# the oracle, asymptotics, designbounds and selfcheck modules and csv are
-# imported by the handlers that use them, so a ulb or quadrature call
-# does not load them
+# the oracle, asymptotics and designbounds modules and csv are imported
+# by the handlers that use them, so a ulb or quadrature call does not
+# load them
 from . import __version__, levenshtein, orthopoly, pmspace, potentials
 from .ulb import (
     _BELOW_TOL, _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch,
@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _VALIDATION_ERRORS = (
     ParameterError,
@@ -247,10 +247,17 @@ def _load_code(space, args):
     if args.config:
         return oracle.named_config(space, args.config)
     if args.points_json:
-        with open(args.points_json) as fh:
-            data = json.load(fh)
-        pts = data["points"] if isinstance(data, dict) else data
-        return oracle.make_code(space, np.asarray(pts))
+        path = args.points_json
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"--points-json {path}: {exc}") from None
+        if isinstance(data, dict):
+            if "points" not in data:
+                raise ParameterError(f"--points-json {path}: a JSON object needs \"points\"")
+            data = data["points"]
+        return oracle.make_code(space, data)
     raise ParameterError("need --config or --points-json")
 
 
@@ -301,16 +308,6 @@ def _cmd_asymptotics(args):
     except ParameterError:
         out["limit"] = None
     return out
-
-
-def _cmd_selfcheck(args):
-    from . import selfcheck
-
-    ok, results = selfcheck.run_all()
-    return {
-        "healthy": ok,
-        "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in results],
-    }
 
 
 # --- wiring ------------------------------------------------------------------
@@ -413,11 +410,6 @@ def _asymptotics_args(p):
     p.set_defaults(func=_cmd_asymptotics)
 
 
-def _selfcheck_args(p):
-    _add_common(p)
-    p.set_defaults(func=_cmd_selfcheck)
-
-
 # (name, help, the function that adds its arguments), in the order of --help
 _SUBCOMMANDS = (
     ("ulb", "universal lower energy bound", _ulb_args),
@@ -430,7 +422,6 @@ _SUBCOMMANDS = (
     ("separated-energy", "upper energy bound at fixed separation", _separated_energy_args),
     ("oracle", "ground-truth energies and configurations", _oracle_args),
     ("asymptotics", "fixed-level large-dimension sweep", _asymptotics_args),
-    ("selfcheck", "run the built-in invariant suite", _selfcheck_args),
 )
 
 
@@ -514,8 +505,6 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.command == "selfcheck":
-        return 0 if payload["healthy"] else 1
     return 0
 
 

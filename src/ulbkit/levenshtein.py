@@ -239,14 +239,6 @@ def _level_map(space: SpaceDescriptor, covers):
     return tops
 
 
-def solve_separation(space: SpaceDescriptor, M: int) -> float:
-    """The unique s with L_tau(s) = M on the level's validity interval.
-
-    It is the largest node of the 1/M-quadrature rule.
-    """
-    return quadrature_rule(space, M).s
-
-
 def quadrature_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     """Build and validate the 1/M-quadrature rule for cardinality M."""
     level = _level(space, *tau_for_cardinality(space, M)[:2])

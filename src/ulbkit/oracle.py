@@ -43,46 +43,55 @@ class Code:
 def make_code(space: SpaceDescriptor, points) -> Code:
     """Validate points and wrap them as a code."""
     fam = space.family
+    # every check is written so that a NaN fails it
     if fam is Family.SPHERE:
-        pts = np.asarray(points, dtype=float)
+        pts = _array(points, float)
         if pts.ndim != 2 or pts.shape[1] != space.n:
             raise ParameterError(f"sphere points must be rows of length {space.n}")
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
+        if not np.all(np.abs(norms - 1.0) <= 1e-8):
             raise ParameterError("sphere points must be unit vectors")
         pts = pts / norms[:, None]
     elif fam is Family.HAMMING:
-        pts = np.asarray(points, dtype=int)
+        pts = _array(points, float)
         if pts.ndim != 2 or pts.shape[1] != space.n:
             raise ParameterError(f"Hamming words must have length {space.n}")
-        if pts.min() < 0 or pts.max() >= space.q:
-            raise ParameterError(f"Hamming symbols must lie in 0..{space.q - 1}")
+        if not np.all((pts >= 0) & (pts < space.q) & (pts == np.floor(pts))):
+            raise ParameterError(f"Hamming symbols must lie in 0..{space.q - 1} and be integers")
+        pts = pts.astype(int)
     elif fam is Family.JOHNSON:
-        pts = np.asarray(points, dtype=int)
+        pts = _array(points, float)
         if pts.ndim != 2 or pts.shape[1] != space.n:
             raise ParameterError(f"Johnson words must have length {space.n}")
         if not np.all((pts == 0) | (pts == 1)) or np.any(pts.sum(axis=1) != space.w):
             raise ParameterError(f"Johnson words must be binary of weight {space.w}")
+        pts = pts.astype(int)
     else:
-        pts = np.asarray(points)
+        pts = _array(points, float if space.field_dim == 1 else complex)
         if space.field_dim == 4:
             if pts.ndim != 3 or pts.shape[1:] != (space.n, 2):
                 raise ParameterError(
                     f"quaternionic points must have shape (M, {space.n}, 2)"
                 )
-            pts = pts.astype(complex)
             sq = np.sum(np.abs(pts) ** 2, axis=(1, 2))
         else:
             if pts.ndim != 2 or pts.shape[1] != space.n:
                 raise ParameterError(f"projective points must be rows of length {space.n}")
-            pts = pts.astype(complex if space.field_dim == 2 else float)
             sq = np.sum(np.abs(pts) ** 2, axis=1)
-        if np.any(np.abs(sq - 1.0) > 1e-8):
+        if not np.all(np.abs(sq - 1.0) <= 1e-8):
             raise ParameterError("projective representatives must be unit vectors")
     code = Code(space, pts)
     if np.any(_pair_values(code)[0] > _COINCIDENT):
         raise ParameterError("duplicate points in code")
     return code
+
+
+def _array(points, dtype):
+    """points as an array of dtype; ParameterError for ragged rows or entries of another kind."""
+    try:
+        return np.asarray(points, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"points must be a regular array of numbers: {exc}") from None
 
 
 def pairwise_t(code: Code) -> np.ndarray:

@@ -37,7 +37,7 @@ def test_ulb_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["tool"]["name"] == "ulbkit"
     assert report["params"]["n"] == 3
     assert report["result"]["value_sum"] == pytest.approx(7.348469, abs=1e-6)
@@ -78,7 +78,7 @@ def test_determinism(capsys):
     assert out1 == out2
 
 
-def test_validation_errors_exit_2(capsys):
+def test_validation_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "ulb", "--space", "johnson", "--n", "9", "--w", "5", "--M", "5",
         "--potential", "riesz", "--p", "1",
@@ -142,6 +142,21 @@ def test_validation_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv, "--convention", "mean")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --convention mean" in err
+    # a --points-json file that cannot be read, is not JSON, lacks "points"
+    # or holds ragged or NaN points is refused with the file's name
+    files = {"missing.json": None, "text.json": "not json", "nopoints.json": '{"pts": []}',
+             "ragged.json": '{"points": [[1, 0, 0], [0, 1]]}', "nan.json": "[[NaN, 0, 0]]"}
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        for sub, extra in (("energy", ["--potential", "riesz", "--p", "1"]), ("strength", [])):
+            code, out, err = run_cli(capsys, "oracle", sub, "--space", "sphere", "--n", "3",
+                                     "--points-json", str(tmp_path / name), *extra)
+            assert code == 2 and out == "", (name, sub)
+            error = json.loads(err)["error"]
+            assert error["type"] == "ParameterError", (name, sub)
+            if name in ("missing.json", "text.json", "nopoints.json"):
+                assert name in error["message"], (name, sub)
 
 
 @pytest.mark.parametrize(
@@ -220,7 +235,6 @@ _FLAGS = {
     "oracle minimize": _POTENTIAL + _IO + ["M", "n", "restarts", "seed"],
     "oracle exhaustive": _POTENTIAL + _IO + ["M", "n"],
     "asymptotics": _POTENTIAL + _IO + ["delta", "family", "n_range", "rho", "tau"],
-    "selfcheck": _IO,
 }
 
 
@@ -240,11 +254,21 @@ def _declared_flags(parser, prefix=""):
 def test_cli_flag_surface():
     declared = _declared_flags(build_parser())
     assert declared == {cmd: sorted(flags) for cmd, flags in _FLAGS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 165
+    assert sum(len(flags) for flags in declared.values()) == 163
 
 
 _SUBCOMMAND_NAMES = sorted({cmd.split()[0] for cmd in _FLAGS})
 _ORACLE_NAMES = [cmd.split()[1] for cmd in _FLAGS if cmd.startswith("oracle ")]
+
+
+def test_help_lists_ten_subcommands_and_selfcheck_is_none(capsys):
+    # the release criteria run as tests/test_acceptance.py, not as a subcommand
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert sorted(out.split("{", 1)[1].split("}", 1)[0].split(",")) == _SUBCOMMAND_NAMES
+    assert len(_SUBCOMMAND_NAMES) == 10
+    code, out, err = run_cli(capsys, "selfcheck")
+    assert code == 2 and out == "" and "invalid choice: 'selfcheck'" in err
 
 
 @pytest.mark.parametrize(
@@ -253,7 +277,7 @@ _ORACLE_NAMES = [cmd.split()[1] for cmd in _FLAGS if cmd.startswith("oracle ")]
      ["--", "quadrature", "--help"], ["-x", "ulb", "--help"], ["ulb", "--space", "cube"],
      ["ulb", "--space", "sphere", "--n", "3"], ["quadrature", "--M", "x"],
      ["oracle"], ["oracle", "nope"], ["oracle", "minimize", "--n", "3"],
-     ["selfcheck", "--format", "yaml"],
+     ["design-bound", "--format", "yaml"], ["selfcheck"],
      ["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz", "--p", "1", "-y"]]
     + [[cmd, "--help"] for cmd in _SUBCOMMAND_NAMES]
     + [["oracle", name, "--help"] for name in _ORACLE_NAMES],
@@ -281,8 +305,7 @@ def test_cli_parser_of_one_subcommand_parses_as_the_full_one():
     for argv in (["ulb", *space, "--M", "4:6", "--potential", "riesz", "--p", "1"],
                  ["oracle", "exhaustive", "--n", "4", "--M", "3", "--potential", "gaussian"],
                  ["design-energy", *space, "--M", "4", "--tau", "2", "--direction", "lower",
-                  "--I", "-1", "0.5"],
-                 ["selfcheck"]):
+                  "--I", "-1", "0.5"]):
         assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
     # the others list their names and help but declare no flag
     assert _declared_flags(build_parser("quadrature")) == {
@@ -463,7 +486,7 @@ EXHAUSTIVE_4_3 = """{
       ]
     ]
   },
-  "schema_version": 3,
+  "schema_version": 4,
   "tool": {
     "name": "ulbkit",
     "version": "VERSION"
@@ -587,7 +610,6 @@ def test_reports_validate_against_schema(capsys):
         ["testfns", "--space", "hamming", "--n", "8", "--q", "2", "--M", "20", "--jmax", "8"],
         ["asymptotics", "--family", "sphere", "--tau", "3",
          "--potential", "gaussian", "--c", "1", "--n-range", "8:16:4"],
-        ["selfcheck"],
         # tau 27..55 on S^2; exit 0 means both certificate checks passed
         ["ulb", "--space", "sphere", "--n", "3", "--M", "225", "--potential", "riesz", "--p", "1"],
         ["ulb", "--space", "sphere", "--n", "3", "--M", "400", "--potential", "riesz", "--p", "1"],
@@ -680,27 +702,6 @@ def test_condition_violation_exits_1(capsys):
     assert json.loads(err)["error"]["type"] == "ConditionError"
 
 
-def test_selfcheck_exit_zero(capsys):
-    code, out, _ = run_cli(capsys, "selfcheck")
-    assert code == 0
-    assert json.loads(out)["result"]["healthy"]
-
-
-def test_selfcheck_reports_a_raising_check(monkeypatch):
-    # a space whose rule construction starts raising must not be skipped
-    from ulbkit import levenshtein, selfcheck
-    from ulbkit.errors import ConvergenceError
-
-    def broken(space, M):
-        raise ConvergenceError("broken on purpose")
-
-    monkeypatch.setattr(levenshtein, "quadrature_rule", broken)
-    healthy, results = selfcheck.run_all()
-    assert not healthy
-    failed = {name: detail for name, ok, detail in results if not ok}
-    assert "ConvergenceError" in failed["quadrature-exactness"]
-
-
 @pytest.mark.parametrize("failed", ["below_h", "f_geq"])
 @pytest.mark.parametrize(
     "argv",
@@ -720,7 +721,7 @@ def test_failed_certificate_exits_1(capsys, monkeypatch, argv, failed):
     code, out, err = run_cli(capsys, *argv, "--potential", "riesz", "--p", "1")
     assert code == 1 and out == ""
     error = json.loads(err)
-    assert error["schema_version"] == 3
+    assert error["schema_version"] == 4
     assert error["error"]["type"] == "ConditionError"
     assert "S^2" in error["error"]["message"] and failed in error["error"]["message"]
     assert ("M=4" if argv[0] == "ulb" else "M=7") in error["error"]["message"]
@@ -751,7 +752,7 @@ def test_bound_commands_leave_the_cli_only_modules_unloaded():
         " '--p', '1'])\n"
         "main(['quadrature', '--space', 'hamming', '--n', '8', '--q', '2', '--M', '16'])\n"
         "lazy = ('ulbkit.oracle', 'ulbkit.asymptotics', 'ulbkit.designbounds',"
-        " 'ulbkit.selfcheck', 'csv', 'numpy.polynomial')\n"
+        " 'csv', 'numpy.polynomial')\n"
         "print([m for m in lazy if m in sys.modules], file=sys.stderr)\n"
     )
     proc = subprocess.run(

@@ -428,11 +428,11 @@ def test_a_cardinality_must_be_an_integer(M):
 def test_solve_separation_examples():
     for n in (3, 4, 6):
         s = make_space("sphere", n=n)
-        assert lev.solve_separation(s, n + 1) == pytest.approx(-1 / n, abs=1e-11)
-        assert lev.solve_separation(s, 2 * n) == pytest.approx(0.0, abs=1e-11)
+        assert lev.quadrature_rule(s, n + 1).s == pytest.approx(-1 / n, abs=1e-11)
+        assert lev.quadrature_rule(s, 2 * n).s == pytest.approx(0.0, abs=1e-11)
     for space in ALL_SPACES:
         m = int(lev.design_bound(space, 2)) + 2
-        sep = lev.solve_separation(space, m)
+        sep = lev.quadrature_rule(space, m).s
         _, _, tau = lev.tau_for_cardinality(space, m)
         assert lev.lev_bound(space, tau, sep) == pytest.approx(m, rel=1e-10)
 
@@ -444,7 +444,7 @@ def test_solve_separation_where_lev_bound_is_steep(n, M):
     # large dL/ds: an error of a few ulps in s must still meet the residual
     # check relative to M
     space = make_space("sphere", n=n)
-    sep = lev.solve_separation(space, M)
+    sep = lev.quadrature_rule(space, M).s
     _, _, tau = lev.tau_for_cardinality(space, M)
     assert abs(lev.lev_bound(space, tau, sep) - M) <= 1e-10 * M
 
@@ -464,7 +464,7 @@ def test_solve_separation_at_large_design_bounds(family, params, M):
     # amount that grows with M
     space = make_space(family, **params)
     _, _, tau = lev.tau_for_cardinality(space, M)
-    sep = lev.solve_separation(space, M)
+    sep = lev.quadrature_rule(space, M).s
     lo, hi = lev.validity_interval(space, tau)
     pad = 1e-12 * max(1.0, abs(lo), abs(hi))
     assert min(abs(sep - lo), abs(sep - hi)) <= pad

@@ -155,13 +155,40 @@ def test_unknown_config_rejected():
          "projective representatives must be unit vectors"),
         (make_space("projective", n=3, field_dim=1), [[1.0, 1.0, 0.0]],
          "projective representatives must be unit vectors"),
+        # a NaN fails every check; a cast to int would turn 0.5 or 1.9 into another word
+        (S3, [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]], "sphere points must be unit vectors"),
+        (make_space("projective", n=3, field_dim=2), [[np.nan, 0.0, 0.0]],
+         "projective representatives must be unit vectors"),
+        (make_space("projective", n=2, field_dim=4), [[[np.nan, 0], [0, 0]]],
+         "projective representatives must be unit vectors"),
+        (make_space("hamming", n=4, q=3), [[0, 1, 0.5, 2]],
+         re.escape("Hamming symbols must lie in 0..2 and be integers")),
+        (make_space("hamming", n=4, q=3), [[0, 1, 1.9, 2]], "and be integers"),
+        (make_space("hamming", n=4, q=3), [[0, 1, np.nan, 2]], "and be integers"),
+        (make_space("johnson", n=6, w=2), [[1.9, 1, 0, 0, 0, 0]],
+         "Johnson words must be binary of weight 2"),
+        (make_space("johnson", n=6, w=2), [[np.nan, 1, 1, 0, 0, 0]],
+         "Johnson words must be binary of weight 2"),
+        (S3, [[1.0, 0.0, 0.0], [0.0, 1.0]], "points must be a regular array of numbers"),
+        (make_space("hamming", n=3, q=2), [[0, 1, 1], [0, 1]],
+         "points must be a regular array of numbers"),
     ],
     ids=["sphere-length", "sphere-norm", "hamming-length", "hamming-symbol", "johnson-length",
-         "johnson-weight", "quaternionic-shape", "projective-length", "complex-norm", "real-norm"],
+         "johnson-weight", "quaternionic-shape", "projective-length", "complex-norm", "real-norm",
+         "sphere-nan", "complex-nan", "quaternionic-nan", "hamming-half", "hamming-1.9",
+         "hamming-nan", "johnson-1.9", "johnson-nan", "sphere-ragged", "hamming-ragged"],
 )
 def test_make_code_refuses_points_outside_the_space(space, points, message):
     with pytest.raises(ParameterError, match=message):
         oracle.make_code(space, points)
+
+
+def test_make_code_takes_integral_floats_as_words():
+    h43, j62 = make_space("hamming", n=4, q=3), make_space("johnson", n=6, w=2)
+    for space, words in ((h43, [[0, 1, 2, 0], [2, 2, 1, 0]]), (j62, [[1, 1, 0, 0, 0, 0]])):
+        code = oracle.make_code(space, np.array(words, dtype=float))
+        assert code.points.dtype == int
+        assert np.array_equal(code.points, oracle.make_code(space, words).points)
 
 
 def test_energy_separation_and_strength_refusals():
