@@ -89,9 +89,12 @@ def make_code(space: SpaceDescriptor, points) -> Code:
 def _array(points, dtype):
     """points as an array of dtype; ParameterError for ragged rows or entries of another kind."""
     try:
-        return np.asarray(points, dtype=dtype)
+        pts = np.asarray(points)
+        if not (dtype is float and np.iscomplexobj(pts)):
+            return pts.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"points must be a regular array of numbers: {exc}") from None
+    raise ParameterError("points in a real space must not be complex")
 
 
 def pairwise_t(code: Code) -> np.ndarray:

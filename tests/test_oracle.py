@@ -172,11 +172,16 @@ def test_unknown_config_rejected():
         (S3, [[1.0, 0.0, 0.0], [0.0, 1.0]], "points must be a regular array of numbers"),
         (make_space("hamming", n=3, q=2), [[0, 1, 1], [0, 1]],
          "points must be a regular array of numbers"),
+        # a cast to float would drop the imaginary part
+        (S3, np.array([[1.0, 0.5j, 0.0]]), "points in a real space must not be complex"),
+        (make_space("projective", n=3, field_dim=1), [[1.0, 0.5j, 0.0]],
+         "points in a real space must not be complex"),
     ],
     ids=["sphere-length", "sphere-norm", "hamming-length", "hamming-symbol", "johnson-length",
          "johnson-weight", "quaternionic-shape", "projective-length", "complex-norm", "real-norm",
          "sphere-nan", "complex-nan", "quaternionic-nan", "hamming-half", "hamming-1.9",
-         "hamming-nan", "johnson-1.9", "johnson-nan", "sphere-ragged", "hamming-ragged"],
+         "hamming-nan", "johnson-1.9", "johnson-nan", "sphere-ragged", "hamming-ragged",
+         "sphere-complex", "real-projective-complex"],
 )
 def test_make_code_refuses_points_outside_the_space(space, points, message):
     with pytest.raises(ParameterError, match=message):

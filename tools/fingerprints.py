@@ -5,10 +5,10 @@ lists below.  Each ``ulb`` digest covers the bound (``value_sum``), the
 rule's nodes and weights, the certificate and every field of its checks.
 The rule's power-sum residual, a check on the rule rather than a result,
 is printed beside it as a float hex, so a change that moves only the
-residual reads as such.  An oracle op (``minimize_sphere`` or
+residual reads as such; an op that raises a ulbkit error prints the
+error instead.  An oracle op (``minimize_sphere`` or
 ``exhaustive_hamming``, Riesz p=1) prints a digest of its code's points
-and its energy as a float hex.  An op that raises prints its error
-instead.  Under Riesz p=1 and Gaussian c=1, each oracle op also prints
+and its energy as a float hex.  Under Riesz p=1 and Gaussian c=1, each oracle op also prints
 the energy it returns beside ``oracle.energy`` of the code it returns,
 and each finite anchor (``extended_hamming_8`` on H(8,2), ``fano`` on
 J(7,3), ``steiner_quadruple_8`` on J(8,4)) its ``oracle.energy``, all as
@@ -20,11 +20,11 @@ lists and for S^2047, H(128,2), H(1000,2) and J(100,30),
 ``design_bound`` as a float hex for tau = 1..40, up to where it is
 refused, and the top of every level of the space's level map (the last
 integer the map gives that level), up to the error that ends the map.
-The level tops are exact ints, so by default each space's level lines
-are printed as one SHA-256; ``--full`` prints every line.  The first
-line names the Python, numpy and BLAS versions.
+The level tops are exact ints, so each space's level lines are printed
+as one SHA-256 of them; ``level_lines(space)`` gives the lines behind a
+digest.  The first line names the Python, numpy and BLAS versions.
 
-``tests/data/fingerprints.txt`` is this tool's default output, and
+``tests/data/fingerprints.txt`` is this tool's output, and
 ``tests/test_fingerprints.py`` checks it.  A change that moves a bit
 regenerates the file, whose diff is then the list of moved lines:
 
@@ -263,8 +263,8 @@ def level_lines(space):
         yield f"level {space.label()} tau{tau}: {top}"
 
 
-def space_lines(full):
-    """Design bounds and level tops of each space; an error ends a space's design bounds."""
+def space_lines():
+    """Design bounds and level-top digests of each space; an error ends a space's design bounds."""
     for space in map(make, LEVEL_SPACES):
         for tau in DESIGN_TAUS:
             head = f"design_bound {space.label()} tau{tau}"
@@ -274,14 +274,11 @@ def space_lines(full):
                 yield f"{head}: {type(exc).__name__}: {exc}"
                 break
         levels = list(level_lines(space))
-        if full:
-            yield from levels
-        else:
-            digest = hashlib.sha256("".join(f"{line}\n" for line in levels).encode()).hexdigest()
-            yield f"level {space.label()}: {len(levels)} lines, sha256 {digest}"
+        digest = hashlib.sha256("".join(f"{line}\n" for line in levels).encode()).hexdigest()
+        yield f"level {space.label()}: {len(levels)} lines, sha256 {digest}"
 
 
-def lines(full=False):
+def lines():
     """Every line of the output, the versions first."""
     yield versions()
     results = {}
@@ -291,15 +288,12 @@ def lines(full=False):
         yield from oracle_lines(seed, results)
     yield from anchor_lines()
     yield from asymptotics_lines(POTENTIALS["gaussian"])
-    yield from space_lines(full)
+    yield from space_lines()
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--full", action="store_true",
-                    help="print every level top instead of one SHA-256 per space")
-    args = ap.parse_args(argv)
-    for line in lines(args.full):
+    argparse.ArgumentParser(description=__doc__.split("\n", 1)[0]).parse_args(argv)
+    for line in lines():
         print(line)
 
 
