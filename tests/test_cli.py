@@ -277,7 +277,7 @@ def test_help_lists_ten_subcommands_and_selfcheck_is_none(capsys):
      ["--", "quadrature", "--help"], ["-x", "ulb", "--help"], ["ulb", "--space", "cube"],
      ["ulb", "--space", "sphere", "--n", "3"], ["quadrature", "--M", "x"],
      ["oracle"], ["oracle", "nope"], ["oracle", "minimize", "--n", "3"],
-     ["design-bound", "--format", "yaml"], ["selfcheck"],
+     ["design-bound", "--format", "yaml"],
      ["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz", "--p", "1", "-y"]]
     + [[cmd, "--help"] for cmd in _SUBCOMMAND_NAMES]
     + [["oracle", name, "--help"] for name in _ORACLE_NAMES],

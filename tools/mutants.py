@@ -3,8 +3,9 @@
 Each mutant replaces one piece of text in one file of ``src/ulbkit`` (a
 tolerance, a check's comparison, a level-map end, an oracle constant, a
 designbounds side, one ulp of a certificate's data) in a copy of
-``src/``, ``tests/``, ``docs/`` and ``tools/`` in a temporary directory, and runs tier-1 there with ``-x``, the mutant's most likely
-test file (``test_<file>``) first.  A mutant is killed when a test fails,
+``src/``, ``tests/``, ``docs/`` and ``tools/`` in a temporary directory,
+and runs tier-1 there with ``-x``, the mutant's most likely test file
+(``test_<file>``) first.  A mutant is killed when a test fails,
 survives when tier-1 passes, and times out when tier-1 has not finished
 after ``TIMEOUT_S``.  A run of the unmutated copy comes first and must
 pass, or no kill means anything.  Two runs at a time, each with one
