@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand echoes its parameters and emits a machine-readable
-report (JSON by default, CSV for sweeps, or a human summary).  Exit
+report, JSON by default or CSV with ``--format csv``.  Exit
 codes: 0 success, 2 parameter/validation error, 1 computation failure,
 including a bound whose certificate fails a check.
 """
@@ -18,9 +18,7 @@ import numpy as np
 # by the handlers that use them, so a ulb or quadrature call does not
 # load them
 from . import __version__, levenshtein, orthopoly, pmspace, potentials
-from .ulb import (
-    _BELOW_TOL, _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch,
-)
+from .ulb import _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch
 from .errors import (
     ConditionError,
     DegreeOverflowError,
@@ -90,7 +88,7 @@ def _given(args, *names):
 
 
 def _add_common(p):
-    p.add_argument("--format", choices=["json", "csv", "human"], default="json")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=str, help="write the report to this path")
 
 
@@ -108,7 +106,7 @@ def _int_range(text):
             parts = [int(x) for x in text.split(":")]
             lo, hi = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 1
-            out = list(range(lo, hi + 1, step))
+            out = list(range(lo, hi + (1 if step > 0 else -1), step))  # hi included
         else:
             out = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -169,10 +167,7 @@ def _cmd_ulb(args):
     ms = _int_range(args.M)
     branch = ulb_odd_branch if args.odd_branch else ulb
 
-    reports = [
-        _report_payload(branch(space, m, h, abs_tol=args.abs_tol, rel_tol=args.rel_tol))
-        for m in ms
-    ]
+    reports = [_report_payload(branch(space, m, h, rel_tol=args.rel_tol)) for m in ms]
     return {"reports": reports} if len(ms) > 1 else reports[0]
 
 
@@ -317,7 +312,6 @@ def _ulb_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", required=True, help="cardinality, range lo:hi[:step], or comma list")
     p.add_argument("--odd-branch", action="store_true")
-    p.add_argument("--abs-tol", type=float, default=_BELOW_TOL, help="pointwise certificate checks")
     p.add_argument("--rel-tol", type=float, default=_IDENTITY_TOL, help="value cross-checks")
     p.set_defaults(func=_cmd_ulb)
 
@@ -381,9 +375,11 @@ def _oracle_args(p):
     for name in ("energy", "strength", "named"):
         op = osub.add_parser(name)
         _add_space_args(op), _add_common(op)
-        op.add_argument("--config", type=str)
+        # a code comes from one of the two, never both
+        code = op if name == "named" else op.add_mutually_exclusive_group()
+        code.add_argument("--config", type=str)
         if name != "named":
-            op.add_argument("--points-json", type=str)
+            code.add_argument("--points-json", type=str)
         if name == "energy":
             _add_potential_args(op)
         if name == "strength":
@@ -454,25 +450,18 @@ def _emit(args, payload) -> str:
         "params": _jsonable(_echo(args)),
         "result": _jsonable(payload),
     }
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        import csv
+    import csv
 
-        rows = payload.get("rows", payload.get("reports", [payload]))
-        buf = io.StringIO()
-        cols = sorted({k for r in rows for k in r})
-        writer = csv.DictWriter(buf, fieldnames=cols)
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({k: _csv_cell(r.get(k, "")) for k in cols})
-        return buf.getvalue()
-    lines = [f"ulbkit {__version__} :: {args.command}"]
-    lines += [f"  {k} = {v}" for k, v in report["params"].items()]
-    lines.append("result:")
-    lines.append(json.dumps(report["result"], indent=2, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    rows = payload.get("rows", payload.get("reports", [payload]))
+    buf = io.StringIO()
+    cols = sorted({k for r in rows for k in r})
+    writer = csv.DictWriter(buf, fieldnames=cols)
+    writer.writeheader()
+    for r in rows:
+        writer.writerow({k: _csv_cell(r.get(k, "")) for k in cols})
+    return buf.getvalue()
 
 
 def _csv_cell(value):

@@ -22,11 +22,9 @@ from .errors import ConditionError, ParameterError, integer
 from .orthopoly import lp_value
 from .pmspace import SpaceDescriptor
 from .potentials import Potential
-from .ulb import _BELOW_TOL, _conditions, _values
+from .ulb import _conditions, _values
 
 _COEFF_TOL = 1e-9
-# a default ulb's tolerance, so that both share the potential's grid rows
-_GRID_TOL = _BELOW_TOL
 # slack around the ends of a cut on a finite space's grid
 _PAD = 1e-12
 
@@ -76,7 +74,7 @@ def _bound(space, M, h, f, subset, side, pointwise, sign, tau=0, s=None):
     t = _subset_grid(space, subset, s)
     if t is not None and not t.size:
         raise ParameterError("no inner product of the subset is left to check")
-    t, fv, hv, tol = _values(space, f, h, _GRID_TOL, t)
+    t, fv, hv, tol = _values(space, f, h, t)
     coeff_tol = _COEFF_TOL * max(1.0, float(np.abs(f).max()))
     below, worst, _, _, bad = _conditions(side * f, side * fv, side * hv, tol, tau + 1, coeff_tol)
     if not below:

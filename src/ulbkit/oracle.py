@@ -309,6 +309,9 @@ _BATCH_ENTRIES = 1 << 18
 # the (move, gradient change) pairs of each restart's L-BFGS history
 _MEMORY = 5
 
+# the most steps one restart takes
+_ITERATIONS = 4000
+
 
 def minimize_sphere(
     n: int,
@@ -316,7 +319,6 @@ def minimize_sphere(
     h: Potential,
     restarts: int = 20,
     seed: int = 0,
-    iterations: int = 4000,
 ):
     """Best local minimum of sphere energy from seeded random starts.
 
@@ -331,13 +333,13 @@ def minimize_sphere(
     each restart only decreases.  A restart stops when a rejected
     step's predicted decrease, its length times |<direction, gradient>|,
     is at most 8 eps |E|, below the rounding of its energy E; when its
-    step falls below 1e-16 (an energy of 0); or after ``iterations``
-    steps, the cap of each restart.  The result is deterministic for a
-    fixed seed, and an upper estimate of the minimal energy only, never
-    a certificate of optimality.  ``seed`` is None (fresh entropy) or an
-    integer >= 0; an integral float is taken as its integer.  Raises
-    ParameterError for n, M, restarts or iterations not an integer, n < 2,
-    M < 2, restarts < 1, iterations < 1, or any other seed.
+    step falls below 1e-16 (an energy of 0); or after 4000 steps, the
+    cap of each restart.  The result depends on the arguments only, and
+    is an upper estimate of the minimal energy, never a certificate of
+    optimality.  ``seed`` is an integer >= 0; an integral float is taken
+    as its integer.  Raises ParameterError for n, M or restarts not an
+    integer, n < 2, M < 2, restarts < 1, or any other seed, None
+    included.
 
     Returns
     -------
@@ -352,25 +354,22 @@ def minimize_sphere(
         order of the starts; ``iterations_best``: the iterations the
         best restart took.
     """
-    n, M, restarts, iterations = (
-        integer("minimize_sphere", *arg)
-        for arg in (("n", n), ("M", M), ("restarts", restarts), ("iterations", iterations)))
+    n, M, restarts = (
+        integer("minimize_sphere", *arg) for arg in (("n", n), ("M", M), ("restarts", restarts)))
     if n < 2 or M < 2:
         raise ParameterError("need n >= 2 and M >= 2")
-    if restarts < 1 or iterations < 1:
-        raise ParameterError(
-            f"need restarts >= 1 and iterations >= 1, got {restarts} and {iterations}"
-        )
-    if seed is not None and integer("minimize_sphere", "seed", seed) < 0:
-        raise ParameterError(f"minimize_sphere needs a seed >= 0 or None, got {seed!r}")
+    if restarts < 1:
+        raise ParameterError(f"need restarts >= 1, got {restarts}")
+    if integer("minimize_sphere", "seed", seed) < 0:
+        raise ParameterError(f"minimize_sphere needs a seed >= 0, got {seed!r}")
     space = pmspace.make_space("sphere", n=n)
-    rng = np.random.default_rng(None if seed is None else int(seed))
+    rng = np.random.default_rng(int(seed))
     x = rng.normal(size=(restarts, M, n))
     x /= np.linalg.norm(x, axis=2)[..., None]
     # restarts descend independently, so batching them changes no result;
     # it bounds the memory of the batch's Gram matrices and histories for large M
     per = max(1, _BATCH_ENTRIES // (M * M + 2 * _MEMORY * M * n))
-    parts = [_descend(x[i : i + per], h, iterations) for i in range(0, len(x), per)]
+    parts = [_descend(x[i : i + per], h, _ITERATIONS) for i in range(0, len(x), per)]
     x, vals, iters = (np.concatenate(arrays) for arrays in zip(*parts))
     best = int(np.argmin(vals))
     code = make_code(space, x[best])

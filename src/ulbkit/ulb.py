@@ -29,8 +29,8 @@ _IDENTITY_TOL = 1e-9
 _ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
 # A potential's own record, h._memo, holds what bounds with that instance
 # share, whatever the space and M: under "monotone_to" the highest order at
-# which it passed the monotonicity check, and under each (space, below_tol)
-# the read-only h and below_tol * (1 + |h|) on the space's verification grid.
+# which it passed the monotonicity check, and under each space the
+# read-only h and _BELOW_TOL * (1 + |h|) on the space's verification grid.
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def ulb(
     M: int,
     h: Potential,
     *,
-    abs_tol: float = _BELOW_TOL,
     rel_tol: float = _IDENTITY_TOL,
 ) -> UlbReport:
     """Universal lower bound on the energy of M-point codes.
@@ -87,10 +86,11 @@ def ulb(
     h : Potential
         Must be absolutely monotone up to order tau + 1; checked, and
         refused otherwise since the bound's hypothesis would fail.
-    abs_tol, rel_tol : float
-        Grid tolerance of the pointwise certificate check, and relative
-        tolerance of the certificate-vs-quadrature value cross-check;
-        each must be finite and >= 0 (ParameterError otherwise).
+    rel_tol : float
+        Relative tolerance of the certificate-vs-quadrature value
+        cross-check; must be finite and >= 0 (ParameterError otherwise).
+        The pointwise certificate check has one fixed tolerance, see
+        :func:`verify_certificate`.
 
     Returns
     -------
@@ -98,9 +98,8 @@ def ulb(
         The bound on the ordered pair sum (``value_sum``) and that sum
         divided by M (``value_mean``), with the validated certificate.
     """
-    _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = quadrature_rule(space, M)
-    return _report_from_rule(rule, h, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _report_from_rule(rule, h, rel_tol=rel_tol)
 
 
 def ulb_odd_branch(
@@ -108,26 +107,16 @@ def ulb_odd_branch(
     M: int,
     h: Potential,
     *,
-    abs_tol: float = _BELOW_TOL,
     rel_tol: float = _IDENTITY_TOL,
 ) -> UlbReport:
     """The odd-level bound, valid on even intervals as well (weaker there)."""
-    _check_tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
     rule = odd_branch_rule(space, M)
-    return _report_from_rule(rule, h, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _report_from_rule(rule, h, rel_tol=rel_tol)
 
 
-def _check_tolerances(**tolerances):
-    # a NaN fails the comparison; it would also be a cache key that never
-    # matches, so each call would add a grid row to the potential's record
-    for name, value in tolerances.items():
-        if not 0.0 <= value < np.inf:
-            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _report_from_rule(
-    rule, h, certificate=None, value_sum=None, abs_tol=_BELOW_TOL, rel_tol=_IDENTITY_TOL,
-):
+def _report_from_rule(rule, h, certificate=None, value_sum=None, rel_tol=_IDENTITY_TOL):
+    if not 0.0 <= rel_tol < np.inf:  # NaN fails too
+        raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     _require_monotone(h, rule.tau + 1)
     M = rule.M
     h_nodes = h(rule.nodes) if value_sum is None or certificate is None else None
@@ -135,7 +124,7 @@ def _report_from_rule(
         value_sum = M * M * float(np.dot(rule.weights, h_nodes))
     if certificate is None:
         certificate = hermite_certificate(rule, h, h_nodes)
-    checks = verify_certificate(rule.space, certificate, h, below_tol=abs_tol)
+    checks = verify_certificate(rule.space, certificate, h)
     _check_value_identity(rule, certificate, value_sum, rel_tol)
     return UlbReport(rule.space, M, rule, value_sum, value_sum / M, certificate, checks)
 
@@ -186,40 +175,36 @@ def hermite_certificate(rule: QuadratureRule, h: Potential, h_nodes=None) -> np.
     return np.linalg.solve(table[:, : deg + 1].T, rhs)
 
 
-def verify_certificate(
-    space: SpaceDescriptor, f: np.ndarray, h: Potential, below_tol: float = _BELOW_TOL
-) -> CertificateChecks:
+def verify_certificate(space: SpaceDescriptor, f: np.ndarray, h: Potential) -> CertificateChecks:
     """Check the two bound conditions for a candidate polynomial, given its Q-coefficients.
 
     ``below_h``: f <= h on :func:`ulbkit.pmspace.verification_grid`, a
     dense grid of T(M) minus the point 1, with tolerance
-    below_tol * (1 + |h|); ``f_geq``: all coefficients of the expansion
+    1e-9 * (1 + |h|); ``f_geq``: all coefficients of the expansion
     in the Q-system are nonnegative (within -1e-8).  f is evaluated from
     the space's cached table of Q_0..Q_deg on the grid
     (:func:`ulbkit.orthopoly.grid_table`), and h and the tolerance from
-    the potential's cached row.  Failures are reported as data; a
-    below_tol that is not finite and >= 0 raises ParameterError.
+    the potential's cached row.  Failures are reported as data.
     """
-    _check_tolerances(below_tol=below_tol)
     f = np.asarray(f, dtype=float)
-    grid, fv, hv, tol = _values(space, f, h, below_tol)
+    grid, fv, hv, tol = _values(space, f, h)
     below, worst, excess, minq, bad = _conditions(f, fv, hv, tol)
     return CertificateChecks(below, bad is None, minq, excess, float(grid[worst]))
 
 
-def _values(space, f, h, below_tol, t=None):
-    """t, and f, h and below_tol * (1 + |h|) at t; by default the verification grid, from caches."""
+def _values(space, f, h, t=None):
+    """t, and f, h and _BELOW_TOL * (1 + |h|) at t; by default the verification grid, cached."""
     if t is not None:
         hv = np.asarray(h(t), dtype=float)
-        return t, orthopoly.poly_eval(space, f, t), hv, below_tol * (1.0 + np.abs(hv))
+        return t, orthopoly.poly_eval(space, f, t), hv, _BELOW_TOL * (1.0 + np.abs(hv))
     grid = pmspace.verification_grid(space)
     fv = f @ orthopoly.grid_table(space, len(f) - 1)
-    rows = h._memo.get((space, below_tol))
+    rows = h._memo.get(space)
     if rows is None:
         hv = np.array(h(grid), dtype=float)
-        tol = below_tol * (1.0 + np.abs(hv))
+        tol = _BELOW_TOL * (1.0 + np.abs(hv))
         hv.flags.writeable = tol.flags.writeable = False
-        rows = h._memo[space, below_tol] = hv, tol
+        rows = h._memo[space] = hv, tol
     return (grid, fv, *rows)
 
 
@@ -241,7 +226,9 @@ def test_functions(space: SpaceDescriptor, M: int, j_range) -> TestFunctionRepor
     """Values P_j = 1/M + sum_i rho_i Q_j(alpha_i).
 
     P_j vanishes for 1 <= j <= tau; a negative value at some j > tau
-    flags that degree-j polynomials can improve the bound.
+    flags that degree-j polynomials can improve the bound.  ``j_range``
+    must hold at least one index, each an integer >= 0 (ParameterError
+    otherwise).
     """
     rule = quadrature_rule(space, M)
     return _test_functions_from_rule(rule, j_range)
@@ -249,11 +236,11 @@ def test_functions(space: SpaceDescriptor, M: int, j_range) -> TestFunctionRepor
 
 def _test_functions_from_rule(rule, j_range) -> TestFunctionReport:
     js = sorted({integer("test_functions", "j", j) for j in j_range})
-    if js and js[0] < 0:
+    if not js:
+        raise ParameterError("test functions need at least one index")
+    if js[0] < 0:
         raise ParameterError("test function indices must be nonnegative")
-    jmax = max(js) if js else 0
-    system = adjacent_system(rule.space, 0, 0, jmax)
-    qvals = eval_q_all(system, jmax, rule.nodes) if js else np.zeros((1, 0))
+    qvals = eval_q_all(adjacent_system(rule.space, 0, 0, js[-1]), js[-1], rule.nodes)
     values = []
     for j in js:
         values.append(1.0 / rule.M + float(np.dot(rule.weights, qvals[j])))

@@ -8,7 +8,7 @@ import pytest
 
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly, pmspace
-from ulbkit.errors import ParameterError
+from ulbkit.errors import ConditionError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import Potential, builtin
 from ulbkit.ulb import improve_with_qj, ulb, ulb_odd_branch, verify_certificate
@@ -112,7 +112,7 @@ def test_potentials_keep_their_own_grid_values():
     shifted = [ULB._shifted(RIESZ1, qj, eta) for eta in (base.improvement["eta"], 1e-3)]
     for h in [g1, g2, RIESZ1] + shifted:
         verify_certificate(space, f, h)
-    cached = [h._memo[space, ULB._BELOW_TOL][0] for h in [g1, g2, RIESZ1] + shifted]
+    cached = [h._memo[space][0] for h in [g1, g2, RIESZ1] + shifted]
     for h, hv in zip([g1, g2, RIESZ1] + shifted, cached):
         assert np.array_equal(hv, h(grid))
     assert len({hv.tobytes() for hv in cached}) == len(cached)
@@ -123,16 +123,15 @@ def test_potentials_keep_their_own_grid_values():
 def test_cached_grid_values_are_read_only():
     space = HP3
     ulb(space, _mid_level(space, 9), GAUSS)
-    for below_tol in (ULB._BELOW_TOL, 1e-6):
-        verify_certificate(space, np.ones(3), GAUSS, below_tol)
-        hv, tol = GAUSS._memo[space, below_tol]
-        assert np.array_equal(tol, below_tol * (1.0 + np.abs(hv)))
-        for arr in (hv, tol):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    verify_certificate(space, np.ones(3), GAUSS)
+    hv, tol = GAUSS._memo[space]
+    assert np.array_equal(tol, ULB._BELOW_TOL * (1.0 + np.abs(hv)))
+    for arr in (hv, tol):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
-def test_a_potential_is_evaluated_on_the_grid_once_per_space_and_tolerance():
+def test_a_potential_is_evaluated_on_the_grid_once_per_space():
     # a derivative function without a weak reference takes the same path as any other
     class Exp:
         __slots__ = ()
@@ -147,10 +146,10 @@ def test_a_potential_is_evaluated_on_the_grid_once_per_space_and_tolerance():
     first = verify_certificate(S2, np.ones(3), h)
     assert verify_certificate(S2, np.ones(3), h) == first
     assert calls == [(grid_size,)]
-    verify_certificate(S2, np.ones(3), h, 1e-6)
-    verify_certificate(S2, np.ones(3), h, 1e-6)
-    assert calls == [(grid_size,), (grid_size,)]
-    assert set(h._memo) == {(S2, ULB._BELOW_TOL), (S2, 1e-6)}
+    verify_certificate(H30, np.ones(3), h)
+    verify_certificate(S2, np.ones(3), h)
+    assert calls == [(grid_size,), (len(pmspace.verification_grid(H30)),)]
+    assert set(h._memo) == {S2, H30}
 
 
 def test_each_potential_instance_keeps_its_own_memo():
@@ -159,7 +158,7 @@ def test_each_potential_instance_keeps_its_own_memo():
 
     a, b = Potential("exp", _deriv=deriv), Potential("exp", _deriv=deriv)
     verify_certificate(S2, np.ones(3), a)
-    assert (S2, ULB._BELOW_TOL) in a._memo and b._memo == {}
+    assert S2 in a._memo and b._memo == {}
     assert a == b and repr(a) == repr(b) and "_memo=" not in repr(a)
     fresh = dataclasses.replace(a)
     assert fresh._memo == {} and fresh._memo is not a._memo and fresh == a
@@ -169,22 +168,25 @@ def test_each_potential_instance_keeps_its_own_memo():
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e-9, float("inf")])
 def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(bad):
-    # a NaN key would never match, so each call would add a grid row
     M = _mid_level(S2, 6)
     ulb(S2, M, GAUSS)
     rows = GAUSS._memo
     before = dict(rows)
-    for call in (lambda: ulb(S2, M, GAUSS, abs_tol=bad), lambda: ulb(S2, M, GAUSS, rel_tol=bad),
-                 lambda: ulb_odd_branch(S2, M, GAUSS, abs_tol=bad),
-                 lambda: ulb_odd_branch(S2, M, GAUSS, rel_tol=bad),
-                 lambda: verify_certificate(S2, np.ones(3), GAUSS, bad)):
-        with pytest.raises(ParameterError, match="finite and >= 0"):
-            call()
-    assert rows == before
-    # the tolerances are keyword-only: a fourth positional argument is refused
     for fn in (ulb, ulb_odd_branch):
+        with pytest.raises(ParameterError, match="rel_tol must be finite and >= 0"):
+            fn(S2, M, GAUSS, rel_tol=bad)
+        # rel_tol is keyword-only: a fourth positional argument is refused
         with pytest.raises(TypeError):
             fn(S2, M, GAUSS, bad)
-    # zero is a tolerance; a rel_tol of 0 would refuse on the last bit
-    assert ulb(S2, M, GAUSS, abs_tol=0.0).rule.M == M
-    verify_certificate(S2, np.ones(3), GAUSS, 0.0)
+    assert rows == before
+    # the pointwise tolerance is the library's own
+    for call in (lambda: ulb(S2, M, GAUSS, abs_tol=bad),
+                 lambda: ulb_odd_branch(S2, M, GAUSS, abs_tol=bad),
+                 lambda: verify_certificate(S2, np.ones(3), GAUSS, below_tol=bad),
+                 lambda: verify_certificate(S2, np.ones(3), GAUSS, bad)):
+        with pytest.raises(TypeError):
+            call()
+    # zero is a tolerance; at M the cross-check then refuses on the last bit, at 4 it passes
+    with pytest.raises(ConditionError, match="disagrees with quadrature value"):
+        ulb(S2, M, GAUSS, rel_tol=0.0)
+    assert ulb(S2, 4, GAUSS, rel_tol=0.0).rule.M == 4

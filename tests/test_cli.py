@@ -99,15 +99,22 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau >= 301)")
-    # a tolerance must be finite and >= 0
-    for flag, value in (("--abs-tol", "nan"), ("--rel-tol", "-1e-9"), ("--abs-tol", "inf")):
+    # the cross-check tolerance must be finite and >= 0
+    for value in ("nan", "-1e-9", "inf"):
         code, out, err = run_cli(
             capsys, "ulb", "--space", "sphere", "--n", "3", "--M", "4",
-            "--potential", "riesz", "--p", "1", f"{flag}={value}",
+            "--potential", "riesz", "--p", "1", f"--rel-tol={value}",
         )
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
-        assert error["type"] == "ParameterError" and "finite and >= 0" in error["message"]
+        assert error["type"] == "ParameterError"
+        assert "rel_tol must be finite and >= 0" in error["message"]
+    # test functions need at least one index
+    code, out, err = run_cli(capsys, "testfns", "--space", "sphere", "--n", "3", "--M", "10",
+                             "--jmax", "-5")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError" and "at least one index" in error["message"]
     # oracle exhaustive checks n and M before the size of the search
     for n, M in (("4", "-1"), ("-2", "3"), ("30", "1"), ("4", "17")):
         code, out, err = run_cli(
@@ -157,6 +164,13 @@ def test_validation_errors_exit_2(capsys, tmp_path):
             assert error["type"] == "ParameterError", (name, sub)
             if name in ("missing.json", "text.json", "nopoints.json"):
                 assert name in error["message"], (name, sub)
+    # a code comes from --config or --points-json, not from both
+    for sub, extra in (("energy", ["--potential", "riesz", "--p", "1"]), ("strength", [])):
+        code, out, err = run_cli(capsys, "oracle", sub, "--space", "sphere", "--n", "3",
+                                 "--config", "icosahedron", "--points-json", "/nonexistent.json",
+                                 *extra)
+        assert code == 2 and out == ""
+        assert "argument --points-json: not allowed with argument --config" in err
 
 
 @pytest.mark.parametrize(
@@ -221,7 +235,7 @@ _POTENTIAL = ["c", "coeffs", "j", "p", "potential"]
 _IO = ["format", "out"]
 # every option each subcommand declares: each one is read by its handler
 _FLAGS = {
-    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "abs_tol", "odd_branch", "rel_tol"],
+    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "odd_branch", "rel_tol"],
     "quadrature": _SPACE + _IO + ["M"],
     "lev-bound": _SPACE + _IO + ["s", "tau"],
     "design-bound": _SPACE + _IO + ["tau"],
@@ -254,7 +268,7 @@ def _declared_flags(parser, prefix=""):
 def test_cli_flag_surface():
     declared = _declared_flags(build_parser())
     assert declared == {cmd: sorted(flags) for cmd, flags in _FLAGS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 163
+    assert sum(len(flags) for flags in declared.values()) == 162
 
 
 _SUBCOMMAND_NAMES = sorted({cmd.split()[0] for cmd in _FLAGS})
@@ -319,6 +333,9 @@ def test_cli_parser_of_one_subcommand_parses_as_the_full_one():
     [(["quadrature", "--space", "sphere", "--n", "3", "--M", "12", "--seed", "1"], False),
      (["improve", "--space", "sphere", "--n", "3", "--M", "7", "--degree", "6",
        "--potential", "riesz", "--p", "1", "--abs-tol", "1e-3"], False),
+     # the pointwise certificate tolerance is the library's own
+     (["ulb", "--space", "sphere", "--n", "3", "--M", "4",
+       "--potential", "riesz", "--p", "1", "--abs-tol", "1e-3"], False),
      (["oracle", "named", "--space", "sphere", "--n", "3", "--config", "icosahedron",
        "--points-json", "f"], False),
      # declared flags the space or the potential does not take: the library refuses them
@@ -326,7 +343,8 @@ def test_cli_parser_of_one_subcommand_parses_as_the_full_one():
        "--potential", "riesz", "--p", "1"], True),
      (["ulb", "--space", "sphere", "--n", "3", "--M", "4",
        "--potential", "gaussian", "--c", "1", "--p", "9"], True)],
-    ids=["quadrature-seed", "improve-abs-tol", "named-points-json", "sphere-q", "gaussian-p"],
+    ids=["quadrature-seed", "improve-abs-tol", "ulb-abs-tol", "named-points-json", "sphere-q",
+         "gaussian-p"],
 )
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv, library):
     code, out, err = run_cli(capsys, *argv)
@@ -344,6 +362,17 @@ def test_m_range_sweep(capsys):
     reports = json.loads(out)["result"]["reports"]
     assert [r["M"] for r in reports] == [4, 5, 6]
     assert reports[0]["value_sum"] < reports[1]["value_sum"] < reports[2]["value_sum"]
+
+
+def test_a_descending_range_includes_its_end(capsys):
+    argv = ["ulb", "--space", "sphere", "--n", "3", "--potential", "riesz", "--p", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--M", "12:8:-2")
+    assert code == 0
+    reports = json.loads(out)["result"]["reports"]
+    assert [r["M"] for r in reports] == [12, 10, 8]
+    code, out, _ = run_cli(capsys, *argv, "--M", "8:12:2")
+    assert [r["M"] for r in json.loads(out)["result"]["reports"]] == [8, 10, 12]
+    assert reports == json.loads(out)["result"]["reports"][::-1]
 
 
 def test_design_energy_subcommand(capsys):
@@ -649,19 +678,11 @@ def test_reports_validate_against_schema(capsys):
             assert report["result"] == LIBRARY_RESULTS[tuple(argv)](), argv
 
 
-def test_human_format_echoes_the_parameters_and_the_json_result(capsys):
+def test_reports_are_json_or_csv_only(capsys):
     argv = ["design-bound", "--space", "johnson", "--n", "12", "--w", "4", "--tau", "3"]
-    code, out, _ = run_cli(capsys, *argv, "--format", "human")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == f"ulbkit {__version__} :: design-bound"
-    result_at = lines.index("result:")
-    assert lines[1:result_at] == ["  command = design-bound", "  n = 12", "  space = johnson",
-                                  "  tau = 3", "  w = 4"]
-    code, default, _ = run_cli(capsys, *argv)
-    assert code == 0
-    result = json.loads("\n".join(lines[result_at + 1:]))
-    assert result == json.loads(default)["result"] and result["bound"] == 33
+    code, out, err = run_cli(capsys, *argv, "--format", "human")
+    assert code == 2 and out == ""
+    assert "argument --format: invalid choice: 'human'" in err
 
 
 def test_sweep_keeps_order_and_bytes(capsys):
@@ -768,5 +789,6 @@ def test_tolerance_defaults_are_the_library_defaults():
     args = build_parser().parse_args(
         ["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz", "--p", "1"]
     )
-    assert args.abs_tol == ulb_defaults["abs_tol"].default
     assert args.rel_tol == ulb_defaults["rel_tol"].default
+    # the pointwise tolerance is no parameter of either
+    assert "abs_tol" not in vars(args) and list(ulb_defaults) == ["space", "M", "h", "rel_tol"]

@@ -1,6 +1,9 @@
 """Same bits: the fingerprints of tools/fingerprints.py against the committed file."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,18 @@ def test_fingerprints_match_the_committed_file():
             f"{len(diffs)} fingerprint lines differ from {COMMITTED.relative_to(ROOT)}; the first:\n"
             f"{shown}\nregenerate it with `python tools/fingerprints.py > tests/data/fingerprints.txt`"
             " once every moved line is explained", pytrace=False)
+
+
+def test_high_degree_bounds_do_not_depend_on_the_blas_thread_count():
+    # each child reads OPENBLAS_NUM_THREADS when it loads numpy; both run at once
+    script = ("import sys\nsys.path.insert(0, 'tools')\nimport fingerprints\n"
+              "for seed in (11, 12):\n"
+              "    print(*fingerprints.ulb_lines('high-degree', seed), sep='\\n')\n")
+    children = [subprocess.Popen([sys.executable, "-c", script], cwd=ROOT, text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")]
+    (one, err1), (two, err2) = (child.communicate(timeout=120) for child in children)
+    assert [child.returncode for child in children] == [0, 0], err1 + err2
+    assert len(one.splitlines()) == 22 and one.startswith("high-degree s11 #0: ")
+    assert one == two

@@ -396,33 +396,35 @@ def test_minimize_sphere_finds_known_optima():
 
 
 def test_minimize_sphere_refuses_no_restarts_or_iterations():
-    for kwargs in ({"restarts": 0}, {"restarts": -3}, {"iterations": 0}, {"iterations": -1}):
-        with pytest.raises(ParameterError, match="restarts >= 1 and iterations >= 1"):
-            oracle.minimize_sphere(3, 4, RIESZ1, **kwargs)
+    for restarts in (0, -3):
+        with pytest.raises(ParameterError, match=f"need restarts >= 1, got {restarts}$"):
+            oracle.minimize_sphere(3, 4, RIESZ1, restarts=restarts)
+    # the cap on the steps of a restart is the library's own
+    with pytest.raises(TypeError):
+        oracle.minimize_sphere(3, 4, RIESZ1, iterations=10)
 
 
-@pytest.mark.parametrize(
-    "name, value", [("n", 3.5), ("M", 4.5), ("restarts", 1.5), ("iterations", 10.5)]
-)
+@pytest.mark.parametrize("name, value", [("n", 3.5), ("M", 4.5), ("restarts", 1.5)])
 def test_minimize_sphere_refuses_non_integer_sizes(name, value):
-    # M, restarts and iterations raised a bare TypeError from numpy, n the sphere's message
-    sizes = {"n": 3, "M": 4, "restarts": 2, "iterations": 10, name: value}
+    # M and restarts raised a bare TypeError from numpy, n the sphere's message
+    sizes = {"n": 3, "M": 4, "restarts": 2, name: value}
     with pytest.raises(ParameterError, match=f"minimize_sphere needs an integer {name}, got {value}"):
         oracle.minimize_sphere(h=RIESZ1, **sizes)
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.5, "3", -1, -2.0, math.nan, [1]])
+@pytest.mark.parametrize("seed", [1.5, 2.5, "3", -1, -2.0, math.nan, [1], None])
 def test_minimize_sphere_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
-    # 1.5 and "3" raised numpy's bare TypeError, -1 a bare ValueError
+    # 1.5 and "3" raised numpy's bare TypeError, -1 a bare ValueError, and
+    # None drew fresh entropy, so the result did not depend on the arguments
     with pytest.raises(ParameterError, match=f"minimize_sphere needs .*seed.*got {re.escape(repr(seed))}"):
-        oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, iterations=10, seed=seed)
+        oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, seed=seed)
 
 
-def test_minimize_sphere_takes_an_integral_float_seed_as_its_integer():
-    runs = [oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, iterations=10, seed=seed)
+def test_minimize_sphere_takes_an_integral_float_seed_as_its_integer(monkeypatch):
+    monkeypatch.setattr(oracle, "_ITERATIONS", 10)
+    runs = [oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, seed=seed)
             for seed in (2, 2.0, np.int64(2))]
     assert len({run[1] for run in runs}) == 1
-    assert oracle.minimize_sphere(3, 4, RIESZ1, restarts=2, iterations=10, seed=None)[1] > 0
 
 
 @pytest.mark.parametrize("name, value", [("n", 3.5), ("M", 2.5)])
@@ -519,7 +521,7 @@ def test_direction_skips_unwritten_slots_bit_for_bit(monkeypatch):
     assert seen == {"first", "partial", "all rejected"}
 
 
-def test_iterations_cap_each_restart():
+def test_iterations_cap_each_restart(monkeypatch):
     starts = _unit_starts(5, 6, 7)
     x, vals, iters = oracle._descend(starts, RIESZ1, 30)
     assert iters.tolist() == [30] * 6  # these M=7 starts need 46-83 steps
@@ -528,13 +530,14 @@ def test_iterations_cap_each_restart():
         start = oracle.energy(S3, oracle.make_code(S3, starts[r]), RIESZ1)
         assert vals[r] < start
         assert np.allclose(np.linalg.norm(x[r], axis=1), 1.0, atol=1e-14)
-    code, val, info = oracle.minimize_sphere(3, 7, RIESZ1, restarts=5, seed=2, iterations=30)
+    _, _, info = oracle.minimize_sphere(3, 5, RIESZ1, restarts=3, seed=2)
+    assert len(info["restart_energies"]) == 3
+    assert 0 < info["iterations_best"] < oracle._ITERATIONS == 4000
+    monkeypatch.setattr(oracle, "_ITERATIONS", 30)
+    code, val, info = oracle.minimize_sphere(3, 7, RIESZ1, restarts=5, seed=2)
     assert len(info["restart_energies"]) == 5
     assert info["iterations_best"] == 30
     assert val == oracle.energy(S3, code, RIESZ1)
-    _, _, info = oracle.minimize_sphere(3, 5, RIESZ1, restarts=3, seed=2)
-    assert len(info["restart_energies"]) == 3
-    assert 0 < info["iterations_best"] < 4000
 
 
 def test_restarts_in_batches_give_the_same_result(monkeypatch):

@@ -372,14 +372,14 @@ def test_grid_table_prefixes_are_fresh_evaluations(space, monkeypatch):
     assert pmspace.verification_grid(space) is grid
 
 
-def _checks_by_poly_eval(space, f, h, below_tol=_BELOW_TOL):
+def _checks_by_poly_eval(space, f, h):
     # the verification as it was before the table: poly_eval on a fresh,
     # writable copy of the grid
     grid = np.array(pmspace.verification_grid(space))
     fv = orthopoly.poly_eval(space, f, grid)
     hv = np.asarray(h(grid), dtype=float)
     excess = fv - hv
-    tol = below_tol * (1.0 + np.abs(hv))
+    tol = _BELOW_TOL * (1.0 + np.abs(hv))
     worst = int(np.argmax(excess - tol))
     minq = float(np.min(f))
     return CertificateChecks(

@@ -219,6 +219,14 @@ def test_negative_test_function_indices_and_a_too_large_eta_are_refused():
         improve_with_qj(space, 7, RIESZ1, 6, eta=10.0)
 
 
+def test_an_empty_test_function_index_set_is_refused():
+    # no index gives no verdict, though it used to read as "not improvable"
+    space = make_space("sphere", n=3)
+    for js in ([], range(0, -4)):
+        with pytest.raises(ParameterError, match="test functions need at least one index"):
+            compute_test_functions(space, 10, js)
+
+
 def test_a_test_function_just_below_its_threshold_is_negative():
     # P_9 of S^4 M=140 (tau 8) vanishes up to rounding, and P_12 is -1.8e-2:
     # the weights scaled so that P_9 is -1e-7 flag degree 9, so that it is

@@ -53,16 +53,18 @@ MUTANTS = (
     ("ulb.py", "minq = float(f[start:].min(initial=np.inf))",
      "minq = float(f[start + 1:].min(initial=np.inf))",
      "_conditions: coefficient check starts one index late"),
-    ("ulb.py", "return t, orthopoly.poly_eval(space, f, t), hv, below_tol * (1.0 + np.abs(hv))",
-     "return t, orthopoly.poly_eval(space, f, t), hv, below_tol * (2.0 + np.abs(hv))",
+    ("ulb.py", "return t, orthopoly.poly_eval(space, f, t), hv, _BELOW_TOL * (1.0 + np.abs(hv))",
+     "return t, orthopoly.poly_eval(space, f, t), hv, _BELOW_TOL * (2.0 + np.abs(hv))",
      "_values: tolerance on a given set 1 + |h| -> 2 + |h|"),
-    ("ulb.py", "tol = below_tol * (1.0 + np.abs(hv))\n", "tol = below_tol * (2.0 + np.abs(hv))\n",
+    ("ulb.py", "tol = _BELOW_TOL * (1.0 + np.abs(hv))\n", "tol = _BELOW_TOL * (2.0 + np.abs(hv))\n",
      "_values: tolerance on the grid 1 + |h| -> 2 + |h|"),
-    ("ulb.py", "if not 0.0 <= value < np.inf:", "if not 0.0 <= value:",
-     "_check_tolerances: infinite tolerance accepted"),
+    ("ulb.py", "if not 0.0 <= rel_tol < np.inf:", "if not 0.0 <= rel_tol:",
+     "_report_from_rule: infinite rel_tol accepted"),
     ("ulb.py", "rhs[:m] = h(nodes) if h_nodes is None else h_nodes",
      "rhs[:m] = np.nextafter(h(nodes) if h_nodes is None else h_nodes, np.inf)",
      "hermite_certificate: h at the nodes one ulp up"),
+    ("ulb.py", "    if not js:\n", "    if False:\n",
+     "_test_functions_from_rule: empty index set accepted"),
     # levenshtein: the rule's checks and the level map
     ("levenshtein.py", "_POWER_SUM_TOL = 1e-7", "_POWER_SUM_TOL = 1e-4", "_POWER_SUM_TOL 1e-7 -> 1e-4"),
     ("levenshtein.py", "_SOLVE_RTOL = 1e-10", "_SOLVE_RTOL = 1e-7", "_SOLVE_RTOL 1e-10 -> 1e-7"),
@@ -91,6 +93,9 @@ MUTANTS = (
      "separation: ell the second smallest"),
     ("oracle.py", "if space != code.space:", "if space.family != code.space.family:",
      "_check_space: family only"),
+    ("oracle.py", 'if integer("minimize_sphere", "seed", seed) < 0:',
+     'if seed is not None and integer("minimize_sphere", "seed", seed) < 0:',
+     "minimize_sphere: seed None let through"),
     ("oracle.py", "tol = 1e-8 * M * M", "tol = 1e-6 * M * M", "design_strength: tolerance x100"),
     # pmspace: the exact Jacobi sums
     ("pmspace.py", "(2 * i + a2 + 2), 2 * (i + 1) * (2 * i + b2 + 2))",
@@ -101,7 +106,6 @@ MUTANTS = (
      "if k < -1:\n        raise ParameterError(f\"jacobi_sum", "jacobi_sum: k = -1 accepted"),
     # designbounds: the tolerances and the sides
     ("designbounds.py", "_COEFF_TOL = 1e-9", "_COEFF_TOL = 1e-6", "_COEFF_TOL 1e-9 -> 1e-6"),
-    ("designbounds.py", "_GRID_TOL = _BELOW_TOL", "_GRID_TOL = 10 * _BELOW_TOL", "_GRID_TOL x10"),
     ("designbounds.py", "_PAD = 1e-12", "_PAD = 1e-3", "_PAD 1e-12 -> 1e-3"),
     ("designbounds.py", "side * hv, tol, tau + 1, coeff_tol)", "side * hv, tol, tau + 2, coeff_tol)",
      "_bound: coefficient check starts one index late"),
@@ -114,6 +118,10 @@ MUTANTS = (
     # cli: fail closed
     ("cli.py", 'for name in ("below_h", "f_geq") if not', 'for name in ("below_h",) if not',
      "_report_payload: f_geq failure emitted"),
+    ("cli.py", 'code = op if name == "named" else op.add_mutually_exclusive_group()', "code = op",
+     "_oracle_args: --config and --points-json accepted together"),
+    ("cli.py", "hi + (1 if step > 0 else -1)", "hi + 1",
+     "_int_range: a descending range drops its end"),
 )
 
 # label -> why the mutant cannot change a result
