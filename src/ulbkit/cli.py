@@ -66,7 +66,7 @@ def _space_from(args) -> pmspace.SpaceDescriptor:
 
 
 def _add_potential_args(p):
-    p.add_argument("--potential", choices=["riesz", "gaussian", "log", "monomial", "series"])
+    p.add_argument("--potential", required=True, choices=["riesz", "gaussian", "log", "monomial", "series"])
     p.add_argument("--p", type=float, help="riesz power")
     p.add_argument("--c", type=float, help="gaussian rate")
     p.add_argument("--j", type=int, help="monomial power")
@@ -74,8 +74,6 @@ def _add_potential_args(p):
 
 
 def _potential_from(args) -> potentials.Potential:
-    if args.potential is None:
-        raise ParameterError("a --potential is required")
     params = _given(args, "p", "c", "j", "coeffs")
     if "coeffs" in params:
         params["coeffs"] = _floats(params["coeffs"])
@@ -118,8 +116,6 @@ def _int_range(text):
 
 def _poly_from(args, space):
     """Q-coefficients of --poly, converted from monomial coefficients unless --poly-basis q."""
-    if args.poly is None:
-        raise ParameterError("a --poly coefficient list is required")
     coeffs = np.array(_floats(args.poly))
     return coeffs if args.poly_basis == "q" else orthopoly.expand_in_q(space, coeffs)
 
@@ -239,21 +235,19 @@ def _cmd_separated_energy(args):
 def _load_code(space, args):
     from . import oracle
 
-    if args.config:
+    if args.config is not None:
         return oracle.named_config(space, args.config)
-    if args.points_json:
-        path = args.points_json
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ParameterError(f"--points-json {path}: {exc}") from None
-        if isinstance(data, dict):
-            if "points" not in data:
-                raise ParameterError(f"--points-json {path}: a JSON object needs \"points\"")
-            data = data["points"]
-        return oracle.make_code(space, data)
-    raise ParameterError("need --config or --points-json")
+    path = args.points_json
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"--points-json {path}: {exc}") from None
+    if isinstance(data, dict):
+        if "points" not in data:
+            raise ParameterError(f"--points-json {path}: a JSON object needs \"points\"")
+        data = data["points"]
+    return oracle.make_code(space, data)
 
 
 def _cmd_oracle(args):
@@ -272,19 +266,19 @@ def _cmd_oracle(args):
             val = oracle.energy(space, code, h)
             return {"space": space.label(), "M": code.size, "energy_sum": val,
                     "energy_mean": val / code.size}
-        s, ell, u = oracle.separation(space, code)
+        s, ell = oracle.separation(space, code)
         return {"space": space.label(), "M": code.size,
                 "strength": oracle.design_strength(space, code, args.tau_max),
-                "separation": s, "min_t": ell, "max_t": u}
+                "separation": s, "min_t": ell}
     h = _potential_from(args)
     if sub == "minimize":
         code, val, info = oracle.minimize_sphere(
             args.n, args.M, h, restarts=args.restarts, seed=args.seed
         )
-        return {"space": f"S^{args.n - 1}", "M": args.M, "energy_sum": val,
+        return {"space": code.space.label(), "M": args.M, "energy_sum": val,
                 "points": _jsonable(code.points), "restart_energies": _jsonable(info["restart_energies"])}
     code, val = oracle.exhaustive_hamming(args.n, args.M, h)
-    return {"space": f"H({args.n},2)", "M": args.M, "energy_sum": val,
+    return {"space": code.space.label(), "M": args.M, "energy_sum": val,
             "energy_mean": val / args.M, "words": _jsonable(code.points)}
 
 
@@ -355,7 +349,7 @@ def _design_energy_args(p):
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--direction", choices=["lower", "upper"], required=True)
-    p.add_argument("--poly", type=str, help="comma-separated coefficients")
+    p.add_argument("--poly", type=str, required=True, help="comma-separated coefficients")
     p.add_argument("--poly-basis", choices=["monomial", "q"], default="monomial")
     p.add_argument("--I", nargs=2, type=float, metavar=("LO", "HI"), help="inner-product interval")
     p.set_defaults(func=_cmd_design_energy)
@@ -365,7 +359,7 @@ def _separated_energy_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--poly", type=str)
+    p.add_argument("--poly", type=str, required=True)
     p.add_argument("--poly-basis", choices=["monomial", "q"], default="monomial")
     p.set_defaults(func=_cmd_separated_energy)
 
@@ -375,9 +369,9 @@ def _oracle_args(p):
     for name in ("energy", "strength", "named"):
         op = osub.add_parser(name)
         _add_space_args(op), _add_common(op)
-        # a code comes from one of the two, never both
-        code = op if name == "named" else op.add_mutually_exclusive_group()
-        code.add_argument("--config", type=str)
+        # a code comes from exactly one of the two
+        code = op if name == "named" else op.add_mutually_exclusive_group(required=True)
+        code.add_argument("--config", type=str, required=name == "named")
         if name != "named":
             code.add_argument("--points-json", type=str)
         if name == "energy":

@@ -1,5 +1,7 @@
 """Exception types shared across the library, and the parameter-name check."""
 
+import numpy as np
+
 
 class UlbkitError(Exception):
     """Base class for all ulbkit errors."""
@@ -19,9 +21,9 @@ def check_parameter_names(what: str, params, names):
 
 
 def integer(what: str, name: str, value) -> int:
-    """value as an int; ParameterError unless it equals an integer."""
+    """value as an int; ParameterError unless it equals an integer and is not a bool."""
     try:
-        ok = value is not None and int(value) == value
+        ok = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

@@ -112,22 +112,24 @@ class _Level(NamedTuple):
         return 2 * self.k - 1 + self.eps
 
 
+def _level_systems(space: SpaceDescriptor, k: int, eps: int):
+    """The systems of level 2k-1+eps: (1,eps) to degree k, (1,1-eps) to k-1+eps, (0,eps) to k.
+
+    In the order a rule first asks for them, so a level past a cap is refused as it was."""
+    return tuple(adjacent_system(space, a, b, deg)
+                 for a, b, deg in ((1, eps, k), (1, 1 - eps, k - 1 + eps), (0, eps, k)))
+
+
 @lru_cache(maxsize=None)
 def _level(space: SpaceDescriptor, k: int, eps: int) -> _Level:
     """The record of level 2k-1+eps; built once per (space, k, eps)."""
-    # the systems in the order a rule first asks for them, so a degree past
-    # a cap is refused as it was
-    upper = largest_zero(adjacent_system(space, 1, eps, k), k)
-    if k - 1 + eps == 0:
-        lower = -1.0
-    else:
-        lower = largest_zero(adjacent_system(space, 1, 1 - eps, k - 1 + eps), k - 1 + eps)
-    system = adjacent_system(space, 0, eps, k)
+    lev_system, lower_system, system = _level_systems(space, k, eps)
+    upper = largest_zero(lev_system, k)
+    lower = -1.0 if k - 1 + eps == 0 else largest_zero(lower_system, k - 1 + eps)
     g, r = system.rec_gamma, system.norms
-    lev_system = adjacent_system(space, 1, eps, k - 1)
     weight_system = q_m1 = None
     if eps:
-        weight_system = adjacent_system(space, 1, 0, k)
+        weight_system = lower_system  # the (1,0) system
         q_m1 = eval_q_all(weight_system, k, -1.0)[k]
     return _Level(
         k, eps, (lower, upper), system, g[k] * r[k], float(np.sum(r[:k])),
@@ -224,13 +226,11 @@ def _level_map(space: SpaceDescriptor, covers):
         tau = len(tops)
         k, eps = _split(tau)
         try:
-            # (0,eps) to degree k, which also gives D(tau+1), (1,0) to k and
-            # (1,1) to k-1+eps; on a finite space (0,0) to the certificate's
-            # degree tau, so tau <= n on H(n,q) and tau <= w on J(n,w), or
-            # less where a system ends earlier
-            for a, b, deg in ((0, eps, k), (1, 0, k), (1, 1, k - 1 + eps),
-                              (0, 0, tau if space.is_finite else 0)):
-                adjacent_system(space, a, b, deg)
+            # the level's systems; on a finite space also (0,0) to the
+            # certificate's degree tau, so tau <= n on H(n,q) and tau <= w on
+            # J(n,w), or less where a system ends earlier
+            _level_systems(space, k, eps)
+            adjacent_system(space, 0, 0, tau if space.is_finite else 0)
         except DegreeOverflowError:
             capped = True
         else:
@@ -265,7 +265,7 @@ def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
         return replace(quadrature_rule(space, M), odd_branch=True)
     level = _level(space, k, 0)
     lo = level.interval[1]  # t_k^{1,0}
-    hi = largest_zero(adjacent_system(space, 0, 0, k), k)
+    hi = largest_zero(level.system, k)  # t_k, of the (0,0) system
     nodes, weights = _bordered_rule(level, M)
     s = nodes[-1]
     if not (lo - 1e-12 * (hi - lo) <= s < hi):
@@ -331,7 +331,7 @@ def _rule_from_nodes(level: _Level, M, nodes, weights, odd_branch=False) -> Quad
         )
     # 1/M + sum_i rho_i alpha_i^m against the moments b_m of the measure,
     # m <= tau
-    powers = _powers(nodes, tau)
+    powers = np.vander(nodes, tau + 1, increasing=True)
     residual = float(abs(1.0 / M + weights @ powers - pmspace.moments(space, tau)).max())
     if not residual <= _POWER_SUM_TOL:
         raise ConvergenceError(
@@ -340,15 +340,6 @@ def _rule_from_nodes(level: _Level, M, nodes, weights, odd_branch=False) -> Quad
     return QuadratureRule(
         space, int(M), k, eps, tau, s, nodes, weights, residual, odd_branch
     )
-
-
-def _powers(x, deg: int) -> np.ndarray:
-    """x_i^m for m = 0..deg >= 1, shape (len(x), deg+1): the cumulative products np.vander forms."""
-    out = np.empty((len(x), deg + 1))
-    out[:, 0] = 1.0
-    out[:, 1:] = x[:, None]
-    np.multiply.accumulate(out[:, 1:], axis=1, out=out[:, 1:])
-    return out
 
 
 def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:

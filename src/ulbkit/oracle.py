@@ -180,27 +180,22 @@ def energy(space: SpaceDescriptor, code: Code, h: Potential) -> float:
 
 
 def separation(space: SpaceDescriptor, code: Code):
-    """Extreme pairwise substituted distances (s, ell, u); s = u.
-
-    s is the separation max t(x,y); ell the minimum; u repeats s under
-    the name used for design-structure queries.
-    """
+    """(s, ell): the separation s, the largest t(x,y) over distinct points, and the smallest."""
     _check_space(space, code)
     if code.size < 2:
         raise ParameterError("separation needs at least two points")
     vals = _pair_values(code)[0]
-    s = float(np.max(vals))
-    ell = float(np.min(vals))
-    return s, ell, s
+    return float(np.max(vals)), float(np.min(vals))
 
 
 def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
-    """Largest tau <= tau_max with vanishing moment sums of orders 1..tau."""
+    """Largest tau <= tau_max with vanishing moment sums of orders 1..tau.
+
+    Past the end of the (0,0) system, which is the degree cap on a finite
+    space, adjacent_system raises DegreeOverflowError.
+    """
     _check_space(space, code)
     tau_max = integer("design_strength", "tau_max", tau_max)
-    cap = space.max_degree
-    if cap is not None and tau_max > cap:
-        raise ParameterError(f"tau_max {tau_max} exceeds the degree cap {cap}")
     vals, counts = _pair_values(code)
     M = code.size
     tol = 1e-8 * M * M

@@ -157,9 +157,8 @@ def verification_grid(space: SpaceDescriptor) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=None)
 def t_grid(space: SpaceDescriptor):
-    """Grid t_ell (descending) and measure masses for a finite space; read-only."""
+    """Grid t_ell (descending) and measure masses for a finite space; fresh arrays on each call."""
     if not space.is_finite:
         raise ParameterError("t_grid is defined for finite spaces only")
     if space.family is Family.HAMMING:
@@ -178,7 +177,6 @@ def t_grid(space: SpaceDescriptor):
             [math.comb(w, l) * math.comb(n - w, l) / math.comb(n, w) for l in ell],
             dtype=float,
         )
-    t.flags.writeable = mass.flags.writeable = False  # shared by every caller
     return t, mass
 
 

@@ -42,7 +42,7 @@ def _clear_every_cache(monkeypatch):
     for h in (RIESZ1, GAUSS):
         h._memo.clear()
     for cached in (lev._level, orthopoly._build_system, pmspace.moments,
-                   pmspace.verification_grid, pmspace.t_grid):
+                   pmspace.verification_grid):
         cached.cache_clear()
 
 

@@ -212,22 +212,33 @@ def test_bad_integer_range_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
-    [(["ulb", "--space", "sphere", "--n", "3", "--M", "4"], "a --potential is required"),
+    "argv, required, message",
+    [(["ulb", "--space", "sphere", "--n", "3", "--M", "4"], "--potential",
+      "the following arguments are required: --potential"),
      (["design-energy", "--space", "sphere", "--n", "3", "--M", "12", "--tau", "5",
-       "--direction", "lower", "--potential", "riesz", "--p", "1"],
-      "a --poly coefficient list is required"),
+       "--direction", "lower", "--potential", "riesz", "--p", "1"], "--poly",
+      "the following arguments are required: --poly"),
      (["oracle", "energy", "--space", "sphere", "--n", "3", "--potential", "riesz", "--p", "1"],
-      "need --config or --points-json"),
+      "(--config CONFIG | --points-json POINTS_JSON)",
+      "one of the arguments --config --points-json is required"),
+     (["oracle", "named", "--space", "sphere", "--n", "3"], "--config",
+      "the following arguments are required: --config"),
      (["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "series",
-       "--coeffs", "1,x"], "bad number list '1,x'")],
-    ids=["no-potential", "no-poly", "no-code", "bad-coeffs"],
+       "--coeffs", "1,x"], None, "bad number list '1,x'")],
+    ids=["no-potential", "no-poly", "no-code", "named-no-config", "bad-coeffs"],
 )
-def test_a_missing_or_malformed_input_exits_2(capsys, argv, message):
+def test_a_missing_or_malformed_input_exits_2(capsys, argv, required, message):
+    # a missing flag is argparse's usage error, whose usage shows the flag
+    # as required; a malformed value is the library's ParameterError
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "ParameterError" and error["message"] == message
+    if required is None:
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParameterError" and error["message"] == message
+    else:
+        usage = " ".join(err.split())
+        assert usage.startswith("usage: ulbkit ") and usage.endswith(f"error: {message}")
+        assert f" {required} " in usage and f"[{required} " not in usage
 
 
 _SPACE = ["field_dim", "n", "q", "space", "w"]
@@ -319,7 +330,7 @@ def test_cli_parser_of_one_subcommand_parses_as_the_full_one():
     for argv in (["ulb", *space, "--M", "4:6", "--potential", "riesz", "--p", "1"],
                  ["oracle", "exhaustive", "--n", "4", "--M", "3", "--potential", "gaussian"],
                  ["design-energy", *space, "--M", "4", "--tau", "2", "--direction", "lower",
-                  "--I", "-1", "0.5"]):
+                  "--potential", "riesz", "--p", "1", "--poly", "0,0,1", "--I", "-1", "0.5"]):
         assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
     # the others list their names and help but declare no flag
     assert _declared_flags(build_parser("quadrature")) == {

@@ -38,16 +38,18 @@ def test_fingerprints_match_the_committed_file():
             " once every moved line is explained", pytrace=False)
 
 
-def test_high_degree_bounds_do_not_depend_on_the_blas_thread_count():
+@pytest.mark.parametrize("workload, count", [("bound-table", 258), ("high-degree", 22)],
+                         ids=["bound-table", "high-degree"])
+def test_bounds_do_not_depend_on_the_blas_thread_count(workload, count):
     # each child reads OPENBLAS_NUM_THREADS when it loads numpy; both run at once
     script = ("import sys\nsys.path.insert(0, 'tools')\nimport fingerprints\n"
               "for seed in (11, 12):\n"
-              "    print(*fingerprints.ulb_lines('high-degree', seed), sep='\\n')\n")
+              f"    print(*fingerprints.ulb_lines({workload!r}, seed), sep='\\n')\n")
     children = [subprocess.Popen([sys.executable, "-c", script], cwd=ROOT, text=True,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
                 for threads in ("1", "2")]
     (one, err1), (two, err2) = (child.communicate(timeout=120) for child in children)
     assert [child.returncode for child in children] == [0, 0], err1 + err2
-    assert len(one.splitlines()) == 22 and one.startswith("high-degree s11 #0: ")
+    assert len(one.splitlines()) == count and one.startswith(f"{workload} s11 #0: ")
     assert one == two

@@ -712,12 +712,6 @@ def test_bordered_rule_equals_the_appended_border(space):
     assert levels == {0, 1}
 
 
-@pytest.mark.parametrize("deg", [1, 2, 7, 55])
-def test_power_table_equals_vander(deg):
-    x = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(deg).uniform(-1.0, 1.0, 20)])
-    assert lev._powers(x, deg).tobytes() == np.vander(x, deg + 1, increasing=True).tobytes()
-
-
 def test_circle_design_bounds_are_polygon_sizes():
     s2 = make_space("sphere", n=2)
     for tau in range(1, 8):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ulbkit import oracle, orthopoly, pmspace
-from ulbkit.errors import DomainError, ParameterError
+from ulbkit.errors import DegreeOverflowError, DomainError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import ulb
@@ -100,9 +100,9 @@ def test_make_code_tells_close_points_from_coincident_ones():
 
 def test_separation_examples():
     cp = oracle.named_config(S3, "cross_polytope")
-    assert oracle.separation(S3, cp) == pytest.approx((0.0, -1.0, 0.0))
+    assert oracle.separation(S3, cp) == pytest.approx((0.0, -1.0))
     simp = oracle.named_config(make_space("sphere", n=5), "simplex")
-    s, ell, u = oracle.separation(make_space("sphere", n=5), simp)
+    s, ell = oracle.separation(make_space("sphere", n=5), simp)
     assert s == pytest.approx(-0.2, abs=1e-12)
     assert ell == pytest.approx(-0.2, abs=1e-12)
     h52 = make_space("hamming", n=5, q=2)
@@ -203,7 +203,9 @@ def test_energy_separation_and_strength_refusals():
     with pytest.raises(ParameterError, match="separation needs at least two points"):
         oracle.separation(S3, one)
     h72 = make_space("hamming", n=7, q=2)
-    with pytest.raises(ParameterError, match="tau_max 8 exceeds the degree cap 7"):
+    # the (0,0) system's own refusal
+    with pytest.raises(DegreeOverflowError,
+                       match=r"degree 8 exceeds the \(0,0\)-system cap 7 of H\(7,2\)"):
         oracle.design_strength(h72, oracle.named_config(h72, "repetition"), 8)
     with pytest.raises(ParameterError, match="need n >= 2 and M >= 2"):
         oracle.minimize_sphere(1, 3, builtin("riesz", p=1))
@@ -282,7 +284,7 @@ def test_pair_values_are_the_upper_triangle_bit_for_bit():
         assert counts is None and got.tobytes() == vals.tobytes(), space.label()
         energy = 2.0 * float(np.sum(RIESZ1(vals)))
         assert oracle.energy(space, code, RIESZ1) == energy
-        assert oracle.separation(space, code) == (vals.max(), vals.min(), vals.max())
+        assert oracle.separation(space, code) == (vals.max(), vals.min())
     for M in (0, 1):
         code = oracle.Code(S3, np.eye(3)[:M])
         assert oracle._pair_values(code)[0].shape == (0,)
@@ -321,7 +323,7 @@ def test_finite_codes_match_their_pair_sums():
         for h in (RIESZ1, builtin("gaussian", c=1)):
             want = 2.0 * float(np.sum(h(vals)))
             assert oracle.energy(space, code, h) == pytest.approx(want, rel=1e-14, abs=0)
-        assert oracle.separation(space, code) == (vals.max(), vals.min(), vals.max())
+        assert oracle.separation(space, code) == (vals.max(), vals.min())
         tau = min(space.max_degree or 6, 6)
         q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau), tau, vals)
         totals = code.size + 2.0 * np.sum(q, axis=1)

@@ -270,16 +270,21 @@ def test_sphere_norms_past_the_float_range_of_their_factors():
 def test_cached_arrays_are_read_only():
     # every caller shares these through the caches: one caller's write
     # would change every later bound in the process
-    t, mass = pmspace.t_grid(make_space("hamming", n=30, q=2))
+    h30 = make_space("hamming", n=30, q=2)
+    grid = pmspace.verification_grid(h30)
     with pytest.raises(ValueError):
-        mass *= 2
+        grid *= 2
+    # t_grid is not cached: each call builds fresh arrays, which a caller may write
+    _, mass = pmspace.t_grid(h30)
+    mass *= 2
+    assert pmspace.t_grid(h30)[1].sum() == pytest.approx(1.0, abs=1e-14)
     s9 = make_space("sphere", n=10)
     system = adjacent_system(s9, 0, 0, 5)
     with pytest.raises(ValueError):
         system.norms[3] *= 1.001
     levenshtein.tau_for_cardinality(s9, 200)
     assert isinstance(levenshtein._LEVEL_MAPS[s9][0], tuple)  # integer level tops
-    for arr in (t, system.rec_beta, system.rec_gamma, system.value_at_one, pmspace.moments(s9, 7),
+    for arr in (system.rec_beta, system.rec_gamma, system.value_at_one, pmspace.moments(s9, 7),
                 pmspace.moments(make_space("johnson", n=7, w=3), 5)):
         assert not arr.flags.writeable
 

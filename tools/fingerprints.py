@@ -187,14 +187,19 @@ def fingerprint(report):
     return f"{digest.hexdigest()} residual {float(rule.power_sum_residual).hex()}"
 
 
-def ulb_lines(workload, seed):
+def ulb_ops(workload, seed):
+    """The ops of one ``ULB_OPS`` list, as (space, M, potential, keyword arguments of ``ulb``)."""
     tokens = ULB_OPS[workload, seed].split()
-    for i, (label, M, potential) in enumerate(zip(*[iter(tokens)] * 3)):
+    for label, M, potential in zip(*[iter(tokens)] * 3):
         potential, *rel_tol = potential.split("/")
-        h = POTENTIALS["riesz" if potential == "r" else "gaussian"]
         kwargs = {"rel_tol": float(rel_tol[0])} if rel_tol else {}
+        yield make(label), int(M), POTENTIALS["riesz" if potential == "r" else "gaussian"], kwargs
+
+
+def ulb_lines(workload, seed):
+    for i, (space, M, h, kwargs) in enumerate(ulb_ops(workload, seed)):
         try:
-            line = fingerprint(ulbkit.ulb(make(label), int(M), h, **kwargs))
+            line = fingerprint(ulbkit.ulb(space, M, h, **kwargs))
         except UlbkitError as exc:
             line = f"{type(exc).__name__}: {exc}"
         yield f"{workload} s{seed} #{i}: {line}"

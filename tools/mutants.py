@@ -83,20 +83,23 @@ MUTANTS = (
      "tops += (math.ceil(exact_design_bound(space, tau + 1)),)", "level map: floor top -> ceil"),
     ("levenshtein.py", "(math.ceil(exact_design_bound(space, 1)) - 1,)",
      "(math.floor(exact_design_bound(space, 1)),)", "level map: ceil(D(1)) - 1 -> floor(D(1))"),
-    ("levenshtein.py", "(0, 0, tau if space.is_finite else 0)", "(0, 0, 0)",
-     "level map: certificate's system not listed"),
+    ("levenshtein.py", "adjacent_system(space, 0, 0, tau if space.is_finite else 0)",
+     "adjacent_system(space, 0, 0, 0)", "level map: certificate's system not listed"),
     # oracle
     ("oracle.py", "_COINCIDENT = 1.0 - 1e-12", "_COINCIDENT = 1.0 - 1e-6", "_COINCIDENT 1-1e-12 -> 1-1e-6"),
     ("oracle.py", "for a, hd in zip(counts.T, hval):", "for a, hd in zip(counts.T[::-1], hval[::-1]):",
      "_distribution_sum: d descending"),
-    ("oracle.py", "ell = float(np.min(vals))", "ell = float(np.sort(vals)[1])",
-     "separation: ell the second smallest"),
+    ("oracle.py", "return float(np.max(vals)), float(np.min(vals))",
+     "return float(np.max(vals)), float(np.sort(vals)[1])", "separation: ell the second smallest"),
     ("oracle.py", "if space != code.space:", "if space.family != code.space.family:",
      "_check_space: family only"),
     ("oracle.py", 'if integer("minimize_sphere", "seed", seed) < 0:',
      'if seed is not None and integer("minimize_sphere", "seed", seed) < 0:',
      "minimize_sphere: seed None let through"),
     ("oracle.py", "tol = 1e-8 * M * M", "tol = 1e-6 * M * M", "design_strength: tolerance x100"),
+    # errors: the integer check every integer parameter shares
+    ("errors.py", "ok = not isinstance(value, (bool, np.bool_)) and int(value) == value",
+     "ok = int(value) == value", "integer: bool accepted"),
     # pmspace: the exact Jacobi sums
     ("pmspace.py", "(2 * i + a2 + 2), 2 * (i + 1) * (2 * i + b2 + 2))",
      "(2 * i + b2 + 2), 2 * (i + 1) * (2 * i + a2 + 2))", "jacobi_sum: alpha and beta swapped in the ratio"),
@@ -118,8 +121,10 @@ MUTANTS = (
     # cli: fail closed
     ("cli.py", 'for name in ("below_h", "f_geq") if not', 'for name in ("below_h",) if not',
      "_report_payload: f_geq failure emitted"),
-    ("cli.py", 'code = op if name == "named" else op.add_mutually_exclusive_group()', "code = op",
-     "_oracle_args: --config and --points-json accepted together"),
+    ("cli.py", 'code = op if name == "named" else op.add_mutually_exclusive_group(required=True)',
+     "code = op", "_oracle_args: --config and --points-json accepted together"),
+    ("cli.py", 'p.add_argument("--potential", required=True,', 'p.add_argument("--potential",',
+     "_add_potential_args: --potential not required"),
     ("cli.py", "hi + (1 if step > 0 else -1)", "hi + 1",
      "_int_range: a descending range drops its end"),
 )

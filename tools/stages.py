@@ -1,10 +1,12 @@
 """Median milliseconds per op spent in each stage of a warm library ``ulb`` and of the oracle.
 
 Wraps pipeline functions from outside the package, by their current
-names, and runs each ``ulb`` op of the bound-table and high-degree
-benchmark lists (``perfbench/workloads.py``) warm, ``--reps`` times:
+names, and runs each ``ulb`` op of the bound-table and high-degree op
+lists of ``tools/fingerprints.py`` (the benchmark's at seeds 11 and 12,
+written out, so a change to the benchmark leaves these times comparable)
+warm, ``--reps`` times:
 
-    python tools/stages.py --seeds 11 12 --reps 25
+    python tools/stages.py --reps 25
 
 Per stage: the median over ops of the op's median time, and its share of
 the median op.  ``_lev_value`` runs inside ``_rule_from_nodes``, and
@@ -16,7 +18,7 @@ row reading zero or missing.  Warm, ``_level`` only looks up the level's
 record; ``COLD_REPS`` more runs per op, each after the record cache is
 emptied, time building it (``levenshtein._level, cold``, their median).
 
-Then, for the oracle-sandwich list, it prints one line per op instead:
+Then, for the fingerprints' oracle lists, it prints one line per op instead:
 the op's median time and the medians of the sphere minimizer's L-BFGS
 loop (``_descend``, its own time without the two calls below), its
 directions (``_direction``), its energies and gradients
@@ -33,10 +35,10 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
+import fingerprints  # noqa: E402
 import ulbkit  # noqa: E402
-import workloads  # noqa: E402
 from numpy import linalg  # noqa: E402
 from ulbkit import levenshtein, oracle, orthopoly  # noqa: E402
 from ulbkit.errors import UlbkitError  # noqa: E402
@@ -52,6 +54,7 @@ STAGES = ((levenshtein, "tau_for_cardinality"), (levenshtein, "_level"),
 STAGE_NAMES = [f"{module.__name__.split('.')[-1]}.{attr}" for module, attr in STAGES]
 COLD_REPS = 5
 ORACLE_STAGES = ("_descend", "_direction", "_energy_and_gradient", "_search_classes")
+SEEDS = (11, 12)  # the seeds of the fingerprints' op lists
 SPENT = defaultdict(float)
 LEVELS = levenshtein._level  # the cache, whose wrapper below hides cache_clear
 
@@ -67,16 +70,10 @@ def _timed(name, fn):
     return wrapper
 
 
-def ulb_stages(workload, seeds, reps):
-    potentials = {name: ulbkit.builtin(name, **params)
-                  for name, params in workloads.POTENTIALS.items()}
+def ulb_stages(workload, reps):
     per_op = defaultdict(list)  # stage -> one median per op
-    for seed in seeds:
-        for op in workloads.generate(workload, seed):
-            if op["kind"] != "ulb":
-                continue
-            space, h = workloads.make(op["space"]), potentials[op["potential"]]
-            kwargs = {"rel_tol": op["rel_tol"]} if op.get("rel_tol") else {}
+    for seed in SEEDS:
+        for space, M, h, kwargs in fingerprints.ulb_ops(workload, seed):
             runs = defaultdict(list)
             # the first run warms the caches, the last COLD_REPS build the
             # level's record afresh
@@ -87,7 +84,7 @@ def ulb_stages(workload, seeds, reps):
                 SPENT.clear()
                 start = perf_counter()
                 with contextlib.suppress(UlbkitError):
-                    ulbkit.ulb(space, op["M"], h, **kwargs)
+                    ulbkit.ulb(space, M, h, **kwargs)
                 SPENT["total"] = perf_counter() - start
                 if cold:
                     runs["levenshtein._level, cold"].append(SPENT["levenshtein._level"])
@@ -105,29 +102,26 @@ def ulb_stages(workload, seeds, reps):
         print(f"  {name:32s} {ms[name]:8.4f} ms {100 * ms[name] / ms['total']:6.1f}%")
 
 
-def oracle_stages(seeds, reps):
-    h = ulbkit.builtin("riesz", **workloads.POTENTIALS["riesz"])
+def oracle_stages(reps):
+    h = fingerprints.POTENTIALS["riesz"]
     runs = defaultdict(lambda: defaultdict(list))  # op -> stage -> seconds per run
-    for seed in seeds:
-        for op in workloads.generate("oracle-sandwich", seed):
-            minimize = op["kind"] == "minimize"
-            label = (f"minimize S^{op['n'] - 1} M={op['M']:<2d}" if minimize
-                     else f"exhaustive H({op['n']},2) M={op['M']}")
+    for seed in SEEDS:
+        for op in fingerprints.ORACLE_OPS[seed].split(", "):
+            kind, n, M = op.split()
+            n, M = int(n), int(M)
+            label = (f"minimize S^{n - 1} M={M:<2d}" if kind == "minimize"
+                     else f"exhaustive H({n},2) M={M}")
             # the first run is a warm-up
             for rep in range(reps + 1):
                 SPENT.clear()
                 start = perf_counter()
-                if minimize:
-                    oracle.minimize_sphere(op["n"], op["M"], h, restarts=op["restarts"],
-                                           seed=op["seed"])
-                else:
-                    oracle.exhaustive_hamming(op["n"], op["M"], h)
+                fingerprints.run_oracle(kind, n, M, h)
                 SPENT["total"] = perf_counter() - start
                 SPENT["_descend"] -= SPENT["_direction"] + SPENT["_energy_and_gradient"]
                 if rep:
                     for name in ("total", *ORACLE_STAGES):
                         runs[label][name].append(SPENT[name])
-    print(f"oracle-sandwich ({len(runs)} ops, {reps} reps): median ms per op")
+    print(f"oracle ({len(runs)} ops, {reps} reps): median ms per op")
     print(f"  {'op':26s} {'whole':>8s} {'_descend':>9s} {'_direction':>11s}"
           f" {'_energy_and_gradient':>21s} {'_search_classes':>16s}")
     for label, stages in sorted(runs.items()):
@@ -138,7 +132,6 @@ def oracle_stages(seeds, reps):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
     ap.add_argument("--reps", type=int, default=25)
     args = ap.parse_args(argv)
     for (module, attr), name in zip(STAGES, STAGE_NAMES):
@@ -146,8 +139,8 @@ def main(argv=None):
     for attr in ORACLE_STAGES:
         setattr(oracle, attr, _timed(attr, getattr(oracle, attr)))
     for workload in ("bound-table", "high-degree"):
-        ulb_stages(workload, args.seeds, args.reps)
-    oracle_stages(args.seeds, args.reps)
+        ulb_stages(workload, args.reps)
+    oracle_stages(args.reps)
 
 
 if __name__ == "__main__":
