@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand echoes its parameters and emits a machine-readable
-report, JSON by default or CSV with ``--format csv``.  Exit
-codes: 0 success, 2 parameter/validation error, 1 computation failure,
-including a bound whose certificate fails a check.
+Every subcommand echoes its parameters and writes a machine-readable
+report to stdout (JSON, or CSV with ``--format csv``) and an error to
+stderr, so ``> file`` saves the report.  Exit codes: 0 success, 2
+parameter/validation error, 1 computation failure, including a bound
+whose certificate fails a check.
 """
 
 import argparse
@@ -87,7 +88,6 @@ def _given(args, *names):
 
 def _add_common(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", type=str, help="write the report to this path")
 
 
 def _floats(text):
@@ -121,7 +121,7 @@ def _poly_from(args, space):
 
 
 def _echo(args):
-    skip = {"func", "out", "format"}
+    skip = {"func", "format"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -176,9 +176,9 @@ def _cmd_lev_bound(args):
     space = _space_from(args)
     return {
         "space": space.label(),
-        "tau": args.tau,
+        "tau": levenshtein.separation_level(space, args.s),
         "s": args.s,
-        "bound": levenshtein.lev_bound(space, args.tau, args.s),
+        "bound": levenshtein.lev_bound(space, args.s),
     }
 
 
@@ -193,6 +193,8 @@ def _cmd_design_bound(args):
 
 def _cmd_testfns(args):
     space = _space_from(args)
+    if args.jmax is None:  # params echo the value used
+        args.jmax = min(10, space.max_degree or 10)
     rep = test_functions(space, args.M, range(0, args.jmax + 1))
     return {
         "space": space.label(),
@@ -268,7 +270,7 @@ def _cmd_oracle(args):
                     "energy_mean": val / code.size}
         s, ell = oracle.separation(space, code)
         return {"space": space.label(), "M": code.size,
-                "strength": oracle.design_strength(space, code, args.tau_max),
+                "strength": oracle.design_strength(space, code),
                 "separation": s, "min_t": ell}
     h = _potential_from(args)
     if sub == "minimize":
@@ -318,7 +320,6 @@ def _quadrature_args(p):
 
 def _lev_bound_args(p):
     _add_space_args(p), _add_common(p)
-    p.add_argument("--tau", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.set_defaults(func=_cmd_lev_bound)
 
@@ -332,7 +333,7 @@ def _design_bound_args(p):
 def _testfns_args(p):
     _add_space_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--jmax", type=int, default=10)
+    p.add_argument("--jmax", type=int, help="largest j (default 10, or the space's degree cap if less)")
     p.set_defaults(func=_cmd_testfns)
 
 
@@ -376,8 +377,6 @@ def _oracle_args(p):
             code.add_argument("--points-json", type=str)
         if name == "energy":
             _add_potential_args(op)
-        if name == "strength":
-            op.add_argument("--tau-max", type=int, default=8)
         op.set_defaults(func=_cmd_oracle)
     for name in ("minimize", "exhaustive"):
         op = osub.add_parser(name)
@@ -482,12 +481,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # keep failures machine-readable
         _fail(args, exc)
         return 1
-    text = _emit(args, payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(_emit(args, payload))
     return 0
 
 

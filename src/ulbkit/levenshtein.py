@@ -142,20 +142,32 @@ def validity_interval(space: SpaceDescriptor, tau: int):
     return _level(space, *_split(tau)).interval
 
 
-def lev_bound(space: SpaceDescriptor, tau: int, s: float) -> float:
-    """Levenshtein bound L_tau(s) on the size of codes with separation s."""
-    level = _level(space, *_split(tau))
-    lo, hi = level.interval
-    if not _in_interval(s, lo, hi):
-        raise ParameterError(
-            f"s={s} outside the level-{tau} validity interval [{lo}, {hi}]"
-        )
-    return _lev_value(level, s)
+def lev_bound(space: SpaceDescriptor, s: float) -> float:
+    """Levenshtein's bound L(s) on the size of codes with separation s: L_tau(s) at s's level."""
+    return _lev_value(_level(space, *_split(separation_level(space, s))), s)
 
 
-def _in_interval(s: float, lo: float, hi: float) -> bool:
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    return lo - pad <= s <= hi + pad
+def separation_level(space: SpaceDescriptor, s: float) -> int:
+    """The level tau whose validity interval holds s; the lower one at a shared end.
+
+    Found by doubling tau, then bisecting, so O(log tau) levels are built.  s outside
+    [-1, 1) raises ParameterError; s past the last level, that level's DegreeOverflowError.
+    """
+    if not -1.0 <= s < 1.0:
+        raise ParameterError(f"s={s} outside [-1, 1)")
+
+    def reaches(tau):  # a level past the last one reaches every s
+        try:
+            return s <= validity_interval(space, tau)[1]
+        except DegreeOverflowError:
+            return True
+
+    top = 1
+    while not reaches(top):
+        top *= 2
+    # the ends increase with tau, so the first level that reaches s lies in (top/2, top]
+    tau = bisect.bisect_left(range(top + 1), True, lo=top // 2 + 1, key=reaches)
+    return _level(space, *_split(tau)).tau  # refuses a tau past the last level
 
 
 def _lev_value(level: _Level, s: float) -> float:
@@ -244,7 +256,8 @@ def quadrature_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     level = _level(space, *tau_for_cardinality(space, M)[:2])
     lo, hi = level.interval
     nodes, weights = _bordered_rule(level, M)
-    if not _in_interval(nodes[-1], lo, hi):
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if not lo - pad <= nodes[-1] <= hi + pad:
         raise ConvergenceError(
             f"separation {nodes[-1]} for M={M} outside the level-{level.tau}"
             f" validity interval [{lo}, {hi}]"

@@ -1,11 +1,12 @@
 """Independent ground truth: explicit codes, energies, and searches.
 
-Everything here is deliberately decoupled from the bound machinery.  A
-finite code has one energy, 2 sum_d A_d h(t_d) over its distance
-distribution counted in O(M n) memory (0.1 MiB on the full H(11,2) cube),
-which the exhaustive search ranks by; sphere and projective codes sum h
-over their pairs.  Design strength comes from the raw moment sums, and
-the sphere minimizer is a seeded L-BFGS descent (an upper estimate only).
+Everything here but the closed-form design bound D(tau) is decoupled
+from the bound machinery.  A finite code has one energy, 2 sum_d A_d
+h(t_d) over its distance distribution counted in O(M n) memory (0.1 MiB
+on the full H(11,2) cube), which the exhaustive search ranks by; sphere
+and projective codes sum h over their pairs.  Design strength comes from
+the raw moment sums of the orders D(tau) allows, and the sphere
+minimizer is a seeded L-BFGS descent (an upper estimate only).
 """
 
 import itertools
@@ -14,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import orthopoly, pmspace
+from . import levenshtein, orthopoly, pmspace
 from .errors import DomainError, ParameterError, integer
 from .pmspace import Family, SpaceDescriptor
 from .potentials import Potential
 
 _COINCIDENT = 1.0 - 1e-12
+# entries of a Q-table in design_strength, 8 MiB
+_Q_TABLE_SIZE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,26 +191,27 @@ def separation(space: SpaceDescriptor, code: Code):
     return float(np.max(vals)), float(np.min(vals))
 
 
-def design_strength(space: SpaceDescriptor, code: Code, tau_max: int) -> int:
-    """Largest tau <= tau_max with vanishing moment sums of orders 1..tau.
-
-    Past the end of the (0,0) system, which is the degree cap on a finite
-    space, adjacent_system raises DegreeOverflowError.
+def design_strength(space: SpaceDescriptor, code: Code) -> int:
+    """Largest tau with vanishing moment sums of orders 1..tau, checked up to the largest tau
+    with D(tau) <= M (a tau-design has M >= D(tau): Delsarte, Goethals & Seidel 1977), and on a
+    finite space up to its degree cap, where D(tau) stops growing.
     """
     _check_space(space, code)
-    tau_max = integer("design_strength", "tau_max", tau_max)
     vals, counts = _pair_values(code)
     M = code.size
-    tol = 1e-8 * M * M
-    q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau_max), tau_max, vals)
-    # full double sums: M diagonal terms Q_i(1)=1 plus both pair orders
-    totals = M + 2.0 * (np.sum(q, axis=1) if counts is None else q @ counts)
-    strength = 0
-    for i in range(1, tau_max + 1):
-        if abs(totals[i]) > tol:
-            break
-        strength = i
-    return strength
+    tau_max = 0
+    while tau_max != space.max_degree and levenshtein.exact_design_bound(space, tau_max + 1) <= M:
+        tau_max += 1
+    system = orthopoly.adjacent_system(space, 0, 0, tau_max)
+    # full double sums: M diagonal terms Q_i(1)=1 plus both pair orders, over
+    # blocks of pairs that keep each table of Q_0..Q_tau_max to _Q_TABLE_SIZE
+    totals = np.full(tau_max + 1, float(M))
+    block = _Q_TABLE_SIZE // (tau_max + 1)
+    for i in range(0, len(vals), block):
+        q = orthopoly.eval_q_all(system, tau_max, vals[i : i + block])
+        totals += 2.0 * (np.sum(q, axis=1) if counts is None else q @ counts[i : i + block])
+    # the order before the first whose sum does not vanish
+    return next((i - 1 for i in range(1, tau_max + 1) if abs(totals[i]) > 1e-8 * M * M), tau_max)
 
 
 # --- named configurations -------------------------------------------------

@@ -190,10 +190,12 @@ def test_criterion_6_endpoint_equalities():
                 d_hi = lev.design_bound(space, tau + 1)
             except DegreeOverflowError:
                 break
+            level = lev._level(space, *lev._split(tau))
             worst = max(
                 worst,
-                abs(lev.lev_bound(space, tau, lo) - d_lo),
-                abs(lev.lev_bound(space, tau, hi) - d_hi),
+                # L_tau at both ends, although lev_bound serves lo by level tau - 1
+                abs(lev._lev_value(level, lo) - d_lo),
+                abs(lev._lev_value(level, hi) - d_hi),
             )
             checked += 1
     _status(

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,21 @@ def test_testfns_report(capsys):
         if 1 <= j <= tau:
             assert abs(v) < 1e-8
     assert result["first_negative_j"] is not None
+
+
+@pytest.mark.parametrize("space,M,cap", [(["hamming", "--n", "6", "--q", "2"], "20", 6),
+                                         (["johnson", "--n", "12", "--w", "4"], "40", 4)])
+def test_testfns_default_range_stops_at_the_degree_cap(capsys, space, M, cap):
+    argv = ["testfns", "--space", *space, "--M", M]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"]["jmax"] == cap and report["result"]["j"] == list(range(cap + 1))
+    # the default range as an explicit one gives the same report
+    assert run_cli(capsys, *argv, "--jmax", str(cap)) == (0, out, "")
+    code, out, err = run_cli(capsys, *argv, "--jmax", str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"exceeds the (0,0)-system cap {cap}" in json.loads(err)["error"]["message"]
 
 
 def test_determinism(capsys):
@@ -243,19 +259,19 @@ def test_a_missing_or_malformed_input_exits_2(capsys, argv, required, message):
 
 _SPACE = ["field_dim", "n", "q", "space", "w"]
 _POTENTIAL = ["c", "coeffs", "j", "p", "potential"]
-_IO = ["format", "out"]
+_IO = ["format"]
 # every option each subcommand declares: each one is read by its handler
 _FLAGS = {
     "ulb": _SPACE + _POTENTIAL + _IO + ["M", "odd_branch", "rel_tol"],
     "quadrature": _SPACE + _IO + ["M"],
-    "lev-bound": _SPACE + _IO + ["s", "tau"],
+    "lev-bound": _SPACE + _IO + ["s"],
     "design-bound": _SPACE + _IO + ["tau"],
     "testfns": _SPACE + _IO + ["M", "jmax"],
     "improve": _SPACE + _POTENTIAL + _IO + ["M", "degree", "eta"],
     "design-energy": _SPACE + _POTENTIAL + _IO + ["I", "M", "direction", "poly", "poly_basis", "tau"],
     "separated-energy": _SPACE + _POTENTIAL + _IO + ["M", "poly", "poly_basis", "s"],
     "oracle energy": _SPACE + _POTENTIAL + _IO + ["config", "points_json"],
-    "oracle strength": _SPACE + _IO + ["config", "points_json", "tau_max"],
+    "oracle strength": _SPACE + _IO + ["config", "points_json"],
     "oracle named": _SPACE + _IO + ["config"],
     "oracle minimize": _POTENTIAL + _IO + ["M", "n", "restarts", "seed"],
     "oracle exhaustive": _POTENTIAL + _IO + ["M", "n"],
@@ -279,7 +295,7 @@ def _declared_flags(parser, prefix=""):
 def test_cli_flag_surface():
     declared = _declared_flags(build_parser())
     assert declared == {cmd: sorted(flags) for cmd, flags in _FLAGS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 162
+    assert sum(len(flags) for flags in declared.values()) == 146
 
 
 _SUBCOMMAND_NAMES = sorted({cmd.split()[0] for cmd in _FLAGS})
@@ -464,10 +480,32 @@ def test_oracle_exhaustive_refuses_a_huge_instance_at_once():
     assert "C(2^24, 8388608) > 1e7" in json.loads(proc.stderr)["error"]["message"]
 
 
+def test_oracle_strength_of_the_20_gon(tmp_path, capsys):
+    # a tight 19-design on S^1: M = D(19) = 20
+    angles = [2 * math.pi * k / 20 for k in range(20)]
+    path = tmp_path / "gon.json"
+    path.write_text(json.dumps([[math.cos(a), math.sin(a)] for a in angles]))
+    code, out, _ = run_cli(capsys, "oracle", "strength", "--space", "sphere", "--n", "2",
+                           "--points-json", str(path))
+    assert code == 0 and json.loads(out)["result"]["strength"] == 19
+
+
+@pytest.mark.parametrize("argv", [
+    ["lev-bound", "--space", "sphere", "--n", "3", "--s", "0.2", "--tau", "3"],
+    ["oracle", "strength", "--space", "sphere", "--n", "3", "--config", "cube", "--tau-max", "8"],
+], ids=lambda argv: argv[-2])
+def test_dropped_flags_are_unknown(capsys, argv):
+    # the level comes from s and the top order from M; --out is refused in
+    # test_report_roundtrip_and_out_file
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
 def test_oracle_subcommands(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "strength", "--space", "sphere", "--n", "3",
-        "--config", "icosahedron", "--tau-max", "8",
+        "--config", "icosahedron",
     )
     assert code == 0
     result = json.loads(out)["result"]
@@ -594,14 +632,15 @@ def test_ulb_csv_cells_are_the_json_report_values(capsys):
 
 
 def test_report_roundtrip_and_out_file(tmp_path, capsys):
+    # stdout carries the report alone, so a redirect is the out file
+    argv = ["quadrature", "--space", "sphere", "--n", "3", "--M", "12"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["M"] == 12
     out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "quadrature", "--space", "sphere", "--n", "3", "--M", "12",
-        "--out", str(out_path),
-    )
-    assert code == 0 and out == ""
-    report = json.loads(out_path.read_text())
-    assert report["result"]["M"] == 12
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and "unrecognized arguments: --out" in err
+    assert not out_path.exists()
 
 
 def test_asymptotics_missing_rho_yields_null_limit(capsys):
@@ -625,9 +664,9 @@ def _hamming_rows():
 
 # inputs of the schema test, each with the result the library gives for it
 LIBRARY_RESULTS = {
-    ("lev-bound", "--space", "sphere", "--n", "3", "--tau", "3", "--s", "0.2"): lambda: {
+    ("lev-bound", "--space", "sphere", "--n", "3", "--s", "0.2"): lambda: {
         "space": "S^2", "tau": 3, "s": 0.2,
-        "bound": levenshtein.lev_bound(make_space("sphere", n=3), 3, 0.2)},
+        "bound": levenshtein.lev_bound(make_space("sphere", n=3), 0.2)},
     ("design-bound", "--space", "johnson", "--n", "12", "--w", "4", "--tau", "3"): lambda: {
         "space": "J(12,4)", "tau": 3,
         "bound": levenshtein.design_bound(make_space("johnson", n=12, w=4), 3)},

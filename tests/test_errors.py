@@ -22,8 +22,6 @@ CALLS = {
     "exhaustive_hamming": lambda b: oracle.exhaustive_hamming(4, b, RIESZ1),
     "monomial": lambda b: builtin("monomial", j=b),
     "test_functions": lambda b: compute_test_functions(S2, 6, [0, b]),
-    "design_strength": lambda b: oracle.design_strength(
-        S2, oracle.named_config(S2, "icosahedron"), b),
 }
 
 

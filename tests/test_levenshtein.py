@@ -75,12 +75,22 @@ def test_design_bound_nondecreasing():
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def _lev_at(space, tau, s):
+    """L_tau(s), of level tau whichever level lev_bound takes s to."""
+    return lev._lev_value(lev._level(space, *lev._split(tau)), s)
+
+
 def test_lev_bound_examples():
     for n in (3, 4, 7):
         s = make_space("sphere", n=n)
-        assert lev.lev_bound(s, 1, -1 / n) == pytest.approx(n + 1, abs=1e-10)
-    with pytest.raises(ParameterError):
-        lev.lev_bound(make_space("sphere", n=3), 1, 0.4)
+        assert lev.lev_bound(s, -1 / n) == pytest.approx(n + 1, abs=1e-10)
+    s2 = make_space("sphere", n=3)
+    for s in (-1.5, 1.0, math.nan):
+        with pytest.raises(ParameterError, match=r"outside \[-1, 1\)"):
+            lev.lev_bound(s2, s)
+    # past the last level of H(8,2), whose last interval ends at 0.744
+    with pytest.raises(DegreeOverflowError, match="exceeds the"):
+        lev.lev_bound(make_space("hamming", n=8, q=2), 0.9)
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.label())
@@ -92,8 +102,8 @@ def test_endpoint_agreement(space):
             d_hi = lev.design_bound(space, tau + 1)
         except DegreeOverflowError:
             break
-        assert lev.lev_bound(space, tau, lo) == pytest.approx(d_lo, abs=1e-7)
-        assert lev.lev_bound(space, tau, hi) == pytest.approx(d_hi, abs=1e-7)
+        assert _lev_at(space, tau, lo) == pytest.approx(d_lo, abs=1e-7)
+        assert _lev_at(space, tau, hi) == pytest.approx(d_hi, abs=1e-7)
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.label())
@@ -101,18 +111,61 @@ def test_lev_bound_strictly_increasing(space):
     for tau in (2, 3):
         lo, hi = lev.validity_interval(space, tau)
         grid = np.linspace(lo, hi, 100)
-        vals = [lev.lev_bound(space, tau, s) for s in grid]
+        vals = [lev.lev_bound(space, s) for s in grid]
         assert np.all(np.diff(vals) > 0)
 
 
 @pytest.mark.parametrize("tau", [2, 3])
 def test_lev_bound_takes_s_to_within_1e_12_of_its_interval(tau):
+    # s just past an end of level tau's interval is served by the
+    # neighbouring level, whose L meets L_tau at the end
     s2 = make_space("sphere", n=3)
     lo, hi = lev.validity_interval(s2, tau)
+    assert lev.separation_level(s2, lo) == tau - 1 and lev.separation_level(s2, hi) == tau
     for end, out in ((lo, -1.0), (hi, 1.0)):
-        lev.lev_bound(s2, tau, end + out * 1e-13)
-        with pytest.raises(ParameterError, match=f"outside the level-{tau} validity interval"):
-            lev.lev_bound(s2, tau, end + out * 1e-9)
+        for step in (1e-13, 1e-9):
+            s = end + out * step
+            assert lev.separation_level(s2, s) == tau + int(out)
+            assert lev.lev_bound(s2, s) == pytest.approx(_lev_at(s2, tau, s), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [make_space("sphere", n=3), make_space("sphere", n=10), make_space("projective", n=4, field_dim=4),
+     make_space("hamming", n=30, q=2), make_space("johnson", n=80, w=40),
+     make_space("hamming", n=8, q=2)],
+    ids=lambda s: s.label(),
+)
+def test_lev_bound_is_one_increasing_function_across_levels(space):
+    # levels 1..80, or to the last one of a finite space
+    intervals = []
+    for tau in range(1, 81):
+        try:
+            intervals.append(lev.validity_interval(space, tau))
+        except DegreeOverflowError:
+            break
+    # the intervals tile [-1, the last end], each shared end bit for bit
+    assert intervals[0][0] == -1.0
+    assert all(a[1] == b[0] for a, b in zip(intervals, intervals[1:]))
+    grid = np.linspace(-1.0, intervals[-1][1], 3001)
+    vals = np.array([lev.lev_bound(space, s) for s in grid.tolist()])
+    assert (np.diff(vals) > 0).all()
+    # the two levels of a shared end agree there; lev_bound takes the lower
+    for tau, (_, hi) in enumerate(intervals[:-1], start=1):
+        below, above = _lev_at(space, tau, hi), _lev_at(space, tau + 1, hi)
+        assert abs(below - above) <= 1e-13 * below, tau
+        assert lev.separation_level(space, hi) == tau and lev.lev_bound(space, hi) == below
+
+
+def test_separation_level_builds_a_logarithmic_number_of_levels():
+    # doubling tau, then bisecting: a walk up from level 1 took 42 s to
+    # S^2 s = 0.99999 (level 1711), building every level below it
+    space = make_space("sphere", n=6)
+    misses = lev._level.cache_info().misses
+    tau = lev.separation_level(space, 0.999)
+    assert lev._level.cache_info().misses - misses <= 2 * math.ceil(math.log2(tau)) + 1
+    # the first level whose interval reaches s, by the walk
+    assert tau == next(t for t in range(1, 1000) if 0.999 <= lev.validity_interval(space, t)[1]) > 64
 
 
 def test_tau_for_cardinality_examples():
@@ -407,9 +460,7 @@ def test_a_level_needs_an_integer_tau(tau):
     s2 = make_space("sphere", n=3)
     assert lev.design_bound(s2, 3.0) == lev.design_bound(s2, 3)
     assert lev.validity_interval(s2, 3.0) == lev.validity_interval(s2, 3)
-    assert lev.lev_bound(s2, 3.0, 0.0) == lev.lev_bound(s2, 3, 0.0)
-    for call in (lev.design_bound, lev.validity_interval,
-                 lambda space, t: lev.lev_bound(space, t, 0.0)):
+    for call in (lev.design_bound, lev.validity_interval):
         with pytest.raises(ParameterError, match="needs an integer tau"):
             call(s2, tau)
 
@@ -433,8 +484,7 @@ def test_solve_separation_examples():
     for space in ALL_SPACES:
         m = int(lev.design_bound(space, 2)) + 2
         sep = lev.quadrature_rule(space, m).s
-        _, _, tau = lev.tau_for_cardinality(space, m)
-        assert lev.lev_bound(space, tau, sep) == pytest.approx(m, rel=1e-10)
+        assert lev.lev_bound(space, sep) == pytest.approx(m, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -445,8 +495,7 @@ def test_solve_separation_where_lev_bound_is_steep(n, M):
     # check relative to M
     space = make_space("sphere", n=n)
     sep = lev.quadrature_rule(space, M).s
-    _, _, tau = lev.tau_for_cardinality(space, M)
-    assert abs(lev.lev_bound(space, tau, sep) - M) <= 1e-10 * M
+    assert abs(lev.lev_bound(space, sep) - M) <= 1e-10 * M
 
 
 @pytest.mark.parametrize(
@@ -468,7 +517,8 @@ def test_solve_separation_at_large_design_bounds(family, params, M):
     lo, hi = lev.validity_interval(space, tau)
     pad = 1e-12 * max(1.0, abs(lo), abs(hi))
     assert min(abs(sep - lo), abs(sep - hi)) <= pad
-    assert abs(lev.lev_bound(space, tau, sep) - M) <= 1e-10 * M
+    assert abs(_lev_at(space, tau, sep) - M) <= 1e-10 * M
+    assert abs(lev.lev_bound(space, sep) - M) <= 1e-10 * M
 
 
 def test_quadrature_rule_closed_forms():

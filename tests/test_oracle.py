@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ulbkit import oracle, orthopoly, pmspace
-from ulbkit.errors import DegreeOverflowError, DomainError, ParameterError
+from ulbkit import levenshtein, oracle, orthopoly, pmspace
+from ulbkit.errors import DomainError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import builtin
 from ulbkit.ulb import ulb
@@ -116,19 +116,44 @@ def test_separation_examples():
 )
 def test_design_strength_sphere(name, strength):
     code = oracle.named_config(S3, name)
-    assert oracle.design_strength(S3, code, 8) == strength
+    assert oracle.design_strength(S3, code) == strength
 
 
 def test_design_strength_finite():
     h82 = make_space("hamming", n=8, q=2)
-    assert oracle.design_strength(h82, oracle.named_config(h82, "extended_hamming_8"), 6) == 3
+    assert oracle.design_strength(h82, oracle.named_config(h82, "extended_hamming_8")) == 3
     h62 = make_space("hamming", n=6, q=2)
-    assert oracle.design_strength(h62, oracle.named_config(h62, "parity_check"), 6) == 5
-    assert oracle.design_strength(h62, oracle.named_config(h62, "repetition"), 6) == 1
+    assert oracle.design_strength(h62, oracle.named_config(h62, "parity_check")) == 5
+    assert oracle.design_strength(h62, oracle.named_config(h62, "repetition")) == 1
     j73 = make_space("johnson", n=7, w=3)
-    assert oracle.design_strength(j73, oracle.named_config(j73, "fano"), 3) == 2
+    assert oracle.design_strength(j73, oracle.named_config(j73, "fano")) == 2
     j84 = make_space("johnson", n=8, w=4)
-    assert oracle.design_strength(j84, oracle.named_config(j84, "steiner_quadruple_8"), 4) == 3
+    assert oracle.design_strength(j84, oracle.named_config(j84, "steiner_quadruple_8")) == 3
+
+
+def test_design_strength_checks_the_orders_the_design_bound_allows():
+    # a tau-design of M points has M >= D(tau): one point is no 1-design
+    # (D(1) = 2); the tight 20-gon is tested through the CLI
+    assert oracle.design_strength(S3, oracle.make_code(S3, [[1.0, 0.0, 0.0]])) == 0
+    # the whole H(7,2) is a design of every order up to the cap 7, where D(13) = D(14) = 128
+    h72 = make_space("hamming", n=7, q=2)
+    cube = oracle.make_code(h72, list(itertools.product((0, 1), repeat=7)))
+    assert oracle.design_strength(h72, cube) == 7
+
+
+def test_design_strength_of_a_large_design_sums_its_pairs_in_blocks():
+    # the 400-gon is a 399-design: Q_0..Q_399 at all its 79800 pairs at once
+    # peaked at 488 MiB (two 244 MiB tables), and a block's tables take 8 MiB
+    s1 = make_space("sphere", n=2)
+    angles = 2 * np.pi * np.arange(400) / 400
+    gon = oracle.make_code(s1, np.column_stack([np.cos(angles), np.sin(angles)]))
+    tracemalloc.start()
+    try:
+        assert oracle.design_strength(s1, gon) == 399
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_unknown_config_rejected():
@@ -203,10 +228,8 @@ def test_energy_separation_and_strength_refusals():
     with pytest.raises(ParameterError, match="separation needs at least two points"):
         oracle.separation(S3, one)
     h72 = make_space("hamming", n=7, q=2)
-    # the (0,0) system's own refusal
-    with pytest.raises(DegreeOverflowError,
-                       match=r"degree 8 exceeds the \(0,0\)-system cap 7 of H\(7,2\)"):
-        oracle.design_strength(h72, oracle.named_config(h72, "repetition"), 8)
+    # D(2) = 8 > 2: no order past 1 is checked, and none past the cap 7
+    assert oracle.design_strength(h72, oracle.named_config(h72, "repetition")) == 1
     with pytest.raises(ParameterError, match="need n >= 2 and M >= 2"):
         oracle.minimize_sphere(1, 3, builtin("riesz", p=1))
 
@@ -220,7 +243,7 @@ def test_a_design_moved_off_its_moments_loses_strength(angle, strength):
     x = points[0]
     v = np.cross(x, [0.3, 0.5, 0.7])
     points[0] = math.cos(angle) * x + math.sin(angle) * v / np.linalg.norm(v)
-    assert oracle.design_strength(S3, oracle.make_code(S3, points), 8) == strength
+    assert oracle.design_strength(S3, oracle.make_code(S3, points)) == strength
 
 
 def test_a_code_is_measured_only_in_its_own_space():
@@ -228,10 +251,10 @@ def test_a_code_is_measured_only_in_its_own_space():
     # from the given one: a mismatch would mix two spaces
     h82 = make_space("hamming", n=8, q=2)
     code = oracle.named_config(h82, "extended_hamming_8")
-    assert oracle.design_strength(h82, code, 8) == 3
+    assert oracle.design_strength(h82, code) == 3
     for call in (lambda: oracle.energy(S3, code, builtin("gaussian", c=1)),
                  lambda: oracle.separation(S3, code),
-                 lambda: oracle.design_strength(S3, code, 8)):
+                 lambda: oracle.design_strength(S3, code)):
         with pytest.raises(ParameterError, match=r"the code lies in H\(8,2\), not in S\^2"):
             call()
     # a space of the same family with another dimension is another space
@@ -324,12 +347,13 @@ def test_finite_codes_match_their_pair_sums():
             want = 2.0 * float(np.sum(h(vals)))
             assert oracle.energy(space, code, h) == pytest.approx(want, rel=1e-14, abs=0)
         assert oracle.separation(space, code) == (vals.max(), vals.min())
-        tau = min(space.max_degree or 6, 6)
+        tau = max(t for t in range(space.max_degree + 1)
+                  if t == 0 or levenshtein.exact_design_bound(space, t) <= code.size)
         q = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, tau), tau, vals)
         totals = code.size + 2.0 * np.sum(q, axis=1)
         want = next((i - 1 for i in range(1, tau + 1)
                      if abs(totals[i]) > 1e-8 * code.size**2), tau)
-        assert oracle.design_strength(space, code, tau) == want, space.label()
+        assert oracle.design_strength(space, code) == want, space.label()
 
 
 def test_pair_sums_of_the_full_cube_stay_small():
@@ -443,15 +467,6 @@ def test_minimize_sphere_returns_the_energy_of_its_code(h):
         code, val, info = oracle.minimize_sphere(n, M, h, restarts=20, seed=2024)
         assert val == oracle.energy(code.space, code, h), (n, M)
         assert val == pytest.approx(min(info["restart_energies"]), rel=1e-14)
-
-
-def test_design_strength_needs_an_integer_tau_max():
-    # 2.5 raised AttributeError
-    h8 = make_space("hamming", n=8, q=2)
-    code = oracle.named_config(h8, "extended_hamming_8")
-    assert oracle.design_strength(h8, code, 3.0) == oracle.design_strength(h8, code, 3) == 3
-    with pytest.raises(ParameterError, match="needs an integer tau_max"):
-        oracle.design_strength(h8, code, 2.5)
 
 
 def test_minimize_sphere_deterministic():

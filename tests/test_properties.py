@@ -64,7 +64,7 @@ def test_rule_invariants(case):
     assert abs(np.sum(rule.weights) - (1 - 1 / M)) <= 1e-10
     lo, hi = lev.validity_interval(space, tau)
     assert lo <= rule.s <= hi
-    assert abs(lev.lev_bound(space, tau, rule.s) - M) <= 1e-10 * M
+    assert abs(lev.lev_bound(space, rule.s) - M) <= 1e-10 * M
     values = p_values(space, M, range(1, tau + 1)).values
     assert np.max(np.abs(values)) < 1e-8
 

@@ -74,9 +74,11 @@ MUTANTS = (
      "if not (nodes[1:] >= nodes[:-1]).all():",
      "_rule_from_nodes: strict node order -> non-strict"),
     ("levenshtein.py", "pad = 1e-12 * max(1.0, abs(lo), abs(hi))",
-     "pad = 1e-6 * max(1.0, abs(lo), abs(hi))", "_in_interval: pad 1e-12 -> 1e-6"),
-    ("levenshtein.py", "if not _in_interval(nodes[-1], lo, hi):", "if False:",
+     "pad = 1e-6 * max(1.0, abs(lo), abs(hi))", "quadrature_rule: pad 1e-12 -> 1e-6"),
+    ("levenshtein.py", "if not lo - pad <= nodes[-1] <= hi + pad:", "if False:",
      "quadrature_rule: separation outside the validity interval accepted"),
+    ("levenshtein.py", "return s <= validity_interval(space, tau)[1]",
+     "return s < validity_interval(space, tau)[1]", "separation_level: upper level at a shared end"),
     ("levenshtein.py", "if not (lo - 1e-12 * (hi - lo) <= s < hi):",
      "if not (lo - 1e-6 * (hi - lo) <= s <= hi):", "odd_branch_rule: interval widened"),
     ("levenshtein.py", "tops += (math.floor(exact_design_bound(space, tau + 1)),)",
@@ -96,7 +98,10 @@ MUTANTS = (
     ("oracle.py", 'if integer("minimize_sphere", "seed", seed) < 0:',
      'if seed is not None and integer("minimize_sphere", "seed", seed) < 0:',
      "minimize_sphere: seed None let through"),
-    ("oracle.py", "tol = 1e-8 * M * M", "tol = 1e-6 * M * M", "design_strength: tolerance x100"),
+    ("oracle.py", "abs(totals[i]) > 1e-8 * M * M", "abs(totals[i]) > 1e-6 * M * M",
+     "design_strength: tolerance x100"),
+    ("oracle.py", "exact_design_bound(space, tau_max + 1) <= M", "exact_design_bound(space, tau_max + 1) < M",
+     "design_strength: orders up to D(tau) < M only"),
     # errors: the integer check every integer parameter shares
     ("errors.py", "ok = not isinstance(value, (bool, np.bool_)) and int(value) == value",
      "ok = int(value) == value", "integer: bool accepted"),
@@ -127,6 +132,8 @@ MUTANTS = (
      "_add_potential_args: --potential not required"),
     ("cli.py", "hi + (1 if step > 0 else -1)", "hi + 1",
      "_int_range: a descending range drops its end"),
+    ("cli.py", "args.jmax = min(10, space.max_degree or 10)", "args.jmax = 10",
+     "_cmd_testfns: default range past the degree cap"),
 )
 
 # label -> why the mutant cannot change a result
