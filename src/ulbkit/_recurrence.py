@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 
 
 def jacobi_monic(alpha: float, beta: float, count: int):
@@ -54,50 +54,6 @@ def jacobi_monic(alpha: float, beta: float, count: int):
         d = 2 * k + ab
         b[k] = (beta * beta - alpha * alpha) / (d * (d + 2))
         g[k] = 4 * k * (k + alpha) * (k + beta) * (k + ab) / (d * d * (d + 1) * (d - 1))
-    return b, g
-
-
-def stieltjes(x, w, count: int):
-    """Recurrence coefficients of a discrete measure by the Stieltjes procedure.
-
-    It runs degree by degree, so a shorter run is a bit-identical prefix of
-    a longer one, and returns the pairs before the first degree whose monic
-    norm is below the normal float range; a non-finite norm raises
-    ConvergenceError.
-
-    Parameters
-    ----------
-    x, w : ndarray
-        Atoms and (positive) masses of the measure.
-    count : int
-        Number of coefficient pairs; must not exceed the number of atoms.
-
-    Returns
-    -------
-    b, g : ndarray
-        Monic recurrence coefficients, at most count of each; g[0] = sum(w).
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if count > len(x):
-        raise ParameterError(f"degree {count - 1} needs more than the {len(x)} atoms available")
-    b = np.zeros(count)
-    g = np.zeros(count)
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)
-    norm_cur = float(np.sum(w))
-    g[0] = norm_cur
-    for k in range(count):
-        if k > 0:
-            norm_new = float(np.sum(w * p_cur * p_cur))
-            if not np.isfinite(norm_new):
-                raise ConvergenceError(f"norm of degree {k} is not finite")
-            if norm_new < np.finfo(float).tiny:
-                return b[:k], g[:k]
-            g[k] = norm_new / norm_cur
-            norm_cur = norm_new
-        b[k] = float(np.sum(w * x * p_cur * p_cur)) / norm_cur
-        p_prev, p_cur = p_cur, (x - b[k]) * p_cur - (g[k] if k > 0 else 0.0) * p_prev
     return b, g
 
 

@@ -58,8 +58,8 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
 
     Every system is built to the first 16 * 2^j above deg, up to
     ``_MAX_DEGREE``.  It ends earlier at the last degree whose r_i is a
-    normal float, and a finite space's where the Stieltjes procedure
-    ends.  Systems are cached.
+    normal float, and a finite space's at its last degree N (n - a - b on
+    H(n,q), w - a - b on J(n,w)).  Systems are cached.
 
     Raises
     ------
@@ -75,23 +75,9 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
 
 @lru_cache(maxsize=None)
 def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> OrthoSystem:
-    """The (a,b)-adjacent system to degree max_deg, or to where its floats end."""
-    if space.is_finite:
-        t, mass = pmspace.t_grid(space)
-        wts = mass * (1.0 - t) ** a * (1.0 + t) ** b
-        keep = wts > 0
-        t, wts = t[keep], wts[keep]
-        beta, gamma = rec.stieltjes(t, wts, min(max_deg, len(t) - 1) + 1)
-        max_deg = len(beta) - 1
-    else:
-        alpha0, beta0 = space.jacobi_exponents()
-        beta, gamma = rec.jacobi_monic(alpha0 + a, beta0 + b, max_deg + 1)
-        # gamma[0] is the raw Jacobi mass; relative to the unit mass of the
-        # base measure nu it is a ratio of Beta functions, rational in the
-        # exponents, which exp(lgamma) sums would give only to ~1e-13 at
-        # large alpha0.  The rule weights are proportional to it.
-        ab = alpha0 + beta0
-        gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
+    """The (a,b)-adjacent system to degree max_deg, or to where it ends."""
+    beta, gamma = pmspace.adjacent_recurrence(space, a, b, max_deg + 1)
+    max_deg = len(beta) - 1
     beta_floats, gamma_floats = tuple(beta.tolist()), tuple(gamma.tolist())
     value_at_one = rec.eval_all(beta_floats, gamma_floats, max_deg, np.array(1.0))
     c_norm = 1.0 / gamma[0]

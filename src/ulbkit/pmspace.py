@@ -180,6 +180,52 @@ def t_grid(space: SpaceDescriptor):
     return t, mass
 
 
+def adjacent_recurrence(space: SpaceDescriptor, a: int, b: int, count: int):
+    """Monic recurrence coefficients in t of the (a,b)-adjacent system: at most count pairs.
+
+    The weight is (1-t)^a (1+t)^b dnu, and gamma[0] its nu-mass.  Spheres and
+    projective spaces are Jacobi's; H(n,q) is Krawtchouk's and J(n,w) Hahn's
+    in the distance l, of degrees 0..N (Koekoek, Lesky & Swarttouw,
+    *Hypergeometric Orthogonal Polynomials*, 2010, 9.11 and 9.5), mapped by
+    t = 1 - 2l/L with L = n or w.
+    """
+    if not space.is_finite:
+        alpha0, beta0 = space.jacobi_exponents()
+        beta, gamma = rec.jacobi_monic(alpha0 + a, beta0 + b, count)
+        # gamma[0] is the raw Jacobi mass; relative to the unit mass of the
+        # base measure nu it is a ratio of Beta functions, rational in the
+        # exponents, which exp(lgamma) sums would give only to ~1e-13 at
+        # large alpha0.  The rule weights are proportional to it.
+        ab = alpha0 + beta0
+        gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
+        return beta, gamma
+    n = space.n
+    if space.family is Family.HAMMING:
+        # Binomial(N, p) in l - a
+        size, p, N = n, (space.q - 1) / space.q, n - a - b
+        k = np.arange(float(min(count, N + 1)))
+        beta = p * (N - k) + k * (1 - p) + a
+        gamma = k * p * (1 - p) * (N - k + 1)
+        mass = 4 * (n - 1) * p * (1 - p) / n if a == b == 1 else (2 * p) ** a * (2 * (1 - p)) ** b
+    else:
+        # Hahn in x = w - b - l, orthogonal under C(w-b, l) C(n-w-a, l-a)
+        size = w = space.w
+        N, al, be = w - a - b, b - w - 1, a - (n - w) - 1
+        k = np.arange(float(min(count, N + 1)))
+        s = 2 * k + al + be
+        with np.errstate(invalid="ignore"):
+            up = (k + al + be + 1) * (k + al + 1) * (N - k) / ((s + 1) * (s + 2))
+        up[N:] = 0.0  # 0/0 at k = N where n = 2w and a = b = 0
+        down = k * (k + al + be + N + 1) * (k + be) / (s * (s + 1))
+        beta = w - b - (up + down)
+        gamma = np.append(0.0, up[:-1]) * down
+        mass = (4 * (w - 1) * (n - w) / (n * (n - 1)) if a == b == 1
+                else (2 * (n - w) / n) ** a * (2 * w / n) ** b)
+    gamma = (2.0 / size) ** 2 * gamma
+    gamma[:1] = mass
+    return 1.0 - 2.0 * beta / size, gamma
+
+
 def measure_rule(space: SpaceDescriptor, deg: int):
     """Nodes and weights integrating every polynomial of degree <= deg against nu.
 

@@ -119,14 +119,23 @@ def _report_from_rule(rule, h, certificate=None, value_sum=None, rel_tol=_IDENTI
         raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     _require_monotone(h, rule.tau + 1)
     M = rule.M
+    m_squared = _float_square(M)
     h_nodes = h(rule.nodes) if value_sum is None or certificate is None else None
     if value_sum is None:
-        value_sum = M * M * float(np.dot(rule.weights, h_nodes))
+        value_sum = m_squared * float(np.dot(rule.weights, h_nodes))
     if certificate is None:
         certificate = hermite_certificate(rule, h, h_nodes)
     checks = verify_certificate(rule.space, certificate, h)
     _check_value_identity(rule, certificate, value_sum, rel_tol)
     return UlbReport(rule.space, M, rule, value_sum, value_sum / M, certificate, checks)
+
+
+def _float_square(M: int) -> float:
+    """M^2 as a float; ConditionError where it is past the float range (M > ~1.34e154)."""
+    try:
+        return float(M * M)
+    except OverflowError:
+        raise ConditionError(f"M={M} is too large: M^2 is past the float range") from None
 
 
 def _require_monotone(h: Potential, order: int):
@@ -172,7 +181,11 @@ def hermite_certificate(rule: QuadratureRule, h: Potential, h_nodes=None) -> np.
     rhs = np.empty(deg + 1)
     rhs[:m] = h(nodes) if h_nodes is None else h_nodes
     rhs[m:] = h.deriv(nodes[skip:], 1)
-    return np.linalg.solve(table[:, : deg + 1].T, rhs)
+    try:
+        return np.linalg.solve(table[:, : deg + 1].T, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConditionError(f"Hermite certificate solve failed ({exc}) on {rule.space.label()}"
+                             f" at M={rule.M}, tau={rule.tau}") from None
 
 
 def verify_certificate(space: SpaceDescriptor, f: np.ndarray, h: Potential) -> CertificateChecks:
@@ -279,6 +292,7 @@ def _improve_given_rule(rule, h, j, eta=None):
             f"test function P_{j} = {pj:.3e} is not negative; no improvement available"
         )
     _require_monotone(h, j + 1)
+    m_squared = _float_square(rule.M)
     system = adjacent_system(rule.space, 0, 0, j)
 
     def qj(order, t):
@@ -296,9 +310,8 @@ def _improve_given_rule(rule, h, j, eta=None):
     f = np.zeros(j + 1)  # the Hermite part has degree <= tau < j
     f[: len(g)] = g
     f[j] = eta
-    M = rule.M
-    base = M * M * float(np.dot(rule.weights, h(rule.nodes)))
-    improved = base - M * M * eta * pj
+    base = m_squared * float(np.dot(rule.weights, h(rule.nodes)))
+    improved = base - m_squared * eta * pj
     out = _report_from_rule(rule, h, certificate=f, value_sum=improved)
     return replace(out, improvement={"j": j, "eta": eta, "p_j": pj, "base_value_sum": base})
 

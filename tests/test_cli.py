@@ -106,15 +106,15 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(err)["error"]["type"] == "MonotonicityError"
-    # H(1000,2)'s levels end at tau 300 with its systems; past them the
-    # refusal is a degree overflow, not a failed Stieltjes run
+    # H(1000,2)'s levels end at tau 706 with its (0,0) system; past them the
+    # refusal is a degree overflow
     code, out, err = run_cli(
-        capsys, "ulb", "--space", "hamming", "--n", "1000", "--q", "2", "--M", str(2 * 10**264),
+        capsys, "ulb", "--space", "hamming", "--n", "1000", "--q", "2", "--M", str(10**281),
         "--potential", "gaussian", "--c", "1",
     )
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau >= 301)")
+    assert error["type"] == "DegreeOverflowError" and error["message"].endswith("(needs tau >= 707)")
     # the cross-check tolerance must be finite and >= 0
     for value in ("nan", "-1e-9", "inf"):
         code, out, err = run_cli(
@@ -771,6 +771,24 @@ def test_condition_violation_exits_1(capsys):
     )
     assert code == 1
     assert json.loads(err)["error"]["type"] == "ConditionError"
+
+
+@pytest.mark.parametrize("space, tau, message", [
+    # the middle M of H(400,2) level 126: the certificate's matrix is singular
+    ("400", 126, "Hermite certificate solve failed (Singular matrix) on H(400,2) at M="),
+    # the top M of H(1000,2) level 240: M^2 is past the float range
+    ("1000", 240, "is too large: M^2 is past the float range"),
+], ids=["singular-solve", "M-squared-overflow"])
+def test_numerical_refusals_are_ulbkit_errors(capsys, space, tau, message):
+    levels = levenshtein._level_cardinalities(make_space("hamming", n=int(space), q=2), tau)
+    M = (levels.start + levels.stop - 1) // 2 if tau == 126 else levels[-1]
+    code, out, err = run_cli(capsys, "ulb", "--space", "hamming", "--n", space, "--q", "2",
+                             "--M", str(M), "--potential", "gaussian", "--c", "1")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConditionError" and message in error["message"]
+    assert f"M={M}" in error["message"]
+    assert error["message"].endswith(f"tau={tau}") == (tau == 126)
 
 
 @pytest.mark.parametrize("failed", ["below_h", "f_geq"])

@@ -291,19 +291,21 @@ def test_level_map_past_the_largest_float():
 
 
 @pytest.mark.parametrize(
-    "space", [make_space("hamming", n=1000, q=2), make_space("johnson", n=1000, w=500)],
-    ids=lambda s: s.label())
-def test_level_map_stops_where_a_finite_space_systems_stop(space):
-    # the systems of these spaces end at degree 300, where the monic norms
-    # leave the normal float range; a certificate's degree ends there too,
-    # so their levels end at tau 300, although D(601) is still defined
-    M = 2 * lev.design_bound(space, 601)
+    "space, last", [(make_space("hamming", n=1000, q=2), 706), (make_space("johnson", n=1000, w=500), 500)],
+    ids=["H(1000,2)", "J(1000,500)"])
+def test_level_map_stops_where_a_finite_space_systems_stop(space, last):
+    # H(1000,2)'s (0,0) system ends at degree 706, the last whose r_i is a
+    # normal float, and J(1000,500)'s at its last degree w; a certificate's
+    # degree ends there too, so the levels end at that tau, although
+    # D(tau + 1) is still defined.  The first M past the last level needs
+    # the next one
+    M = math.floor(lev.exact_design_bound(space, last + 1)) + 1
     got = _outcome(lev._level_of, space, M)
     assert got == (DegreeOverflowError,
-                   f"M={M} exceeds the level capacity of {space.label()} (needs tau >= 301)")
-    assert lev._level_cardinalities(space, 300)
+                   f"M={M} exceeds the level capacity of {space.label()} (needs tau >= {last + 1})")
+    assert lev._level_cardinalities(space, last)[-1] == M - 1
     with pytest.raises(DegreeOverflowError):
-        lev._level_cardinalities(space, 301)
+        lev._level_cardinalities(space, last + 1)
 
 
 def _level_or_error(space, M):

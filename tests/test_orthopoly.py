@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -226,18 +229,65 @@ def test_multiplicities_sum_to_space_size():
     assert sum(pmspace.multiplicity(j, i) for i in range(5)) == 495  # C(12,4)
 
 
+def _stieltjes(x, w, count):
+    """Monic recurrence coefficients of the measure with atoms x and masses w, by Stieltjes.
+
+    Plain arithmetic on the given numbers: Fractions give the exact
+    coefficients, floats the procedure in float.  gamma[0] is the total mass.
+    """
+    beta, gamma, norm = [], [], None
+    prev, cur = [0] * len(x), [1] * len(x)
+    for k in range(count):
+        new = sum(wi * c * c for wi, c in zip(w, cur))
+        gamma.append(new if k == 0 else new / norm)
+        norm = new
+        beta.append(sum(wi * xi * c * c for wi, xi, c in zip(w, x, cur)) / norm)
+        step = gamma[k] if k else 0
+        prev, cur = cur, [(xi - beta[k]) * c - step * p for xi, c, p in zip(x, cur, prev)]
+    return beta, gamma
+
+
+def _exact_measure(space):
+    """The grid t_l and masses of a finite space, as Fractions."""
+    if space.family is pmspace.Family.HAMMING:
+        n, q = space.n, space.q
+        return ([1 - Fraction(2 * l, n) for l in range(n + 1)],
+                [Fraction(math.comb(n, l) * (q - 1) ** l, q**n) for l in range(n + 1)])
+    n, w = space.n, space.w
+    return ([1 - Fraction(2 * l, w) for l in range(w + 1)],
+            [Fraction(math.comb(w, l) * math.comb(n - w, l), math.comb(n, w)) for l in range(w + 1)])
+
+
+@pytest.mark.parametrize("space", [
+    make_space("hamming", n=12, q=2), make_space("hamming", n=9, q=3), make_space("hamming", n=7, q=4),
+    make_space("johnson", n=14, w=7), make_space("johnson", n=13, w=4),
+    make_space("johnson", n=30, w=10)], ids=lambda s: s.label())
+def test_finite_recurrences_match_the_exact_stieltjes_procedure(space):
+    # every degree of every adjacent system, against the procedure in exact
+    # arithmetic over the space's rational masses; the systems end at N
+    t, mass = _exact_measure(space)
+    top = space.max_degree
+    eps = np.finfo(float).eps
+    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        wab = [m * (1 - x) ** a * (1 + x) ** b for x, m in zip(t, mass)]
+        beta, gamma = _stieltjes(t, wab, top - a - b + 1)
+        system = orthopoly._build_system(space, a, b, 2048)
+        assert system.max_deg == top - a - b, (a, b)
+        for k, (bk, gk) in enumerate(zip(beta, gamma)):
+            assert abs(Fraction(system.rec_beta[k]) - bk) <= 4 * eps, (a, b, k)
+            assert abs(Fraction(system.rec_gamma[k]) - gk) <= 4 * eps * gk, (a, b, k)
+
+
 def test_jacobi_and_grid_paths_agree_on_sphere():
     # closed-form recurrence vs the discrete procedure on a Gauss grid
-    from ulbkit import _recurrence as rec
-
     space = make_space("sphere", n=4)
     x, w = pmspace.measure_rule(space, 99)
     for a, b in [(0, 1), (1, 0), (1, 1)]:
         wab = w * (1 - x) ** a * (1 + x) ** b
-        beta_g, gamma_g = rec.stieltjes(x, wab, 12)
+        beta_g, gamma_g = _stieltjes(x.tolist(), wab.tolist(), 12)
         system = adjacent_system(space, a, b)
-        assert np.max(np.abs(beta_g - system.rec_beta[:12])) < 1e-12
-        assert np.max(np.abs(gamma_g[1:] - system.rec_gamma[1:12])) < 1e-12
+        assert np.max(np.abs(np.array(beta_g) - system.rec_beta[:12])) < 1e-12
+        assert np.max(np.abs(np.array(gamma_g[1:]) - system.rec_gamma[1:12])) < 1e-12
 
 
 @pytest.mark.parametrize(

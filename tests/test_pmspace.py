@@ -316,45 +316,48 @@ def test_continuous_orthogonality_via_gauss():
 
 
 def test_kravchuk_closed_form_agreement():
-    # recurrence evaluation against the signed binomial sum at small n
-    def kraw(n, q, i, z):
-        return sum(
-            (-1) ** j * (q - 1) ** (i - j) * math.comb(z, j) * math.comb(n - z, i - j)
-            for j in range(i + 1)
-        )
-
-    # all degrees at small n; at large n, where the monic norms underflow
-    # long before the cap, degrees <= 8 on every (n//50)-th grid point
-    for n, q, top in ((6, 2, 6), (6, 3, 6), (1000, 2, 8), (3000, 2, 8), (1000, 3, 8)):
+    # Q_i(t_l) = K_i(l) / r_i, with the Krawtchouk values K_i(l) in integers,
+    # by (i+1) K_{i+1} = ((n-i)(q-1) + i - q l) K_i - (q-1)(n-i+1) K_{i-1},
+    # on every (n//50)-th grid point.  Each space is checked up to the last
+    # degree where the float recurrence in t stays within 1e-9 of them: the
+    # whole system on H(6,q), H(60,4), H(3000,2) and H(1000,3) (whose r_i
+    # leave the normal floats past 191 and 237), 97 of 128 on H(128,2), 266
+    # of 400 on H(400,2), and 689 of 706 on H(1000,2)
+    for n, q, top in ((6, 2, 6), (6, 3, 6), (128, 2, 97), (400, 2, 266), (60, 4, 60),
+                      (1000, 2, 689), (3000, 2, 191), (1000, 3, 237)):
         space = make_space("hamming", n=n, q=q)
-        for i in range(top + 1):
-            r_i = pmspace.multiplicity(space, i)
-            for ell in range(0, n + 1, max(n // 50, 1)):
-                t = 1 - 2 * ell / n
-                assert _q(space, i, t) == pytest.approx(
-                    kraw(n, q, i, ell) / r_i, abs=1e-9
-                ), (space.label(), i, ell)
+        ells = range(0, n + 1, max(n // 50, 1))
+        got = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, top), top,
+                                   np.array([1 - 2 * ell / n for ell in ells]))
+        r = [pmspace.multiplicity(space, i) for i in range(top + 1)]
+        for col, ell in enumerate(ells):
+            prev, cur = 0, 1
+            for i in range(top + 1):
+                # a quotient of Python integers is correctly rounded
+                assert abs(got[i, col] - cur / r[i]) <= 1e-9, (space.label(), i, ell)
+                prev, cur = cur, (((n - i) * (q - 1) + i - q * ell) * cur
+                                  - (q - 1) * (n - i + 1) * prev) // (i + 1)
 
 
 def test_hahn_closed_form_agreement():
+    # Q_i(t_l) = sum_j (-1)^j C(i,j) C(n+1-i,j) C(l,j) / (C(w,j) C(n-w,j)),
+    # summed exactly, term by term from the ratio of consecutive terms: the
+    # terms alternate in sign, and their float sum loses ~5e-14 at
+    # J(1000,500).  The whole system on J(10,4) and J(80,40)
     def hahn(n, w, i, z):
-        # summed exactly: the terms alternate in sign, and their float sum
-        # loses ~5e-14 at J(1000,500)
-        return float(sum(
-            (-1) ** j
-            * Fraction(math.comb(i, j) * math.comb(n + 1 - i, j) * math.comb(z, j),
-                       math.comb(w, j) * math.comb(n - w, j))
-            for j in range(i + 1)
-        ))
+        term = total = Fraction(1)
+        for j in range(min(i, z)):
+            term *= Fraction(-(i - j) * (n + 1 - i - j) * (z - j), (j + 1) * (w - j) * (n - w - j))
+            total += term
+        return float(total)
 
-    for n, w, top in ((10, 4, 4), (1000, 500, 6)):
+    for n, w, top in ((10, 4, 4), (80, 40, 40), (1000, 500, 6)):
         space = make_space("johnson", n=n, w=w)
+        got = orthopoly.eval_q_all(orthopoly.adjacent_system(space, 0, 0, top), top,
+                                   np.array([1 - 2 * ell / w for ell in range(w + 1)]))
         for i in range(top + 1):
             for ell in range(w + 1):
-                t = 1 - 2 * ell / w
-                assert _q(space, i, t) == pytest.approx(
-                    hahn(n, w, i, ell), abs=1e-12
-                ), (space.label(), i, ell)
+                assert abs(got[i, ell] - hahn(n, w, i, ell)) <= 1e-12, (space.label(), i, ell)
 
 
 @pytest.mark.parametrize("n, zeros", [(1100, 6), (3000, 984)])

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -125,13 +126,28 @@ def test_verify_certificate_negative_cases():
 
 def test_f_geq_refuses_a_coefficient_just_below_its_tolerance():
     # J(80,40) tau 14: the certificate's most negative Q-coefficient is
-    # -1.28e-8, past the tolerance -1e-8 but well inside -1e-6; the bound is
+    # -1.147e-8, past the tolerance -1e-8 but well inside -1e-6; the bound is
     # returned with f_geq false, and below_h holds
     rep = ulb(make_space("johnson", n=80, w=40), 4487111914, GAUSS)
     checks = rep.certificate_checks
     assert rep.rule.tau == 14
     assert checks.below_h and not checks.f_geq
-    assert -1.3e-8 < checks.min_q_coefficient < -1.25e-8
+    assert -1.16e-8 < checks.min_q_coefficient < -1.13e-8
+
+
+def test_m_squared_past_the_float_range_is_refused_before_the_certificate(monkeypatch):
+    # the top M of H(1000,2) level 240 is about 1.8e158, so M^2 has no float;
+    # the bound is a ConditionError that names M, and no certificate is built
+    space = make_space("hamming", n=1000, q=2)
+    M = lev._level_cardinalities(space, 240)[-1]
+
+    def unreachable(*args):
+        raise AssertionError("certificate built")
+
+    # the package attribute ulbkit.ulb is the function; this is the module
+    monkeypatch.setattr(importlib.import_module("ulbkit.ulb"), "hermite_certificate", unreachable)
+    with pytest.raises(ConditionError, match=f"M={M} is too large: M\\^2 is past the float range"):
+        ulb(space, M, GAUSS)
 
 
 def test_refuses_non_monotone_potential():

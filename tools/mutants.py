@@ -65,6 +65,11 @@ MUTANTS = (
      "hermite_certificate: h at the nodes one ulp up"),
     ("ulb.py", "    if not js:\n", "    if False:\n",
      "_test_functions_from_rule: empty index set accepted"),
+    ("ulb.py", "except OverflowError:\n        raise ConditionError(f\"M={M}",
+     "except ZeroDivisionError:\n        raise ConditionError(f\"M={M}",
+     "_float_square: M^2 past the float range let through"),
+    ("ulb.py", "except np.linalg.LinAlgError as exc:", "except ZeroDivisionError as exc:",
+     "hermite_certificate: a singular solve let through"),
     # levenshtein: the rule's checks and the level map
     ("levenshtein.py", "_POWER_SUM_TOL = 1e-7", "_POWER_SUM_TOL = 1e-4", "_POWER_SUM_TOL 1e-7 -> 1e-4"),
     ("levenshtein.py", "_SOLVE_RTOL = 1e-10", "_SOLVE_RTOL = 1e-7", "_SOLVE_RTOL 1e-10 -> 1e-7"),
@@ -112,6 +117,18 @@ MUTANTS = (
      "        if i > 1:\n            r *= Fraction(2 * i + a2 + b2 + 2", "jacobi_sum: last factor skipped at i = 1"),
     ("pmspace.py", "if k < 0:\n        raise ParameterError(f\"jacobi_sum",
      "if k < -1:\n        raise ParameterError(f\"jacobi_sum", "jacobi_sum: k = -1 accepted"),
+    # pmspace: the finite spaces' closed-form recurrences
+    ("pmspace.py", "beta = p * (N - k) + k * (1 - p) + a", "beta = p * (N - k) + k * (1 - p)",
+     "adjacent_recurrence: Krawtchouk shift + a dropped"),
+    ("pmspace.py", "size, p, N = n, (space.q - 1) / space.q, n - a - b",
+     "size, p, N = n, 1 / space.q, n - a - b", "adjacent_recurrence: Krawtchouk p -> 1 - p"),
+    ("pmspace.py", "N, al, be = w - a - b, b - w - 1, a - (n - w) - 1",
+     "N, be, al = w - a - b, b - w - 1, a - (n - w) - 1", "adjacent_recurrence: Hahn alpha and beta swapped"),
+    ("pmspace.py", "up[N:] = 0.0", "up[N + 1:] = 0.0", "adjacent_recurrence: Hahn A_N left at 0/0"),
+    ("pmspace.py", "mass = 4 * (n - 1) * p * (1 - p) / n if", "mass = 4 * p * (1 - p) if",
+     "adjacent_recurrence: (1,1) mass of H(n,q) without its factor (n-1)/n"),
+    ("pmspace.py", "4 * (w - 1) * (n - w) / (n * (n - 1))", "4 * w * (n - w) / (n * n)",
+     "adjacent_recurrence: (1,1) mass of J(n,w) without its factor n(w-1)/(w(n-1))"),
     # designbounds: the tolerances and the sides
     ("designbounds.py", "_COEFF_TOL = 1e-9", "_COEFF_TOL = 1e-6", "_COEFF_TOL 1e-9 -> 1e-6"),
     ("designbounds.py", "_PAD = 1e-12", "_PAD = 1e-3", "_PAD 1e-12 -> 1e-3"),
