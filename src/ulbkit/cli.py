@@ -8,6 +8,7 @@ whose certificate fails a check.
 """
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -465,7 +466,22 @@ def _csv_cell(value):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command and return its exit code.
+
+    Without ``argv`` it runs as the program (``python -m ulbkit.cli`` and
+    the ``ulbkit`` script), on ``sys.argv[1:]``, and ends with
+    ``gc.freeze()`` once its output is written: the process is about to
+    exit, and frozen objects skip the interpreter's final cyclic
+    collections over everything numpy, argparse and ulbkit leave alive.
+    A call with ``argv`` leaves the collector as it was.
+    """
+    code = _run(sys.argv[1:] if argv is None else list(argv))
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _run(argv) -> int:
     # the top level takes no option with a value, so the first argument
     # that is not an option is the subcommand argparse runs, if it runs one
     ap = build_parser(next((a for a in argv if not a.startswith("-")), ""))

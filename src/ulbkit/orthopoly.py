@@ -64,7 +64,8 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
     Raises
     ------
     DegreeOverflowError
-        If deg lies past the end of the system.
+        If deg lies past the end of the system, or the system is empty
+        (J(n,1) at (1,1), where N = -1).
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ParameterError(f"adjacent exponents must be 0 or 1, got ({a}, {b})")
@@ -77,6 +78,8 @@ def adjacent_system(space: SpaceDescriptor, a: int, b: int, deg: int = 0) -> Ort
 def _build_system(space: SpaceDescriptor, a: int, b: int, max_deg: int) -> OrthoSystem:
     """The (a,b)-adjacent system to degree max_deg, or to where it ends."""
     beta, gamma = pmspace.adjacent_recurrence(space, a, b, max_deg + 1)
+    if not len(beta):  # N = w - a - b < 0: J(n,1) at (1,1)
+        raise DegreeOverflowError(f"the ({a},{b})-system of {space.label()} is empty")
     max_deg = len(beta) - 1
     beta_floats, gamma_floats = tuple(beta.tolist()), tuple(gamma.tolist())
     value_at_one = rec.eval_all(beta_floats, gamma_floats, max_deg, np.array(1.0))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import importlib
 import inspect
 import io
@@ -29,6 +30,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, timeout=120):
+    """``python -m ulbkit.cli ARGV`` in a fresh process; stdout and stderr as bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "ulbkit.cli", *argv], capture_output=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_ulb_report(capsys):
@@ -469,14 +478,9 @@ def test_non_finite_certificates_are_refused(capsys, argv, poly):
 def test_oracle_exhaustive_refuses_a_huge_instance_at_once():
     # the size check must not build C(2^24, 2^23) exactly; a subprocess
     # with a timeout, so a slow refusal fails instead of stalling the suite
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ulbkit.cli", "oracle", "exhaustive", "--n", "24",
-         "--M", str(2**23), "--potential", "riesz", "--p", "1"],
-        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
+    proc = run_cli_process("oracle", "exhaustive", "--n", "24", "--M", str(2**23),
+                           "--potential", "riesz", "--p", "1", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == b""
     assert "C(2^24, 8388608) > 1e7" in json.loads(proc.stderr)["error"]["message"]
 
 
@@ -819,15 +823,46 @@ def test_failed_certificate_exits_1(capsys, monkeypatch, argv, failed):
 def test_overflowing_derivatives_leave_stderr_empty():
     # Riesz p=1 derivatives overflow to inf well below order 445; a fresh
     # process shows that no numpy warning reaches stderr
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ulbkit.cli", "ulb", "--space", "sphere", "--n", "3",
-         "--M", "5000", "--potential", "riesz", "--p", "1"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_cli_process("ulb", "--space", "sphere", "--n", "3", "--M", "5000",
+                           "--potential", "riesz", "--p", "1")
     assert proc.returncode == 0
-    assert proc.stderr == ""
+    assert proc.stderr == b""
+
+
+def _h400_singular_argv():
+    # the singular-solve cell of test_numerical_refusals_are_ulbkit_errors
+    levels = levenshtein._level_cardinalities(make_space("hamming", n=400, q=2), 126)
+    return ["ulb", "--space", "hamming", "--n", "400", "--q", "2",
+            "--M", str((levels.start + levels.stop - 1) // 2), "--potential", "gaussian", "--c", "1"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["ulb", "--space", "sphere", "--n", "3", "--M", "12", "--potential", "riesz", "--p", "1"], 0),
+    (["ulb", "--space", "sphere", "--n", "3", "--M", "1", "--potential", "riesz", "--p", "1"], 2),
+    (None, 1),
+], ids=["S^2-M12", "M1", "singular-solve"])
+def test_a_process_writes_what_main_argv_writes(capsys, argv, expected):
+    # the program entry ends with gc.freeze(); its output and exit code are
+    # those of an in-process call, byte for byte
+    argv = argv or _h400_singular_argv()
+    proc = run_cli_process(*argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert proc.returncode == code == expected
+    assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+
+
+def test_only_the_program_entry_freezes_the_collector(capsys, monkeypatch):
+    argv = ["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "riesz", "--p", "1"]
+    before = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["ulbkit", *argv])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
 
 
 def test_bound_commands_leave_the_cli_only_modules_unloaded():

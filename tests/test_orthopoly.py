@@ -351,6 +351,15 @@ def test_systems_stop_at_the_degree_ceiling():
         adjacent_system(s2, 0, 0, 2049)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_empty_system_of_j_n_1_is_refused(n):
+    # N = w - a - b = -1 at (1,1): the system has no degree, not even 0
+    space = make_space("johnson", n=n, w=1)
+    with pytest.raises(DegreeOverflowError, match=f"the \\(1,1\\)-system of J\\({n},1\\) is empty"):
+        adjacent_system(space, 1, 1)
+    assert adjacent_system(space, 1, 0).max_deg == 0
+
+
 def test_shorter_systems_are_prefixes_of_longer_ones():
     # a system is cached per length, so a bound must not depend on which
     # length served it

@@ -92,6 +92,9 @@ MUTANTS = (
      "(math.floor(exact_design_bound(space, 1)),)", "level map: ceil(D(1)) - 1 -> floor(D(1))"),
     ("levenshtein.py", "adjacent_system(space, 0, 0, tau if space.is_finite else 0)",
      "adjacent_system(space, 0, 0, 0)", "level map: certificate's system not listed"),
+    # orthopoly: the empty system
+    ("orthopoly.py", "    if not len(beta):", "    if False:",
+     "_build_system: an empty system let through"),
     # oracle
     ("oracle.py", "_COINCIDENT = 1.0 - 1e-12", "_COINCIDENT = 1.0 - 1e-6", "_COINCIDENT 1-1e-12 -> 1-1e-6"),
     ("oracle.py", "for a, hd in zip(counts.T, hval):", "for a, hd in zip(counts.T[::-1], hval[::-1]):",
