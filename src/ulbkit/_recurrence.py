@@ -8,53 +8,7 @@ every factor 2 and 4 is exact, so P_k carries the bits of pi_k wherever that
 is a normal float, while P_k(1) grows polynomially where pi_k(1) falls like 2^-k.
 """
 
-import math
-
 import numpy as np
-
-from .errors import ParameterError
-
-
-def jacobi_monic(alpha: float, beta: float, count: int):
-    """Recurrence coefficients of monic Jacobi polynomials.
-
-    Weight (1-t)^alpha (1+t)^beta on [-1, 1], alpha, beta > -1.
-
-    Parameters
-    ----------
-    alpha, beta : float
-        Jacobi exponents.
-    count : int
-        Number of coefficient pairs (supports degrees 0..count).
-
-    Returns
-    -------
-    b, g : ndarray
-        Offsets beta_k and ratios gamma_k, k = 0..count-1; g[0] is the
-        total mass of the weight.
-    """
-    if alpha <= -1 or beta <= -1:
-        raise ParameterError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    ab = alpha + beta
-    b = np.zeros(count)
-    g = np.zeros(count)
-    g[0] = math.exp(
-        (ab + 1) * math.log(2.0)
-        + math.lgamma(alpha + 1)
-        + math.lgamma(beta + 1)
-        - math.lgamma(ab + 2)
-    )
-    if count == 0:
-        return b, g
-    b[0] = (beta - alpha) / (ab + 2)
-    if count > 1:
-        b[1] = (beta * beta - alpha * alpha) / ((2 + ab) * (4 + ab))
-        g[1] = 4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))
-    for k in range(2, count):
-        d = 2 * k + ab
-        b[k] = (beta * beta - alpha * alpha) / (d * (d + 2))
-        g[k] = 4 * k * (k + alpha) * (k + beta) * (k + ab) / (d * d * (d + 1) * (d - 1))
-    return b, g
 
 
 def eval_all(b, g, deg: int, t):

@@ -32,7 +32,8 @@ def integer(what: str, name: str, value) -> int:
 
 
 class DegreeOverflowError(UlbkitError):
-    """Polynomial degree beyond what a finite space can represent."""
+    """A degree past a space's cap or past the end of a system (the ceiling 2048, or
+    norms past the float range), an empty system, or an M or s past the last level."""
 
 
 class DomainError(UlbkitError, ValueError):
@@ -40,7 +41,8 @@ class DomainError(UlbkitError, ValueError):
 
 
 class ConvergenceError(UlbkitError):
-    """An iterative solve failed to reach its tolerance."""
+    """A quadrature rule failed one of its checks in :mod:`ulbkit.levenshtein`, or the
+    eta search of an improvement in :mod:`ulbkit.ulb` found no admissible eta."""
 
 
 class MonotonicityError(UlbkitError):

@@ -2,8 +2,9 @@
 
 A space descriptor bundles the substitution image T(M), the orthogonality
 measure of its polynomial system, multiplicities and the antipodality
-flag.  This module alone turns the measure into nodes and weights
-(:func:`measure_rule`), and from them into moments.  The four families
+flag.  This module alone gives every system's recurrence coefficients
+(:func:`adjacent_recurrence`) and the measure's nodes, weights
+(:func:`measure_rule`) and moments.  The four families
 are the Euclidean sphere S^{n-1}, the Hamming space H(n,q), the Johnson
 space J(n,w), and the projective spaces FP^{n-1} over R, C, H (field
 dimension m = 1, 2, 4).
@@ -173,10 +174,8 @@ def t_grid(space: SpaceDescriptor):
         n, w = space.n, space.w
         ell = np.arange(w + 1)
         t = 1.0 - 2.0 * ell / w
-        mass = np.array(
-            [math.comb(w, l) * math.comb(n - w, l) / math.comb(n, w) for l in ell],
-            dtype=float,
-        )
+        total = math.comb(n, w)
+        mass = np.array([math.comb(w, l) * math.comb(n - w, l) / total for l in ell], dtype=float)
     return t, mass
 
 
@@ -191,14 +190,21 @@ def adjacent_recurrence(space: SpaceDescriptor, a: int, b: int, count: int):
     """
     if not space.is_finite:
         alpha0, beta0 = space.jacobi_exponents()
-        beta, gamma = rec.jacobi_monic(alpha0 + a, beta0 + b, count)
-        # gamma[0] is the raw Jacobi mass; relative to the unit mass of the
-        # base measure nu it is a ratio of Beta functions, rational in the
-        # exponents, which exp(lgamma) sums would give only to ~1e-13 at
-        # large alpha0.  The rule weights are proportional to it.
-        ab = alpha0 + beta0
-        gamma[0] = (2 * (alpha0 + 1) / (ab + 2)) ** a * (2 * (beta0 + 1) / (ab + 2 + a)) ** b
-        return beta, gamma
+        alpha, beta = alpha0 + a, beta0 + b
+        ab = alpha + beta
+        k = np.arange(float(count))
+        d = 2 * k + ab
+        with np.errstate(invalid="ignore"):
+            offset = (beta * beta - alpha * alpha) / (d * (d + 2))
+            gamma = 4 * k * (k + alpha) * (k + beta) * (k + ab) / (d * d * (d + 1) * (d - 1))
+        # 0/0 at k = 0 where alpha + beta = 0 (S^2), and at k = 1 where it is -1 (S^1)
+        offset[:1] = (beta - alpha) / (ab + 2)
+        gamma[1:2] = 4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))
+        # the nu-mass of (1-t)^a (1+t)^b: a ratio of Beta functions, rational
+        # in the exponents; the rule weights are proportional to it
+        ab0 = alpha0 + beta0
+        gamma[:1] = (2 * (alpha0 + 1) / (ab0 + 2)) ** a * (2 * (beta0 + 1) / (ab0 + 2 + a)) ** b
+        return offset, gamma
     n = space.n
     if space.family is Family.HAMMING:
         # Binomial(N, p) in l - a
@@ -235,7 +241,7 @@ def measure_rule(space: SpaceDescriptor, deg: int):
     if space.is_finite:
         return t_grid(space)
     npoints = deg // 2 + 1
-    b, g = rec.jacobi_monic(*space.jacobi_exponents(), npoints)
+    b, g = adjacent_recurrence(space, 0, 0, npoints)
     x, wts = rec.gauss(rec.jacobi_matrix(b, g, npoints), g[0])
     return x, wts / np.sum(wts)
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ulbkit import orthopoly, pmspace
+from ulbkit import levenshtein, orthopoly, pmspace
 from ulbkit.errors import DegreeOverflowError, ParameterError
 from ulbkit.pmspace import make_space
+from ulbkit.potentials import builtin
+from ulbkit.ulb import ulb
 
 
 def _q(space, i, t):
@@ -387,3 +389,65 @@ def test_sphere_recurrence_agreement():
         q.append(((2 * i + n - 2) * tt * q[i] - i * q[i - 1]) / (i + n - 2))
     for i in range(9):
         assert np.max(np.abs(_q(space, i, tt) - q[i])) < 1e-11
+
+
+def _jacobi_loop(alpha, beta, count):
+    """Monic Jacobi beta_k and gamma_k for k = 0..count-1, one k at a time; gamma_0 left out (None)."""
+    ab = alpha + beta
+    offsets, gammas = [], []
+    for k in range(count):
+        d = 2 * k + ab
+        if k == 0:
+            offsets.append((beta - alpha) / (ab + 2))
+            gammas.append(None)
+            continue
+        offsets.append((beta * beta - alpha * alpha) / (d * (d + 2)))
+        if k == 1:
+            gammas.append(4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3)))
+        else:
+            gammas.append(4 * k * (k + alpha) * (k + beta) * (k + ab) / (d * d * (d + 1) * (d - 1)))
+    return offsets, gammas
+
+
+@pytest.mark.parametrize("family, params", [
+    ("sphere", {"n": 2}), ("sphere", {"n": 3}), ("sphere", {"n": 10}), ("sphere", {"n": 2004}),
+    ("projective", {"n": 3, "field_dim": 1}), ("projective", {"n": 3, "field_dim": 2}),
+    ("projective", {"n": 4, "field_dim": 4}),
+], ids=["S^1", "S^2", "S^9", "S^2003", "RP^2", "CP^2", "HP^3"])
+def test_jacobi_recurrence_equals_the_per_k_loop(family, params):
+    # S^1 (alpha + beta = -1) and S^2 (alpha + beta = 0) are where the
+    # general gamma_1 and beta_0 are 0/0; S^2003 has alpha = 1000.5
+    space = make_space(family, **params)
+    alpha0, beta0 = space.jacobi_exponents()
+    for a in (0, 1):
+        for b in (0, 1):
+            ref_b, ref_g = _jacobi_loop(alpha0 + a, beta0 + b, 2049)
+            # the nu-mass of (1-t)^a (1+t)^b, as a ratio of Beta functions
+            mass = math.exp((a + b) * math.log(2.0) + math.lgamma(alpha0 + a + 1) + math.lgamma(beta0 + b + 1)
+                            - math.lgamma(alpha0 + beta0 + a + b + 2) - math.lgamma(alpha0 + 1)
+                            - math.lgamma(beta0 + 1) + math.lgamma(alpha0 + beta0 + 2))
+            for count in (1, 2, 3, 17, 33, 2049):
+                beta, gamma = pmspace.adjacent_recurrence(space, a, b, count)
+                assert beta.tolist() == ref_b[:count], (a, b, count)
+                assert gamma[1:].tolist() == ref_g[1:count], (a, b, count)
+                assert gamma[0] == pytest.approx(mass, rel=1e-11), (a, b)
+
+
+@pytest.mark.parametrize("n, field_dim", [(523, 4), (1035, 2), (2057, 1)], ids=["HP^522", "CP^1034", "RP^2056"])
+def test_large_projective_spaces_give_verified_bounds(n, field_dim):
+    # the first dimensions where the Jacobi weight's raw mass, 2^(alpha+beta+1)
+    # B(alpha+1, beta+1), is past the largest float; no result depends on it
+    space = make_space("projective", n=n, field_dim=field_dim)
+    for a in (0, 1):
+        for b in (0, 1):
+            assert np.isfinite(orthopoly.adjacent_system(space, a, b, 3).norms[:4]).all()
+    _, w = pmspace.measure_rule(space, 6)
+    assert np.sum(w) == pytest.approx(1.0) and (w > 0).all()
+    for tau in (1, 2, 3):
+        D = levenshtein.design_bound(space, tau)
+        assert D == pytest.approx(float(levenshtein.exact_design_bound(space, tau)))
+        lo, hi = levenshtein.validity_interval(space, tau)
+        assert levenshtein.lev_bound(space, (lo + hi) / 2) >= D
+        level = levenshtein._level_cardinalities(space, tau)
+        checks = ulb(space, level[len(level) // 2], builtin("gaussian", c=1)).certificate_checks
+        assert checks.below_h and checks.f_geq, (tau, checks)

@@ -7,7 +7,6 @@ import pytest
 from ulbkit import _recurrence as rec
 from ulbkit import levenshtein as lev
 from ulbkit import orthopoly
-from ulbkit.errors import ParameterError
 from ulbkit.orthopoly import adjacent_system
 from ulbkit.pmspace import make_space
 
@@ -173,8 +172,3 @@ def test_scaled_recurrence_equals_the_monic_path(space, top):
         q = orthopoly.eval_q_all(system, deg, t)
         assert np.array_equal(q[normal], q_ref[:, 0][normal]), (a, b)
         assert np.array_equal(system.norms[: deg + 1], _frexp_norms(mono_one, gamma[: deg + 1], 1.0 / gamma[0]))
-
-
-def test_exponents_at_minus_1_are_refused():
-    with pytest.raises(ParameterError, match=r"Jacobi exponents must exceed -1, got \(-1, 0\)"):
-        rec.jacobi_monic(-1, 0, 3)

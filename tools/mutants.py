@@ -120,7 +120,11 @@ MUTANTS = (
      "        if i > 1:\n            r *= Fraction(2 * i + a2 + b2 + 2", "jacobi_sum: last factor skipped at i = 1"),
     ("pmspace.py", "if k < 0:\n        raise ParameterError(f\"jacobi_sum",
      "if k < -1:\n        raise ParameterError(f\"jacobi_sum", "jacobi_sum: k = -1 accepted"),
-    # pmspace: the finite spaces' closed-form recurrences
+    # pmspace: the closed-form recurrences, Jacobi's first
+    ("pmspace.py", "        offset[:1] = (beta - alpha) / (ab + 2)\n", "",
+     "adjacent_recurrence: Jacobi beta_0 special case dropped"),
+    ("pmspace.py", "        gamma[1:2] = 4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))\n", "",
+     "adjacent_recurrence: Jacobi gamma_1 special case dropped"),
     ("pmspace.py", "beta = p * (N - k) + k * (1 - p) + a", "beta = p * (N - k) + k * (1 - p)",
      "adjacent_recurrence: Krawtchouk shift + a dropped"),
     ("pmspace.py", "size, p, N = n, (space.q - 1) / space.q, n - a - b",
