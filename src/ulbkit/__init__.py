@@ -21,7 +21,6 @@ from .ulb import (
     improve_with_qj,
     test_functions,
     ulb,
-    ulb_odd_branch,
     verify_certificate,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "improve_with_qj",
     "test_functions",
     "ulb",
-    "ulb_odd_branch",
     "verify_certificate",
     "__version__",
 ]

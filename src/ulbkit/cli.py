@@ -20,7 +20,7 @@ import numpy as np
 # by the handlers that use them, so a ulb or quadrature call does not
 # load them
 from . import __version__, levenshtein, orthopoly, pmspace, potentials
-from .ulb import _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb, ulb_odd_branch
+from .ulb import _IDENTITY_TOL, UlbReport, improve_with_qj, test_functions, ulb
 from .errors import (
     ConditionError,
     DegreeOverflowError,
@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _VALIDATION_ERRORS = (
     ParameterError,
@@ -145,7 +145,6 @@ def _report_payload(rep: UlbReport):
         "M": rep.M,
         "value_sum": rep.value_sum,
         "value_mean": rep.value_mean,
-        "odd_branch": rep.odd_branch,
         "rule": _rule_payload(rep.rule),
         "certificate_q_coeffs": _jsonable(rep.certificate),
         "certificate_checks": _jsonable(rep.certificate_checks),
@@ -162,9 +161,7 @@ def _cmd_ulb(args):
     space = _space_from(args)
     h = _potential_from(args)
     ms = _int_range(args.M)
-    branch = ulb_odd_branch if args.odd_branch else ulb
-
-    reports = [_report_payload(branch(space, m, h, rel_tol=args.rel_tol)) for m in ms]
+    reports = [_report_payload(ulb(space, m, h, rel_tol=args.rel_tol)) for m in ms]
     return {"reports": reports} if len(ms) > 1 else reports[0]
 
 
@@ -211,7 +208,7 @@ def _cmd_testfns(args):
 def _cmd_improve(args):
     space = _space_from(args)
     h = _potential_from(args)
-    rep = improve_with_qj(space, args.M, h, args.degree, eta=args.eta)
+    rep = improve_with_qj(space, args.M, h, args.degree)
     return _report_payload(rep)
 
 
@@ -308,7 +305,6 @@ def _cmd_asymptotics(args):
 def _ulb_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", required=True, help="cardinality, range lo:hi[:step], or comma list")
-    p.add_argument("--odd-branch", action="store_true")
     p.add_argument("--rel-tol", type=float, default=_IDENTITY_TOL, help="value cross-checks")
     p.set_defaults(func=_cmd_ulb)
 
@@ -342,7 +338,6 @@ def _improve_args(p):
     _add_space_args(p), _add_potential_args(p), _add_common(p)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--degree", type=int, required=True, help="degree j of the improving polynomial")
-    p.add_argument("--eta", type=float)
     p.set_defaults(func=_cmd_improve)
 
 

@@ -12,7 +12,7 @@ weights rho_i of the exact integration identity
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,7 +54,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     power_sum_residual: float
-    odd_branch: bool = False
 
 
 def design_bound(space: SpaceDescriptor, tau: int) -> float:
@@ -265,27 +264,6 @@ def quadrature_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
     return _rule_from_nodes(level, M, nodes, weights)
 
 
-def odd_branch_rule(space: SpaceDescriptor, M: int) -> QuadratureRule:
-    """Odd-level rule extended past its validity interval.
-
-    For M in an even interval (D(2k), D(2k+1)] the level 2k-1 function
-    keeps increasing on [t_k^{1,0}, t_k) where t_k is the largest zero of
-    Q_k, so the same construction still yields a rule (generally weaker).
-    For M served by an odd level this is the ordinary rule.
-    """
-    k, eps, _ = tau_for_cardinality(space, M)
-    if eps == 0:
-        return replace(quadrature_rule(space, M), odd_branch=True)
-    level = _level(space, k, 0)
-    lo = level.interval[1]  # t_k^{1,0}
-    hi = largest_zero(level.system, k)  # t_k, of the (0,0) system
-    nodes, weights = _bordered_rule(level, M)
-    s = nodes[-1]
-    if not (lo - 1e-12 * (hi - lo) <= s < hi):
-        raise ConvergenceError(f"odd-branch separation {s} escaped [{lo}, {hi})")
-    return _rule_from_nodes(level, M, nodes, weights, odd_branch=True)
-
-
 def _bordered_rule(level: _Level, M: int):
     """Nodes and weights of the 1/M-rule at level 2k-1+eps; the last node is s.
 
@@ -319,7 +297,7 @@ def _bordered_rule(level: _Level, M: int):
     return nodes, weights
 
 
-def _rule_from_nodes(level: _Level, M, nodes, weights, odd_branch=False) -> QuadratureRule:
+def _rule_from_nodes(level: _Level, M, nodes, weights) -> QuadratureRule:
     # every check is written so that a NaN fails it
     space, k, eps, tau = level.system.space, level.k, level.eps, level.tau
     s = float(nodes[-1])
@@ -350,9 +328,7 @@ def _rule_from_nodes(level: _Level, M, nodes, weights, odd_branch=False) -> Quad
         raise ConvergenceError(
             f"power-sum residual {residual:.2e} too large for M={M}"
         )
-    return QuadratureRule(
-        space, int(M), k, eps, tau, s, nodes, weights, residual, odd_branch
-    )
+    return QuadratureRule(space, int(M), k, eps, tau, s, nodes, weights, residual)
 
 
 def lev_polynomial(space: SpaceDescriptor, M: int) -> np.ndarray:

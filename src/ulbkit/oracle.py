@@ -549,7 +549,12 @@ def exhaustive_hamming(n: int, M: int, h: Potential):
     2..2^n, an instance with C(2^n, M) above ten million, one whose
     table would take more than 64 MiB, or one whose suffixes hold more
     than 1e8 pair terms.  The instances that pass all three take at most
-    about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.
+    about 0.7 s: H(9,2) M=511 sums 6.6e7 pair terms.  The count's limit
+    is the only one on the word tables of :func:`_search_classes`
+    (``bits``, and ``hc`` of O(n 2^n) floats).  Without it H(20,2) M=3
+    passes the other two (a 4.2 MB table, 3.1e7 pair terms) and takes
+    2.9 s and 386 MB peak RSS on a 2-core host, and H(21,2) M=3 (6.6e7
+    pair terms) would pass too, with tables twice as large.
     """
     n, M = integer("exhaustive_hamming", "n", n), integer("exhaustive_hamming", "M", M)
     if n < 2:

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import orthopoly, pmspace
 from .errors import ConditionError, ConvergenceError, MonotonicityError, ParameterError, integer
-from .levenshtein import QuadratureRule, odd_branch_rule, quadrature_rule
+from .levenshtein import QuadratureRule, quadrature_rule
 from .orthopoly import adjacent_system, eval_q_all
 from .pmspace import SpaceDescriptor
-from .potentials import _MONOTONE_GRID, Potential, check_absolutely_monotone
+from .potentials import Potential, check_absolutely_monotone
 
 _FGEQ_TOL = -1e-8
 # a test function P_j below this is negative: degree j can improve the bound
@@ -52,10 +52,6 @@ class UlbReport:
     certificate: np.ndarray  # Q-coefficients f_0..f_tau
     certificate_checks: CertificateChecks
     improvement: dict | None = None
-
-    @property
-    def odd_branch(self) -> bool:
-        return self.rule.odd_branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,18 +95,6 @@ def ulb(
         divided by M (``value_mean``), with the validated certificate.
     """
     rule = quadrature_rule(space, M)
-    return _report_from_rule(rule, h, rel_tol=rel_tol)
-
-
-def ulb_odd_branch(
-    space: SpaceDescriptor,
-    M: int,
-    h: Potential,
-    *,
-    rel_tol: float = _IDENTITY_TOL,
-) -> UlbReport:
-    """The odd-level bound, valid on even intervals as well (weaker there)."""
-    rule = odd_branch_rule(space, M)
     return _report_from_rule(rule, h, rel_tol=rel_tol)
 
 
@@ -263,25 +247,20 @@ def _test_functions_from_rule(rule, j_range) -> TestFunctionReport:
     )
 
 
-def improve_with_qj(
-    space: SpaceDescriptor,
-    M: int,
-    h: Potential,
-    j: int,
-    eta: float | None = None,
-) -> UlbReport:
+def improve_with_qj(space: SpaceDescriptor, M: int, h: Potential, j: int) -> UlbReport:
     """Improve the bound using the degree-j system polynomial.
 
     Requires P_j < 0 and h strictly absolutely monotone through order
     j+1.  The improved certificate is eta*Q_j plus the Hermite
     interpolant of h - eta*Q_j, and the bound increases by exactly
-    M^2 * eta * |P_j|.
+    M^2 * eta * |P_j|, so eta is the largest step that keeps h - eta*Q_j
+    absolutely monotone (see :func:`_admissible_eta`).
     """
     rule = quadrature_rule(space, M)
-    return _improve_given_rule(rule, h, j, eta)
+    return _improve_given_rule(rule, h, j)
 
 
-def _improve_given_rule(rule, h, j, eta=None):
+def _improve_given_rule(rule, h, j):
     j = integer("improve_with_qj", "j", j)
     if j <= rule.tau:
         raise ParameterError(f"improvement needs j > tau={rule.tau}, got {j}")
@@ -299,13 +278,7 @@ def _improve_given_rule(rule, h, j, eta=None):
         # derivatives of Q_j of orders 0..order at t
         return orthopoly.eval_q_derivatives(system, j, order, t)[j]
 
-    if eta is None:
-        eta = _admissible_eta(h, qj, j)
-    else:
-        if not 0 < eta < np.inf:
-            raise ParameterError(f"eta must be finite and positive, got {eta}")
-        if not check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
-            raise ParameterError(f"supplied eta={eta} breaks absolute monotonicity")
+    eta = _admissible_eta(h, qj, j)
     g = hermite_certificate(rule, _shifted(h, qj, eta))
     f = np.zeros(j + 1)  # the Hermite part has degree <= tau < j
     f[: len(g)] = g
@@ -317,20 +290,21 @@ def _improve_given_rule(rule, h, j, eta=None):
 
 
 def _admissible_eta(h, qj, j, floor=1e-12):
-    """Largest convenient eta > 0 keeping h - eta*Q_j absolutely monotone.
+    """The largest eta > 0 that keeps h - eta*Q_j absolutely monotone on _ETA_GRID.
 
-    Starts from the smallest derivative margin on a grid and halves
-    until the shifted potential passes the monotonicity check.
+    h^(r) - eta*Q_j^(r) >= 0 binds only where Q_j^(r) > 0, so the first try
+    is the least h^(r)/Q_j^(r) there, r = 0..j+1; it is halved while
+    rounding fails the check, and refused below ``floor``.
     """
-    grid = _MONOTONE_GRID
-    eta0 = np.inf
-    dq = np.abs(qj(j + 1, grid))
+    eta = np.inf
+    dq = qj(j + 1, _ETA_GRID)
     for order in range(j + 2):
-        hv = np.asarray(h.deriv(grid, order), dtype=float)
-        mask = dq[order] > 1e-14
-        if np.any(mask):
-            eta0 = min(eta0, float(np.min(hv[mask] / dq[order][mask])))
-    eta = eta0 if np.isfinite(eta0) and eta0 > 0 else 1.0
+        up = dq[order] > 0
+        if up.any():
+            hv = np.asarray(h.deriv(_ETA_GRID[up], order), dtype=float)
+            eta = min(eta, float(np.min(hv / dq[order][up])))
+    if not (np.isfinite(eta) and eta > 0):
+        eta = 1.0
     while eta >= floor:
         if check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
             return eta

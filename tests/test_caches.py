@@ -11,7 +11,7 @@ from ulbkit import orthopoly, pmspace
 from ulbkit.errors import ConditionError, ParameterError
 from ulbkit.pmspace import make_space
 from ulbkit.potentials import Potential, builtin
-from ulbkit.ulb import improve_with_qj, ulb, ulb_odd_branch, verify_certificate
+from ulbkit.ulb import improve_with_qj, ulb, verify_certificate
 
 ULB = importlib.import_module("ulbkit.ulb")
 RIESZ1 = builtin("riesz", p=1)
@@ -28,7 +28,7 @@ def _mid_level(space, tau):
 def _report_bytes(report):
     rule, checks = report.rule, report.certificate_checks
     return (
-        rule.k, rule.epsilon, rule.tau, rule.odd_branch, rule.s.hex(), rule.nodes.tobytes(),
+        rule.k, rule.epsilon, rule.tau, rule.s.hex(), rule.nodes.tobytes(),
         rule.weights.tobytes(), float(rule.power_sum_residual).hex(), report.value_sum.hex(),
         report.certificate.tobytes(), checks.below_h, checks.f_geq,
         checks.min_q_coefficient.hex(), checks.max_excess.hex(), checks.worst_t.hex(),
@@ -47,23 +47,22 @@ def _clear_every_cache(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "space, tau, h, bound",
-    [(S2, 10, GAUSS, ulb), (S2, 11, RIESZ1, ulb), (H30, 6, GAUSS, ulb), (H30, 7, RIESZ1, ulb),
-     (HP3, 12, RIESZ1, ulb), (HP3, 13, GAUSS, ulb), (S2, 10, RIESZ1, ulb_odd_branch),
-     (HP3, 12, GAUSS, ulb_odd_branch)],
+    "space, tau, h",
+    [(S2, 10, GAUSS), (S2, 11, RIESZ1), (H30, 6, GAUSS), (H30, 7, RIESZ1),
+     (HP3, 12, RIESZ1), (HP3, 13, GAUSS), (S2, 10, RIESZ1), (HP3, 12, GAUSS)],
     ids=["S^2-even", "S^2-odd", "H(30,2)-even", "H(30,2)-odd", "HP^3-even", "HP^3-odd",
-         "S^2-odd-branch", "HP^3-odd-branch"],
+         "S^2-even-riesz", "HP^3-even-gaussian"],
 )
-def test_a_cold_report_equals_the_warm_one(monkeypatch, space, tau, h, bound):
+def test_a_cold_report_equals_the_warm_one(monkeypatch, space, tau, h):
     # the level's record is built by a neighbour in the level
     M = _mid_level(space, tau)
-    bound(space, M + 1, h)
-    warm = bound(space, M, h)
-    assert warm.rule.tau == (tau if bound is ulb else tau - 1 + tau % 2)
+    ulb(space, M + 1, h)
+    warm = ulb(space, M, h)
+    assert warm.rule.tau == tau
     _clear_every_cache(monkeypatch)
-    cold = bound(space, M, h)
+    cold = ulb(space, M, h)
     assert _report_bytes(cold) == _report_bytes(warm)
-    assert _report_bytes(bound(space, M, h)) == _report_bytes(warm)
+    assert _report_bytes(ulb(space, M, h)) == _report_bytes(warm)
 
 
 def test_a_warm_bound_builds_no_level_record():
@@ -172,16 +171,14 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(bad):
     ulb(S2, M, GAUSS)
     rows = GAUSS._memo
     before = dict(rows)
-    for fn in (ulb, ulb_odd_branch):
-        with pytest.raises(ParameterError, match="rel_tol must be finite and >= 0"):
-            fn(S2, M, GAUSS, rel_tol=bad)
-        # rel_tol is keyword-only: a fourth positional argument is refused
-        with pytest.raises(TypeError):
-            fn(S2, M, GAUSS, bad)
+    with pytest.raises(ParameterError, match="rel_tol must be finite and >= 0"):
+        ulb(S2, M, GAUSS, rel_tol=bad)
+    # rel_tol is keyword-only: a fourth positional argument is refused
+    with pytest.raises(TypeError):
+        ulb(S2, M, GAUSS, bad)
     assert rows == before
     # the pointwise tolerance is the library's own
     for call in (lambda: ulb(S2, M, GAUSS, abs_tol=bad),
-                 lambda: ulb_odd_branch(S2, M, GAUSS, abs_tol=bad),
                  lambda: verify_certificate(S2, np.ones(3), GAUSS, below_tol=bad),
                  lambda: verify_certificate(S2, np.ones(3), GAUSS, bad)):
         with pytest.raises(TypeError):

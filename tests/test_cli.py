@@ -47,7 +47,7 @@ def test_ulb_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["tool"]["name"] == "ulbkit"
     assert report["params"]["n"] == 3
     assert report["result"]["value_sum"] == pytest.approx(7.348469, abs=1e-6)
@@ -249,8 +249,9 @@ def test_bad_integer_range_exits_2(capsys, argv):
      (["oracle", "named", "--space", "sphere", "--n", "3"], "--config",
       "the following arguments are required: --config"),
      (["ulb", "--space", "sphere", "--n", "3", "--M", "4", "--potential", "series",
-       "--coeffs", "1,x"], None, "bad number list '1,x'")],
-    ids=["no-potential", "no-poly", "no-code", "named-no-config", "bad-coeffs"],
+       "--coeffs", "1,x"], None, "bad number list '1,x'"),
+     (["design-bound", "--space", "sphere", "--n", "3", "--tau", "0"], None, "tau must be >= 1")],
+    ids=["no-potential", "no-poly", "no-code", "named-no-config", "bad-coeffs", "design-bound-tau-0"],
 )
 def test_a_missing_or_malformed_input_exits_2(capsys, argv, required, message):
     # a missing flag is argparse's usage error, whose usage shows the flag
@@ -271,12 +272,12 @@ _POTENTIAL = ["c", "coeffs", "j", "p", "potential"]
 _IO = ["format"]
 # every option each subcommand declares: each one is read by its handler
 _FLAGS = {
-    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "odd_branch", "rel_tol"],
+    "ulb": _SPACE + _POTENTIAL + _IO + ["M", "rel_tol"],
     "quadrature": _SPACE + _IO + ["M"],
     "lev-bound": _SPACE + _IO + ["s"],
     "design-bound": _SPACE + _IO + ["tau"],
     "testfns": _SPACE + _IO + ["M", "jmax"],
-    "improve": _SPACE + _POTENTIAL + _IO + ["M", "degree", "eta"],
+    "improve": _SPACE + _POTENTIAL + _IO + ["M", "degree"],
     "design-energy": _SPACE + _POTENTIAL + _IO + ["I", "M", "direction", "poly", "poly_basis", "tau"],
     "separated-energy": _SPACE + _POTENTIAL + _IO + ["M", "poly", "poly_basis", "s"],
     "oracle energy": _SPACE + _POTENTIAL + _IO + ["config", "points_json"],
@@ -304,7 +305,7 @@ def _declared_flags(parser, prefix=""):
 def test_cli_flag_surface():
     declared = _declared_flags(build_parser())
     assert declared == {cmd: sorted(flags) for cmd, flags in _FLAGS.items()}
-    assert sum(len(flags) for flags in declared.values()) == 146
+    assert sum(len(flags) for flags in declared.values()) == 144
 
 
 _SUBCOMMAND_NAMES = sorted({cmd.split()[0] for cmd in _FLAGS})
@@ -494,16 +495,22 @@ def test_oracle_strength_of_the_20_gon(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["strength"] == 19
 
 
-@pytest.mark.parametrize("argv", [
-    ["lev-bound", "--space", "sphere", "--n", "3", "--s", "0.2", "--tau", "3"],
-    ["oracle", "strength", "--space", "sphere", "--n", "3", "--config", "cube", "--tau-max", "8"],
-], ids=lambda argv: argv[-2])
-def test_dropped_flags_are_unknown(capsys, argv):
-    # the level comes from s and the top order from M; --out is refused in
-    # test_report_roundtrip_and_out_file
+@pytest.mark.parametrize("argv, dropped", [
+    (["lev-bound", "--space", "sphere", "--n", "3", "--s", "0.2", "--tau", "3"], "--tau 3"),
+    (["oracle", "strength", "--space", "sphere", "--n", "3", "--config", "cube", "--tau-max", "8"],
+     "--tau-max 8"),
+    (["ulb", "--space", "sphere", "--n", "3", "--M", "5", "--potential", "riesz", "--p", "1",
+      "--odd-branch"], "--odd-branch"),
+    (["improve", "--space", "sphere", "--n", "3", "--M", "7", "--degree", "6", "--potential",
+      "riesz", "--p", "1", "--eta", "1e-6"], "--eta 1e-6"),
+], ids=["--tau", "--tau-max", "--odd-branch", "--eta"])
+def test_dropped_flags_are_unknown(capsys, argv, dropped):
+    # the level comes from s and the top order from M; the regular bound is
+    # never below the odd-branch one, and the improvement takes the largest
+    # admissible step; --out is refused in test_report_roundtrip_and_out_file
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    assert f"unrecognized arguments: {dropped}" in err
 
 
 def test_oracle_subcommands(capsys):
@@ -568,7 +575,7 @@ EXHAUSTIVE_4_3 = """{
       ]
     ]
   },
-  "schema_version": 4,
+  "schema_version": 5,
   "tool": {
     "name": "ulbkit",
     "version": "VERSION"
@@ -814,7 +821,7 @@ def test_failed_certificate_exits_1(capsys, monkeypatch, argv, failed):
     code, out, err = run_cli(capsys, *argv, "--potential", "riesz", "--p", "1")
     assert code == 1 and out == ""
     error = json.loads(err)
-    assert error["schema_version"] == 4
+    assert error["schema_version"] == 5
     assert error["error"]["type"] == "ConditionError"
     assert "S^2" in error["error"]["message"] and failed in error["error"]["message"]
     assert ("M=4" if argv[0] == "ulb" else "M=7") in error["error"]["message"]

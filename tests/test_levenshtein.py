@@ -639,34 +639,14 @@ def test_lev_polynomial_properties(space):
         assert poly.min() >= -1e-8 * np.max(np.abs(poly))
 
 
-def test_odd_branch_rule():
-    s3 = make_space("sphere", n=3)
-    rule = lev.odd_branch_rule(s3, 5)
-    assert rule.odd_branch and rule.tau == 1
-    assert np.allclose(rule.nodes, [-0.25], atol=1e-10)
-    assert np.allclose(rule.weights, [0.8], atol=1e-10)
-    # at the boundary cardinality both branches coincide
-    main = lev.quadrature_rule(s3, 4)
-    odd = lev.odd_branch_rule(s3, 4)
-    assert np.allclose(main.nodes, odd.nodes, atol=1e-10)
-    assert np.allclose(main.weights, odd.weights, atol=1e-10)
-
-
-@pytest.mark.parametrize("case", ["rule-above", "odd-branch-below", "odd-branch-at"])
-def test_a_separation_just_outside_its_interval_is_refused(monkeypatch, case):
+@pytest.mark.parametrize("side", ["rule-below", "rule-above"])
+def test_a_separation_just_outside_its_interval_is_refused(monkeypatch, side):
     # S^2 M=10 is served at level 4, (D(4), D(5)]: its rule's s lies in the
-    # level-4 validity interval, its odd-branch s in [t_2^{1,0}, t_2), t_2
-    # the largest zero of Q_2
+    # level-4 validity interval
     s2 = make_space("sphere", n=3)
-    lo = lev.validity_interval(s2, 3)[1]
-    hi = orthopoly.largest_zero(orthopoly.adjacent_system(s2, 0, 0, 2), 2)
-    assert lo <= lev.odd_branch_rule(s2, 10).s < hi
-    s, build, message = {
-        "rule-above": (lev.validity_interval(s2, 4)[1] + 1e-9, lev.quadrature_rule,
-                       "for M=10 outside the level-4 validity interval"),
-        "odd-branch-below": (lo - 1e-9 * (hi - lo), lev.odd_branch_rule, "odd-branch separation .* escaped"),
-        "odd-branch-at": (hi, lev.odd_branch_rule, "odd-branch separation .* escaped"),
-    }[case]
+    lo, hi = lev.validity_interval(s2, 4)
+    assert lo <= lev.quadrature_rule(s2, 10).s <= hi
+    s = lo - 1e-9 if side == "rule-below" else hi + 1e-9
     bordered = lev._bordered_rule
 
     def moved(level, M):
@@ -675,8 +655,8 @@ def test_a_separation_just_outside_its_interval_is_refused(monkeypatch, case):
         return nodes, weights
 
     monkeypatch.setattr(lev, "_bordered_rule", moved)
-    with pytest.raises(ConvergenceError, match=message):
-        build(s2, 10)
+    with pytest.raises(ConvergenceError, match="for M=10 outside the level-4 validity interval"):
+        lev.quadrature_rule(s2, 10)
 
 
 def test_rule_rejects_bad_cardinality():

@@ -699,10 +699,12 @@ def test_exhaustive_hamming_examples():
         d = (code.points[0] != code.points[1]).sum()
         assert d == n
     # n and M are checked before the size of the search, which bad values
-    # make meaningless
+    # make meaningless; the count alone bounds the word tables: H(20,2) M=3
+    # passes the table and pair-term limits
     for n, M, message in ((10, 12, "too large"), (1, 2, "n >= 2"), (-2, 3, "n >= 2"),
-                          (4, -1, "M <= 16"), (4, 17, "M <= 16"), (30, 1, "M <= 1073741824")):
-        with pytest.raises(ParameterError, match=message):
+                          (4, -1, "M <= 16"), (4, 17, "M <= 16"), (30, 1, "M <= 1073741824"),
+                          (20, 3, "C(2^20, 3) > 1e7")):
+        with pytest.raises(ParameterError, match=re.escape(message)):
             oracle.exhaustive_hamming(n, M, RIESZ1)
     # codes of nearly every word pass the count but not the table's size
     with pytest.raises(ParameterError, match="table of 57-subsets would take 352 MiB"):

@@ -14,17 +14,17 @@ from ulbkit.errors import (
     ConditionError, ConvergenceError, DegreeOverflowError, MonotonicityError, ParameterError,
 )
 from ulbkit.pmspace import make_space
-from ulbkit.potentials import Potential, builtin
+from ulbkit.potentials import Potential, builtin, check_absolutely_monotone
 from ulbkit.ulb import (
     hermite_certificate,
     improve_with_qj,
     ulb,
-    ulb_odd_branch,
     verify_certificate,
 )
 from ulbkit.ulb import test_functions as compute_test_functions
 from ulbkit.ulb import _check_value_identity, _improve_given_rule, _test_functions_from_rule
 
+ULB = importlib.import_module("ulbkit.ulb")
 RIESZ1 = builtin("riesz", p=1)
 GAUSS = builtin("gaussian", c=1)
 
@@ -145,7 +145,7 @@ def test_m_squared_past_the_float_range_is_refused_before_the_certificate(monkey
         raise AssertionError("certificate built")
 
     # the package attribute ulbkit.ulb is the function; this is the module
-    monkeypatch.setattr(importlib.import_module("ulbkit.ulb"), "hermite_certificate", unreachable)
+    monkeypatch.setattr(ULB, "hermite_certificate", unreachable)
     with pytest.raises(ConditionError, match=f"M={M} is too large: M\\^2 is past the float range"):
         ulb(space, M, GAUSS)
 
@@ -206,14 +206,33 @@ def test_improvement_identity():
     assert imp.certificate_checks.below_h and imp.certificate_checks.f_geq
 
 
-def test_improvement_with_explicit_eta():
+def test_the_improvement_step_is_the_largest_the_monotonicity_check_admits():
+    # S^2 M=20 Riesz, j=10: a step bound by |Q_j^(r)| at every point would be
+    # 4.488e-8; only the points where Q_j^(r) > 0 bind, and they admit
+    # 4.987e-8, 11% more gain
+    space, j = make_space("sphere", n=3), 10
+    imp = improve_with_qj(space, 20, RIESZ1, j)
+    eta = imp.improvement["eta"]
+    assert eta == pytest.approx(4.986532e-8, rel=1e-6)
+    system = orthopoly.adjacent_system(space, 0, 0, j)
+
+    def qj(order, t):
+        return orthopoly.eval_q_derivatives(system, j, order, t)[j]
+
+    for step, admitted in ((eta, True), (eta * (1 + 1e-6), False)):
+        shifted = ULB._shifted(RIESZ1, qj, step)
+        assert check_absolutely_monotone(shifted, j + 1, ULB._ETA_GRID)[0] is admitted
+    assert imp.certificate_checks.below_h and imp.certificate_checks.f_geq
+
+
+@pytest.mark.parametrize("M, h, j", [(50, GAUSS, 15), (300, RIESZ1, 35)],
+                         ids=["M=50-gaussian", "M=300-riesz"])
+def test_an_improvement_whose_largest_step_is_below_the_floor_is_refused(M, h, j):
+    # the largest admissible steps, 5.9e-17 and 5.9e-27, are below 1e-12
     space = make_space("sphere", n=3)
-    imp = improve_with_qj(space, 7, RIESZ1, 6, eta=1e-6)
-    assert imp.improvement["eta"] == 1e-6
-    # vanishing eta recovers the base value
-    base = ulb(space, 7, RIESZ1).value_sum
-    tiny = improve_with_qj(space, 7, RIESZ1, 6, eta=1e-12)
-    assert tiny.value_sum == pytest.approx(base, rel=1e-9)
+    assert compute_test_functions(space, M, [j]).values[0] < -1e-8
+    with pytest.raises(ConvergenceError, match=f"no admissible eta .* with j={j}"):
+        improve_with_qj(space, M, h, j)
 
 
 def test_improvement_preconditions():
@@ -222,17 +241,23 @@ def test_improvement_preconditions():
         improve_with_qj(space, 7, RIESZ1, 7)  # P_7 > 0
     with pytest.raises(ParameterError):
         improve_with_qj(space, 7, RIESZ1, 2)  # j <= tau
-    with pytest.raises(ParameterError):
-        improve_with_qj(space, 7, RIESZ1, 6, eta=-1.0)
+    with pytest.raises(TypeError):  # the step is the library's own
+        improve_with_qj(space, 7, RIESZ1, 6, eta=1e-6)
 
 
 def test_negative_test_function_indices_and_a_too_large_eta_are_refused():
     space = make_space("sphere", n=3)
     with pytest.raises(ParameterError, match="test function indices must be nonnegative"):
         compute_test_functions(space, 7, [-1, 2])
-    # the admissible eta is about 4.3e-5
-    with pytest.raises(ParameterError, match="supplied eta=10.0 breaks absolute monotonicity"):
-        improve_with_qj(space, 7, RIESZ1, 6, eta=10.0)
+    # the admissible eta is about 4.3e-5; 10 breaks absolute monotonicity
+    system = orthopoly.adjacent_system(space, 0, 0, 6)
+
+    def q6(order, t):
+        return orthopoly.eval_q_derivatives(system, 6, order, t)[6]
+
+    eta = improve_with_qj(space, 7, RIESZ1, 6).improvement["eta"]
+    assert eta == pytest.approx(4.340278e-5, rel=1e-6)
+    assert not check_absolutely_monotone(ULB._shifted(RIESZ1, q6, 10.0), 7, ULB._ETA_GRID)[0]
 
 
 def test_an_empty_test_function_index_set_is_refused():
@@ -267,16 +292,14 @@ def test_test_function_indices_must_be_integers():
 
 
 def test_improvement_needs_an_integer_j_and_a_finite_eta():
-    # j = 6.0 raised TypeError; a non-finite eta was refused as breaking monotonicity
+    # j = 6.0 raised TypeError; the step the library picks is finite and positive
     space = make_space("sphere", n=3)
     as_float, as_int = (improve_with_qj(space, 7, RIESZ1, j) for j in (6.0, 6))
     assert as_float.value_sum == as_int.value_sum and as_float.improvement == as_int.improvement
     assert as_float.certificate.tobytes() == as_int.certificate.tobytes()
     with pytest.raises(ParameterError, match="needs an integer j"):
         improve_with_qj(space, 7, RIESZ1, 6.5)
-    for eta in (math.nan, math.inf):
-        with pytest.raises(ParameterError, match="eta must be finite and positive"):
-            improve_with_qj(space, 7, RIESZ1, 6, eta=eta)
+    assert 0 < as_int.improvement["eta"] < math.inf
 
 
 def test_improvement_on_synthetic_rule():
@@ -295,23 +318,11 @@ def test_improvement_on_synthetic_rule():
         _improve_given_rule(bad, GAUSS, j)
 
 
-def test_odd_branch_reports():
-    space = make_space("sphere", n=3)
-    main = ulb(space, 5, RIESZ1)
-    odd = ulb_odd_branch(space, 5, RIESZ1)
-    assert odd.odd_branch and odd.rule.tau == 1
-    assert odd.value_sum <= main.value_sum + 1e-12
-    # boundary cardinality: both branches give the same rule and value
-    at_boundary = ulb_odd_branch(space, 4, RIESZ1)
-    assert at_boundary.value_sum == pytest.approx(ulb(space, 4, RIESZ1).value_sum, rel=1e-12)
-
-
-def test_odd_branch_below_oracle_minimum():
+def test_ulb_below_oracle_minimum():
     from ulbkit import oracle
 
     space = make_space("sphere", n=3)
     _, best, _ = oracle.minimize_sphere(3, 5, RIESZ1, restarts=8, seed=3)
-    assert ulb_odd_branch(space, 5, RIESZ1).value_sum <= best + 1e-8
     assert ulb(space, 5, RIESZ1).value_sum <= best + 1e-8
 
 

@@ -70,6 +70,8 @@ MUTANTS = (
      "_float_square: M^2 past the float range let through"),
     ("ulb.py", "except np.linalg.LinAlgError as exc:", "except ZeroDivisionError as exc:",
      "hermite_certificate: a singular solve let through"),
+    ("ulb.py", "dq = qj(j + 1, _ETA_GRID)", "dq = np.abs(qj(j + 1, _ETA_GRID))",
+     "_admissible_eta: first try bound by Q_j^(r) < 0 too"),
     # levenshtein: the rule's checks and the level map
     ("levenshtein.py", "_POWER_SUM_TOL = 1e-7", "_POWER_SUM_TOL = 1e-4", "_POWER_SUM_TOL 1e-7 -> 1e-4"),
     ("levenshtein.py", "_SOLVE_RTOL = 1e-10", "_SOLVE_RTOL = 1e-7", "_SOLVE_RTOL 1e-10 -> 1e-7"),
@@ -84,8 +86,6 @@ MUTANTS = (
      "quadrature_rule: separation outside the validity interval accepted"),
     ("levenshtein.py", "return s <= validity_interval(space, tau)[1]",
      "return s < validity_interval(space, tau)[1]", "separation_level: upper level at a shared end"),
-    ("levenshtein.py", "if not (lo - 1e-12 * (hi - lo) <= s < hi):",
-     "if not (lo - 1e-6 * (hi - lo) <= s <= hi):", "odd_branch_rule: interval widened"),
     ("levenshtein.py", "tops += (math.floor(exact_design_bound(space, tau + 1)),)",
      "tops += (math.ceil(exact_design_bound(space, tau + 1)),)", "level map: floor top -> ceil"),
     ("levenshtein.py", "(math.ceil(exact_design_bound(space, 1)) - 1,)",
