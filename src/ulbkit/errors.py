@@ -42,7 +42,7 @@ class DomainError(UlbkitError, ValueError):
 
 class ConvergenceError(UlbkitError):
     """A quadrature rule failed one of its checks in :mod:`ulbkit.levenshtein`, or the
-    eta search of an improvement in :mod:`ulbkit.ulb` found no admissible eta."""
+    step of an improvement in :mod:`ulbkit.ulb` is not finite or is below 1e-12."""
 
 
 class MonotonicityError(UlbkitError):

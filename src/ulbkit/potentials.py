@@ -156,13 +156,17 @@ def _float(n: int) -> float:
         return math.inf
 
 
-# where check_absolutely_monotone samples by default; read-only
+# where check_absolutely_monotone samples; read-only
 _MONOTONE_GRID = np.linspace(-1.0, 1.0 - 1e-4, 201)
 _MONOTONE_GRID.flags.writeable = False
 
 
-def check_absolutely_monotone(h: Potential, max_order: int, grid=None):
-    """Check h^(i)(t) >= 0 for i = 0..max_order on a sample grid.
+def check_absolutely_monotone(h: Potential, max_order: int):
+    """Check h^(i)(t) >= 0 for i = 0..max_order on 201 points of [-1, 1 - 1e-4].
+
+    An improvement's step needs no sampling: h - eta*Q_j stays absolutely
+    monotone to order j+1 exactly up to eta = min h^(m)(-1)/Q_j^(m)(-1)
+    over the m <= j with Q_j^(m)(-1) > 0 (see :func:`ulbkit.ulb._admissible_eta`).
 
     Returns
     -------
@@ -172,14 +176,13 @@ def check_absolutely_monotone(h: Potential, max_order: int, grid=None):
         order.  +inf passes: a derivative that outgrows double precision
         is still positive.
     """
-    grid = np.asarray(_MONOTONE_GRID if grid is None else grid, dtype=float)
     # high orders overflow to inf, and inf*0 gives nan: the check decides
     # both below, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         for order in range(max_order + 1):
-            vals = np.asarray(h.deriv(grid, order))
+            vals = np.asarray(h.deriv(_MONOTONE_GRID, order))
             bad = np.nonzero(~(vals >= -1e-12))[0]
             if bad.size:
                 i = int(bad[0])
-                return False, (order, float(grid[i]), float(vals[i]))
+                return False, (order, float(_MONOTONE_GRID[i]), float(vals[i]))
     return True, None

@@ -25,8 +25,6 @@ _FGEQ_TOL = -1e-8
 _PJ_NEGATIVE = -1e-8
 _BELOW_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
-# where the shifted potential of an improvement is checked for monotonicity
-_ETA_GRID = np.linspace(-1.0, 1.0 - 1e-4, 401)
 # A potential's own record, h._memo, holds what bounds with that instance
 # share, whatever the space and M: under "monotone_to" the highest order at
 # which it passed the monotonicity check, and under each space the
@@ -290,26 +288,22 @@ def _improve_given_rule(rule, h, j):
 
 
 def _admissible_eta(h, qj, j, floor=1e-12):
-    """The largest eta > 0 that keeps h - eta*Q_j absolutely monotone on _ETA_GRID.
+    """The largest eta > 0 that keeps h - eta*Q_j absolutely monotone to order j+1.
 
-    h^(r) - eta*Q_j^(r) >= 0 binds only where Q_j^(r) > 0, so the first try
-    is the least h^(r)/Q_j^(r) there, r = 0..j+1; it is halved while
-    rounding fails the check, and refused below ``floor``.
+    g = h - eta*Q_j has g^(j+1) = h^(j+1) >= 0 (Q_j has degree j, and h
+    passed the monotonicity check to order j+1), so integrating up from -1
+    gives g^(m) >= g^(m)(-1) on [-1, 1) for m = j down to 0: g is
+    absolutely monotone exactly when every g^(m)(-1) >= 0, m <= j.  Only
+    the orders with Q_j^(m)(-1) > 0 bind, so eta is the least
+    h^(m)(-1)/Q_j^(m)(-1) over them; refused unless finite and >= ``floor``.
     """
-    eta = np.inf
-    dq = qj(j + 1, _ETA_GRID)
-    for order in range(j + 2):
-        up = dq[order] > 0
-        if up.any():
-            hv = np.asarray(h.deriv(_ETA_GRID[up], order), dtype=float)
-            eta = min(eta, float(np.min(hv / dq[order][up])))
-    if not (np.isfinite(eta) and eta > 0):
-        eta = 1.0
-    while eta >= floor:
-        if check_absolutely_monotone(_shifted(h, qj, eta), j + 1, _ETA_GRID)[0]:
-            return eta
-        eta *= 0.5
-    raise ConvergenceError(f"no admissible eta found for improvement with j={j}")
+    dq = qj(j, -1.0)
+    up = dq > 0
+    hv = np.array([h.deriv(-1.0, m) for m in np.flatnonzero(up)])
+    eta = float(np.min(hv / dq[up]))  # NaN propagates, and is refused
+    if not (np.isfinite(eta) and eta >= floor):
+        raise ConvergenceError(f"no admissible eta found for improvement with j={j}")
+    return eta
 
 
 def _shifted(h, qj, eta):

@@ -705,6 +705,19 @@ def test_rule_from_nodes_refuses_a_separation_just_past_its_tolerance():
         lev._rule_from_nodes(level, 100, nodes, weights)
 
 
+@pytest.mark.parametrize("n, field_dim, M", [(1100, 2, 1210000), (5000, 2, 12502500),
+                                        (3000, 4, 9000000)], ids=["CP^1099", "CP^4999", "HP^2999"])
+def test_level_1_rules_on_large_projective_spaces_that_still_refuse(n, field_dim, M):
+    # a known breakdown: s lies within 1.6e-7 to 1.7e-6 of beta_0, and
+    # _lev_value's P_1(s) = s - beta_0 turns one ulp of s into ~1e-10 of
+    # L_1(s), so these M miss by 1.3e-10 to 3.8e-10 relative, past the 1e-10
+    # tolerance; M = n, at s = -1, passes on each
+    space = make_space("projective", n=n, field_dim=field_dim)
+    with pytest.raises(ConvergenceError, match=rf"L_1\(s\) misses M={M} "):
+        lev.quadrature_rule(space, M)
+    assert lev.quadrature_rule(space, n).tau == 1
+
+
 def test_rule_from_nodes_refuses_a_weight_just_below_zero():
     # the power-sum check would refuse it too: the message tells which fired
     level, nodes, weights = _rule_parts(100)

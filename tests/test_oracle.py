@@ -538,6 +538,17 @@ def test_direction_skips_unwritten_slots_bit_for_bit(monkeypatch):
     assert seen == {"first", "partial", "all rejected"}
 
 
+def test_exact_antipodal_pairs_take_the_steepest_descent_fallback():
+    # the tangential gradient of an exact antipodal pair is exactly 0, so the
+    # L-BFGS direction does not descend and -scale * g, zero too, replaces
+    # it; the first step cannot lower the energy and ends each row
+    e1, _, e3 = np.eye(3)
+    starts = np.array([[e1, -e1], [e3, -e3]])
+    x, vals, iters = oracle._descend(starts, RIESZ1, 30)
+    assert iters.tolist() == [1, 1] and vals.tolist() == [1.0, 1.0]
+    assert np.array_equal(x, starts)
+
+
 def test_iterations_cap_each_restart(monkeypatch):
     starts = _unit_starts(5, 6, 7)
     x, vals, iters = oracle._descend(starts, RIESZ1, 30)

@@ -488,3 +488,5 @@ def test_exponents_past_1_and_a_degree_0_zero_set_are_refused():
         adjacent_system(s2, 2, 0)
     with pytest.raises(ParameterError, match="zeros are defined for degree >= 1"):
         orthopoly.zeros_of(adjacent_system(s2, 0, 0, 3), 0)
+    with pytest.raises(ParameterError, match="degree must be nonnegative"):
+        orthopoly.eval_q_all(adjacent_system(s2, 0, 0, 3), -1, 0.5)

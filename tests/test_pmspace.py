@@ -173,6 +173,8 @@ def test_projective_multiplicities_match_the_system_norms(n, m):
 def test_multiplicity_and_moments_refusals():
     with pytest.raises(DegreeOverflowError, match=r"degree 8 exceeds the cap 7 of H\(7,2\)"):
         pmspace.multiplicity(make_space("hamming", n=7, q=2), 8)
+    with pytest.raises(ParameterError, match="degree must be nonnegative"):
+        pmspace.multiplicity(make_space("sphere", n=3), -1)
     with pytest.raises(ParameterError, match="moment order must be nonnegative"):
         pmspace.moments(make_space("sphere", n=3), -1)
     with pytest.raises(ParameterError, match="t_grid is defined for finite spaces only"):

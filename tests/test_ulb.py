@@ -208,8 +208,8 @@ def test_improvement_identity():
 
 def test_the_improvement_step_is_the_largest_the_monotonicity_check_admits():
     # S^2 M=20 Riesz, j=10: a step bound by |Q_j^(r)| at every point would be
-    # 4.488e-8; only the points where Q_j^(r) > 0 bind, and they admit
-    # 4.987e-8, 11% more gain
+    # 4.488e-8; only the orders where Q_j^(m)(-1) > 0 bind, and they admit
+    # 4.987e-8, 11% more gain, which the sampled check confirms both ways
     space, j = make_space("sphere", n=3), 10
     imp = improve_with_qj(space, 20, RIESZ1, j)
     eta = imp.improvement["eta"]
@@ -221,14 +221,18 @@ def test_the_improvement_step_is_the_largest_the_monotonicity_check_admits():
 
     for step, admitted in ((eta, True), (eta * (1 + 1e-6), False)):
         shifted = ULB._shifted(RIESZ1, qj, step)
-        assert check_absolutely_monotone(shifted, j + 1, ULB._ETA_GRID)[0] is admitted
+        assert check_absolutely_monotone(shifted, j + 1)[0] is admitted
     assert imp.certificate_checks.below_h and imp.certificate_checks.f_geq
 
 
-@pytest.mark.parametrize("M, h, j", [(50, GAUSS, 15), (300, RIESZ1, 35)],
-                         ids=["M=50-gaussian", "M=300-riesz"])
+@pytest.mark.parametrize("M, h, j", [
+    (50, GAUSS, 15), (300, RIESZ1, 35),
+    (7, builtin("monomial", j=3), 6), (7, builtin("series", coeffs=[1, 0, 2]), 6),
+], ids=["M=50-gaussian", "M=300-riesz", "M=7-monomial", "M=7-series"])
 def test_an_improvement_whose_largest_step_is_below_the_floor_is_refused(M, h, j):
-    # the largest admissible steps, 5.9e-17 and 5.9e-27, are below 1e-12
+    # the largest admissible steps, 5.9e-17 and 5.9e-27, are below 1e-12;
+    # (1 + t)^3 and 1 + 2(1 + t)^2 have h^(m)(-1) = 0 at an even m <= 6,
+    # where Q_6^(m)(-1) > 0, so their step is exactly 0
     space = make_space("sphere", n=3)
     assert compute_test_functions(space, M, [j]).values[0] < -1e-8
     with pytest.raises(ConvergenceError, match=f"no admissible eta .* with j={j}"):
@@ -257,7 +261,7 @@ def test_negative_test_function_indices_and_a_too_large_eta_are_refused():
 
     eta = improve_with_qj(space, 7, RIESZ1, 6).improvement["eta"]
     assert eta == pytest.approx(4.340278e-5, rel=1e-6)
-    assert not check_absolutely_monotone(ULB._shifted(RIESZ1, q6, 10.0), 7, ULB._ETA_GRID)[0]
+    assert not check_absolutely_monotone(ULB._shifted(RIESZ1, q6, 10.0), 7)[0]
 
 
 def test_an_empty_test_function_index_set_is_refused():

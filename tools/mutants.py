@@ -70,8 +70,8 @@ MUTANTS = (
      "_float_square: M^2 past the float range let through"),
     ("ulb.py", "except np.linalg.LinAlgError as exc:", "except ZeroDivisionError as exc:",
      "hermite_certificate: a singular solve let through"),
-    ("ulb.py", "dq = qj(j + 1, _ETA_GRID)", "dq = np.abs(qj(j + 1, _ETA_GRID))",
-     "_admissible_eta: first try bound by Q_j^(r) < 0 too"),
+    ("ulb.py", "up = dq > 0", "up = dq == dq",
+     "_admissible_eta: ratio taken where Q_j^(m)(-1) < 0 too"),
     # levenshtein: the rule's checks and the level map
     ("levenshtein.py", "_POWER_SUM_TOL = 1e-7", "_POWER_SUM_TOL = 1e-4", "_POWER_SUM_TOL 1e-7 -> 1e-4"),
     ("levenshtein.py", "_SOLVE_RTOL = 1e-10", "_SOLVE_RTOL = 1e-7", "_SOLVE_RTOL 1e-10 -> 1e-7"),
